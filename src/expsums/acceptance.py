@@ -28,7 +28,7 @@ from .kernels import (FlatTopKernel, discrete_l1_bound, flat_top_build,
                       property_violations, transform_from_values)
 from .modulus import brute_force_modulus, good_modulus, thinning_transform
 from .modulus import ResidueFilter
-from .quadrature import certified_l1, riemann_l1
+from .quadrature import certified_l1, riemann_l1, riemann_rho
 from .structures import build_strong_integer, build_strong_lattice
 
 DEFAULT_SEED = 1729
@@ -136,21 +136,22 @@ def criterion_03(seed: int) -> tuple[bool, dict]:
 
 
 def criterion_04(seed: int) -> tuple[bool, dict]:
-    """Riemann means of Dirichlet kernels obey the 4*pi*d/N error bound."""
+    """Riemann means of Dirichlet kernels obey the pi*d/N error bound, down
+    to the coarsest alias-free grid N = 2d+1."""
     rows = []
     ok = True
     for d in (10, 50, 200):
         f = indicator_poly(IntegerSet.from_iterable(range(-d, d + 1)))
-        n_coarse = 4 * math.ceil(4 * math.pi * d)
-        coarse = riemann_l1(f, n_coarse)
         reference = riemann_l1(f, 10 ** 6)
-        allowed = 4 * math.pi * d / n_coarse * reference
-        err = abs(coarse - reference)
-        good = err <= allowed
-        ok = ok and good
-        rows.append({"d": d, "grid": n_coarse, "coarse": coarse,
-                     "reference": reference, "difference": err,
-                     "allowed": allowed, "ok": good})
+        for n_coarse in (2 * d + 1, 4 * math.ceil(4 * math.pi * d)):
+            coarse = riemann_l1(f, n_coarse)
+            allowed = riemann_rho(d, n_coarse) * reference
+            err = abs(coarse - reference)
+            good = err <= allowed
+            ok = ok and good
+            rows.append({"d": d, "grid": n_coarse, "coarse": coarse,
+                         "reference": reference, "difference": err,
+                         "allowed": allowed, "ok": good})
     interval = indicator_poly(IntegerSet.from_iterable(range(1, 102)))
     ref101 = riemann_l1(interval, 10 ** 6)
     band_ok = abs(ref101 - 2.856) <= 0.01

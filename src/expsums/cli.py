@@ -40,7 +40,8 @@ from .kernels import (discrete_l1_bound, flat_top_build, flat_top_discrete_l1,
                       property_violations)
 from .modulus import (ResidueFilter, brute_force_modulus, good_modulus,
                       thinning_transform)
-from .quadrature import bernstein_check, certified_l1, riemann_l1
+from .quadrature import (_recentred_degree, bernstein_check, certified_l1,
+                         riemann_l1, riemann_rho)
 from .structures import (build_strong_integer, build_strong_lattice,
                          gap_rank2, validate_certificate)
 
@@ -422,11 +423,13 @@ def _verify_numerical(cfg):
         f = A if isinstance(A, TrigPoly) else indicator_poly(A)
         if f.rank != 1:
             raise ConfigError("numerical applies to rank-1 polynomials")
-        d = max(f.degree[0], 1)
-        grid = cfg.grid or 4 * math.ceil(4 * math.pi * d)
+        # |f| is translation invariant, so the recentred degree sets the grid;
+        # the default is the smallest multiple of 4 with rho <= 1/4
+        d = max(_recentred_degree(f)[0], 1)
+        grid = cfg.grid or 4 * math.ceil(math.pi * d)
         enc = certified_l1(f, cfg.rel_err, cfg.memory_budget)
         mean = riemann_l1(f, grid, cfg.memory_budget)
-        rho = 4 * math.pi * d / grid
+        rho = riemann_rho(d, grid)
         good = enc.lo * (1 - rho) <= mean <= enc.hi * (1 + rho)
         ok = ok and good
         rows.append({"degree": d, "grid": grid, "mean": mean,

@@ -8,6 +8,7 @@ instead of wrapping.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import json
 from dataclasses import dataclass, field
@@ -62,7 +63,9 @@ class IntegerSet:
         return iter(self.elements)
 
     def __contains__(self, x) -> bool:
-        return int(x) in set(self.elements)
+        x = int(x)
+        i = bisect.bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
     @property
     def min(self) -> int:
@@ -151,9 +154,14 @@ def _normalize_terms(rank: int, terms) -> dict[tuple[int, ...], complex]:
         coeff = complex(coeff)
         if coeff == 0:
             continue
-        out[freq] = out.get(freq, 0) + coeff
-        if out[freq] == 0:
+        total = out.get(freq, 0) + coeff
+        if not cmath.isfinite(total):
+            # also catches finite duplicates whose sum overflows
+            raise ValueError(f"coefficient {total} at frequency {freq} is not finite")
+        if total == 0:
             del out[freq]
+        else:
+            out[freq] = total
     return out
 
 

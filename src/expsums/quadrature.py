@@ -1,14 +1,29 @@
 """Grid evaluation of trigonometric polynomials and certified L1 enclosures.
 
-The enclosure rests on the Riemann-sum error bound for a degree-d
-polynomial sampled at N uniform points:
+The enclosure rests on the Riemann-sum error bound for a polynomial of
+degree d (frequencies in [-d, d]) sampled at N uniform points:
 
-    | ||f||_1 - (1/N) sum_j |f(j/N)| |  <=  (4 pi d / N) ||f||_1
+    | ||f||_1 - (1/N) sum_j |f(j/N)| |  <=  (pi d / N) ||f||_1
 
 so the grid mean S pins the true norm inside [S/(1+rho), S/(1-rho)] with
-rho = 4 pi d / N.  In rank r the bound is applied axis by axis (each slice
-with the other coordinates fixed is a 1-D polynomial of the axis degree),
-so the relative errors compound multiplicatively.
+rho = pi d / N (:func:`riemann_rho`).
+
+Proof.  Let g = |f|, a 1-periodic function.  The grid sum of g on the
+points j/N equals the sum of h(t) = g(t - 1/(2N)) on the centred points
+(j + 1/2)/N, and h has the same integral ||f||_1 and the same total
+variation as g.  The centred points have star discrepancy 1/(2N), so
+Koksma's inequality (Kuipers and Niederreiter, *Uniform Distribution of
+Sequences*, ch. 2) bounds the error by V(h)/(2N) = V(|f|)/(2N).  Since
+||f(s)| - |f(t)|| <= |f(s) - f(t)|, V(|f|) <= V(f) = ||f'||_1, and
+Bernstein's inequality in L1 (Zygmund, *Trigonometric Series*, ch. X)
+gives ||f'||_1 <= 2 pi d ||f||_1.  Together: error <= (pi d / N) ||f||_1.
+|f| does not change when f is multiplied by e(m t), so d may be taken as
+the recentred degree ceil(diameter/2) of the frequency support.
+
+In rank r the bound is applied axis by axis: each slice with the other
+coordinates fixed is a 1-D polynomial of the axis degree, so averaging
+over one axis at a time moves the mean by a factor in [1 - rho_i, 1 + rho_i]
+and the relative errors compound multiplicatively.
 
 Everything here is pure and deterministic: grids are evaluated with a
 zero-padded FFT and reduced with pairwise summation, so results do not
@@ -139,14 +154,20 @@ def riemann_l1(f: TrigPoly, shape, memory_budget: int | None = None) -> float:
     return eval_grid(f, shape, memory_budget).abs_mean()
 
 
+def riemann_rho(d: int, n: int) -> float:
+    """Relative error bound pi d / N of the N-point grid mean of |f| for a
+    degree-d polynomial f (see the module docstring for the proof)."""
+    return math.pi * d / n
+
+
 def choose_grid(degree: Sequence[int], rel_err: float) -> tuple[tuple[int, ...],
                                                                 tuple[float, ...]]:
     """Per-axis sample counts for a target total relative error.
 
     Splits rel_err so the per-axis factors compound to at most (1 + rel_err):
-    rho_i = (1+rel_err)^(1/r) - 1, N_i = ceil(4 pi d_i / rho_i) rounded up to
-    an FFT-friendly length.  Returns the counts and the achieved per-axis
-    rho_i = 4 pi d_i / N_i.
+    rho_i = (1+rel_err)^(1/r) - 1, N_i = ceil(pi d_i / rho_i) rounded up to
+    an FFT-friendly length (never below the alias-free 2 d_i + 1).  Returns
+    the counts and the achieved per-axis rho_i = riemann_rho(d_i, N_i).
     """
     if not 0 < rel_err < 1:
         raise ValueError("rel_err must be in (0, 1)")
@@ -159,10 +180,11 @@ def choose_grid(degree: Sequence[int], rel_err: float) -> tuple[tuple[int, ...],
             shape.append(1)
             rhos.append(0.0)
             continue
-        n = scipy.fft.next_fast_len(max(int(math.ceil(4 * math.pi * d / target)),
+        # the smallest N with riemann_rho(d, N) <= target, made FFT-friendly
+        n = scipy.fft.next_fast_len(max(math.ceil(riemann_rho(d, 1) / target),
                                         2 * d + 1))
         shape.append(n)
-        rhos.append(4 * math.pi * d / n)
+        rhos.append(riemann_rho(d, n))
     return tuple(shape), tuple(rhos)
 
 

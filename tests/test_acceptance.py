@@ -51,7 +51,12 @@ def test_criterion_03_discrete_l1_bound(suite_report):
 
 
 def test_criterion_04_riemann_error_bound(suite_report):
-    _check(suite_report, 4)
+    r = _check(suite_report, 4)
+    # the bound is also checked on the coarsest alias-free grid
+    coarsest = {row["d"]: row for row in r.details["rows"]
+                if row["grid"] == 2 * row["d"] + 1}
+    assert set(coarsest) == {10, 50, 200}
+    assert all(row["ok"] for row in coarsest.values())
 
 
 def test_criterion_05_derivative_norm_bound(suite_report):

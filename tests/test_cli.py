@@ -98,6 +98,31 @@ def test_norm_memory_budget_exit_code(tmp_path):
     assert "budget" in r.stderr.lower()
 
 
+def test_norm_non_finite_input_is_usage_error(tmp_path):
+    src = tmp_path / "nan.json"
+    src.write_text('{"rank": 1, "terms": [[[0], [1.0, 0.0]], '
+                   '[[3], [NaN, 0.0]]]}', encoding="utf-8")
+    out = tmp_path / "n.json"
+    r = run_cli("norm", "--input", str(src), "--output", str(out))
+    assert r.returncode == 2
+    assert "not finite" in r.stderr
+    assert not out.exists()
+
+
+def test_verify_numerical_grid_from_recentred_degree(tmp_path):
+    # 12 frequencies near 10^6: the grid follows the diameter, not 10^6
+    out = tmp_path / "v.json"
+    r = run_cli("verify", "--theorem", "numerical",
+                "--set", "range:1000000:1000011", "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    res = load_report(out)["result"]
+    assert res["passed"] is True
+    (row,) = res["rows"]
+    assert row["ok"] is True
+    assert row["degree"] == 6
+    assert row["grid"] <= 100
+
+
 def test_kernel_csv_golden(tmp_path):
     out = tmp_path / "k.csv"
     r = run_cli("kernel", "--m", "3", "--n", "10", "--output", str(out))

@@ -41,6 +41,17 @@ def test_integer_set_accessors():
     assert A.translate(3).elements == (-1, 5, 13)
 
 
+def test_integer_set_membership():
+    A = IntegerSet.from_iterable([-7, 0, 3, 10 ** 12])
+    for x in (-7, 0, 3, 10 ** 12, np.int64(3)):
+        assert x in A
+    for x in (-8, -1, 1, 4, 10 ** 12 - 1):
+        assert x not in A
+    # past both ends
+    assert -(2 ** 70) not in A and 2 ** 70 not in A
+    assert 0 not in IntegerSet.from_iterable([])
+
+
 def test_integer_set_empty_is_allowed():
     A = IntegerSet.from_iterable([])
     assert len(A) == 0
@@ -132,6 +143,28 @@ def test_trig_poly_json_round_trip():
     assert obj["rank"] == 2
     # each term is [[frequencies], [re, im]]
     assert loads(dumps(f)) == f
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(1, math.nan), complex(math.inf, 0)])
+def test_trig_poly_rejects_non_finite_coefficient(bad):
+    with pytest.raises(ValueError, match=r"frequency \(3,\)"):
+        TrigPoly(1, {(0,): 1, (3,): bad})
+
+
+def test_trig_poly_rejects_overflowing_duplicate_terms():
+    with pytest.raises(ValueError, match="not finite"):
+        TrigPoly(1, [((2,), 1e308), ((2,), 1e308)])
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_trig_poly_json_rejects_non_finite(literal):
+    text = ('{"rank": 2, "terms": [[[0, 0], [1.0, 0.0]], '
+            f'[[1, -2], [0.5, {literal}]]]}}')
+    with pytest.raises(ValueError, match=r"frequency \(1, -2\)"):
+        TrigPoly.from_json_dict(json.loads(text))
+    with pytest.raises(ValueError):
+        loads(text)
 
 
 def test_indicator_poly_integer_set():

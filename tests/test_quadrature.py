@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from expsums.core import IntegerSet, TrigPoly, indicator_poly
 from expsums.errors import AliasingError, MemoryBudgetError
-from expsums.quadrature import (bernstein_check, certified_l1, choose_grid,
-                                derivative, eval_grid, riemann_l1)
+from expsums.quadrature import (_recentred_degree, bernstein_check,
+                                certified_l1, choose_grid, derivative,
+                                eval_grid, riemann_l1)
 
 # frozen 2^22-point Riemann oracles
 REF_INTERVAL_101 = 2.859870343104319
@@ -51,20 +53,52 @@ def test_riemann_monomial_is_exact():
 
 
 def test_riemann_error_bound_interval():
-    # |mean - ||f||_1| <= (4 pi d / N) ||f||_1 against the frozen oracle
+    # |mean - ||f||_1| <= (pi d / N) ||f||_1 against the frozen oracle
     f = indicator_poly(IntegerSet.from_iterable(range(1, 102)))
     d = 101
     n = 4 * math.ceil(4 * math.pi * d)
     mean = riemann_l1(f, n)
-    rho = 4 * math.pi * d / n
+    rho = math.pi * d / n
     assert abs(mean - REF_INTERVAL_101) <= rho * REF_INTERVAL_101
+
+
+def _fejer(n: int) -> TrigPoly:
+    # F_n = sum_{|k|<=n} (1 - |k|/(n+1)) e(kt): nonnegative with mean 1
+    return TrigPoly(1, {k: 1 - abs(k) / (n + 1) for k in range(-n, n + 1)})
+
+
+def _empirical_polys():
+    rng = np.random.default_rng(2024)
+    for d in (5, 20, 80):
+        yield indicator_poly(IntegerSet.from_iterable(range(-d, d + 1)))
+        for _ in range(3):
+            yield TrigPoly(1, {k: complex(*rng.standard_normal(2))
+                               for k in range(-d, d + 1)})
+        for c in (1.0, -1.0, 0.5j):
+            yield TrigPoly(1, {0: 1.0, 2 * d: c})  # recentred degree d
+
+
+def test_riemann_error_within_rho_empirically():
+    # every alias-free grid from 2d+1 to 12d, against a 2^20-point reference;
+    # the worst ratio seen is about 0.43 (Dirichlet kernel at N = 2d+1)
+    worst = 0.0
+    for f in _empirical_polys():
+        (d,) = _recentred_degree(f)
+        ref = riemann_l1(f, 2 ** 20)
+        for n in range(2 * d + 1, 12 * d):
+            err = abs(riemann_l1(f, n) - ref)
+            worst = max(worst, err / (math.pi * d / n * ref))
+    assert worst < 1
 
 
 def test_choose_grid_resolution():
     for d, rel in ((10, 0.1), (200, 0.02), (64, 0.5)):
         (n,), (rho,) = choose_grid((d,), rel)
-        assert rho <= rel + 1e-12
-        assert n >= 4 * math.pi * d / rho - 1
+        target = (1.0 + rel) - 1.0  # the one-axis split of rel
+        assert rho == pytest.approx(math.pi * d / n)
+        assert rho <= target
+        assert n >= 2 * d + 1
+        assert n == scipy.fft.next_fast_len(math.ceil(math.pi * d / target))
 
 
 def test_choose_grid_splits_budget_across_axes():
@@ -101,6 +135,25 @@ def test_certified_l1_monomial_exact():
     enc = certified_l1(f, 0.1)
     assert enc.lo == pytest.approx(5.0, rel=1e-12)
     assert enc.hi == pytest.approx(5.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("rel", [0.9, 0.5, 0.1, 0.01])
+def test_certified_l1_contains_closed_forms(rel):
+    for n in (1, 4, 17, 60):
+        assert certified_l1(_fejer(n), rel).contains(1.0)
+    for c in (1.0, 3 - 4j, 1e-3j):
+        assert certified_l1(TrigPoly(1, {-9: c}), rel).contains(abs(c))
+    # |1 + e(t)| = 2 |cos(pi t)|, whose mean is 4/pi
+    assert certified_l1(TrigPoly(1, {0: 1.0, 1: 1.0}), rel).contains(4 / math.pi)
+
+
+@pytest.mark.parametrize("rel", [0.5, 0.1])
+def test_certified_l1_contains_rank2_fejer_product(rel):
+    for n, m in ((3, 5), (12, 1), (20, 20)):
+        fx, fy = _fejer(n), _fejer(m)
+        prod = TrigPoly(2, {(a, b): ca * cb for (a,), ca in fx.terms.items()
+                            for (b,), cb in fy.terms.items()})
+        assert certified_l1(prod, rel).contains(1.0)
 
 
 def test_certified_l1_translation_invariant():
