@@ -229,7 +229,7 @@ def random_thinning_config(rng: np.random.Generator):
         im = rng.standard_normal(count)
         blocks[k] = TrigPoly(1, {int(f): complex(a, b)
                                  for f, a, b in zip(freqs, re, im)})
-    s = int(rng.choice(np.array(index.elements))) % q
+    s = int(rng.choice(index.array)) % q
     return blocks, d1, d2, delta, q, s
 
 

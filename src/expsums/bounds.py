@@ -89,9 +89,12 @@ def mps_rhs(coeffs: Sequence[complex]) -> float:
 
     This is the coefficient-decay lower bound WITHOUT its absolute constant.
     """
-    if len(coeffs) == 0:
+    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+    if len(c) == 0:
         raise ValueError("need at least one coefficient")
-    return float(sum(abs(complex(u)) / j for j, u in enumerate(coeffs, start=1)))
+    # hypot is what abs(complex) computes, and cumsum adds left to right,
+    # so this is the plain sum |u_1|/1 + |u_2|/2 + ... on every Python
+    return float(np.cumsum(np.hypot(c.real, c.imag) / np.arange(1, len(c) + 1))[-1])
 
 
 def mps_rhs_of(f: TrigPoly) -> float:
@@ -100,7 +103,7 @@ def mps_rhs_of(f: TrigPoly) -> float:
         raise ValueError("rank-1 polynomials only")
     if f.is_zero:
         raise ValueError("zero polynomial")
-    return mps_rhs([c for _, c in f.ordered_items()])
+    return mps_rhs(f.coeffs)
 
 
 def verify_mps(A, c_mps: float = DEFAULT_C_MPS,
@@ -274,14 +277,14 @@ class MainPropReport:
 
 def assemble_blocks(blocks: Mapping[int, TrigPoly], d2: int) -> TrigPoly:
     """F = sum_k f_k(t) e(d2 k t) from the block map."""
-    terms: dict[tuple[int, ...], complex] = {}
+    parts = [TrigPoly(1)]  # the zero polynomial, so an empty map gives F = 0
     for k, f_k in blocks.items():
         if f_k.rank != 1:
             raise ValueError("blocks must be rank-1 polynomials")
-        for (l,), c in f_k.terms.items():
-            freq = (int(k) * int(d2) + l,)
-            terms[freq] = terms.get(freq, 0j) + c
-    return TrigPoly(1, terms)
+        parts.append(f_k.shifted(int(k) * int(d2)))
+    # overlapping blocks add up, in block order
+    return TrigPoly.from_arrays(1, np.concatenate([g.freqs for g in parts]),
+                                np.concatenate([g.coeffs for g in parts]))
 
 
 def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,

@@ -1,9 +1,16 @@
 """Foundational types: integer/lattice sets, trigonometric polynomials, e(z).
 
-All types are immutable after construction and safe to share across threads;
-every operation here is a pure function.  Frequencies are 64-bit signed
-integers; anything that would leave that range raises ``OverflowError``
-instead of wrapping.
+Sets and polynomials are stored as numpy arrays: an ``IntegerSet`` as a
+sorted int64 vector, a ``LatticeSet`` as an int64 ``(n, r)`` array of
+lexicographically sorted rows, and a ``TrigPoly`` as sorted, distinct int64
+frequency rows with nonzero, finite complex128 coefficients.  The arrays are
+read-only and every operation is a pure function, so all types are
+immutable and safe to share across threads.  Tuples and dicts appear only
+as read-only views (``elements``, ``points``, ``terms``) and in the JSON
+wire format.
+
+Frequencies are 64-bit signed integers; anything that would leave that
+range raises ``OverflowError`` instead of wrapping.
 """
 
 from __future__ import annotations
@@ -11,8 +18,9 @@ from __future__ import annotations
 import bisect
 import cmath
 import json
-from dataclasses import dataclass, field
+import math
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -28,6 +36,62 @@ def _check_i64(value: int, what: str) -> int:
     return value
 
 
+def _wrapped_i64(value: int) -> np.int64:
+    # the int64 congruent to value mod 2^64: adding it with numpy's wrapping
+    # arithmetic gives the exact sum whenever that sum fits in int64
+    return np.int64((value - _I64_MIN) % 2 ** 64 + _I64_MIN)
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _int64_rows(rows, rank: int, what: str, scalars: bool = False) -> np.ndarray:
+    """The integer vectors ``rows`` as an int64 ``(n, rank)`` array.
+
+    One numpy conversion handles homogeneous integer input; anything else
+    (mixed scalar and tuple keys, values outside int64, floats) is coerced
+    one value at a time, which also produces the error messages.  With
+    ``scalars`` a rank-1 row may be given as a bare number.
+    """
+    rows = rows if isinstance(rows, (np.ndarray, list, tuple)) else list(rows)
+    try:
+        arr = np.asarray(rows)
+    except (ValueError, OverflowError):  # ragged rows or huge ints
+        arr = None
+    if arr is not None and arr.size and (arr.dtype.kind == "i" or (
+            arr.dtype.kind == "u" and arr.max() <= _I64_MAX)):
+        if scalars and rank == 1 and arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+        if arr.ndim == 2 and arr.shape[1] == rank:
+            return arr.astype(np.int64, copy=False)
+    out = []
+    for p in rows:
+        if scalars and np.ndim(p) == 0:
+            p = (p,)
+        p = tuple(_check_i64(c, what) for c in p)
+        if len(p) != rank:
+            raise ValueError(f"{what} {p} does not have rank {rank}")
+        out.append(p)
+    return np.array(out, dtype=np.int64).reshape(len(out), rank)
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Stable permutation sorting the rows of an (n, r) array lexicographically."""
+    return np.lexsort(rows.T[::-1])
+
+
+def _run_starts(sorted_rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a sorted array that differ from their predecessor."""
+    first = np.ones(len(sorted_rows), dtype=bool)
+    if sorted_rows.ndim == 1:
+        np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=first[1:])
+    else:
+        np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=first[1:])
+    return first
+
+
 def char_e(z):
     """The character e(z) = exp(2*pi*i*z).  Accepts scalars or numpy arrays."""
     if isinstance(z, np.ndarray):
@@ -35,29 +99,50 @@ def char_e(z):
     return cmath.exp(2j * cmath.pi * z)
 
 
-@dataclass(frozen=True)
-class IntegerSet:
-    """A finite set of distinct integers, stored sorted ascending.
+class _Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class IntegerSet(_Frozen):
+    """A finite set of distinct integers, stored as a sorted int64 array.
 
     The empty set is representable (residue filtering can produce it);
-    operations that need a nonempty set say so and raise.
+    operations that need a nonempty set say so and raise.  The constructor
+    rejects duplicates; :meth:`from_iterable` removes them.
     """
 
-    elements: tuple[int, ...]
+    def __init__(self, elements: Iterable[int]):
+        arr = np.sort(_int64_rows(elements, 1, "element", scalars=True)[:, 0])
+        dup = ~_run_starts(arr)
+        if dup.any():
+            raise ValueError(f"duplicate element {int(arr[dup][0])}")
+        object.__setattr__(self, "array", _readonly(arr))
 
-    def __post_init__(self):
-        elems = tuple(sorted(_check_i64(e, "element") for e in self.elements))
-        for a, b in zip(elems, elems[1:]):
-            if a == b:
-                raise ValueError(f"duplicate element {a}")
-        object.__setattr__(self, "elements", elems)
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "IntegerSet":
+        # arr: a sorted, duplicate-free int64 vector this set may own
+        out = object.__new__(cls)
+        object.__setattr__(out, "array", _readonly(arr))
+        return out
 
     @classmethod
     def from_iterable(cls, it: Iterable[int]) -> "IntegerSet":
-        return cls(tuple(set(int(x) for x in it)))
+        arr = np.sort(_int64_rows(it, 1, "element", scalars=True)[:, 0])
+        return cls._wrap(arr[_run_starts(arr)])
+
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        """The elements as a tuple of Python ints, ascending."""
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.array)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -67,141 +152,230 @@ class IntegerSet:
         i = bisect.bisect_left(self.elements, x)
         return i < len(self.elements) and self.elements[i] == x
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash(self.array.tobytes())
+
+    def __repr__(self):
+        return f"IntegerSet(elements={self.elements!r})"
+
     @property
     def min(self) -> int:
-        if not self.elements:
+        if not len(self):
             raise ValueError("empty set has no min")
-        return self.elements[0]
+        return int(self.array[0])
 
     @property
     def max(self) -> int:
-        if not self.elements:
+        if not len(self):
             raise ValueError("empty set has no max")
-        return self.elements[-1]
+        return int(self.array[-1])
 
     @property
     def diameter(self) -> int:
-        return self.max - self.min if self.elements else 0
+        return self.max - self.min if len(self) else 0
 
     def translate(self, shift: int) -> "IntegerSet":
         shift = int(shift)
-        return IntegerSet(tuple(_check_i64(e + shift, "translated element")
-                                for e in self.elements))
+        if not len(self):
+            return self
+        _check_i64(self.min + shift, "translated element")
+        _check_i64(self.max + shift, "translated element")
+        return IntegerSet._wrap(self.array + _wrapped_i64(shift))
 
     def to_json_dict(self) -> dict:
-        return {"elements": list(self.elements)}
+        return {"elements": self.array.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "IntegerSet":
-        return cls(tuple(int(x) for x in obj["elements"]))
+        return cls(obj["elements"])
 
 
-@dataclass(frozen=True)
-class LatticeSet:
-    """A finite set of distinct points in Z^r, stored sorted lexicographically."""
+class LatticeSet(_Frozen):
+    """A finite set of distinct points in Z^r, stored as an int64 (n, r)
+    array with rows sorted lexicographically."""
 
-    rank: int
-    points: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, points: Iterable[Iterable[int]]):
+        if rank < 1:
             raise ValueError("rank must be positive")
-        pts = []
-        for p in self.points:
-            p = tuple(_check_i64(c, "coordinate") for c in p)
-            if len(p) != self.rank:
-                raise ValueError(f"point {p} does not have {self.rank} coordinates")
-            pts.append(p)
-        pts.sort()
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValueError(f"duplicate point {a}")
-        object.__setattr__(self, "points", tuple(pts))
+        pts = _int64_rows(points, rank, "point")
+        pts = pts[_lex_order(pts)]
+        dup = ~_run_starts(pts)
+        if dup.any():
+            raise ValueError(f"duplicate point {tuple(pts[dup][0].tolist())}")
+        self._set(int(rank), pts)
+
+    def _set(self, rank: int, pts: np.ndarray) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "array", _readonly(pts))
 
     @classmethod
     def from_iterable(cls, rank: int, it: Iterable[Iterable[int]]) -> "LatticeSet":
-        return cls(rank, tuple(set(tuple(int(c) for c in p) for p in it)))
+        if rank < 1:
+            raise ValueError("rank must be positive")
+        pts = _int64_rows(it, rank, "point")
+        pts = pts[_lex_order(pts)]
+        out = object.__new__(cls)
+        out._set(int(rank), pts[_run_starts(pts)])
+        return out
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        """The points as tuples of Python ints, in lexicographic order."""
+        return tuple(map(tuple, self.array.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.array)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.points)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.rank == other.rank and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.rank, self.array.tobytes()))
+
+    def __repr__(self):
+        return f"LatticeSet(rank={self.rank!r}, points={self.points!r})"
 
     def coordinates(self, axis: int) -> tuple[int, ...]:
         """Sorted distinct values of the given 1-based coordinate."""
         if not 1 <= axis <= self.rank:
             raise ValueError(f"axis {axis} out of range for rank {self.rank}")
-        return tuple(sorted({p[axis - 1] for p in self.points}))
+        return tuple(np.unique(self.array[:, axis - 1]).tolist())
 
     def to_json_dict(self) -> dict:
-        return {"rank": self.rank, "points": [list(p) for p in self.points]}
+        return {"rank": self.rank, "points": self.array.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "LatticeSet":
-        return cls(int(obj["rank"]), tuple(tuple(int(c) for c in p)
-                                           for p in obj["points"]))
+        return cls(int(obj["rank"]), obj["points"])
 
 
-def _normalize_terms(rank: int, terms) -> dict[tuple[int, ...], complex]:
-    out: dict[tuple[int, ...], complex] = {}
-    for freq, coeff in (terms.items() if isinstance(terms, Mapping) else terms):
-        if isinstance(freq, (int, np.integer)):
-            freq = (int(freq),)
-        freq = tuple(_check_i64(f, "frequency") for f in freq)
-        if len(freq) != rank:
-            raise ValueError(f"frequency {freq} does not have rank {rank}")
-        coeff = complex(coeff)
-        if coeff == 0:
-            continue
-        total = out.get(freq, 0) + coeff
-        if not cmath.isfinite(total):
-            # also catches finite duplicates whose sum overflows
-            raise ValueError(f"coefficient {total} at frequency {freq} is not finite")
-        if total == 0:
-            del out[freq]
-        else:
-            out[freq] = total
-    return out
+def _normalize_terms(freqs: np.ndarray,
+                     coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort terms by frequency, sum duplicates, drop zeros, reject non-finite.
+
+    The sort is stable and duplicates are summed in input order starting
+    from 0, so every coefficient is exactly what the running sum
+    ``0 + c_1 + c_2 + ...`` over its input terms gives.
+    """
+    order = _lex_order(freqs)
+    freqs, coeffs = freqs[order], coeffs[order]
+    first = _run_starts(freqs)
+    totals = np.zeros(np.count_nonzero(first), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        np.add.at(totals, np.cumsum(first) - 1, coeffs)
+    freqs = freqs[first]
+    bad = ~np.isfinite(totals)
+    if bad.any():
+        # a non-finite coefficient, or finite duplicates whose sum overflows
+        i = int(np.argmax(bad))
+        raise ValueError(f"coefficient {complex(totals[i])} at frequency "
+                         f"{tuple(freqs[i].tolist())} is not finite")
+    keep = totals != 0
+    return freqs[keep], totals[keep]
 
 
-@dataclass(frozen=True)
-class TrigPoly:
+class TrigPoly(_Frozen):
     """Trigonometric polynomial sum_f c_f e(f . t), finite support in Z^r.
 
-    Zero coefficients are never stored; the zero polynomial has no terms.
-    ``terms`` must not be mutated after construction.
+    ``terms`` is a mapping ``{frequency tuple: coefficient}`` or an iterable
+    of such pairs; a rank-1 frequency may be a bare integer.  Terms at one
+    frequency are summed and zero coefficients are never stored, so the
+    zero polynomial has no terms.  The terms are held as ``freqs`` (int64
+    ``(n, rank)``, lexicographically sorted, distinct) and ``coeffs``
+    (complex128 ``(n,)``, nonzero and finite); ``terms`` is a read-only
+    dict view of them in the same order.
     """
 
-    rank: int
-    terms: dict[tuple[int, ...], complex] = field(default_factory=dict)
+    __hash__ = None  # equality compares coefficients; not a dict key
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, terms=None):
+        if rank < 1:
             raise ValueError("rank must be positive")
-        object.__setattr__(self, "terms", _normalize_terms(self.rank, self.terms))
+        if terms is None:
+            terms = {}
+        if isinstance(terms, Mapping):
+            keys, values = list(terms.keys()), list(terms.values())
+        else:
+            pairs = list(terms)
+            keys, values = [p[0] for p in pairs], [p[1] for p in pairs]
+        freqs = _int64_rows(keys, rank, "frequency", scalars=True)
+        coeffs = np.array(values, dtype=np.complex128).reshape(len(values))
+        self._set(int(rank), *_normalize_terms(freqs, coeffs))
+
+    def _set(self, rank: int, freqs: np.ndarray, coeffs: np.ndarray) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "freqs", _readonly(freqs))
+        object.__setattr__(self, "coeffs", _readonly(coeffs))
+
+    @classmethod
+    def from_arrays(cls, rank: int, freqs, coeffs) -> "TrigPoly":
+        """The polynomial with terms ``coeffs[i] e(freqs[i] . t)``, normalized
+        like the constructor (any order, duplicates summed, zeros dropped)."""
+        if rank < 1:
+            raise ValueError("rank must be positive")
+        freqs = np.asarray(freqs, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+        if rank == 1 and freqs.ndim == 1:
+            freqs = freqs.reshape(-1, 1)
+        if freqs.shape != (len(coeffs), rank):
+            raise ValueError(f"frequencies of shape {freqs.shape} for "
+                             f"{len(coeffs)} rank-{rank} coefficients")
+        out = object.__new__(cls)
+        out._set(int(rank), *_normalize_terms(freqs, coeffs))
+        return out
+
+    @classmethod
+    def _wrap(cls, rank: int, freqs: np.ndarray, coeffs: np.ndarray) -> "TrigPoly":
+        # freqs/coeffs already normalized (sorted, distinct, nonzero, finite)
+        out = object.__new__(cls)
+        out._set(rank, freqs, coeffs)
+        return out
 
     @cached_property
-    def degree(self) -> tuple[int, ...]:
-        """Per-axis max |frequency| (zero vector for the zero polynomial)."""
-        if not self.terms:
-            return (0,) * self.rank
-        return tuple(max(abs(f[i]) for f in self.terms) for i in range(self.rank))
+    def terms(self) -> Mapping[tuple[int, ...], complex]:
+        """Read-only ``{frequency tuple: coefficient}`` in frequency order."""
+        return MappingProxyType(dict(zip(map(tuple, self.freqs.tolist()),
+                                         self.coeffs.tolist())))
 
     @cached_property
     def support_box(self) -> tuple[tuple[int, int], ...]:
         """Per-axis (min, max) of the frequency support."""
-        if not self.terms:
+        if self.is_zero:
             return ((0, 0),) * self.rank
-        return tuple((min(f[i] for f in self.terms), max(f[i] for f in self.terms))
-                     for i in range(self.rank))
+        return tuple(zip(self.freqs.min(axis=0).tolist(),
+                         self.freqs.max(axis=0).tolist()))
+
+    @cached_property
+    def degree(self) -> tuple[int, ...]:
+        """Per-axis max |frequency| (zero vector for the zero polynomial)."""
+        # Python ints: abs(-2**63) does not fit in int64
+        return tuple(max(-lo, hi) for lo, hi in self.support_box)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coeffs)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rank == other.rank and np.array_equal(self.freqs, other.freqs)
+                and np.array_equal(self.coeffs, other.coeffs))
+
+    def __repr__(self):
+        return f"TrigPoly(rank={self.rank!r}, terms={dict(self.terms)!r})"
 
     def coefficient(self, freq) -> complex:
         if isinstance(freq, (int, np.integer)):
@@ -209,7 +383,7 @@ class TrigPoly:
         return self.terms.get(tuple(int(f) for f in freq), 0j)
 
     def ordered_items(self) -> list[tuple[tuple[int, ...], complex]]:
-        return sorted(self.terms.items())
+        return list(self.terms.items())
 
     def shifted(self, shift) -> "TrigPoly":
         """Translate the frequency support by ``shift`` (L1 norm is unchanged)."""
@@ -218,38 +392,46 @@ class TrigPoly:
         shift = tuple(int(s) for s in shift)
         if len(shift) != self.rank:
             raise ValueError("shift rank mismatch")
-        return TrigPoly(self.rank,
-                        {tuple(_check_i64(f + s, "shifted frequency")
-                               for f, s in zip(freq, shift)): c
-                         for freq, c in self.terms.items()})
+        if self.is_zero:
+            return self
+        # numpy wraps silently, so check the extremes in Python ints first
+        for (lo, hi), s in zip(self.support_box, shift):
+            _check_i64(lo + s, "shifted frequency")
+            _check_i64(hi + s, "shifted frequency")
+        step = np.array([_wrapped_i64(s) for s in shift], dtype=np.int64)
+        return TrigPoly._wrap(self.rank, self.freqs + step, self.coeffs)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(terms, rank) int64 frequency array and complex128 coefficients.
-
-        Rows are sorted by frequency so downstream reductions are deterministic.
-        """
-        items = self.ordered_items()
-        freqs = np.array([f for f, _ in items], dtype=np.int64).reshape(len(items), self.rank)
-        coeffs = np.array([c for _, c in items], dtype=np.complex128)
-        return freqs, coeffs
+        """The stored (terms, rank) int64 frequencies and complex128
+        coefficients (read-only, rows sorted by frequency)."""
+        return self.freqs, self.coeffs
 
     def eval_at(self, t) -> complex:
-        """Evaluate at a single point (tuple for rank > 1)."""
-        from . import backend
+        """Evaluate at a single point (tuple for rank > 1).
 
+        Each phase f . t is reduced mod 1 exactly: floats are dyadic
+        rationals, so the reduction runs in Python integers and only the
+        reduced phase is rounded.  The terms are summed with ``math.fsum``.
+        """
         if isinstance(t, (int, float, np.floating)):
             t = (float(t),)
-        pt = np.array([tuple(float(x) for x in t)])
-        if pt.shape[1] != self.rank:
+        t = tuple(float(x) for x in t)
+        if len(t) != self.rank:
             raise ValueError("point rank mismatch")
         if self.is_zero:
             return 0j
-        freqs, coeffs = self.arrays()
-        return complex(backend.eval_poly_nd(freqs, coeffs, pt)[0])
+        ratios = [x.as_integer_ratio() for x in t]
+        den = max(q for _, q in ratios)  # every q is a power of two
+        nums = [p * (den // q) for p, q in ratios]
+        phases = np.array([sum(f * m for f, m in zip(row, nums)) % den / den
+                           for row in self.freqs.tolist()])
+        vals = self.coeffs * char_e(phases)
+        return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
     def to_json_dict(self) -> dict:
         return {"rank": self.rank,
-                "terms": [[list(f), [c.real, c.imag]] for f, c in self.ordered_items()]}
+                "terms": [[f, [c.real, c.imag]] for f, c in
+                          zip(self.freqs.tolist(), self.coeffs.tolist())]}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "TrigPoly":
@@ -261,14 +443,15 @@ class TrigPoly:
 def indicator_poly(A) -> TrigPoly:
     """The exponential-sum polynomial of a set: coefficient 1 at every element."""
     if isinstance(A, IntegerSet):
-        if not A.elements:
-            raise ValueError("empty set")
-        return TrigPoly(1, {(a,): 1.0 + 0j for a in A.elements})
-    if isinstance(A, LatticeSet):
-        if not A.points:
-            raise ValueError("empty set")
-        return TrigPoly(A.rank, {p: 1.0 + 0j for p in A.points})
-    raise TypeError(f"expected IntegerSet or LatticeSet, got {type(A).__name__}")
+        freqs = A.array.reshape(-1, 1)
+        rank = 1
+    elif isinstance(A, LatticeSet):
+        freqs, rank = A.array, A.rank
+    else:
+        raise TypeError(f"expected IntegerSet or LatticeSet, got {type(A).__name__}")
+    if not len(freqs):
+        raise ValueError("empty set")
+    return TrigPoly._wrap(rank, freqs, np.ones(len(freqs), dtype=np.complex128))
 
 
 def recentre(f: TrigPoly) -> tuple[TrigPoly, tuple[int, ...]]:

@@ -45,7 +45,11 @@ class ResidueFilter:
 def residue_filter(I: IntegerSet, q: int, s: int) -> IntegerSet:
     """Elements of I congruent to s mod q (possibly empty)."""
     f = ResidueFilter(int(q), int(s))
-    return IntegerSet.from_iterable(k for k in I if k % f.q == f.s)
+    if f.q >= 2 ** 63:
+        # q does not fit in int64, and every element k has |k| <= q, so
+        # k = s mod q leaves only k = s or k = s - q
+        return IntegerSet.from_iterable(k for k in (f.s, f.s - f.q) if k in I)
+    return IntegerSet.from_iterable(I.array[I.array % f.q == f.s])
 
 
 @dataclass(frozen=True)
@@ -96,27 +100,30 @@ def good_modulus(I: IntegerSet) -> GoodModulusResult:
     """
     if len(I) < 8:
         raise HypothesisError("|I| >= 8", f"|I| = {len(I)}")
-    elements = np.array(I.elements, dtype=np.int64)
     trace: list[tuple[int, int, int]] = []
     j = 0
     while True:
         j += 1
         q = 4 ** j
-        s, size = _best_class(elements, q)
+        s, size = _best_class(I.array, q)
         trace.append((q, s, size))
         if size <= 2 ** j:
             filtered = residue_filter(I, q, s)
             return GoodModulusResult(q, s, j, filtered, tuple(trace), len(I))
 
 
-def _block_index(freq: int, d1: int, d2: int) -> tuple[int, int]:
-    # unique k, l with freq = k*d2 + l and |l| <= d1 < d2/2
-    k = (freq + d2 // 2) // d2
-    l = freq - k * d2
-    if abs(l) > d1:
-        raise SupportError(
-            f"frequency {freq} is not within d1 = {d1} of a multiple of d2 = {d2}")
-    return k, l
+def _block_index(F: TrigPoly, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unique k, l with f = k*d2 + l and |l| <= d1 < d2/2, for every
+    frequency f of F (arrays in frequency order)."""
+    f = F.freqs[:, 0]
+    q, r = np.divmod(f, d2)
+    up = r >= d2 - d2 // 2  # k = (f + d2//2) // d2 = q + up, without overflow
+    l = r - d2 * up
+    stray = np.abs(l) > d1
+    if stray.any():
+        raise SupportError(f"frequency {int(f[np.argmax(stray)])} is not within "
+                           f"d1 = {d1} of a multiple of d2 = {d2}")
+    return q + up, l
 
 
 def block_structure(F: TrigPoly, d1: int, d2: int) -> dict[int, TrigPoly]:
@@ -129,11 +136,11 @@ def block_structure(F: TrigPoly, d1: int, d2: int) -> dict[int, TrigPoly]:
         raise ValueError("rank-1 polynomials only")
     if not 0 <= 2 * d1 < d2:
         raise ValueError("need 0 <= 2*d1 < d2 for unique block decomposition")
-    blocks: dict[int, dict[int, complex]] = {}
-    for (f,), c in F.terms.items():
-        k, l = _block_index(f, d1, d2)
-        blocks.setdefault(k, {})[l] = c
-    return {k: TrigPoly(1, terms) for k, terms in sorted(blocks.items())}
+    k, l = _block_index(F, d1, d2)
+    # frequencies are sorted, so every block is one contiguous run
+    keys, starts = np.unique(k, return_index=True)
+    return {key: TrigPoly.from_arrays(1, ls, cs) for key, ls, cs in
+            zip(keys.tolist(), np.split(l, starts[1:]), np.split(F.coeffs, starts[1:]))}
 
 
 def thinning_bound_factor(delta: float) -> float:
@@ -176,7 +183,7 @@ def thinning_transform(F: TrigPoly, d1: int, d2: int, delta: float,
         raise HypothesisError("q*d2 >= 2N+4M+1",
                               f"q*d2 = {period}, 2N+4M+1 = {2 * n + 4 * m + 1}")
 
-    occupied = block_structure(F, d1, d2)  # validates the support shape
+    block, _ = _block_index(F, d1, d2)  # validates the support shape
     kern = flat_top_build(m, n)
 
     def periodized(freq: int) -> Fraction:
@@ -184,25 +191,21 @@ def thinning_transform(F: TrigPoly, d1: int, d2: int, delta: float,
         return kern.value(r) + kern.value(r - period)
 
     shifted = F.shifted(-s * d2)
-    kept: dict[int, complex] = {}
-    for (f,), c in shifted.terms.items():
+    kept = np.zeros(len(shifted), dtype=bool)
+    for i, f in enumerate(shifted.freqs[:, 0].tolist()):
         w = periodized(f)
-        if w == 1:
-            kept[f] = c
-        elif w != 0:
+        if w not in (0, 1):
             raise RuntimeError(
                 f"periodized kernel is {w} at occupied frequency {f}; "
                 "the exactness hypotheses should make this impossible")
-    by_kernel = TrigPoly(1, kept).shifted(s * d2)
+        kept[i] = w == 1
+    by_kernel = TrigPoly.from_arrays(1, shifted.freqs[kept],
+                                     shifted.coeffs[kept]).shifted(s * d2)
 
-    direct_terms: dict[tuple[int, ...], complex] = {}
-    for k, f_k in occupied.items():
-        if k % q == s:
-            for (l,), c in f_k.terms.items():
-                direct_terms[(k * d2 + l,)] = c
-    direct = TrigPoly(1, direct_terms)
+    chosen = block % q == s
+    direct = TrigPoly.from_arrays(1, F.freqs[chosen], F.coeffs[chosen])
 
-    if by_kernel.terms != direct.terms:
+    if by_kernel != direct:
         raise RuntimeError("periodized kernel selection disagrees with direct "
                            "block selection")
     return direct, thinning_bound_factor(delta)

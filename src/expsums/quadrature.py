@@ -140,10 +140,10 @@ def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvalu
     if needed > budget:
         raise MemoryBudgetError(shape, needed, budget)
     coeffs = np.zeros(shape, dtype=np.complex128)
-    for freq, c in f.terms.items():
-        idx = tuple(fi % n for fi, n in zip(freq, shape))
-        coeffs[idx] += c
-    values = scipy.fft.ifftn(coeffs, norm="forward")
+    idx = f.freqs % np.array(shape, dtype=np.int64)
+    np.add.at(coeffs, tuple(idx.T), f.coeffs)
+    # coeffs is ours alone: transform in place, so one grid-sized array is live
+    values = scipy.fft.ifftn(coeffs, norm="forward", overwrite_x=True)
     return GridEvaluation(shape, values)
 
 
@@ -213,8 +213,13 @@ def derivative(f: TrigPoly, axis: int = 0) -> TrigPoly:
     """d/dt_axis: coefficient at frequency n becomes 2*pi*i*n_axis * c."""
     if not 0 <= axis < f.rank:
         raise ValueError(f"axis {axis} out of range for rank {f.rank}")
-    return TrigPoly(f.rank, {freq: (2j * math.pi * freq[axis]) * c
-                             for freq, c in f.terms.items()})
+    # (2 pi i n) * c written out as Python's complex product forms it:
+    # real -(2 pi n) Im c, imaginary (2 pi n) Re c
+    k = (2 * math.pi) * f.freqs[:, axis].astype(np.float64)
+    dc = np.empty_like(f.coeffs)
+    dc.real = -(k * f.coeffs.imag)
+    dc.imag = k * f.coeffs.real
+    return TrigPoly.from_arrays(f.rank, f.freqs, dc)
 
 
 class BernsteinCheck(NamedTuple):

@@ -372,11 +372,11 @@ def project_and_fibre(A: LatticeSet, axis: int,
     if A.rank == 1:
         if not allow_rank1:
             raise ValueError("rank-1 set has no fibres (pass allow_rank1 to project)")
-        return IntegerSet.from_iterable(p[0] for p in A), {}
+        return IntegerSet.from_iterable(A.array[:, 0]), {}
     i = axis - 1
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for p in A:
-        buckets.setdefault(p[i], []).append(p[:i] + p[i + 1:])
-    proj = IntegerSet.from_iterable(buckets)
-    fibres = {a: LatticeSet(A.rank - 1, tuple(pts)) for a, pts in sorted(buckets.items())}
-    return proj, fibres
+    order = np.argsort(A.array[:, i], kind="stable")
+    pts = A.array[order]
+    keys, starts = np.unique(pts[:, i], return_index=True)
+    rest = np.split(np.delete(pts, i, axis=1), starts[1:])
+    fibres = {a: LatticeSet(A.rank - 1, r) for a, r in zip(keys.tolist(), rest)}
+    return IntegerSet.from_iterable(keys), fibres

@@ -28,6 +28,18 @@ def test_mps_rhs_values():
         mps_rhs([])
 
 
+def test_mps_rhs_bitwise_matches_left_to_right_sum():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 1000, 20000):
+        mags = 10.0 ** rng.uniform(-12, 12, size=n)
+        coeffs = mags * np.exp(2j * np.pi * rng.random(n))
+        ref = 0.0
+        for j, u in enumerate(coeffs.tolist(), start=1):
+            ref += abs(complex(u)) / j  # the plain loop, no compensation
+        assert mps_rhs(coeffs) == ref
+        assert mps_rhs(coeffs.tolist()) == ref
+
+
 def test_mps_rhs_of_interval_is_harmonic():
     f = indicator_poly(IntegerSet.from_iterable(range(1, 102)))
     assert mps_rhs_of(f) == pytest.approx(H_101, rel=1e-12)

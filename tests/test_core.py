@@ -1,7 +1,9 @@
 """Sets, trigonometric polynomials, and their JSON round trips."""
 
+import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,3 +211,215 @@ def test_from_json_obj_dispatch():
                       TrigPoly)
     with pytest.raises((KeyError, ValueError)):
         from_json_obj({"bogus": 1})
+
+
+# --- the array representation -------------------------------------------
+
+
+def _reference_terms(rank, terms):
+    """The dict normalization the array constructor replaced, kept as the
+    reference: coerce each key, sum duplicates in input order, drop zeros."""
+    out = {}
+    for freq, coeff in (terms.items() if isinstance(terms, dict) else terms):
+        if isinstance(freq, (int, np.integer)):
+            freq = (int(freq),)
+        freq = tuple(int(f) for f in freq)
+        assert len(freq) == rank
+        coeff = complex(coeff)
+        if coeff == 0:
+            continue
+        total = out.get(freq, 0) + coeff
+        if not cmath.isfinite(total):
+            raise ValueError(f"coefficient {total} at frequency {freq} is not finite")
+        if total == 0:
+            del out[freq]
+        else:
+            out[freq] = total
+    return out
+
+
+def _bits(items):
+    # repr keeps the sign of zero and every bit of a float
+    return repr(sorted(items))
+
+
+def _random_key(rng, rank, lo, hi):
+    if rank == 1:
+        kind = int(rng.integers(3))
+        v = int(rng.integers(lo, hi))
+        return (v, np.int64(v), (v,))[kind]
+    return tuple(int(x) for x in rng.integers(lo, hi, size=rank))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_constructor_matches_reference_normalization(rank):
+    rng = np.random.default_rng(2024 + rank)
+    for trial in range(200):
+        n = int(rng.integers(0, 40))
+        span = int(rng.integers(1, 12))
+        pairs = []
+        for _ in range(n):
+            c = complex(*rng.standard_normal(2)) * 10.0 ** rng.integers(-12, 13)
+            pick = int(rng.integers(6))
+            if pick == 0:
+                c = 0j
+            elif pick == 1:
+                c = complex(-0.0, c.imag)
+            elif pick == 2 and pairs:
+                c = -pairs[-1][1]  # cancels the previous term when keys agree
+            pairs.append((_random_key(rng, rank, -span, span + 1), c))
+        ref = _reference_terms(rank, pairs)
+        f = TrigPoly(rank, pairs)
+        assert _bits(f.terms.items()) == _bits(ref.items())
+        assert list(f.terms) == sorted(ref)
+        assert f.freqs.shape == (len(ref), rank) and f.freqs.dtype == np.int64
+        assert f.coeffs.dtype == np.complex128
+        as_dict = dict(pairs)
+        assert _bits(TrigPoly(rank, as_dict).terms.items()) == _bits(
+            _reference_terms(rank, as_dict).items())
+        g = TrigPoly.from_arrays(rank, [k if isinstance(k, tuple) else (k,)
+                                        for k, _ in pairs] or np.zeros((0, rank)),
+                                 [c for _, c in pairs])
+        assert g == f
+
+
+def test_duplicates_sum_in_input_order():
+    rng = np.random.default_rng(7)
+    coeffs = [complex(*rng.standard_normal(2)) * 10.0 ** rng.integers(-12, 13)
+              for _ in range(200)]
+    pairs = [(5, c) for c in coeffs] + [(1, 1e16), (1, 1.0), (1, -1e16)]
+    ref = _reference_terms(1, pairs)
+    assert _bits(TrigPoly(1, pairs).terms.items()) == _bits(ref.items())
+    assert (1,) not in ref  # 1e16 + 1 rounds back to 1e16, then cancels
+
+
+def test_constructor_mixed_key_types_and_overflowing_duplicates():
+    f = TrigPoly(1, [(3, 1.0), (np.int64(3), 2.0), ((3,), 0.5), (-1, 1j)])
+    assert f.terms == {(-1,): 1j, (3,): 3.5 + 0j}
+    with pytest.raises(ValueError, match=r"frequency \(7,\)"):
+        TrigPoly(1, [(7, 1e308), (np.int64(7), 1e308), (1, 1.0)])
+    with pytest.raises(ValueError, match="rank 2"):
+        TrigPoly(2, {(1, 2): 1.0, 3: 1.0})
+    with pytest.raises(OverflowError):
+        TrigPoly(1, {2 ** 63: 1.0})
+
+
+def test_from_arrays_checks_shapes():
+    f = TrigPoly.from_arrays(1, [4, -2, 4], [1.0, 2j, 0.5])
+    assert f.terms == {(-2,): 2j, (4,): 1.5 + 0j}
+    with pytest.raises(ValueError, match="shape"):
+        TrigPoly.from_arrays(1, [[1, 2], [3, 4]], [1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="shape"):
+        TrigPoly.from_arrays(2, [[1, 2]], [1.0, 2.0])
+
+
+def test_degree_of_most_negative_frequency():
+    f = TrigPoly(1, {-2 ** 63: 1, 5: 1})
+    assert f.degree == (2 ** 63,)
+    assert f.support_box == ((-2 ** 63, 5),)
+    assert all(type(x) is int for x in f.degree)
+
+
+def test_shift_and_translate_refuse_to_wrap():
+    f = TrigPoly(1, {2 ** 63 - 10: 1.0, 0: 1.0})
+    with pytest.raises(OverflowError):
+        f.shifted(11)
+    assert f.shifted(9).support_box == ((9, 2 ** 63 - 1),)
+    g = TrigPoly(2, {(0, -2 ** 63 + 3): 1.0})
+    with pytest.raises(OverflowError):
+        g.shifted((0, -4))
+    A = IntegerSet.from_iterable([-2 ** 63 + 1, 7])
+    with pytest.raises(OverflowError):
+        A.translate(-2)
+    with pytest.raises(OverflowError):
+        IntegerSet.from_iterable([2 ** 63 - 1]).translate(1)
+    # a shift outside int64 is fine when the result fits
+    B = IntegerSet.from_iterable([2 ** 62, 2 ** 63 - 1])
+    assert B.translate(-2 ** 63 - 2 ** 62 + 5).elements == (-2 ** 63 + 5,
+                                                          -2 ** 62 + 4)
+
+
+def test_recentre_near_int64_limits():
+    lo, hi = -2 ** 62 - 3, 2 ** 62 + 5
+    f = TrigPoly(1, {lo: 1.0, hi: 2j, 2 ** 62: 0.5})
+    g, shift = recentre(f)
+    assert shift == ((lo + hi) // 2,)
+    assert list(g.terms) == [(lo - shift[0],), (2 ** 62 - shift[0],), (hi - shift[0],)]
+    assert g.degree == (2 ** 62 + 4,)
+    top = TrigPoly(2, {(2 ** 62, -2 ** 62): 1.0, (2 ** 63 - 1, -2 ** 63): 1.0})
+    g, shift = recentre(top)
+    assert shift == ((2 ** 62 + 2 ** 63 - 1) // 2, (-2 ** 62 - 2 ** 63) // 2)
+    assert g.support_box == ((2 ** 62 - shift[0], 2 ** 63 - 1 - shift[0]),
+                             (-2 ** 63 - shift[1], -2 ** 62 - shift[1]))
+    # the recentred degree is ceil(diameter / 2) on both axes
+    assert g.degree == (2 ** 61, 2 ** 61)
+
+
+def test_arrays_and_views_are_read_only():
+    f = TrigPoly(2, {(1, 2): 1.0, (0, 5): 2j})
+    freqs, coeffs = f.arrays()
+    assert freqs is f.freqs and coeffs is f.coeffs
+    for arr in (freqs, coeffs):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(TypeError):
+        f.terms[(1, 2)] = 3.0
+    with pytest.raises(AttributeError):
+        f.rank = 3
+    g = indicator_poly(IntegerSet.from_iterable([4, 9]))
+    with pytest.raises(ValueError):
+        g.coeffs[0] = 5.0
+    A = IntegerSet.from_iterable([3, 1])
+    L = LatticeSet.from_iterable(2, [(1, 1)])
+    for arr in (A.array, L.array):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(AttributeError):
+        A.array = np.array([0])
+
+
+def test_equality_and_hashing():
+    f = TrigPoly(1, {2: 1.0, 3: 1j})
+    assert f == TrigPoly(1, [(3, 0.5j), ((2,), 1.0), (3, 0.5j)])
+    assert f != TrigPoly(1, {2: 1.0})
+    assert f != TrigPoly(2, {(2, 0): 1.0, (3, 0): 1j})
+    with pytest.raises(TypeError):
+        hash(f)
+    A = IntegerSet.from_iterable([5, 1, 3])
+    B = IntegerSet((1, 3, 5))
+    assert A == B and hash(A) == hash(B) and len({A, B}) == 1
+    assert A != IntegerSet.from_iterable([1, 3, 6])
+    assert A != A.elements
+    L = LatticeSet.from_iterable(2, [(0, -1), (-1, 5)])
+    assert L == LatticeSet(2, ((-1, 5), (0, -1))) and len({L, L}) == 1
+    with pytest.raises(ValueError, match="duplicate"):
+        IntegerSet((1, 1))
+    with pytest.raises(ValueError, match="duplicate"):
+        LatticeSet(2, ((1, 1), (1, 1)))
+
+
+def test_sets_from_mixed_and_signed_input():
+    A = IntegerSet.from_iterable(x for x in [np.int64(-3), 7, -3, 2 ** 62])
+    assert A.elements == (-3, 7, 2 ** 62)
+    assert all(type(x) is int for x in A)
+    L = LatticeSet.from_iterable(2, [(0, -3), (-1, 5), (0, -3), (-1, -5)])
+    assert L.points == ((-1, -5), (-1, 5), (0, -3))
+    assert L.to_json_dict() == {"rank": 2, "points": [[-1, -5], [-1, 5], [0, -3]]}
+    with pytest.raises(OverflowError):
+        LatticeSet.from_iterable(2, [(0, 2 ** 63)])
+
+
+def test_eval_at_reduces_large_phases_exactly():
+    # the phase 2^40 * t must be reduced mod 1 before rounding; the float
+    # product 2^40 * t is off by about 6e-5 of a turn
+    t = 0.1234567
+    exact = Fraction(2 ** 40) * Fraction(t) % 1
+    ref = cmath.exp(2j * cmath.pi * float(exact))
+    assert abs(TrigPoly(1, {2 ** 40: 1}).eval_at(t) - ref) <= 1e-15
+    f = TrigPoly(2, {(2 ** 50, -(2 ** 45)): 1.0, (3, 1): 0.5})
+    s = (0.3, 0.7)
+    ph = [Fraction(2 ** 50) * Fraction(s[0]) - Fraction(2 ** 45) * Fraction(s[1]),
+          Fraction(3) * Fraction(s[0]) + Fraction(s[1])]
+    ref = cmath.exp(2j * cmath.pi * float(ph[0] % 1)) + 0.5 * cmath.exp(
+        2j * cmath.pi * float(ph[1] % 1))
+    assert abs(f.eval_at(s) - ref) <= 1e-15

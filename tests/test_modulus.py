@@ -183,3 +183,30 @@ def test_brute_force_modulus_known():
     # {0,4,8,12}: classes mod 16 are singletons, two rungs needed
     assert brute_force_modulus(IntegerSet.from_iterable([0, 4, 8, 12])) \
         == (2, 1)
+
+
+@pytest.mark.parametrize("d1,d2", [(3, 1000), (3, 7)])
+def test_block_structure_matches_per_term_split_near_int64_limits(d1, d2):
+    rng = np.random.default_rng(4)
+    centres = [-(2 ** 63) // d2 + 1, -5, 0, 7, (2 ** 63 - 1) // d2 - 1]
+    terms = {k * d2 + int(l): complex(*rng.standard_normal(2))
+             for k in centres for l in rng.integers(-d1, d1 + 1, size=4)}
+    F = TrigPoly(1, terms)
+    expect = {}
+    for (f,), c in F.terms.items():
+        k = (f + d2 // 2) // d2
+        expect.setdefault(k, {})[(f - k * d2,)] = c
+    blocks = block_structure(F, d1, d2)
+    assert list(blocks) == sorted(expect)
+    assert {k: dict(b.terms) for k, b in blocks.items()} == expect
+    if 2 * d1 + 1 < d2:  # otherwise every integer fits a block
+        stray = d2 * 10 ** 15 + d1 + 1
+        with pytest.raises(SupportError, match=str(stray)):
+            block_structure(TrigPoly(1, {0: 1.0, stray: 1.0}), d1, d2)
+
+
+def test_residue_filter_modulus_beyond_int64():
+    I = IntegerSet.from_iterable([5, -3, 7, -(2 ** 63)])
+    for q, s in ((2 ** 64, 5), (2 ** 64, 2 ** 64 - 3), (2 ** 63, 0), (2 ** 70, 1)):
+        expect = tuple(k for k in I if k % q == s % q)
+        assert residue_filter(I, q, s).elements == expect

@@ -248,3 +248,44 @@ def test_bernstein_constant_poly():
 def test_bernstein_rank2_rejected():
     with pytest.raises(ValueError):
         bernstein_check(TrigPoly(2, {(1, 1): 1.0}))
+
+
+def _reference_grid(f, shape):
+    # the per-term scatter and out-of-place transform the array path replaced
+    coeffs = np.zeros(shape, dtype=np.complex128)
+    for freq, c in f.terms.items():
+        coeffs[tuple(fi % n for fi, n in zip(freq, shape))] += c
+    return scipy.fft.ifftn(coeffs, norm="forward")
+
+
+@pytest.mark.parametrize("rank,shape", [(1, (97,)), (1, (128,)), (2, (15, 16))])
+def test_eval_grid_bitwise_matches_reference_scatter(rank, shape):
+    rng = np.random.default_rng(31 + rank)
+    for _ in range(10):
+        n = int(rng.integers(1, 30))
+        # far from 0, so the residues mod N wrap around
+        base = rng.integers(-2 ** 62, 2 ** 62, size=rank)
+        freqs = base + rng.integers(-(min(shape) - 1) // 2, min(shape) // 2, size=(n, rank))
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f = TrigPoly(rank, {tuple(int(x) for x in fr): complex(c)
+                            for fr, c in zip(freqs, coeffs)})
+        got = eval_grid(f, shape).values
+        assert got.shape == shape
+        assert np.array_equal(got.view(np.uint64), _reference_grid(f, shape).view(np.uint64))
+
+
+def test_derivative_bitwise_matches_python_complex_product():
+    rng = np.random.default_rng(5)
+    for rank in (1, 2):
+        terms = {}
+        for _ in range(300):
+            fr = tuple(int(x) for x in rng.integers(-2 ** 40, 2 ** 40, size=rank))
+            c = complex(*rng.standard_normal(2)) * 10.0 ** rng.integers(-12, 13)
+            terms[fr] = c if rng.random() < 0.8 else complex(c.real, 0.0)
+        terms[(0,) * rank] = 1.5 - 0.5j  # zero frequency: derivative drops it
+        terms[(3,) + (0,) * (rank - 1)] = complex(-0.0, 2.0)
+        f = TrigPoly(rank, terms)
+        for axis in range(rank):
+            ref = {fr: (2j * math.pi * fr[axis]) * c for fr, c in f.terms.items()}
+            ref = {fr: 0 + c for fr, c in ref.items() if c != 0}
+            assert repr(list(derivative(f, axis).terms.items())) == repr(sorted(ref.items()))

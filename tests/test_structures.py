@@ -194,3 +194,19 @@ def test_rank1_certificate_flavor_enforced():
     with pytest.raises(ValueError):
         DimCertificate(rank=1, n1=3, flavor="integer", d1=None, d2=None,
                        delta=None, children=())
+
+
+@pytest.mark.parametrize("axis", [1, 2, 3])
+def test_project_and_fibre_matches_per_point_buckets(axis):
+    rng = np.random.default_rng(axis)
+    A = LatticeSet.from_iterable(3, (tuple(int(x) for x in p)
+                                     for p in rng.integers(-4, 5, size=(200, 3))))
+    buckets = {}
+    for p in A.points:
+        buckets.setdefault(p[axis - 1], []).append(p[:axis - 1] + p[axis:])
+    idx, fibres = project_and_fibre(A, axis)
+    assert idx.elements == tuple(sorted(buckets))
+    assert list(fibres) == sorted(buckets)
+    for a, pts in buckets.items():
+        assert fibres[a] == LatticeSet(2, pts)
+    assert sum(len(f) for f in fibres.values()) == len(A)
