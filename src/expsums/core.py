@@ -435,8 +435,10 @@ class TrigPoly(_Frozen):
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "TrigPoly":
-        terms = {tuple(int(x) for x in f): complex(re, im)
-                 for f, (re, im) in obj["terms"]}
+        # pairs, not a dict: a frequency listed twice is summed, as the
+        # constructor sums repeated terms
+        terms = [(tuple(int(x) for x in f), complex(re, im))
+                 for f, (re, im) in obj["terms"]]
         return cls(int(obj["rank"]), terms)
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import backend
+from . import backend, quadrature
+from .core import TrigPoly
 from .errors import HypothesisError
 
 
@@ -175,5 +176,7 @@ def flat_top_discrete_l1(kern: FlatTopKernel, r: int) -> float:
     threshold = 2 * kern.n + 4 * kern.m + 1
     if r < threshold:
         raise HypothesisError("R >= 2N+4M+1", f"R={r} < {threshold}")
-    ts = np.arange(1, r + 1, dtype=np.float64) / r
-    return backend.abs_mean(transform_from_values(kern, ts))
+    # the grid j/R, j = 0..R-1, is the same set of points mod 1, and R is
+    # above the alias-free 2d+1 for the degree d = N+2M-1, so the FFT samples
+    # are the transform's values
+    return quadrature.riemann_l1(TrigPoly.from_arrays(1, *kern.arrays()), r)

@@ -44,7 +44,9 @@ from . import backend
 from .core import TrigPoly, recentre
 from .errors import AliasingError, MemoryBudgetError
 
-_BYTES_PER_SAMPLE = 16  # complex128
+# complex128; a real-coefficient grid holds a float64 input and a half-size
+# complex128 output, about the same
+_BYTES_PER_SAMPLE = 16
 
 DEFAULT_MEMORY_BUDGET = 2 * 2 ** 30  # bytes of samples
 
@@ -91,17 +93,26 @@ ZERO_INTERVAL = NormInterval(0.0, 0.0, 0.0, (1,), (0,))
 
 @dataclass(frozen=True)
 class GridEvaluation:
-    """Samples f(j1/N1, ..., jr/Nr) on the full uniform grid."""
+    """Samples f(j1/N1, ..., jr/Nr) on the uniform grid of size ``shape``.
+
+    ``values`` holds the full grid, or, for a polynomial with real
+    coefficients, only the columns j_r = 0 .. N_r//2 of the last axis: the
+    other samples follow from f(-t) = conj f(t) and have the same modulus.
+    """
 
     shape: tuple[int, ...]
-    values: np.ndarray  # complex128, shape == self.shape
+    values: np.ndarray  # complex128, shape == self.shape or the half grid
 
     def abs_mean(self) -> float:
-        return backend.abs_mean(self.values.ravel())
-
-    def abs_sq_mean(self) -> float:
-        flat = self.values.ravel()
-        return float(np.mean(np.abs(flat) ** 2))
+        if self.values.shape == self.shape:
+            return backend.abs_mean(self.values.ravel())
+        # column j_r stands for itself and for column N_r - j_r, except
+        # j_r = 0 and (N_r even) j_r = N_r/2, which are their own mirrors
+        a = np.abs(self.values)
+        total = 2.0 * float(a.sum()) - float(a[..., 0].sum())
+        if self.shape[-1] % 2 == 0:
+            total -= float(a[..., -1].sum())
+        return total / math.prod(self.shape)
 
 
 def _normalize_shape(f: TrigPoly, shape) -> tuple[int, ...]:
@@ -127,6 +138,10 @@ def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvalu
     (frequencies only matter mod N on the grid).  Each N_i must be at least
     2*d_i + 1 for the recentred per-axis degree d_i, so sampling is
     alias-free and the grid determines the polynomial.
+
+    When every coefficient is real, f(-t) = conj f(t), and only the
+    non-redundant half of the last axis is computed, by a real-input FFT
+    (see :class:`GridEvaluation`).
     """
     shape = _normalize_shape(f, shape)
     drec = _recentred_degree(f)
@@ -139,9 +154,17 @@ def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvalu
     budget = _memory_budget(memory_budget)
     if needed > budget:
         raise MemoryBudgetError(shape, needed, budget)
+    idx = tuple((f.freqs % np.array(shape, dtype=np.int64)).T)
+    if not f.coeffs.imag.any():
+        # alias-free, so the residues are distinct and assignment suffices;
+        # sum_a c_a e(-a.j/N) is the forward rfftn, and conj turns it into f
+        coeffs = np.zeros(shape, dtype=np.float64)
+        coeffs[idx] = f.coeffs.real
+        values = scipy.fft.rfftn(coeffs)
+        np.conjugate(values, out=values)
+        return GridEvaluation(shape, values)
     coeffs = np.zeros(shape, dtype=np.complex128)
-    idx = f.freqs % np.array(shape, dtype=np.int64)
-    np.add.at(coeffs, tuple(idx.T), f.coeffs)
+    np.add.at(coeffs, idx, f.coeffs)
     # coeffs is ours alone: transform in place, so one grid-sized array is live
     values = scipy.fft.ifftn(coeffs, norm="forward", overwrite_x=True)
     return GridEvaluation(shape, values)
@@ -166,7 +189,7 @@ def choose_grid(degree: Sequence[int], rel_err: float) -> tuple[tuple[int, ...],
 
     Splits rel_err so the per-axis factors compound to at most (1 + rel_err):
     rho_i = (1+rel_err)^(1/r) - 1, N_i = ceil(pi d_i / rho_i) rounded up to
-    an FFT-friendly length (never below the alias-free 2 d_i + 1).  Returns
+    a 5-smooth length (never below the alias-free 2 d_i + 1).  Returns
     the counts and the achieved per-axis rho_i = riemann_rho(d_i, N_i).
     """
     if not 0 < rel_err < 1:
@@ -180,9 +203,10 @@ def choose_grid(degree: Sequence[int], rel_err: float) -> tuple[tuple[int, ...],
             shape.append(1)
             rhos.append(0.0)
             continue
-        # the smallest N with riemann_rho(d, N) <= target, made FFT-friendly
+        # the smallest N with riemann_rho(d, N) <= target, rounded up to a
+        # 5-smooth length, which both the real and the complex FFT run fast
         n = scipy.fft.next_fast_len(max(math.ceil(riemann_rho(d, 1) / target),
-                                        2 * d + 1))
+                                        2 * d + 1), real=True)
         shape.append(n)
         rhos.append(riemann_rho(d, n))
     return tuple(shape), tuple(rhos)

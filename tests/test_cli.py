@@ -109,6 +109,19 @@ def test_norm_non_finite_input_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_norm_input_sums_repeated_frequency(tmp_path):
+    # the constant 1 + 2 listed as two terms at frequency 0: norm 3, not 2
+    src = tmp_path / "dup.json"
+    src.write_text('{"rank": 1, "terms": [[[0], [1, 0]], [[0], [2, 0]]]}',
+                   encoding="utf-8")
+    out = tmp_path / "n.json"
+    r = run_cli("norm", "--input", str(src), "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    enc = load_report(out)["result"]
+    assert enc["lo"] == pytest.approx(3.0, rel=1e-12)
+    assert enc["hi"] == pytest.approx(3.0, rel=1e-12)
+
+
 def test_verify_numerical_grid_from_recentred_degree(tmp_path):
     # 12 frequencies near 10^6: the grid follows the diameter, not 10^6
     out = tmp_path / "v.json"

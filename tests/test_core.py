@@ -147,6 +147,14 @@ def test_trig_poly_json_round_trip():
     assert loads(dumps(f)) == f
 
 
+def test_trig_poly_json_sums_repeated_frequency():
+    f = TrigPoly.from_json_dict({"rank": 1, "terms": [[[0], [1, 0]], [[0], [2, 0]]]})
+    assert f.terms == {(0,): 3 + 0j}
+    g = TrigPoly.from_json_dict({"rank": 2, "terms": [[[1, -1], [1, 2]], [[0, 0], [5, 0]],
+                                                      [[1, -1], [0.5, -1]]]})
+    assert g == TrigPoly(2, {(0, 0): 5, (1, -1): 1.5 + 1j})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                  complex(1, math.nan), complex(math.inf, 0)])
 def test_trig_poly_rejects_non_finite_coefficient(bad):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expsums import backend
 from expsums.errors import HypothesisError
 from expsums.kernels import (FlatTopKernel, dirichlet, discrete_l1_bound,
                              fejer, flat_top_build, flat_top_discrete_l1,
@@ -150,6 +151,19 @@ def test_discrete_l1_under_bound():
         r = 2 * n + 4 * m + 1 + int(rng.integers(0, 50))
         mean = flat_top_discrete_l1(kern, r)
         assert mean <= discrete_l1_bound(m, n)
+
+
+def test_discrete_l1_matches_direct_sum():
+    # the FFT path against direct summation on the points j/R, j = 1..R
+    rng = np.random.default_rng(17)
+    for m, n in ((2, 3), (3, 10), (5, 23), (11, 40)):
+        kern = flat_top_build(m, n)
+        threshold = 2 * n + 4 * m + 1
+        for r in (threshold, threshold + 1, 4 * threshold,
+                  threshold + int(rng.integers(2, 200))):
+            ts = np.arange(1, r + 1, dtype=np.float64) / r
+            direct = backend.abs_mean(transform_from_values(kern, ts))
+            assert flat_top_discrete_l1(kern, r) == pytest.approx(direct, rel=1e-12)
 
 
 def test_discrete_l1_requires_fine_grid():

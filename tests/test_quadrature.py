@@ -98,7 +98,8 @@ def test_choose_grid_resolution():
         assert rho == pytest.approx(math.pi * d / n)
         assert rho <= target
         assert n >= 2 * d + 1
-        assert n == scipy.fft.next_fast_len(math.ceil(math.pi * d / target))
+        assert n == scipy.fft.next_fast_len(math.ceil(math.pi * d / target),
+                                            real=True)
 
 
 def test_choose_grid_splits_budget_across_axes():
@@ -289,3 +290,38 @@ def test_derivative_bitwise_matches_python_complex_product():
             ref = {fr: (2j * math.pi * fr[axis]) * c for fr, c in f.terms.items()}
             ref = {fr: 0 + c for fr, c in ref.items() if c != 0}
             assert repr(list(derivative(f, axis).terms.items())) == repr(sorted(ref.items()))
+
+
+def _real_poly(rng, shape, base):
+    # real coefficients on offsets 0 .. 2*((N-1)//2) per axis, the widest
+    # support whose recentred degree is alias-free on N points
+    n = int(rng.integers(1, 12))
+    offsets = np.stack([rng.integers(0, 2 * ((m - 1) // 2) + 1, size=n)
+                        for m in shape], axis=1)
+    return TrigPoly.from_arrays(len(shape), base + offsets, rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("shape", [(97,), (128,), (1,), (2,), (15, 21), (14, 16),
+                                   (9, 1), (1, 9)])
+@pytest.mark.parametrize("far", [False, True])
+def test_eval_grid_real_path_matches_reference(shape, far):
+    rng = np.random.default_rng(sum(shape) + far)
+    for _ in range(10):
+        # near +-2^62, the residues mod N wrap around
+        base = rng.integers(-2 ** 62, 2 ** 62, size=len(shape)) if far else 0
+        f = _real_poly(rng, shape, base)
+        got = eval_grid(f, shape)
+        ref = _reference_grid(f, shape)
+        assert got.shape == shape
+        assert got.values.shape == shape[:-1] + (shape[-1] // 2 + 1,)
+        assert np.max(np.abs(got.values - ref[..., :shape[-1] // 2 + 1])) <= 1e-12
+        assert got.abs_mean() == pytest.approx(np.mean(np.abs(ref)), rel=1e-14)
+
+
+def test_eval_grid_one_complex_coefficient_keeps_full_grid():
+    f = TrigPoly(2, {(0, 0): 1.0, (1, -2): 2.0, (-3, 1): 0.5 + 1e-300j})
+    shape = (8, 12)
+    got = eval_grid(f, shape)
+    assert got.values.shape == shape
+    assert np.array_equal(got.values.view(np.uint64),
+                          _reference_grid(f, shape).view(np.uint64))
