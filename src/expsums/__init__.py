@@ -7,7 +7,6 @@ good moduli, strongly r-dimensional sets) needed to verify coefficient-decay
 lower bounds at desk scale.
 """
 
-from .backend import BACKEND
 from .bounds import (DEFAULT_C_MPS, HypothesisCheck, InequalityVerdict,
                      MainPropReport, ScanReport, constant_scan,
                      family_gaps, family_intervals, family_random_sets,
@@ -31,6 +30,9 @@ from .structures import (DimCertificate, ValidationReport,
                          gap_rank2, project_and_fibre, validate_certificate)
 
 __version__ = "0.1.0"
+
+#: the numeric backend every kernel runs on (reported as ``meta.backend``)
+BACKEND = "numpy"
 
 __all__ = [
     "AliasingError", "BACKEND", "BernsteinCheck", "CollisionError",

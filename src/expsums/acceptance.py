@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import backend
 from .bounds import (constant_scan, family_gaps, family_intervals,
                      family_random_sets, verify_multidim, verify_multidimz)
 from .core import IntegerSet, TrigPoly, indicator_poly
@@ -373,7 +372,6 @@ def _stripped(results) -> str:
 def run_all(seed: int = DEFAULT_SEED, inject_kernel_fault: bool = False,
             determinism: bool = True) -> SuiteReport:
     """Run criteria 1-10, then replay them to check report determinism (11)."""
-    backend.warm_up()
     results = [run_criterion(num, seed, inject_kernel_fault)
                for num, _, _, _ in _CRITERIA]
     if determinism:

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import acceptance, backend
+from . import BACKEND, acceptance
 from .bounds import (DEFAULT_C_MPS, assemble_blocks, constant_scan,
                      family_intervals, family_random_sets,
                      verify_basic_multidim, verify_main_prop, verify_mps,
@@ -40,8 +40,8 @@ from .kernels import (discrete_l1_bound, flat_top_build, flat_top_discrete_l1,
                       property_violations)
 from .modulus import (ResidueFilter, brute_force_modulus, good_modulus,
                       thinning_transform)
-from .quadrature import (_recentred_degree, bernstein_check, certified_l1,
-                         riemann_l1, riemann_rho)
+from .quadrature import (_memory_budget, _recentred_degree, bernstein_check,
+                         certified_l1, riemann_l1, riemann_rho)
 from .structures import (build_strong_integer, build_strong_lattice,
                          gap_rank2, validate_certificate)
 
@@ -211,7 +211,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--params is not valid JSON: {exc}") from exc
     if cfg.memory_budget is not None:
-        os.environ["EXPSUMS_MEMORY_BUDGET"] = str(int(cfg.memory_budget))
+        try:
+            budget = _memory_budget(cfg.memory_budget)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        os.environ["EXPSUMS_MEMORY_BUDGET"] = str(budget)
     return cfg
 
 
@@ -439,7 +443,11 @@ def _verify_numerical(cfg):
 
 def _verify_kernel(cfg):
     params = cfg.params or {}
-    if "m" in params or "n" in params:
+    given = [key for key in ("m", "n") if key in params]
+    if len(given) == 1:
+        raise ConfigError(f"kernel takes both m and n in --params, "
+                          f"got only {given[0]}")
+    if given:
         pairs = [(int(params["m"]), int(params["n"]))]
     else:
         pairs = [(m, n) for n in range(3, 41) for m in range(2, n)]
@@ -568,7 +576,7 @@ def _emit(cfg: ExperimentConfig, payload: dict, started: float) -> None:
         report = {"config": cfg.echo(), "result": payload,
                   "meta": {"timestamp": datetime.now(timezone.utc).isoformat(),
                            "walltime": time.perf_counter() - started,
-                           "backend": backend.BACKEND}}
+                           "backend": BACKEND}}
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:

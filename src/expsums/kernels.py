@@ -15,9 +15,30 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import backend, quadrature
+from . import quadrature
 from .core import TrigPoly
 from .errors import HypothesisError
+
+# values of |sin(pi t)| below this are treated as the removable singularity
+_SINGULARITY_TOL = 1e-12
+
+_CHUNK_ELEMS = 1 << 22  # cap on points*terms per block of the direct sum
+
+
+def _dirichlet_values(n: int, ts: np.ndarray) -> np.ndarray:
+    s = np.sin(np.pi * ts)
+    small = np.abs(s) < _SINGULARITY_TOL
+    safe = np.where(small, 1.0, s)
+    vals = np.sin(np.pi * (2 * n + 1) * ts) / safe
+    return np.where(small, float(2 * n + 1), vals)
+
+
+def _fejer_values(n: int, ts: np.ndarray) -> np.ndarray:
+    s = np.sin(np.pi * ts)
+    small = np.abs(s) < _SINGULARITY_TOL
+    safe = np.where(small, 1.0, s)
+    ratio = np.sin(np.pi * (n + 1) * ts) / safe
+    return np.where(small, float(n + 1), ratio * ratio / (n + 1))
 
 
 def _scalar_or_array(fn, t):
@@ -34,7 +55,7 @@ def dirichlet(n: int, t):
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    return _scalar_or_array(lambda ts: backend.dirichlet_values(n, ts), t)
+    return _scalar_or_array(lambda ts: _dirichlet_values(int(n), ts), t)
 
 
 def fejer(n: int, t):
@@ -44,7 +65,7 @@ def fejer(n: int, t):
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    return _scalar_or_array(lambda ts: backend.fejer_values(n, ts), t)
+    return _scalar_or_array(lambda ts: _fejer_values(int(n), ts), t)
 
 
 @dataclass(frozen=True)
@@ -149,17 +170,24 @@ def flat_top_transform(kern: FlatTopKernel, t):
     m, n = kern.m, kern.n
 
     def batch(ts):
-        return (backend.dirichlet_values(n + m, ts)
-                * backend.fejer_values(m - 1, ts) / m)
+        return _dirichlet_values(n + m, ts) * _fejer_values(m - 1, ts) / m
 
     return _scalar_or_array(batch, t)
 
 
 def transform_from_values(kern: FlatTopKernel, ts) -> np.ndarray:
-    """Direct summation sum_k K(k) e(kt) from the stored values (oracle path)."""
+    """Direct summation sum_k K(k) e(kt) from the stored values (oracle path),
+    at a 1-D array of t, in blocks of at most ``_CHUNK_ELEMS`` phases."""
     ks, vs = kern.arrays()
-    return backend.eval_poly(ks, vs.astype(np.complex128),
-                             np.asarray(ts, dtype=np.float64))
+    freqs = ks.astype(np.float64)
+    coeffs = vs.astype(np.complex128)
+    ts = np.asarray(ts, dtype=np.float64)
+    out = np.zeros(ts.shape[0], np.complex128)
+    step = max(1, _CHUNK_ELEMS // max(1, len(ks)))
+    for lo in range(0, ts.shape[0], step):
+        phases = np.exp((2j * np.pi) * np.outer(ts[lo:lo + step], freqs))
+        out[lo:lo + step] = phases @ coeffs
+    return out
 
 
 def discrete_l1_bound(m: int, n: int) -> float:

@@ -40,7 +40,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.fft
 
-from . import backend
 from .core import TrigPoly, recentre
 from .errors import AliasingError, MemoryBudgetError
 
@@ -52,10 +51,22 @@ DEFAULT_MEMORY_BUDGET = 2 * 2 ** 30  # bytes of samples
 
 
 def _memory_budget(override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get("EXPSUMS_MEMORY_BUDGET")
-    return int(env) if env else DEFAULT_MEMORY_BUDGET
+    """``override``, else ``EXPSUMS_MEMORY_BUDGET``, else the default; a
+    budget that is not a positive integer raises a ValueError naming it."""
+    source, raw = "memory_budget", override
+    if raw is None:
+        source = "EXPSUMS_MEMORY_BUDGET"
+        raw = os.environ.get(source)
+        if not raw:
+            return DEFAULT_MEMORY_BUDGET
+    try:
+        budget = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        budget = 0
+    if budget < 1 or (isinstance(raw, float) and raw != budget):
+        raise ValueError(f"{source} must be a positive integer number of bytes, "
+                         f"got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -105,7 +116,7 @@ class GridEvaluation:
 
     def abs_mean(self) -> float:
         if self.values.shape == self.shape:
-            return backend.abs_mean(self.values.ravel())
+            return float(np.mean(np.abs(self.values.ravel())))
         # column j_r stands for itself and for column N_r - j_r, except
         # j_r = 0 and (N_r even) j_r = N_r/2, which are their own mirrors
         a = np.abs(self.values)

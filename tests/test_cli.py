@@ -8,17 +8,31 @@ import sys
 
 import pytest
 
+import expsums
 from expsums.cli import _write_csv
 
 REF_INTERVAL_101 = 2.859870343104319
 
 
+def child_env(env_extra=None):
+    # the child inherits PYTHONPATH, so it imports the tree under test
+    return dict(os.environ, **(env_extra or {}))
+
+
 def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "expsums", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True,
+                          env=child_env(env_extra), cwd=cwd)
+
+
+def test_child_imports_tree_under_test():
+    # a stale installed copy must not shadow the tree under test
+    r = subprocess.run([sys.executable, "-c",
+                        "import expsums; print(expsums.__file__)"],
+                       capture_output=True, text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert os.path.realpath(r.stdout.strip()) == os.path.realpath(
+        expsums.__file__)
 
 
 def load_report(path):
@@ -42,6 +56,7 @@ def test_gen_gap_exact(tmp_path):
     assert rep["result"]["set"]["elements"] == [11, 12, 13, 21, 22, 23]
     assert rep["config"]["command"] == "gen"
     assert set(rep["meta"]) == {"timestamp", "walltime", "backend"}
+    assert rep["meta"]["backend"] == "numpy"
 
 
 def test_gen_validates_certificates(tmp_path):
@@ -98,6 +113,25 @@ def test_norm_memory_budget_exit_code(tmp_path):
     assert "budget" in r.stderr.lower()
 
 
+def test_bad_memory_budget_is_usage_error(tmp_path):
+    cfg = tmp_path / "c.json"
+    out = str(tmp_path / "n.json")
+    cfg.write_text(json.dumps({"memory_budget": "2e9"}))
+    r = run_cli("norm", "--set", "interval:11", "--config", str(cfg),
+                "--output", out)
+    assert r.returncode == 2, r.stderr
+    assert "memory_budget" in r.stderr and "Traceback" not in r.stderr
+    r = run_cli("norm", "--set", "interval:11", "--output", out,
+                env_extra={"EXPSUMS_MEMORY_BUDGET": "2e9"})
+    assert r.returncode == 2, r.stderr
+    assert "EXPSUMS_MEMORY_BUDGET" in r.stderr
+    # a JSON number with no fractional part is a valid budget
+    cfg.write_text(json.dumps({"memory_budget": 2e9}))
+    r = run_cli("norm", "--set", "interval:11", "--config", str(cfg),
+                "--output", out)
+    assert r.returncode == 0, r.stderr
+
+
 def test_norm_non_finite_input_is_usage_error(tmp_path):
     src = tmp_path / "nan.json"
     src.write_text('{"rank": 1, "terms": [[[0], [1.0, 0.0]], '
@@ -144,6 +178,13 @@ def test_kernel_csv_golden(tmp_path):
     assert lines[0] == "k,value_exact,value_float"
     assert lines[1].startswith("-15,1/9,")
     assert len(lines) == 32  # header + 31 stored values
+
+
+def test_verify_kernel_needs_both_m_and_n(tmp_path):
+    r = run_cli("verify", "--theorem", "kernel", "--params", '{"m": 3}',
+                "--output", str(tmp_path / "k.json"))
+    assert r.returncode == 2
+    assert "both m and n" in r.stderr
 
 
 def test_thin_chain(tmp_path):

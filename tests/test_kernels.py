@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expsums import backend
+from expsums import kernels
 from expsums.errors import HypothesisError
 from expsums.kernels import (FlatTopKernel, dirichlet, discrete_l1_bound,
                              fejer, flat_top_build, flat_top_discrete_l1,
@@ -52,6 +52,24 @@ def test_fejer_nonnegative():
     t = np.linspace(0, 1, 501)
     assert np.all(fejer(n, t) > -1e-12)
     assert fejer(n, 0.0) == pytest.approx(n + 1)
+
+
+def test_dirichlet_values_vector():
+    n = 6
+    got = dirichlet(n, np.array([0.0, 0.2, 0.5, 1.0]))
+    assert got[0] == pytest.approx(2 * n + 1)
+    # integer t is the removable singularity
+    assert got[3] == pytest.approx(2 * n + 1)
+    assert got[1] == pytest.approx(_direct_dirichlet(n, 0.2), abs=1e-10)
+    assert got[2] == pytest.approx(_direct_dirichlet(n, 0.5), abs=1e-10)
+
+
+def test_fejer_values_vector():
+    n = 5
+    got = fejer(n, np.array([0.0, 0.31, 2.0]))
+    assert got[0] == pytest.approx(n + 1)
+    assert got[1] == pytest.approx(_direct_fejer(n, 0.31), abs=1e-10)
+    assert got[2] == pytest.approx(n + 1)
 
 
 def test_dirichlet_vectorized_near_singularity():
@@ -162,8 +180,20 @@ def test_discrete_l1_matches_direct_sum():
         for r in (threshold, threshold + 1, 4 * threshold,
                   threshold + int(rng.integers(2, 200))):
             ts = np.arange(1, r + 1, dtype=np.float64) / r
-            direct = backend.abs_mean(transform_from_values(kern, ts))
+            direct = float(np.mean(np.abs(transform_from_values(kern, ts))))
             assert flat_top_discrete_l1(kern, r) == pytest.approx(direct, rel=1e-12)
+
+
+def test_transform_from_values_matches_per_term_sum(monkeypatch):
+    kern = flat_top_build(3, 10)
+    ks, _ = kern.arrays()
+    # five points per block, so the 33 points take seven blocks
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMS", 5 * len(ks))
+    ts = np.random.default_rng(810).random(33)
+    want = np.zeros(33, complex)
+    for k, v in kern.values.items():
+        want += float(v) * np.exp(2j * np.pi * k * ts)
+    assert np.allclose(transform_from_values(kern, ts), want, atol=1e-10)
 
 
 def test_discrete_l1_requires_fine_grid():

@@ -8,7 +8,8 @@ import scipy.fft
 
 from expsums.core import IntegerSet, TrigPoly, indicator_poly
 from expsums.errors import AliasingError, MemoryBudgetError
-from expsums.quadrature import (_recentred_degree, bernstein_check,
+from expsums.quadrature import (GridEvaluation, _memory_budget,
+                                _recentred_degree, bernstein_check,
                                 certified_l1, choose_grid, derivative,
                                 eval_grid, riemann_l1)
 
@@ -198,6 +199,29 @@ def test_memory_budget_enforced(monkeypatch):
     monkeypatch.setenv("EXPSUMS_MEMORY_BUDGET", "1000")
     with pytest.raises(MemoryBudgetError):
         certified_l1(f, 0.1)
+
+
+@pytest.mark.parametrize("override, env, source", [
+    (0, None, "memory_budget"), (2.5, None, "memory_budget"),
+    (None, "2e9", "EXPSUMS_MEMORY_BUDGET"),
+    (None, "0", "EXPSUMS_MEMORY_BUDGET"), (None, "-1", "EXPSUMS_MEMORY_BUDGET")])
+def test_memory_budget_must_be_positive_integer(monkeypatch, override, env,
+                                                source):
+    monkeypatch.setenv("EXPSUMS_MEMORY_BUDGET", env or "")
+    with pytest.raises(ValueError, match=source):
+        _memory_budget(override)
+
+
+def test_abs_mean_full_grid_matches_numpy_oracle():
+    rng = np.random.default_rng(808)
+    # sizes straddle 128-element blocks and the pairwise-summation unroll
+    for n in (1, 2, 127, 128, 129, 255, 256, 500, 1000, 65536, 65537):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = GridEvaluation((n,), v).abs_mean()
+        assert got == pytest.approx(float(np.mean(np.abs(v))), rel=1e-13)
+    v = rng.standard_normal((129, 7)) + 1j * rng.standard_normal((129, 7))
+    assert GridEvaluation(v.shape, v).abs_mean() == pytest.approx(
+        float(np.mean(np.abs(v))), rel=1e-13)
 
 
 def test_derivative_coefficients():
