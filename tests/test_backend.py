@@ -1,140 +1,26 @@
-"""Dispatch layer: numpy and compiled paths must agree bit-for-bit-ish."""
-
-import os
-import subprocess
-import sys
+"""The numpy reduction behind every grid mean: `GridEvaluation.abs_mean`
+on a full grid, checked against a plain numpy mean of |v|."""
 
 import numpy as np
 import pytest
 
-import expsums
-from expsums import backend
-
-NUMBA_ACTIVE = backend.BACKEND == "numba"
-
-
-def _rand_poly(rng, count, span):
-    freqs = rng.integers(-span, span + 1, size=count)
-    coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return freqs.astype(np.int64), coeffs.astype(np.complex128)
+from expsums.quadrature import GridEvaluation
 
 
 def test_abs_mean_matches_numpy_oracle():
     rng = np.random.default_rng(808)
-    # sizes straddle the 128-element reduction blocks
+    # sizes straddle 128-element blocks and the pairwise-summation unroll
     for n in (1, 2, 127, 128, 129, 255, 256, 1000, 65536, 65537):
-        v = (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        assert backend.abs_mean(v.astype(np.complex128)) == pytest.approx(
-            float(np.mean(np.abs(v))), rel=1e-13)
-
-
-def test_abs_mean_empty():
-    assert backend.abs_mean(np.empty(0, np.complex128)) == 0.0
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = GridEvaluation((n,), v).abs_mean()
+        assert got == pytest.approx(float(np.mean(np.abs(v))), rel=1e-13)
+    v = rng.standard_normal((129, 7)) + 1j * rng.standard_normal((129, 7))
+    assert GridEvaluation(v.shape, v).abs_mean() == pytest.approx(
+        float(np.mean(np.abs(v))), rel=1e-13)
 
 
 def test_abs_mean_numpy_path_directly():
     rng = np.random.default_rng(809)
-    v = (rng.standard_normal(500) + 1j * rng.standard_normal(500))
-    assert backend.abs_mean_numpy(v) == pytest.approx(
+    v = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    assert GridEvaluation((500,), v).abs_mean() == pytest.approx(
         float(np.mean(np.abs(v))), rel=1e-13)
-
-
-def test_eval_poly_matches_direct():
-    rng = np.random.default_rng(810)
-    freqs, coeffs = _rand_poly(rng, 12, 40)
-    ts = rng.random(33)
-    got = backend.eval_poly(freqs, coeffs, ts)
-    want = np.zeros(33, complex)
-    for a, c in zip(freqs, coeffs):
-        want += c * np.exp(2j * np.pi * a * ts)
-    assert np.allclose(got, want, atol=1e-10)
-
-
-def test_eval_poly_nd_matches_direct():
-    rng = np.random.default_rng(811)
-    count = 9
-    freqs = rng.integers(-10, 11, size=(count, 2)).astype(np.int64)
-    coeffs = (rng.standard_normal(count)
-              + 1j * rng.standard_normal(count)).astype(np.complex128)
-    pts = rng.random((25, 2))
-    got = backend.eval_poly_nd(freqs, coeffs, pts)
-    want = np.zeros(25, complex)
-    for (a, b), c in zip(freqs, coeffs):
-        want += c * np.exp(2j * np.pi * (a * pts[:, 0] + b * pts[:, 1]))
-    assert np.allclose(got, want, atol=1e-10)
-
-
-def test_backend_paths_agree():
-    if not NUMBA_ACTIVE:
-        pytest.skip("compiled path not active")
-    rng = np.random.default_rng(812)
-    freqs, coeffs = _rand_poly(rng, 20, 100)
-    ts = rng.random(64)
-    a = backend.eval_poly(freqs, coeffs, ts)
-    b = backend.eval_poly_numpy(freqs, coeffs, ts)
-    assert np.allclose(a, b, atol=1e-11)
-    v = rng.standard_normal(4097) + 1j * rng.standard_normal(4097)
-    assert backend.abs_mean(v) == pytest.approx(backend.abs_mean_numpy(v),
-                                                rel=1e-13)
-
-
-def test_dirichlet_values_vector():
-    n = 6
-    ts = np.array([0.0, 0.2, 0.5, 1.0])
-    got = backend.dirichlet_values(n, ts)
-    assert got[0] == pytest.approx(2 * n + 1)
-    assert got[3] == pytest.approx(2 * n + 1)
-    direct = sum(np.exp(2j * np.pi * k * 0.2) for k in range(-n, n + 1)).real
-    assert got[1] == pytest.approx(direct, abs=1e-10)
-
-
-def test_fejer_values_vector():
-    n = 5
-    ts = np.array([0.0, 0.31])
-    got = backend.fejer_values(n, ts)
-    assert got[0] == pytest.approx(n + 1)
-    direct = sum((1 - abs(k) / (n + 1)) * np.exp(2j * np.pi * k * 0.31)
-                 for k in range(-n, n + 1)).real
-    assert got[1] == pytest.approx(direct, abs=1e-10)
-
-
-def test_dispatch_coerces_plain_lists():
-    got = backend.eval_poly([1, -1], [1.0, 1.0], [0.0, 0.25])
-    assert got[0] == pytest.approx(2.0)
-    assert abs(got[1]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_warm_up_idempotent():
-    backend.warm_up()
-    backend.warm_up()
-
-
-def _run_child(code, backend_value):
-    """Run ``code`` in a fresh interpreter with ``EXPSUMS_BACKEND`` set.
-
-    The child inherits the parent's environment, so it imports the same
-    ``expsums`` as this process (``PYTHONPATH=src`` on a bare checkout).
-    """
-    env = dict(os.environ, EXPSUMS_BACKEND=backend_value)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-
-
-def test_env_var_selects_numpy():
-    code = ("import expsums; from expsums import backend; "
-            "print(backend.BACKEND); print(expsums.__file__)")
-    out = _run_child(code, "numpy")
-    assert out.returncode == 0, out.stderr
-    selected, child_file = out.stdout.splitlines()
-    assert selected == "numpy"
-    # a stale installed copy must not shadow the tree under test
-    assert os.path.realpath(child_file) == os.path.realpath(expsums.__file__)
-
-
-def test_env_var_rejects_unknown():
-    out = _run_child("import expsums.backend", "bogus")
-    assert out.returncode != 0
-    # rejected by backend.py, not a failure to import the package at all
-    assert "ModuleNotFoundError" not in out.stderr, out.stderr
-    assert "RuntimeError" in out.stderr
-    assert "EXPSUMS_BACKEND" in out.stderr

@@ -212,18 +212,6 @@ def test_memory_budget_must_be_positive_integer(monkeypatch, override, env,
         _memory_budget(override)
 
 
-def test_abs_mean_full_grid_matches_numpy_oracle():
-    rng = np.random.default_rng(808)
-    # sizes straddle 128-element blocks and the pairwise-summation unroll
-    for n in (1, 2, 127, 128, 129, 255, 256, 500, 1000, 65536, 65537):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = GridEvaluation((n,), v).abs_mean()
-        assert got == pytest.approx(float(np.mean(np.abs(v))), rel=1e-13)
-    v = rng.standard_normal((129, 7)) + 1j * rng.standard_normal((129, 7))
-    assert GridEvaluation(v.shape, v).abs_mean() == pytest.approx(
-        float(np.mean(np.abs(v))), rel=1e-13)
-
-
 def test_derivative_coefficients():
     f = TrigPoly(1, {3: 2.0, -1: 1j})
     df = derivative(f)
