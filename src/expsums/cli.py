@@ -204,12 +204,16 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         setattr(cfg, key, bool(getattr(args, key, False) or file_cfg.get(key)))
     params = getattr(args, "params", None)
     if params is None:
-        cfg.params = file_cfg.get("params")
+        cfg.params, source = file_cfg.get("params"), "the config file's params"
     else:
+        source = "--params"
         try:
             cfg.params = json.loads(params) if isinstance(params, str) else params
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--params is not valid JSON: {exc}") from exc
+    if cfg.params is not None and not isinstance(cfg.params, dict):
+        raise ConfigError(f"{source} must be a JSON object, "
+                          f"got {type(cfg.params).__name__}")
     if cfg.memory_budget is not None:
         try:
             budget = _memory_budget(cfg.memory_budget)
@@ -279,8 +283,18 @@ def load_instance(cfg: ExperimentConfig):
     raise ConfigError("need --input or --set")
 
 
+# the --params keys each gen kind cannot do without
+_GEN_REQUIRED = {"gap": ("a", "b", "M", "N"), "lattice-box": ("sizes",),
+                 "lattice-random": ("sizes",), "zstrong-box": ("sizes",),
+                 "zstrong-random": ("sizes",)}
+
+
 def cmd_gen(cfg: ExperimentConfig):
     params = cfg.params or {}
+    missing = [key for key in _GEN_REQUIRED.get(cfg.kind, ()) if key not in params]
+    if missing:
+        raise ConfigError(f"gen --kind {cfg.kind} needs --params keys "
+                          f"{', '.join(missing)}")
     if cfg.kind == "gap":
         A = gap_rank2(params["a"], params["b"], params["M"], params["N"],
                       force=cfg.force or bool(params.get("force")))

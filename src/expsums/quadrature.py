@@ -25,9 +25,42 @@ coordinates fixed is a 1-D polynomial of the axis degree, so averaging
 over one axis at a time moves the mean by a factor in [1 - rho_i, 1 + rho_i]
 and the relative errors compound multiplicatively.
 
+Coset streaming.  :func:`riemann_l1` evaluates a grid that does not fit in
+one block (``_BLOCK_BYTES``) one block of rows at a time.  On axis 0 it
+writes N_0 = P Q, with Q the smallest divisor of N_0 such that
+Q >= 2 d_0 + 1 and P <= 32 (``_MAX_COSETS``).  Q is 5-smooth when N_0 is;
+if Q = N_0, the grid is one row and is evaluated whole.  The grid points
+with j_0 = r + P i, for 0 <= i < Q, form the coset row r mod P, and on it
+
+    f((r + P i)/N_0, t') = sum_a [c_a e(a_0 r / N_0)] e(a_0 i / Q + a'.t'),
+
+because P i / N_0 = i / Q.  So row r is one inverse FFT of shape
+(Q, N_1, ...) of the twiddled coefficients c_a e(a_0 r / N_0), placed at
+(a_0 mod Q, a' mod N').  Those residues are distinct since Q >= 2 d_0 + 1,
+so plain assignment places them.  The grid sum is the sum of the P row
+sums.  With real coefficients f(-t) = conj f(t), and -(r + P i) = (P - r)
++ P (Q - 1 - i) mod N_0, so row P - r has the same sum as row r.  Only
+rows 0 .. P//2 are evaluated.  Rows 0 < r < P/2 count twice; rows 0 and
+(P even) P/2 are their own mirrors and count once.
+
+The twiddles come from the recurrence row_r = row_{r-1} * e(a_0 / N_0).
+The step e(m / N_0), with m = a_0 mod N_0 < N_0, is exp of a rounded angle,
+within about 2u of exact (u = 2^-53).  Each complex product adds at most
+sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).  So row
+r's coefficients carry a relative error of at most about r * 3u each, so
+each sample of row r moves by at most r * 3u * sum |c_a|, an error of the
+same kind as the FFT's own rounding.  Here r <= P/2 (real) or r < P, and
+P <= 32, so the relative error stays below 16 * 3u = 5.3e-15 (real) or
+31 * 3u = 1.1e-14 (complex).  The grids of :func:`choose_grid` have
+P <= N_0 / (2 d_0 + 1), about pi / (2 rho_0), below 32 for rho_0 >= 0.05
+anyway; the cap matters for fine reference grids of low-degree
+polynomials.  Like the FFT's rounding, this error is not yet part of a
+certified floating-point term.
+
 Everything here is pure and deterministic: grids are evaluated with a
-zero-padded FFT and reduced with pairwise summation, so results do not
-depend on scheduling.
+zero-padded FFT and reduced with pairwise summation, coset rows are taken
+in blocks in ascending order, and their sums are added by ``math.fsum``,
+so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -48,6 +81,14 @@ from .errors import AliasingError, MemoryBudgetError
 _BYTES_PER_SAMPLE = 16
 
 DEFAULT_MEMORY_BUDGET = 2 * 2 ** 30  # bytes of samples
+
+# riemann_l1 streams a grid in blocks of coset rows of at most this many
+# bytes, each sample a complex128 value and its float64 modulus; a grid that
+# fits in one block is transformed whole
+_BLOCK_BYTES = 4 * 2 ** 20
+_BLOCK_BYTES_PER_SAMPLE = 24
+# at most this many coset rows, which bounds the twiddle recurrence's error
+_MAX_COSETS = 32
 
 
 def _memory_budget(override: int | None) -> int:
@@ -117,13 +158,19 @@ class GridEvaluation:
     def abs_mean(self) -> float:
         if self.values.shape == self.shape:
             return float(np.mean(np.abs(self.values.ravel())))
-        # column j_r stands for itself and for column N_r - j_r, except
-        # j_r = 0 and (N_r even) j_r = N_r/2, which are their own mirrors
-        a = np.abs(self.values)
-        total = 2.0 * float(a.sum()) - float(a[..., 0].sum())
-        if self.shape[-1] % 2 == 0:
-            total -= float(a[..., -1].sum())
-        return total / math.prod(self.shape)
+        return _half_grid_abs_sum(self.values, self.shape[-1]) / math.prod(self.shape)
+
+
+def _half_grid_abs_sum(values: np.ndarray, n_last: int) -> float:
+    """sum |f| over the full grid from the columns j_r = 0 .. n_last//2 of
+    the last axis (f with real coefficients)."""
+    # column j_r stands for itself and for column N_r - j_r, except
+    # j_r = 0 and (N_r even) j_r = N_r/2, which are their own mirrors
+    a = np.abs(values)
+    total = 2.0 * float(a.sum()) - float(a[..., 0].sum())
+    if n_last % 2 == 0:
+        total -= float(a[..., -1].sum())
+    return total
 
 
 def _normalize_shape(f: TrigPoly, shape) -> tuple[int, ...]:
@@ -142,6 +189,21 @@ def _recentred_degree(f: TrigPoly) -> tuple[int, ...]:
     return tuple((hi - lo + 1) // 2 for lo, hi in f.support_box)
 
 
+def _checked_shape(f: TrigPoly, shape, memory_budget: int | None) -> tuple[int, ...]:
+    """The normalised grid shape, after the alias-free and budget checks."""
+    shape = _normalize_shape(f, shape)
+    for ax, (n, d) in enumerate(zip(shape, _recentred_degree(f))):
+        if n < 2 * d + 1:
+            raise AliasingError(
+                f"axis {ax}: {n} samples alias a recentred degree-{d} polynomial "
+                f"(need >= {2 * d + 1})")
+    needed = math.prod(shape) * _BYTES_PER_SAMPLE
+    budget = _memory_budget(memory_budget)
+    if needed > budget:
+        raise MemoryBudgetError(shape, needed, budget)
+    return shape
+
+
 def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvaluation:
     """Evaluate f on the uniform grid via a zero-padded inverse FFT.
 
@@ -154,17 +216,7 @@ def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvalu
     non-redundant half of the last axis is computed, by a real-input FFT
     (see :class:`GridEvaluation`).
     """
-    shape = _normalize_shape(f, shape)
-    drec = _recentred_degree(f)
-    for ax, (n, d) in enumerate(zip(shape, drec)):
-        if n < 2 * d + 1:
-            raise AliasingError(
-                f"axis {ax}: {n} samples alias a recentred degree-{d} polynomial "
-                f"(need >= {2 * d + 1})")
-    needed = math.prod(shape) * _BYTES_PER_SAMPLE
-    budget = _memory_budget(memory_budget)
-    if needed > budget:
-        raise MemoryBudgetError(shape, needed, budget)
+    shape = _checked_shape(f, shape, memory_budget)
     idx = tuple((f.freqs % np.array(shape, dtype=np.int64)).T)
     if not f.coeffs.imag.any():
         # alias-free, so the residues are distinct and assignment suffices;
@@ -181,11 +233,81 @@ def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvalu
     return GridEvaluation(shape, values)
 
 
+def _coset_length(shape: tuple[int, ...], d0: int) -> int:
+    """Q: N_0 itself for a grid that fits in one block, else the smallest
+    divisor of N_0 with Q >= 2*d0 + 1, so each coset row is alias-free, and
+    P = N_0/Q <= _MAX_COSETS (N_0 also when no divisor is alias-free, which
+    eval_grid then reports as aliasing)."""
+    n0 = shape[0]
+    if math.prod(shape) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
+        return n0
+    least = max(2 * d0 + 1, -(-n0 // _MAX_COSETS))
+    return min((q for k in range(1, math.isqrt(n0) + 1) if n0 % k == 0
+                for q in (k, n0 // k) if q >= least), default=n0)
+
+
+def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
+    """sum_i |f((r + P i)/N_0, t')| over each coset row r mod P = N_0/q, for
+    r = 0 .. P-1, or r = 0 .. P//2 when every coefficient is real (the
+    coset identity in the module docstring)."""
+    n0, p = shape[0], shape[0] // q
+    row_shape = (q,) + shape[1:]
+    # residues first, so no product below can overflow int64
+    res = f.freqs % np.array(shape, dtype=np.int64)
+    idx = (res[:, 0] % q,) + tuple(res[:, 1:].T)
+    step = np.exp((2j * math.pi / n0) * res[:, 0])  # e(a_0 / N_0)
+    if not f.coeffs.imag.any():
+        # f(-t) = conj f(t) maps row r onto row P - r, so rows 0 .. P//2
+        # suffice; row 0 has real coefficients and a half-grid transform
+        row0 = np.zeros(row_shape, dtype=np.float64)
+        row0[idx] = f.coeffs.real
+        sums = [_half_grid_abs_sum(scipy.fft.rfftn(row0), row_shape[-1])]
+        del row0  # freed before the block buffers exist
+        first, stop, row = 1, p // 2 + 1, f.coeffs * step
+    else:
+        sums, first, stop, row = [], 0, p, f.coeffs
+    rows = min(stop - first, max(1, _BLOCK_BYTES // (math.prod(row_shape)
+                                                     * _BLOCK_BYTES_PER_SAMPLE)))
+    block = np.empty((rows,) + row_shape, dtype=np.complex128)
+    moduli = np.empty((rows,) + row_shape, dtype=np.float64)
+    axes = tuple(range(1, block.ndim))
+    for r0 in range(first, stop, rows):
+        nb = min(rows, stop - r0)
+        # twiddled coefficients of rows r0 .. r0+nb-1 by the recurrence
+        # row_r = row_{r-1} * e(a_0 / N_0)
+        twiddled = np.empty((nb, len(row)), dtype=np.complex128)
+        twiddled[0] = row
+        for k in range(1, nb):
+            np.multiply(twiddled[k - 1], step, out=twiddled[k])
+        row = twiddled[-1] * step
+        # the residues mod q are distinct (q >= 2 d_0 + 1): assignment suffices
+        blk = block[:nb]
+        blk.fill(0)
+        blk[(np.arange(nb)[:, None],) + idx] = twiddled
+        values = scipy.fft.ifftn(blk, axes=axes, norm="forward", overwrite_x=True)
+        mod = np.abs(values, out=moduli[:nb])
+        sums.extend(mod.reshape(nb, -1).sum(axis=1).tolist())
+    return sums
+
+
 def riemann_l1(f: TrigPoly, shape, memory_budget: int | None = None) -> float:
-    """The grid mean (1/|grid|) sum |f(j/N)| (0 for the zero polynomial)."""
+    """The grid mean (1/|grid|) sum |f(j/N)| (0 for the zero polynomial).
+
+    A grid that fits in one block is evaluated whole by :func:`eval_grid`;
+    a larger one is streamed over the cosets of its first axis, so only one
+    block of rows is live at a time (module docstring).
+    """
     if f.is_zero:
         return 0.0
-    return eval_grid(f, shape, memory_budget).abs_mean()
+    shape = _normalize_shape(f, shape)
+    q = _coset_length(shape, _recentred_degree(f)[0])
+    if q == shape[0]:
+        return eval_grid(f, shape, memory_budget).abs_mean()
+    _checked_shape(f, shape, memory_budget)
+    sums = _coset_row_sums(f, shape, q)
+    # each row P - r missing from sums is the mirror of row r, same sum
+    p = shape[0] // q
+    return math.fsum(sums + sums[1:p - len(sums) + 1]) / math.prod(shape)
 
 
 def riemann_rho(d: int, n: int) -> float:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import expsums
-from expsums.cli import _write_csv
+from expsums.cli import _write_csv, main
 
 REF_INTERVAL_101 = 2.859870343104319
 
@@ -74,6 +74,30 @@ def test_gen_bad_params_is_usage_error(tmp_path):
                 "--output", str(tmp_path / "x.json"))
     assert r.returncode == 2
     assert "JSON" in r.stderr
+
+
+@pytest.mark.parametrize("kind, params, missing", [
+    ("gap", '{"a": 1}', "b, M, N"), ("lattice-box", "{}", "sizes"),
+    ("zstrong-random", '{"deltas": [1.0]}', "sizes")])
+def test_gen_missing_params_named(tmp_path, capsys, kind, params, missing):
+    code = main(["gen", "--kind", kind, "--params", params,
+                 "--output", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert kind in err and missing in err, err
+
+
+def test_params_not_an_object_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "k.json")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": [1]}))
+    for given, source in ((["--params", "[1]"], "--params"),
+                          (["--params", '"m"'], "--params"),
+                          (["--config", str(cfg)], "config file's params")):
+        code = main(["verify", "--theorem", "kernel", *given, "--output", out])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{source} must be a JSON object" in err, err
 
 
 def test_gen_unknown_kind_is_usage_error(tmp_path):

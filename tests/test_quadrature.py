@@ -1,17 +1,19 @@
 """Grid evaluation, certified norm enclosures, and the derivative bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from expsums.core import IntegerSet, TrigPoly, indicator_poly
+from expsums import quadrature
+from expsums.core import IntegerSet, TrigPoly, indicator_poly, recentre
 from expsums.errors import AliasingError, MemoryBudgetError
-from expsums.quadrature import (GridEvaluation, _memory_budget,
-                                _recentred_degree, bernstein_check,
-                                certified_l1, choose_grid, derivative,
-                                eval_grid, riemann_l1)
+from expsums.quadrature import (GridEvaluation, _coset_length, _coset_row_sums,
+                                _memory_budget, _recentred_degree,
+                                bernstein_check, certified_l1, choose_grid,
+                                derivative, eval_grid, riemann_l1)
 
 # frozen 2^22-point Riemann oracles
 REF_INTERVAL_101 = 2.859870343104319
@@ -337,3 +339,129 @@ def test_eval_grid_one_complex_coefficient_keeps_full_grid():
     assert got.values.shape == shape
     assert np.array_equal(got.values.view(np.uint64),
                           _reference_grid(f, shape).view(np.uint64))
+
+
+# --- the coset-streamed grid mean of riemann_l1 ---------------------------
+
+def _window_poly(rng, shape, d0, real, base=0, terms=12):
+    # terms on offsets 0 .. 2*d0 on axis 0 (recentred degree d0) and on the
+    # widest alias-free window of the other axes
+    widths = (2 * d0 + 1,) + tuple(2 * ((m - 1) // 2) + 1 for m in shape[1:])
+    offsets = np.stack([rng.integers(0, w, size=terms) for w in widths], axis=1)
+    offsets[0, 0], offsets[1, 0] = 0, 2 * d0  # the full axis-0 diameter
+    coeffs = rng.standard_normal(terms)
+    if not real:
+        coeffs = coeffs + 1j * rng.standard_normal(terms)
+    return TrigPoly.from_arrays(len(shape), base + offsets, coeffs)
+
+
+def _blocks_of(monkeypatch, rows, row_samples):
+    # blocks of `rows` coset rows of `row_samples` samples each
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES",
+                        rows * row_samples * quadrature._BLOCK_BYTES_PER_SAMPLE)
+
+
+# (shape, d0, P): odd and even P, so that row P/2 is or is not a row of its own
+COSET_CASES = [((60,), 5, 5), ((60,), 4, 6), ((64,), 3, 8), ((90,), 7, 6),
+               ((60, 9), 5, 5), ((60, 8), 4, 6), ((45, 4), 2, 9)]
+
+
+@pytest.mark.parametrize("shape, d0, p", COSET_CASES)
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("rows", [1, 2, 4])
+@pytest.mark.parametrize("far", [False, True])
+def test_coset_mean_matches_whole_grid(monkeypatch, shape, d0, p, real, rows, far):
+    q = shape[0] // p
+    # 1, 2 and 4 rows per block: row counts that are and are not multiples
+    _blocks_of(monkeypatch, rows, q * math.prod(shape[1:]))
+    assert _coset_length(shape, d0) == q
+    rng = np.random.default_rng([sum(shape), d0, real, rows, far])
+    for _ in range(5):
+        # near +-2^62 the residues wrap around; no product may overflow int64
+        base = rng.integers(-2 ** 62, 2 ** 62, size=len(shape)) if far else 0
+        f = _window_poly(rng, shape, d0, real, base)
+        assert _recentred_degree(f)[0] == d0
+        want = eval_grid(f, shape).abs_mean()
+        assert riemann_l1(f, shape) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("shape, d0, p", COSET_CASES)
+@pytest.mark.parametrize("real", [True, False])
+def test_coset_rows_match_grid_cosets(monkeypatch, shape, d0, p, real):
+    # each row sum is its own coset r mod P of the whole grid, not a mirror
+    q = shape[0] // p
+    _blocks_of(monkeypatch, 2, q * math.prod(shape[1:]))
+    rng = np.random.default_rng([sum(shape), d0, real])
+    f = _window_poly(rng, shape, d0, real, base=rng.integers(-99, 99, size=len(shape)))
+    grid = np.abs(_reference_grid(f, shape))
+    sums = _coset_row_sums(f, shape, q)
+    assert len(sums) == (p // 2 + 1 if real else p)
+    for r, got in enumerate(sums):
+        assert got == pytest.approx(grid[r::p].sum(), rel=1e-13), r
+
+
+def test_coset_mean_p1_is_the_whole_grid(monkeypatch):
+    rng = np.random.default_rng(61)
+    for real in (True, False):
+        f = _window_poly(rng, (61,), 6, real)
+        # fits in one block: today's single transform, bit for bit
+        assert _coset_length((61,), 6) == 61
+        assert riemann_l1(f, 61) == eval_grid(f, 61).abs_mean()
+        # too large for a block, but 61 is prime: still one row
+        _blocks_of(monkeypatch, 1, 4)
+        assert _coset_length((61,), 6) == 61
+        assert riemann_l1(f, 61) == eval_grid(f, 61).abs_mean()
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("d", [1, 7, 64, 1000, 20_000, 37_615, 60_000])
+def test_coset_length_is_least_alias_free_divisor(d):
+    grids = [choose_grid((d,), rel)[0][0] for rel in (0.1, 0.03)]
+    for n in grids + [10 ** 6, 2 ** 20]:  # and fine reference grids
+        if n < 2 * d + 1:
+            continue
+        q = _coset_length((n,), d)
+        if n * quadrature._BLOCK_BYTES_PER_SAMPLE <= quadrature._BLOCK_BYTES:
+            assert q == n
+            continue
+        least = max(2 * d + 1, math.ceil(n / quadrature._MAX_COSETS))
+        assert n % q == 0 and q >= least and n // q <= quadrature._MAX_COSETS
+        assert not any(n % k == 0 for k in range(least, q))
+        assert q < n  # these 5-smooth lengths always split
+
+
+def test_coset_mean_is_deterministic():
+    rng = np.random.default_rng(9)
+    for real in (True, False):
+        f = _window_poly(rng, (1_200_000,), 37_000, real, terms=64)
+        assert _coset_length((1_200_000,), 37_000) < 1_200_000
+        a, b = riemann_l1(f, 1_200_000), riemann_l1(f, 1_200_000)
+        assert a.hex() == b.hex()
+        assert a == pytest.approx(eval_grid(f, 1_200_000).abs_mean(), rel=1e-13)
+
+
+def test_coset_mean_keeps_the_grid_checks():
+    f = indicator_poly(IntegerSet.from_iterable(range(0, 60_001, 997)))
+    with pytest.raises(MemoryBudgetError):
+        riemann_l1(f, 1_200_000, memory_budget=10 ** 6)
+    with pytest.raises(AliasingError):
+        riemann_l1(TrigPoly(2, {(0, 0): 1.0, (5, 40): 1.0}), (1_200_000, 40))
+
+
+def test_coset_mean_holds_a_quarter_of_the_grid():
+    # a sparse-style grid: 64 elements of span 76e3, 1.2M samples at rel_err
+    # 0.1; the whole grid would take N * 16 bytes at least
+    rng = np.random.default_rng(7)
+    els = np.sort(rng.choice(76_000, size=64, replace=False))
+    g, _ = recentre(indicator_poly(IntegerSet.from_iterable(int(x) for x in els)))
+    shape, _ = choose_grid(g.degree, 0.1)
+    n = math.prod(shape)
+    assert 1_000_000 <= n <= 1_500_000
+    for h in (g, TrigPoly.from_arrays(1, g.freqs, g.coeffs * (0.6 + 0.8j))):
+        tracemalloc.start()
+        try:
+            riemann_l1(h, shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 16 / 4, (peak, n)
