@@ -1,7 +1,9 @@
 """Grid evaluation, certified norm enclosures, and the derivative bound."""
 
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ import scipy.fft
 from expsums import quadrature
 from expsums.core import IntegerSet, TrigPoly, indicator_poly, recentre
 from expsums.errors import AliasingError, MemoryBudgetError
-from expsums.quadrature import (GridEvaluation, _coset_length, _coset_row_sums,
-                                _memory_budget, _recentred_degree,
-                                bernstein_check, certified_l1, choose_grid,
-                                derivative, eval_grid, riemann_l1)
+from expsums.quadrature import (GridEvaluation, NormInterval, _coset_length,
+                                _coset_row_sums, _derivative_l2, _memory_budget,
+                                _recentred_degree, bernstein_check, certified_l1,
+                                choose_grid, derivative, eval_grid, riemann_l1)
 
 # frozen 2^22-point Riemann oracles
 REF_INTERVAL_101 = 2.859870343104319
@@ -465,3 +467,125 @@ def test_coset_mean_holds_a_quarter_of_the_grid():
         finally:
             tracemalloc.stop()
         assert peak < n * 16 / 4, (peak, n)
+
+
+# --- single terms: [S, S] widened by an ulp each way -------------------------
+
+@pytest.mark.parametrize("f", [TrigPoly(1, {5: 0.1 + 0.2j}),
+                               TrigPoly(2, {(7, -3): 0.1 + 0.2j}),
+                               TrigPoly(2, {(0, 4): -1e-3 + 3.3j}),
+                               TrigPoly(1, {-9: 0.1})])
+def test_certified_l1_degree_zero_contains_exact_modulus(f):
+    enc = certified_l1(f, 0.1)
+    (c,) = f.coeffs
+    exact_sq = Fraction(c.real) ** 2 + Fraction(c.imag) ** 2
+    assert Fraction(enc.lo) ** 2 <= exact_sq <= Fraction(enc.hi) ** 2
+    assert 0 < enc.lo < enc.riemann < enc.hi
+    assert enc.hi == math.nextafter(math.nextafter(enc.lo, math.inf), math.inf)
+
+
+# --- rank-1 grids sized from ||g'||_2 ----------------------------------------
+
+PI_LO, PI_HI = Fraction(math.pi), Fraction(math.nextafter(math.pi, 4.0))
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_derivative_l2_is_the_exact_value_rounded_up(real):
+    rng = np.random.default_rng([77, real])
+    for terms in (1, 2, 30, 3000):
+        freqs = rng.choice(10 ** 6, size=terms, replace=False) - 300_000
+        coeffs = rng.integers(-1000, 1001, size=terms).astype(np.float64)
+        if not real:
+            coeffs = coeffs + 1j * rng.integers(-1000, 1001, size=terms)
+        coeffs[0] = 7  # never the zero polynomial
+        f = TrigPoly.from_arrays(1, freqs[:, None], coeffs)
+        lo, hi = f.support_box[0]
+        centre = (lo + hi) // 2
+        exact = sum(Fraction((int(a) - centre) ** 2)
+                    * (Fraction(c.real) ** 2 + Fraction(c.imag) ** 2)
+                    for (a,), c in zip(f.freqs.tolist(), f.coeffs.tolist()))
+        got = Fraction(_derivative_l2(f)) ** 2
+        # 2 pi sqrt(exact) <= D <= 2 pi sqrt(exact) (1 + 1e-9)
+        assert 4 * PI_HI ** 2 * exact <= got
+        assert got <= 4 * PI_LO ** 2 * exact * Fraction(1 + 1e-9) ** 2
+        assert _derivative_l2(f.shifted((2 ** 40,))) == _derivative_l2(f)
+
+
+def _sparse_poly(rng, span, terms, real):
+    freqs = np.sort(rng.choice(span + 1, size=terms, replace=False))
+    freqs[0], freqs[-1] = 0, span
+    coeffs = np.ones(terms)
+    if not real:
+        coeffs = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+    return TrigPoly.from_arrays(1, freqs[:, None], coeffs)
+
+
+def _intersection(g, enc):
+    # the documented enclosure of the sized grid, from its S and N
+    (n,), s = enc.grid, enc.riemann
+    a = math.nextafter(_derivative_l2(g) / (2 * n), math.inf)
+    lo = max(math.nextafter(s - a, -math.inf), 0.0)
+    hi = math.nextafter(s + a, math.inf)
+    rho = quadrature.riemann_rho(g.degree[0], n)
+    if rho < 1:
+        lo, hi = max(lo, s / (1 + rho)), min(hi, s / (1 - rho))
+    return lo, hi
+
+
+def _relative_only(g, rel):
+    # today's enclosure on the choose_grid grid
+    shape, (rho,) = choose_grid(g.degree, rel)
+    s = riemann_l1(g, shape)
+    return NormInterval(s / (1 + rho), s / (1 - rho), s, shape, g.degree)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_sized_grid_is_smaller_narrower_and_contains_the_norm(real):
+    rng = np.random.default_rng([31, real])
+    g, _ = recentre(_sparse_poly(rng, 20_000, 64, real))
+    rel = 0.1
+    enc, old = certified_l1(g, rel), _relative_only(g, rel)
+    assert _coset_length(old.grid, g.degree[0]) < old.grid[0]  # streamed
+    assert enc.grid[0] < old.grid[0]
+    assert enc.width <= old.width
+    # a 20x finer grid, with its own relative error, lies inside
+    n = 20 * old.grid[0]
+    ref, rho = riemann_l1(g, n), quadrature.riemann_rho(g.degree[0], n)
+    assert enc.lo <= ref / (1 + rho) and ref / (1 - rho) <= enc.hi
+    assert 0 <= enc.lo <= enc.riemann <= enc.hi
+    assert (enc.lo, enc.hi) == _intersection(g, enc)
+
+
+def test_sized_grid_keeps_the_fejer_report():
+    # ||F'||_2 is far above 2 pi d ||F||_1 / P: the grid and the report stay
+    f = _fejer(12_000)
+    enc = certified_l1(f, 0.1)
+    assert _coset_length(enc.grid, 12_000) < enc.grid[0]
+    assert (json.dumps(enc.to_json_dict())
+            == json.dumps(_relative_only(f, 0.1).to_json_dict()))
+
+
+def test_sized_grid_of_one_row_uses_the_additive_bound():
+    # a degree-5 body with 1e-9 e(+-D t) far out: ||g'||_2 is tiny, so the
+    # grid is the Q-point row 0 alone, where rho = pi d / Q >= 1
+    f = TrigPoly(1, {**_fejer(5).terms, (10_000,): 1e-9, (-10_000,): 1e-9})
+    enc = certified_l1(f, 0.1)
+    (n,), q = enc.grid, _coset_length(choose_grid((10_000,), 0.1)[0], 10_000)
+    assert n == q < choose_grid((10_000,), 0.1)[0][0]
+    assert quadrature.riemann_rho(10_000, n) >= 1
+    assert all(math.isfinite(v) for v in (enc.lo, enc.riemann, enc.hi))
+    assert 0 <= enc.lo <= enc.riemann <= enc.hi
+    # ||F_5||_1 = 1, and the two far terms move the norm by at most 2e-9
+    assert enc.lo <= 1 - 2e-9 and 1 + 2e-9 <= enc.hi
+    assert enc.width < 0.01
+    assert (enc.lo, enc.hi) == _intersection(recentre(f)[0], enc)
+
+
+def test_sized_grid_keeps_the_budget_of_the_choose_grid_grid():
+    g, _ = recentre(_sparse_poly(np.random.default_rng(5), 20_000, 64, True))
+    (n,), _ = choose_grid(g.degree, 0.1)
+    assert certified_l1(g, 0.1).grid[0] < n
+    with pytest.raises(MemoryBudgetError) as err:
+        certified_l1(g, 0.1, memory_budget=n * 16 - 1)
+    assert err.value.needed_grid == (n,)
+    assert (err.value.needed_bytes, err.value.budget_bytes) == (n * 16, n * 16 - 1)
