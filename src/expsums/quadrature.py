@@ -42,19 +42,34 @@ benchmark's sparse sets D / (2 pi d ||f||_1) is 0.62-0.73.
 Sizing a rank-1 grid from D.  When the :func:`choose_grid` grid N_rel =
 P_rel Q streams as coset rows (below), :func:`certified_l1` first sums row
 0, the Q-point grid j/Q that every grid N = P Q shares, and takes its mean
-m = S_0/Q as an estimate of ||f||_1.  It then uses the least P with
-D/(2 P Q) <= rho_rel m,
+m = S_0/Q as an estimate of ||f||_1.  The target is the N at which the
+additive half-width D/(2N) is rho_rel m, taken 1% larger so that the
+error of m (under 0.2% on the benchmark's sparse sets) leaves no width
+above rho_rel's:
 
-    P = min(P_rel, max(1, ceil(D / (2 S_0 rho_rel)))),
+    N_want = 1.01 D Q / (2 S_0 rho_rel).
 
-streams rows 1 .. of the grid N = P Q, with the same row length Q and
-row 0's sum reused, and returns the intersection above for that N.  The
-estimate m only chooses N; the interval is certified for any N >= 2d + 1,
-whatever m is.  So the grid is never larger than
-:func:`choose_grid`'s, and N = P Q need not be 5-smooth (the transforms
-have length Q).  At P = 1, rho = pi d / Q is about pi/2 and only the
-additive interval is used.  Where D is large against 2 pi d m / P_rel
-(Fejer kernels, say), P = P_rel and the relative interval is the
+If N_want >= N_rel, the grid stays N_rel; if N_want <= Q, it is row 0
+alone, where rho = pi d / Q is about pi/2 and only the additive interval
+is used.  Otherwise :func:`_sized_grid` takes the least N = P' Q' >=
+N_want over rows of length Q (row 0's sum reused) and rows of 5-smooth
+lengths Q' < Q (started afresh) on which the frequencies have distinct
+residues (below), with P' <= 32; or N_rel when that transforms no more
+samples.  It streams that grid and returns the intersection above for
+its N.  Whole rows of length Q alone, P = ceil(N_want / Q), would
+overshoot N_want by up to Q, a tenth of the grid, so the width would fall
+anywhere in a band about 10% below rho_rel's, by an amount that depends
+on each polynomial's D/m.  Rows of 5-smooth lengths from 2d + 1 up to Q
+alone leave N a median 1% and at most 6.5% above N_want on the
+benchmark's sparse sets, whose Q is mostly within 5% of 2d + 1.  Sparse
+sets (terms^2 < 2d + 1) also try rows down to N_want/32 points, which
+bring N within 0.5% of N_want, so their widths all sit close to the one
+asked for; the shorter rows also transform fewer samples.
+The estimate m only chooses N; the interval is certified for any N >=
+2d + 1, whatever m is.  So the grid is never larger than
+:func:`choose_grid`'s, and N = P' Q' need not be 5-smooth (the
+transforms have length Q').  Where D is large against 2 pi d m / P_rel
+(Fejer kernels, say), N = N_rel and the relative interval is the
 narrower one.  The proof of the additive bound in rank r, axis by axis,
 is not written yet, so rank >= 2 keeps the relative interval alone.
 
@@ -73,8 +88,9 @@ with j_0 = r + P i, for 0 <= i < Q, form the coset row r mod P, and on it
 
 because P i / N_0 = i / Q.  So row r is one inverse FFT of shape
 (Q, N_1, ...) of the twiddled coefficients c_a e(a_0 r / N_0), placed at
-(a_0 mod Q, a' mod N').  Those residues are distinct since Q >= 2 d_0 + 1,
-so plain assignment places them.  The grid sum is the sum of the P row
+(a_0 mod Q, a' mod N').  Those residues are distinct since Q >= 2 d_0 + 1
+(the sized grids of :func:`_sized_grid` may have shorter rows, whose
+residues it checks), so plain assignment places them.  The grid sum is the sum of the P row
 sums.  With real coefficients f(-t) = conj f(t), and -(r + P i) = (P - r)
 + P (Q - 1 - i) mod N_0, so row P - r has the same sum as row r.  Only
 rows 0 .. P//2 are evaluated.  Rows 0 < r < P/2 count twice; rows 0 and
@@ -404,9 +420,9 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     mean S by [S / prod(1+rho_i), S / prod(1-rho_i)].
 
     A rank-1 grid too large for one block is sized again from the exact
-    bound ||f'||_2 (module docstring): it becomes P Q points, with Q the
-    coset length of the :func:`choose_grid` grid and P no larger than that
-    grid's, so it need not be 5-smooth, and S is bracketed by the
+    bound ||f'||_2 (module docstring): it becomes P' Q' points, no more
+    than the :func:`choose_grid` grid, with rows of a 5-smooth length Q' but
+    N = P' Q' not necessarily 5-smooth, and S is bracketed by the
     intersection of the relative and the additive interval.  A constant
     (recentred degree 0) gets [S, S] widened by one ulp each way.
     """
@@ -437,15 +453,15 @@ def _sized_l1(g: TrigPoly, shape: tuple[int, ...], rho_rel: float, q: int,
     ``shape`` (relative error ``rho_rel``) streams as P_rel rows of length
     q: the grid sized from row 0 and ||g'||_2 (module docstring)."""
     _checked_shape(g, shape, memory_budget)  # the budget of today's grid
-    p_rel = shape[0] // q
     s0 = _coset_row_sums(g, (q,), q)[0]
     dl2 = _derivative_l2(g)
-    # the least P whose allowance D / (2 P q) is rho_rel times the row-0 mean
-    # s0 / q; the sizing needs no certificate, only the interval below
-    want = dl2 / (2 * s0 * rho_rel) if s0 else math.inf
-    p = max(1, math.ceil(want)) if want < p_rel else p_rel
-    n = p * q
-    s = _coset_mean(g, (n,), q, row0_sum=s0)
+    # the least N whose allowance D / (2 N) is rho_rel times the row-0 mean
+    # s0 / q, taken 1% larger so that the mean's error as an estimate of
+    # the norm does not leave the width above rho_rel's; the sizing needs
+    # no certificate, only the interval below
+    want = 1.01 * dl2 * q / (2 * s0 * rho_rel) if s0 else math.inf
+    n, row = _sized_grid(g, want, shape[0], q)
+    s = _coset_mean(g, (n,), row, row0_sum=s0 if row == q else None)
     a = math.nextafter(dl2 / (2 * n), math.inf)
     lo = max(math.nextafter(s - a, -math.inf), 0.0)
     hi = math.nextafter(s + a, math.inf)
@@ -453,6 +469,49 @@ def _sized_l1(g: TrigPoly, shape: tuple[int, ...], rho_rel: float, q: int,
     if rho < 1:
         lo, hi = max(lo, s / (1 + rho)), min(hi, s / (1 - rho))
     return NormInterval(lo, hi, s, (n,), g.degree)
+
+
+def _sized_grid(g: TrigPoly, want: float, n_rel: int, q: int) -> tuple[int, int]:
+    """(N, Q'): the grid N = P' Q' of the sized path for the recentred
+    rank-1 g, streamed as rows of length Q', for the target N >= ``want``
+    (module docstring).
+
+    The :func:`choose_grid` grid n_rel = P_rel q if want >= n_rel, and row 0
+    alone (N = q) if want <= q.  Otherwise the least N >= want over rows q
+    long (row 0 reused) and rows of any 5-smooth length Q' < q on which the
+    frequencies of g have distinct residues, with P' <= ``_MAX_COSETS``; of
+    equal N, the one that transforms the fewest samples (rows 0 .. P'//2
+    when the coefficients are real); and n_rel if that transforms no more.
+    Every Q' >= 2d + 1 has distinct residues; shorter rows are tried only
+    when terms^2 < 2d + 1, where residues of spread-out frequencies mostly
+    are distinct."""
+    if not want < n_rel:
+        return n_rel, q
+    if want <= q:
+        return q, q
+    real = not g.coeffs.imag.any()
+
+    def plan(r, p):
+        rows = p // 2 + 1 if real else p
+        return p * r, (rows - (r == q)) * r, r  # N, samples, row length
+
+    least, terms = 2 * g.degree[0] + 1, len(g.coeffs)
+    low = max(math.ceil(want / _MAX_COSETS), least if terms * terms >= least else terms)
+    lengths, r = [], scipy.fft.next_fast_len(low, real=True)
+    while r < q:
+        lengths.append(r)
+        r = scipy.fft.next_fast_len(r + 1, real=True)
+    short = np.array([r for r in lengths if r < least], dtype=np.int64)
+    if short.size:
+        # each length's residues of the frequencies, sorted: equal neighbours
+        # are a clash
+        res = np.sort(g.freqs[:, :1] % short, axis=0)
+        clash = set(short[(np.diff(res, axis=0) == 0).any(axis=0)].tolist())
+        lengths = [r for r in lengths if r not in clash]
+    n, samples, row = min(plan(r, math.ceil(want / r)) for r in [q] + lengths)
+    if plan(q, n_rel // q)[1] <= samples:
+        return n_rel, q
+    return n, row
 
 
 def derivative(f: TrigPoly, axis: int = 0) -> TrigPoly:

@@ -14,8 +14,9 @@ from expsums.core import IntegerSet, TrigPoly, indicator_poly, recentre
 from expsums.errors import AliasingError, MemoryBudgetError
 from expsums.quadrature import (GridEvaluation, NormInterval, _coset_length,
                                 _coset_row_sums, _derivative_l2, _memory_budget,
-                                _recentred_degree, bernstein_check, certified_l1,
-                                choose_grid, derivative, eval_grid, riemann_l1)
+                                _recentred_degree, _sized_grid, bernstein_check,
+                                certified_l1, choose_grid, derivative, eval_grid,
+                                riemann_l1)
 
 # frozen 2^22-point Riemann oracles
 REF_INTERVAL_101 = 2.859870343104319
@@ -589,3 +590,56 @@ def test_sized_grid_keeps_the_budget_of_the_choose_grid_grid():
         certified_l1(g, 0.1, memory_budget=n * 16 - 1)
     assert err.value.needed_grid == (n,)
     assert (err.value.needed_bytes, err.value.budget_bytes) == (n * 16, n * 16 - 1)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_sized_grid_width_is_the_one_asked_for(real):
+    # N is not rounded up to whole rows of the choose_grid grid, so every
+    # relative width lies within 2% of the relative-only one, whatever D/m
+    # (whole rows left 0.90-0.99 of it on these polynomials)
+    rng = np.random.default_rng([53, real])
+    for _ in range(8):
+        g, _ = recentre(_sparse_poly(rng, 20_000, 64, real))
+        enc, old = certified_l1(g, 0.1), _relative_only(g, 0.1)
+        assert enc.grid[0] < old.grid[0]
+        ratio = (enc.width / enc.lo) / (old.width / old.lo)
+        assert 0.98 <= ratio <= 1, ratio
+
+
+def _transformed(g, n, row, q):
+    # samples the sized path transforms on n = P row, beyond row 0 of q
+    p = n // row
+    rows = p // 2 + 1 if not g.coeffs.imag.any() else p
+    return (rows - (row == q)) * row
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_sized_grid_plan(real):
+    rng = np.random.default_rng([59, real])
+    # 64 terms: 64^2 < 2d + 1, so rows below 2d + 1 are tried; 400 terms: not
+    for terms in (64, 400):
+        g, _ = recentre(_sparse_poly(rng, 40_000, terms, real))
+        d = g.degree[0]
+        (n_rel,), _ = choose_grid((d,), 0.1)
+        q = _coset_length((n_rel,), d)
+        assert _sized_grid(g, n_rel, n_rel, q) == (n_rel, q)
+        assert _sized_grid(g, math.inf, n_rel, q) == (n_rel, q)
+        assert _sized_grid(g, q - 0.5, n_rel, q) == (q, q)
+        overshoot, short = [], 0
+        for want in np.linspace(q + 1, n_rel - 1, 200).tolist():
+            n, row = _sized_grid(g, want, n_rel, q)
+            assert want <= n <= n_rel and n % row == 0 and n // row <= 32
+            assert row <= q  # no block longer than the choose_grid grid's
+            assert scipy.fft.next_fast_len(row, real=True) == row
+            # plain assignment in _coset_row_sums needs distinct residues
+            assert len(np.unique(g.freqs[:, 0] % row)) == terms
+            short += row < 2 * d + 1
+            if n < n_rel:
+                overshoot.append(n / want)
+                # a smaller grid only when it transforms fewer samples
+                assert _transformed(g, n, row, q) < _transformed(g, n_rel, q, q)
+        assert short > 100 if terms == 64 else short == 0
+        # whole rows of q overshoot a median 7.7%, and 27% at the 90th percentile
+        assert np.median(overshoot) < 1.01 and np.quantile(overshoot, 0.9) < 1.03
+        if terms == 64:
+            assert np.quantile(overshoot, 0.9) < 1.005
