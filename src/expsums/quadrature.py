@@ -73,6 +73,27 @@ transforms have length Q').  Where D is large against 2 pi d m / P_rel
 narrower one.  The proof of the additive bound in rank r, axis by axis,
 is not written yet, so rank >= 2 keeps the relative interval alone.
 
+Products.  Let g = c 1_A with A = A_0 x ... x A_{r-1}, r >= 2.  Then
+g(t) = c prod_i f_i(t_i) with f_i the indicator polynomial of A_i, and by
+Fubini ||g||_1 = |c| prod_i ||f_i||_1 exactly.  So :func:`certified_l1`
+encloses each ||f_i||_1 with the rank-1 :func:`certified_l1` at rel_i =
+(1 + rel_err)^(1/r) - 1, the split :func:`choose_grid` makes, and
+multiplies: an axis with one value has |f_i| = 1 and contributes exactly 1.
+The ends start at |c| moved one ulp down and up, since ``abs`` errs by
+under an ulp, and after each product lo is moved one ulp down and hi one
+up (``math.nextafter``), which covers the product's rounding (under half
+an ulp).  The mean S is |c| prod S_i in floats; |g| factorizes, so in
+exact arithmetic that is the rank-r grid mean on the grid of the factor
+grids, which are :func:`choose_grid`'s unless a factor streams and is
+sized from D.  Detection is exact: every coefficient must equal the first
+(float equality), and the number of terms must equal prod_i |A_i| with
+A_i the distinct axis-i values, computed in Python integers.  The rows
+are distinct, and A lies inside the product, so it is the product.
+A polynomial with unequal coefficients is left to the rank-r grid even
+when its coefficient tensor has rank 1, since a float product cannot be
+tested for equality exactly.  Constants (recentred degree 0) keep the
+path below.
+
 A constant (a single term, recentred degree 0) needs no quadrature: its
 norm is |c|, and S is one ``abs`` of c, which errs by less than one ulp.
 Its interval is [S, S] widened by one ulp each way.
@@ -126,7 +147,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.fft
 
-from .core import TrigPoly, recentre
+from .core import IntegerSet, TrigPoly, indicator_poly, recentre
 from .errors import AliasingError, MemoryBudgetError
 
 # complex128; a real-coefficient grid holds a float64 input and a half-size
@@ -167,7 +188,8 @@ def _memory_budget(override: int | None) -> int:
 class NormInterval:
     """Certified enclosure [lo, hi] of an L1 norm.
 
-    ``riemann`` is the raw grid mean that produced it, ``grid`` the per-axis
+    ``riemann`` is the raw grid mean that produced it (for a Cartesian
+    product, |c| times the product of the factor means), ``grid`` the per-axis
     sample counts and ``degree`` the per-axis (recentred) degrees, so
     0 <= lo <= riemann <= hi always holds.
     """
@@ -184,9 +206,6 @@ class NormInterval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def overlaps(self, other: "NormInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def to_json_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "riemann": self.riemann,
@@ -425,6 +444,12 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     N = P' Q' not necessarily 5-smooth, and S is bracketed by the
     intersection of the relative and the additive interval.  A constant
     (recentred degree 0) gets [S, S] widened by one ulp each way.
+
+    In rank >= 2, c times the indicator of a Cartesian product A_0 x ... x
+    A_{r-1} is enclosed as |c| times the product of the rank-1 enclosures
+    of the A_i, each at (1 + rel_err)^(1/r) - 1, rounded outward (module
+    docstring, "Products"); ``grid`` holds the factor grids, and the
+    memory budget applies to each factor's grid alone.
     """
     if not 0 < rel_err < 1:
         raise ValueError("rel_err must be in (0, 1)")
@@ -432,6 +457,10 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
         raise ValueError("certified_l1 needs a nonzero polynomial")
     g, _ = recentre(f)
     degree = g.degree
+    if g.rank > 1 and any(degree):
+        axes = _product_axes(g)
+        if axes is not None:
+            return _product_l1(g, axes, rel_err, memory_budget)
     shape, rhos = choose_grid(degree, rel_err)
     if g.rank == 1 and degree[0]:
         q = _coset_length(shape, degree[0])
@@ -445,6 +474,40 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     up = math.prod(1.0 + r for r in rhos)
     dn = math.prod(1.0 - r for r in rhos)
     return NormInterval(s / up, s / dn, s, shape, degree)
+
+
+def _product_axes(g: TrigPoly) -> list[np.ndarray] | None:
+    """The distinct values A_i of each axis of g when g is c times the
+    indicator of A_0 x ... x A_{r-1} (one coefficient, and as many terms as
+    the product has points), else None."""
+    if not (g.coeffs == g.coeffs[0]).all():
+        return None
+    axes = [np.unique(g.freqs[:, i]) for i in range(g.rank)]
+    # Python ints: the product of the axis sizes may overflow int64
+    if math.prod(len(a) for a in axes) != len(g):
+        return None
+    return axes
+
+
+def _product_l1(g: TrigPoly, axes: list[np.ndarray], rel_err: float,
+                memory_budget: int | None) -> NormInterval:
+    """certified_l1 of g = c 1_{A_0 x ... x A_{r-1}}: |c| times the product
+    of the rank-1 enclosures of the A_i, rounded outward (module docstring)."""
+    c = abs(complex(g.coeffs[0]))
+    # abs errs by under an ulp
+    lo, hi, s = math.nextafter(c, 0.0), math.nextafter(c, math.inf), c
+    rel = (1.0 + rel_err) ** (1.0 / g.rank) - 1.0  # choose_grid's split
+    grid = []
+    for a in axes:
+        if len(a) == 1:  # |e(a t)| = 1
+            grid.append(1)
+            continue
+        enc = certified_l1(indicator_poly(IntegerSet._wrap(a)), rel, memory_budget)
+        lo = math.nextafter(lo * enc.lo, 0.0)
+        hi = math.nextafter(hi * enc.hi, math.inf)
+        s *= enc.riemann
+        grid += enc.grid
+    return NormInterval(lo, hi, s, tuple(grid), g.degree)
 
 
 def _sized_l1(g: TrigPoly, shape: tuple[int, ...], rho_rel: float, q: int,

@@ -10,6 +10,8 @@ import pytest
 
 import expsums
 from expsums.cli import _write_csv, main
+from expsums.core import from_json_obj, indicator_poly, recentre
+from expsums.quadrature import _product_axes
 
 REF_INTERVAL_101 = 2.859870343104319
 
@@ -131,6 +133,31 @@ def test_norm_bad_spec_is_usage_error(tmp_path):
 
 def test_norm_memory_budget_exit_code(tmp_path):
     r = run_cli("norm", "--set", "interval:2000",
+                "--output", str(tmp_path / "n.json"),
+                env_extra={"EXPSUMS_MEMORY_BUDGET": "1000"})
+    assert r.returncode == 3
+    assert "budget" in r.stderr.lower()
+
+
+def test_norm_box_beyond_the_grid_budget(tmp_path):
+    # a Cartesian product is a product of rank-1 enclosures, so the
+    # 12960^2 grid (2.7 GB) of the 400 x 400 box is never formed
+    out = tmp_path / "n.json"
+    r = run_cli("norm", "--set", "box:400,400", "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    enc = load_report(out)["result"]
+    assert enc["grid"] == [12960, 12960] and enc["degree"] == [200, 200]
+    assert 0 < enc["lo"] <= enc["riemann"] <= enc["hi"]
+
+
+def test_non_product_lattice_keeps_the_budget(tmp_path):
+    gen_out = tmp_path / "random.json"
+    r = run_cli("gen", "--kind", "lattice-random", "--params",
+                '{"sizes":[6,6]}', "--seed", "3", "--output", str(gen_out))
+    assert r.returncode == 0, r.stderr
+    A = from_json_obj(load_report(gen_out)["result"]["set"])
+    assert _product_axes(recentre(indicator_poly(A))[0]) is None
+    r = run_cli("norm", "--input", str(gen_out),
                 "--output", str(tmp_path / "n.json"),
                 env_extra={"EXPSUMS_MEMORY_BUDGET": "1000"})
     assert r.returncode == 3

@@ -643,3 +643,101 @@ def test_sized_grid_plan(real):
         assert np.median(overshoot) < 1.01 and np.quantile(overshoot, 0.9) < 1.03
         if terms == 64:
             assert np.quantile(overshoot, 0.9) < 1.005
+
+
+# --- Cartesian products: a product of rank-1 enclosures ----------------------
+
+def _product_poly(axes, c=1.0):
+    # c times the indicator of axes[0] x ... x axes[-1]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return TrigPoly.from_arrays(len(axes), pts, np.full(len(pts), c, dtype=complex))
+
+
+def _grid_enclosure(g, shape):
+    # the enclosure of the rank-r grid mean on ``shape``, as for a non-product
+    s = riemann_l1(g, shape)
+    rhos = [quadrature.riemann_rho(d, n) for d, n in zip(g.degree, shape)]
+    return (s / math.prod(1 + r for r in rhos), s / math.prod(1 - r for r in rhos), s)
+
+
+def _box(*sides):
+    return [np.arange(1, n + 1) for n in sides]
+
+
+_RNG = np.random.default_rng(61)
+PRODUCTS = ([(_box(n, n), 1.0, 0.1) for n in range(2, 13)]
+            + [(_box(4, 5, 6), 1.0, 0.5), (_box(1, 9), 1.0, 0.1),
+               (_box(7, 1), 1.0, 0.1), (_box(9, 6), 0.3 - 0.4j, 0.1),
+               ([np.sort(_RNG.choice(40, 7, replace=False)),
+                 np.sort(_RNG.choice(50, 5, replace=False)) - 20], 1.0, 0.1)])
+
+
+@pytest.mark.parametrize("axes, c, rel", PRODUCTS)
+def test_product_matches_the_grid_enclosure(axes, c, rel):
+    g, _ = recentre(_product_poly(axes, c))
+    enc = certified_l1(g, rel)
+    # the same per-axis grids as the rank-r path, and its interval to 1e-12
+    shape, _ = choose_grid(g.degree, rel)
+    assert enc.grid == shape and enc.degree == g.degree
+    lo, hi, s = _grid_enclosure(g, shape)
+    assert enc.lo == pytest.approx(lo, rel=1e-12)
+    assert enc.hi == pytest.approx(hi, rel=1e-12)
+    assert enc.riemann == pytest.approx(s, rel=1e-12)
+    assert 0 < enc.lo <= enc.riemann <= enc.hi
+    # a finer rank-r grid, widened by its own rho, lies inside: 8x per axis
+    # in rank 2, 2x per axis (8x the points) in rank 3
+    fine = tuple(n * (8 if g.rank == 2 else 2) for n in shape)
+    ref_lo, ref_hi, _ = _grid_enclosure(g, fine)
+    assert enc.lo <= ref_lo and ref_hi <= enc.hi
+
+
+def test_product_rounds_the_factors_outward():
+    axes = [np.arange(5), np.arange(3, 14)]
+    c = 0.3 - 0.4j
+    enc = certified_l1(_product_poly(axes, c), 0.1)
+    rel = 1.1 ** 0.5 - 1
+    lo, hi, s = math.nextafter(abs(c), 0), math.nextafter(abs(c), math.inf), abs(c)
+    for a in axes:
+        fac = certified_l1(indicator_poly(IntegerSet.from_iterable(a.tolist())), rel)
+        lo, hi = math.nextafter(lo * fac.lo, 0), math.nextafter(hi * fac.hi, math.inf)
+        s *= fac.riemann
+    assert (enc.lo, enc.hi, enc.riemann) == (lo, hi, s)
+
+
+@pytest.mark.parametrize("change", ["drop", "coefficient"])
+def test_non_product_keeps_the_grid_path(change):
+    f = _product_poly(_box(9, 11))
+    freqs, coeffs = f.freqs, f.coeffs.copy()
+    if change == "drop":
+        freqs, coeffs = freqs[1:], coeffs[1:]
+    else:
+        coeffs[17] = 1 + 1e-15
+    g, _ = recentre(TrigPoly.from_arrays(2, freqs, coeffs))
+    assert quadrature._product_axes(g) is None
+    enc = certified_l1(g, 0.1)
+    shape, _ = choose_grid(g.degree, 0.1)
+    lo, hi, s = _grid_enclosure(g, shape)
+    assert enc.grid == shape
+    assert enc.riemann.hex() == riemann_l1(g, shape).hex() == s.hex()
+    assert (enc.lo, enc.hi) == (lo, hi)
+
+
+def test_product_beyond_the_grid_budget():
+    # the 400 x 400 grid needs 2.7 GB; its factors need 207 kB each
+    g = _product_poly(_box(400, 400))
+    enc = certified_l1(g, 0.1)
+    fac = certified_l1(indicator_poly(IntegerSet.from_iterable(range(1, 401))),
+                       1.1 ** 0.5 - 1)
+    assert enc.grid == fac.grid * 2
+    assert math.prod(enc.grid) * 16 > quadrature.DEFAULT_MEMORY_BUDGET
+    assert 0 < enc.lo <= enc.riemann <= enc.hi
+    assert enc.lo <= fac.lo ** 2 and fac.hi ** 2 <= enc.hi
+
+
+def test_product_factor_budget_names_the_factor_grid():
+    g = _product_poly(_box(32, 32))
+    (n, _), _ = choose_grid((16, 16), 0.1)
+    with pytest.raises(MemoryBudgetError) as err:
+        certified_l1(g, 0.1, memory_budget=1000)
+    assert err.value.needed_grid == (n,)
+    assert err.value.needed_bytes == 16 * n
