@@ -6,7 +6,10 @@ replays criteria 1-10 and byte-compares the timing-stripped reports, so
 every other criterion must keep its details free of wall-clock data.
 
 ``run_all`` executes everything; the CLI ``suite`` subcommand and the
-acceptance tests are thin wrappers around it.
+acceptance tests are thin wrappers around it.  The per-instance checks of
+criteria 3, 6 and 7 (``kernel_check``, ``good_modulus_check``,
+``thinning_check``) and the seeded draws of 6 and 7 are also what
+``verify --theorem kernel|good-modulus|thinning`` runs.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import (constant_scan, family_gaps, family_intervals,
-                     family_random_sets, verify_multidim, verify_multidimz)
+from .bounds import (assemble_blocks, constant_scan, family_gaps,
+                     family_intervals, family_random_sets, verify_multidim,
+                     verify_multidimz)
 from .core import IntegerSet, TrigPoly, indicator_poly
 from .kernels import (FlatTopKernel, discrete_l1_bound, flat_top_build,
                       flat_top_discrete_l1, flat_top_transform,
                       property_violations, transform_from_values)
-from .modulus import brute_force_modulus, good_modulus, thinning_transform
-from .modulus import ResidueFilter
+from .modulus import (GoodModulusResult, ResidueFilter, brute_force_modulus,
+                      good_modulus, thinning_transform)
 from .quadrature import certified_l1, riemann_l1, riemann_rho
 from .structures import build_strong_integer, build_strong_lattice
 
@@ -115,23 +119,24 @@ def criterion_02(seed: int) -> tuple[bool, dict]:
     return worst <= 1e-9, {"rows": rows, "max_error": worst, "tolerance": 1e-9}
 
 
+def kernel_check(m: int, n: int, r: int) -> dict:
+    """Exact plateau and support of the (M, N) flat-top kernel, and its
+    r-point discrete transform mean against 32*pi*(2+log(1+N/M))."""
+    kern = flat_top_build(m, n)
+    bad = property_violations(kern)
+    mean = flat_top_discrete_l1(kern, r)
+    bound = discrete_l1_bound(m, n)
+    return {"m": m, "n": n, "violations": bad, "r": r, "discrete_mean": mean,
+            "bound": bound, "ok": not bad and mean <= bound}
+
+
 def criterion_03(seed: int) -> tuple[bool, dict]:
     """Discrete transform mean stays under 32*pi*(2+log(1+N/M))."""
-    rows = []
-    ok = True
-    for m in (2, 5, 11):
-        for n in (12, 23, 40):
-            kern = flat_top_build(m, n)
-            bound = discrete_l1_bound(m, n)
-            threshold = 2 * n + 4 * m + 1
-            for mult in (1, 4, 16):
-                r = mult * threshold
-                val = flat_top_discrete_l1(kern, r)
-                good = val <= bound
-                ok = ok and good
-                rows.append({"m": m, "n": n, "r": r, "mean": val,
-                             "bound": bound, "ok": good})
-    return ok, {"rows": rows}
+    checks = [kernel_check(m, n, mult * (2 * n + 4 * m + 1))
+              for m in (2, 5, 11) for n in (12, 23, 40) for mult in (1, 4, 16)]
+    rows = [{"m": c["m"], "n": c["n"], "r": c["r"], "mean": c["discrete_mean"],
+             "bound": c["bound"], "ok": c["ok"]} for c in checks]
+    return all(c["ok"] for c in checks), {"rows": rows}
 
 
 def criterion_04(seed: int) -> tuple[bool, dict]:
@@ -186,77 +191,93 @@ def criterion_05(seed: int) -> tuple[bool, dict]:
                           "failures": failures}
 
 
-def criterion_06(seed: int) -> tuple[bool, dict]:
-    """Good-modulus window bounds and brute-force agreement, 500 random sets."""
+def good_modulus_sets(seed: int, count: int):
+    """Criterion 6's seeded sets: sizes log-uniform in [8, 10^4], gaps up to
+    a log-uniform maximum in [1, e^6], from a random start in [0, 1000)."""
     rng = _rng(seed, 6)
-    bad = []
-    sizes = []
-    for i in range(500):
+    for _ in range(count):
         size = int(round(math.exp(rng.uniform(math.log(8), math.log(10 ** 4)))))
         size = min(max(size, 8), 10 ** 4)
         max_gap = int(round(math.exp(rng.uniform(0.0, 6.0))))
-        I = _random_increasing(rng, size, max_gap)
-        sizes.append(len(I))
-        res = good_modulus(I)
-        ref_j0, ref_size = brute_force_modulus(I)
-        if not res.bounds_ok or (res.j0, len(res.filtered)) != (ref_j0, ref_size):
-            bad.append({"index": i, "size": len(I), "j0": res.j0,
-                        "filtered": len(res.filtered),
-                        "brute": [ref_j0, ref_size],
-                        "lower": res.lower_bound, "upper": res.upper_bound})
+        yield _random_increasing(rng, size, max_gap)
+
+
+def good_modulus_check(I: IntegerSet) -> tuple[GoodModulusResult, dict]:
+    """good_modulus on one set: its window bounds, and its (j0, |I(q;s)|)
+    against brute force.  Returns the result and the verdict row."""
+    res = good_modulus(I)
+    brute = brute_force_modulus(I)
+    agree = (res.j0, len(res.filtered)) == brute
+    return res, {"size": len(I), "j0": res.j0, "filtered": len(res.filtered),
+                 "brute": list(brute), "brute_agrees": agree,
+                 "lower": res.lower_bound, "upper": res.upper_bound,
+                 "bounds_ok": res.bounds_ok, "ok": res.bounds_ok and agree}
+
+
+def criterion_06(seed: int) -> tuple[bool, dict]:
+    """Good-modulus window bounds and brute-force agreement, 500 random sets."""
+    rows = [good_modulus_check(I)[1] for I in good_modulus_sets(seed, 500)]
+    bad = [{"index": i, **row} for i, row in enumerate(rows) if not row["ok"]]
+    sizes = [row["size"] for row in rows]
     return not bad, {"count": 500, "min_size": min(sizes),
                      "max_size": max(sizes), "failures": bad}
 
 
-def random_thinning_config(rng: np.random.Generator):
-    """A seeded block configuration meeting every thinning hypothesis."""
-    while True:
-        d1 = int(rng.integers(5, 13))
-        delta = float(rng.uniform(0.4, 1.6))
-        m = math.ceil(delta * d1 / 2)
-        if 2 <= m < d1:
-            break
-    d2 = int(math.ceil((2 + 2 * delta) * d1 + 4)) + int(rng.integers(0, 8))
-    q = int(rng.choice(np.array([4, 5, 7, 8, 13, 16])))
-    isize = int(rng.integers(6, 21))
-    index = _random_increasing(rng, isize, 3).translate(int(rng.integers(-10, 10)))
-    blocks = {}
-    for k in index:
-        count = int(rng.integers(1, 2 * d1 + 2))
-        freqs = rng.choice(2 * d1 + 1, size=count, replace=False) - d1
-        re = rng.standard_normal(count)
-        im = rng.standard_normal(count)
-        blocks[k] = TrigPoly(1, {int(f): complex(a, b)
-                                 for f, a, b in zip(freqs, re, im)})
-    s = int(rng.choice(index.array)) % q
-    return blocks, d1, d2, delta, q, s
+def thinning_configs(seed: int, count: int):
+    """Criterion 7's seeded block configurations (blocks, d1, d2, delta, q,
+    s), each meeting every thinning hypothesis."""
+    rng = _rng(seed, 7)
+    for _ in range(count):
+        while True:
+            d1 = int(rng.integers(5, 13))
+            delta = float(rng.uniform(0.4, 1.6))
+            m = math.ceil(delta * d1 / 2)
+            if 2 <= m < d1:
+                break
+        d2 = int(math.ceil((2 + 2 * delta) * d1 + 4)) + int(rng.integers(0, 8))
+        q = int(rng.choice(np.array([4, 5, 7, 8, 13, 16])))
+        isize = int(rng.integers(6, 21))
+        index = _random_increasing(rng, isize, 3).translate(
+            int(rng.integers(-10, 10)))
+        blocks = {}
+        for k in index:
+            count_k = int(rng.integers(1, 2 * d1 + 2))
+            freqs = rng.choice(2 * d1 + 1, size=count_k, replace=False) - d1
+            re = rng.standard_normal(count_k)
+            im = rng.standard_normal(count_k)
+            blocks[k] = TrigPoly(1, {int(f): complex(a, b)
+                                     for f, a, b in zip(freqs, re, im)})
+        s = int(rng.choice(index.array)) % q
+        yield blocks, d1, d2, delta, q, s
+
+
+def thinning_check(blocks, d1: int, d2: int, delta: float, q: int, s: int,
+                   rel_err: float) -> dict:
+    """Thin one block configuration: the transform must equal direct block
+    selection exactly (identity), its certified norm must not exceed
+    factor * ||F||_1 (certified), and its upper end must stay within
+    1 + 2*rel_err of factor times the upper end of ||F||_1 (slack)."""
+    F = assemble_blocks(blocks, d2)
+    thinned, factor = thinning_transform(F, d1, d2, delta, ResidueFilter(q, s))
+    direct = {(k * d2 + l,): c for k, f_k in blocks.items() if k % q == s
+              for (l,), c in f_k.terms.items()}
+    identity = thinned.terms == direct
+    norm_f = certified_l1(F, rel_err)
+    norm_t = certified_l1(thinned, rel_err)
+    certified = norm_t.lo <= factor * norm_f.hi
+    slack = norm_t.hi <= factor * norm_f.hi * (1 + 2 * rel_err)
+    return {"d1": d1, "d2": d2, "delta": delta, "q": q, "s": s,
+            "identity": identity, "certified": certified, "slack": slack,
+            "factor": factor, "ratio": norm_t.hi / norm_f.lo,
+            "ok": identity and certified and slack}
 
 
 def criterion_07(seed: int) -> tuple[bool, dict]:
     """Thinning identity is exact and the certified norm ratio bound holds."""
-    from .bounds import assemble_blocks
-
-    rng = _rng(seed, 7)
-    rel = 0.05
-    bad = []
-    ratios = []
-    for i in range(50):
-        blocks, d1, d2, delta, q, s = random_thinning_config(rng)
-        F = assemble_blocks(blocks, d2)
-        thinned, factor = thinning_transform(F, d1, d2, delta, ResidueFilter(q, s))
-        direct = {(k * d2 + l,): c for k, f_k in blocks.items() if k % q == s
-                  for (l,), c in f_k.terms.items()}
-        identity_ok = thinned.terms == direct
-        norm_f = certified_l1(F, rel)
-        norm_t = certified_l1(thinned, rel)
-        certified_ok = norm_t.lo <= factor * norm_f.hi
-        slack_ok = norm_t.hi <= factor * norm_f.hi * (1 + 2 * rel)
-        ratios.append(norm_t.hi / norm_f.lo)
-        if not (identity_ok and certified_ok and slack_ok):
-            bad.append({"index": i, "d1": d1, "d2": d2, "delta": delta,
-                        "q": q, "s": s, "identity": identity_ok,
-                        "certified": certified_ok, "slack": slack_ok})
-    return not bad, {"count": 50, "max_ratio": max(ratios),
+    rows = [thinning_check(*config, rel_err=0.05)
+            for config in thinning_configs(seed, 50)]
+    bad = [{"index": i, **row} for i, row in enumerate(rows) if not row["ok"]]
+    return not bad, {"count": 50, "max_ratio": max(r["ratio"] for r in rows),
                      "min_factor": 32 * math.pi * 2, "failures": bad}
 
 

@@ -229,50 +229,29 @@ def verify_multidimz(A: IntegerSet, cert: DimCertificate,
                                          [h.to_json_dict() for h in inverse]})
 
 
-@dataclass(frozen=True)
-class MainPropReport:
+@dataclass(frozen=True, kw_only=True)
+class MainPropReport(InequalityVerdict):
     """Block-decomposition lower bound with its T1/T2 split.
 
     rhs = (T1 - T2) / factor where T1 = C * sum_j lo_j / (2j) collects the
     per-block coefficient-decay terms from the certified lower ends, and
     T2 = (2 pi d1 / (q d2)) * sum_j hi_j is the derivative error term from
     the upper ends.  Individual brackets C/(2j) - 2 pi d1/(q d2) are
-    reported raw and may be negative.
+    reported raw and may be negative.  The report carries t1, t2, factor
+    and rows at its top level, in place of ``extras``.
     """
 
-    lhs: NormInterval
-    rhs: float
     t1: float
     t2: float
     factor: float
-    constant_used: float
     rows: tuple[dict, ...]
-    hypotheses: tuple[HypothesisCheck, ...]
-
-    @property
-    def margin(self) -> float:
-        return self.lhs.lo - self.rhs
-
-    @property
-    def passed(self) -> bool:
-        return self.margin >= 0
-
-    @property
-    def hypotheses_ok(self) -> bool:
-        return all(h.passed for h in self.hypotheses)
-
-    @property
-    def certified(self) -> bool:
-        return self.passed and self.hypotheses_ok
 
     def to_json_dict(self) -> dict:
-        return {"name": "main-prop", "lhs": self.lhs.to_json_dict(),
-                "rhs": self.rhs, "t1": self.t1, "t2": self.t2,
-                "factor": self.factor, "constant_used": self.constant_used,
-                "margin": self.margin, "passed": self.passed,
-                "certified": self.certified,
-                "rows": list(self.rows),
-                "hypotheses": [h.to_json_dict() for h in self.hypotheses]}
+        out = super().to_json_dict()
+        del out["extras"]
+        out.update(t1=self.t1, t2=self.t2, factor=self.factor,
+                   rows=list(self.rows))
+        return out
 
 
 def assemble_blocks(blocks: Mapping[int, TrigPoly], d2: int) -> TrigPoly:
@@ -332,8 +311,8 @@ def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,
     rhs = (t1 - t2) / factor
     F = assemble_blocks(blocks, d2)
     lhs = certified_l1(F, rel_err)
-    return MainPropReport(lhs, rhs, t1, t2, factor, c_mps, tuple(rows),
-                          tuple(hyps))
+    return MainPropReport("main-prop", lhs, rhs, c_mps, tuple(hyps), t1=t1,
+                          t2=t2, factor=factor, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -28,18 +28,16 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import BACKEND, acceptance
-from .bounds import (DEFAULT_C_MPS, assemble_blocks, constant_scan,
-                     family_intervals, family_random_sets,
-                     verify_basic_multidim, verify_main_prop, verify_mps,
-                     verify_multidim, verify_multidimz)
+from .bounds import (DEFAULT_C_MPS, constant_scan, family_intervals,
+                     family_random_sets, verify_basic_multidim,
+                     verify_main_prop, verify_mps, verify_multidim,
+                     verify_multidimz)
 from .core import (IntegerSet, LatticeSet, TrigPoly, from_json_obj,
                    indicator_poly)
 from .errors import (CollisionError, HypothesisError, MemoryBudgetError,
                      SupportError)
-from .kernels import (discrete_l1_bound, flat_top_build, flat_top_discrete_l1,
-                      property_violations)
-from .modulus import (ResidueFilter, brute_force_modulus, good_modulus,
-                      thinning_transform)
+from .kernels import flat_top_build
+from .modulus import ResidueFilter, thinning_transform
 from .quadrature import (_memory_budget, _recentred_degree, bernstein_check,
                          certified_l1, riemann_l1, riemann_rho)
 from .structures import (build_strong_integer, build_strong_lattice,
@@ -79,15 +77,14 @@ class ExperimentConfig:
     s: int = 0
     m: int | None = None
     n: int | None = None
-    r: int | None = None
     force: bool = False
 
     def echo(self) -> dict:
         # config echo for the report; only stable, user-facing knobs
         keep = {"command", "input", "set_spec", "params", "theorem", "kind",
                 "rel_err", "c_mps", "seed", "memory_budget", "count", "grid",
-                "no_fail", "delta", "d1", "d2", "q", "s", "m", "n", "r",
-                "force", "inject_kernel_fault"}
+                "no_fail", "delta", "d1", "d2", "q", "s", "m", "n", "force",
+                "inject_kernel_fault"}
         return {k: v for k, v in self.__dict__.items() if k in keep}
 
 
@@ -177,14 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     file_cfg = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+        file_cfg = _read_json(args.config, "config file")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     cfg = ExperimentConfig(command=args.command)
@@ -195,13 +196,18 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         elif key in file_cfg:
             setattr(cfg, key, file_cfg[key])
     for key in ("input", "set_spec", "theorem", "kind", "grid", "d1", "d2",
-                "q", "m", "n", "r"):
+                "q", "m", "n"):
         val = getattr(args, key, None)
         if val is None:
             val = file_cfg.get(key)
         setattr(cfg, key, val)
     for key in ("force", "inject_kernel_fault", "skip_determinism"):
         setattr(cfg, key, bool(getattr(args, key, False) or file_cfg.get(key)))
+    for key in ("count", "grid"):
+        val = getattr(cfg, key)
+        if val is not None and not (isinstance(val, int) and val >= 1):
+            raise ConfigError(f"--{key} must be an integer of at least 1, "
+                              f"got {val!r}")
     params = getattr(args, "params", None)
     if params is None:
         cfg.params, source = file_cfg.get("params"), "the config file's params"
@@ -262,11 +268,7 @@ def load_instance(cfg: ExperimentConfig):
     if cfg.set_spec:
         return parse_set_spec(cfg.set_spec, cfg.seed)
     if cfg.input:
-        try:
-            with open(cfg.input, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read input: {exc}") from exc
+        obj = _read_json(cfg.input, "input")
         from .structures import DimCertificate
 
         # accept a report emitted by an earlier run
@@ -353,7 +355,7 @@ def _verify_mps(cfg):
     inst = _single_or_none(cfg)
     if inst is None:
         # scan mode: intervals plus seeded random sets, threshold c_mps
-        count = cfg.count or 10
+        count = 10 if cfg.count is None else cfg.count
         family = family_intervals(range(4, 129))
         family += family_random_sets(count, 64, 10 ** 5,
                                      seed=int(cfg.seed) * 11 + 8)
@@ -397,21 +399,16 @@ def _verify_multidimz(cfg):
     return verdict.to_json_dict(), verdict.passed, None
 
 
-def _default_main_prop() -> tuple[dict, int, int, float, int, int]:
-    blocks = {k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
-              for k in range(26)}
-    return blocks, 10, 44, 1.0, 13, 0
-
-
 def _verify_main_prop(cfg):
     if cfg.input:
-        with open(cfg.input, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = _read_json(cfg.input, "input")
         blocks = {int(k): TrigPoly.from_json_dict(p) for k, p in obj["blocks"]}
         d1, d2 = int(obj["d1"]), int(obj["d2"])
         delta, q, s = float(obj["delta"]), int(obj["q"]), int(obj["s"])
     else:
-        blocks, d1, d2, delta, q, s = _default_main_prop()
+        blocks = {k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
+                  for k in range(26)}
+        d1, d2, delta, q, s = 10, 44, 1.0, 13, 0
     report = verify_main_prop(blocks, d1, d2, delta, q, s, cfg.c_mps,
                               cfg.rel_err)
     return report.to_json_dict(), report.passed, None
@@ -444,7 +441,7 @@ def _verify_numerical(cfg):
         # |f| is translation invariant, so the recentred degree sets the grid;
         # the default is the smallest multiple of 4 with rho <= 1/4
         d = max(_recentred_degree(f)[0], 1)
-        grid = cfg.grid or 4 * math.ceil(math.pi * d)
+        grid = 4 * math.ceil(math.pi * d) if cfg.grid is None else cfg.grid
         enc = certified_l1(f, cfg.rel_err, cfg.memory_budget)
         mean = riemann_l1(f, grid, cfg.memory_budget)
         rho = riemann_rho(d, grid)
@@ -465,83 +462,45 @@ def _verify_kernel(cfg):
         pairs = [(int(params["m"]), int(params["n"]))]
     else:
         pairs = [(m, n) for n in range(3, 41) for m in range(2, n)]
-    rows = []
-    ok = True
-    for m, n in pairs:
-        kern = flat_top_build(m, n)
-        bad = property_violations(kern)
-        r = int(params.get("r", 2 * n + 4 * m + 1))
-        mean = flat_top_discrete_l1(kern, r)
-        bound = discrete_l1_bound(m, n)
-        good = not bad and mean <= bound
-        ok = ok and good
-        if len(pairs) == 1 or not good:
-            rows.append({"m": m, "n": n, "violations": bad, "r": r,
-                         "discrete_mean": mean, "bound": bound, "ok": good})
+    checks = [acceptance.kernel_check(
+        m, n, int(params.get("r", 2 * n + 4 * m + 1))) for m, n in pairs]
+    ok = all(row["ok"] for row in checks)
+    rows = [row for row in checks if len(pairs) == 1 or not row["ok"]]
     return {"pairs": len(pairs), "rows": rows, "passed": ok}, ok, None
 
 
 def _verify_thinning(cfg):
-    count = cfg.count or 10
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 7]))
-    rows = []
-    ok = True
-    for i in range(count):
-        blocks, d1, d2, delta, q, s = acceptance.random_thinning_config(rng)
-        F = assemble_blocks(blocks, d2)
-        thinned, factor = thinning_transform(F, d1, d2, delta,
-                                             ResidueFilter(q, s))
-        direct = {(k * d2 + l,): c for k, f_k in blocks.items() if k % q == s
-                  for (l,), c in f_k.terms.items()}
-        identity = thinned.terms == direct
-        norm_f = certified_l1(F, cfg.rel_err)
-        norm_t = certified_l1(thinned, cfg.rel_err)
-        certified = norm_t.lo <= factor * norm_f.hi
-        good = identity and certified
-        ok = ok and good
-        rows.append({"index": i, "d1": d1, "d2": d2, "delta": delta, "q": q,
-                     "s": s, "identity": identity, "certified": certified,
-                     "factor": factor})
-    return {"count": count, "rows": rows, "passed": ok}, ok, [
-        ("index", "d1", "d2", "delta", "q", "s", "identity", "certified"),
-        *[(r["index"], r["d1"], r["d2"], r["delta"], r["q"], r["s"],
-           r["identity"], r["certified"]) for r in rows]]
+    count = 10 if cfg.count is None else cfg.count
+    configs = acceptance.thinning_configs(cfg.seed, count)
+    rows = [{"index": i, **acceptance.thinning_check(*config, cfg.rel_err)}
+            for i, config in enumerate(configs)]
+    ok = all(row["ok"] for row in rows)
+    return {"count": count, "rows": rows, "passed": ok}, ok, _csv(
+        rows, ("index", "d1", "d2", "delta", "q", "s", "identity",
+               "certified", "slack"))
 
 
 def _verify_good_modulus(cfg):
     inst = _single_or_none(cfg)
     if inst is not None:
-        I = inst[0]
-        if not isinstance(I, IntegerSet):
+        if not isinstance(inst[0], IntegerSet):
             raise ConfigError("good-modulus takes an integer set")
-        res = good_modulus(I)
-        brute = brute_force_modulus(I)
-        agree = (res.j0, len(res.filtered)) == brute
-        ok = res.bounds_ok and agree
+        res, row = acceptance.good_modulus_check(inst[0])
         payload = res.to_json_dict()
-        payload.update(brute=list(brute), brute_agrees=agree,
-                       bounds_ok=res.bounds_ok, passed=ok)
-        return payload, ok, None
-    count = cfg.count or 100
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 6]))
-    rows = []
-    ok = True
-    for i in range(count):
-        size = int(round(math.exp(rng.uniform(math.log(8), math.log(2000)))))
-        max_gap = int(round(math.exp(rng.uniform(0.0, 5.0))))
-        gaps = rng.integers(1, max_gap + 1, size=size)
-        I = IntegerSet.from_iterable(int(x) for x in np.cumsum(gaps))
-        res = good_modulus(I)
-        brute = brute_force_modulus(I)
-        agree = (res.j0, len(res.filtered)) == brute
-        good = res.bounds_ok and agree
-        ok = ok and good
-        rows.append({"index": i, "size": len(I), "j0": res.j0,
-                     "filtered": len(res.filtered), "ok": good})
-    return {"count": count, "rows": rows, "passed": ok}, ok, [
-        ("index", "size", "j0", "filtered", "ok"),
-        *[(r["index"], r["size"], r["j0"], r["filtered"], r["ok"])
-          for r in rows]]
+        payload.update(brute=row["brute"], brute_agrees=row["brute_agrees"],
+                       bounds_ok=row["bounds_ok"], passed=row["ok"])
+        return payload, row["ok"], None
+    count = 100 if cfg.count is None else cfg.count
+    sets = acceptance.good_modulus_sets(cfg.seed, count)
+    rows = [{"index": i, **acceptance.good_modulus_check(I)[1]}
+            for i, I in enumerate(sets)]
+    ok = all(row["ok"] for row in rows)
+    return {"count": count, "rows": rows, "passed": ok}, ok, _csv(
+        rows, ("index", "size", "j0", "filtered", "ok"))
+
+
+def _csv(rows, header):
+    return [header, *[tuple(row[key] for key in header) for row in rows]]
 
 
 _THEOREMS = {

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from expsums.bounds import (assemble_blocks, constant_scan, family_boxes,
-                            family_gaps, family_intervals, family_random_sets,
-                            mps_rhs, mps_rhs_of, multidimz_constant,
+from expsums.bounds import (InequalityVerdict, assemble_blocks, constant_scan,
+                            family_boxes, family_gaps, family_intervals,
+                            family_random_sets, mps_rhs, mps_rhs_of, multidimz_constant,
                             multidimz_size_checks, verify_basic_multidim,
                             verify_main_prop, verify_mps, verify_multidim,
                             verify_multidimz)
@@ -179,6 +179,24 @@ def test_verify_main_prop_interval_blocks():
     # bracket of the first surviving block: C/(2j) - eps
     eps = 2 * math.pi * 10 / (13 * 44)
     assert r.rows[0]["bracket"] == pytest.approx(0.25 / 2 - eps)
+
+
+def test_verify_main_prop_is_an_inequality_verdict():
+    blocks = {k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
+              for k in range(26)}
+    r = verify_main_prop(blocks, 10, 44, 1.0, 13, 0)
+    assert isinstance(r, InequalityVerdict)
+    # the report keeps its own JSON: t1, t2, factor and rows at the top
+    # level, no extras
+    assert r.to_json_dict() == {
+        "name": "main-prop", "lhs": r.lhs.to_json_dict(), "rhs": r.rhs,
+        "t1": r.t1, "t2": r.t2, "factor": r.factor, "constant_used": 0.25,
+        "margin": r.lhs.lo - r.rhs, "passed": True, "certified": True,
+        "rows": list(r.rows),
+        "hypotheses": [h.to_json_dict() for h in r.hypotheses]}
+    assert r.rhs == (r.t1 - r.t2) / r.factor
+    assert [h.condition for h in r.hypotheses] == [
+        "(2+delta)*d1 < d2", "q > 4*pi", "I(q;s) nonempty"]
 
 
 def test_verify_main_prop_positive_rhs():

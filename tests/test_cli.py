@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import expsums
+from expsums import acceptance
 from expsums.cli import _write_csv, main
 from expsums.core import from_json_obj, indicator_poly, recentre
 from expsums.quadrature import _product_axes
@@ -315,6 +316,61 @@ def test_verify_main_prop_default(tmp_path):
     assert r.returncode == 0, r.stderr
     res = load_report(tmp_path / "v.json")["result"]
     assert res["passed"] is True
+
+
+def test_verify_main_prop_missing_input_is_usage_error(tmp_path, capsys):
+    code = main(["verify", "--theorem", "main-prop",
+                 "--input", str(tmp_path / "absent.json"),
+                 "--output", str(tmp_path / "v.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "cannot read input" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("theorem, flag", [
+    ("thinning", "--count"), ("good-modulus", "--count"), ("mps", "--count"),
+    ("numerical", "--grid")])
+def test_count_and_grid_below_one_are_usage_errors(tmp_path, capsys, theorem,
+                                                   flag, value):
+    # no instances is not a pass, and no default stands in for a bad value
+    out = tmp_path / "v.json"
+    code = main(["verify", "--theorem", theorem, flag, value,
+                 "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{flag} must be an integer of at least 1" in err, err
+    assert not out.exists()
+
+
+def test_verify_good_modulus_draws_criterion_6_sets(tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["verify", "--theorem", "good-modulus", "--count", "500",
+                 "--seed", "1729", "--output", str(out)]) == 0
+    rows = load_report(out)["result"]["rows"]
+    details = acceptance.run_criterion(6, 1729).details
+    sizes = [row["size"] for row in rows]
+    assert len(rows) == details["count"]
+    assert (min(sizes), max(sizes)) == (details["min_size"],
+                                        details["max_size"])
+    assert sizes == [len(I) for I in acceptance.good_modulus_sets(1729, 500)]
+
+
+def test_verify_thinning_runs_criterion_7_configs(tmp_path):
+    out = tmp_path / "t.json"
+    assert main(["verify", "--theorem", "thinning", "--count", "50",
+                 "--rel-err", "0.05", "--seed", "1729",
+                 "--output", str(out)]) == 0
+    rows = load_report(out)["result"]["rows"]
+    result = acceptance.run_criterion(7, 1729)
+    assert result.passed and len(rows) == result.details["count"]
+    assert max(row["ratio"] for row in rows) == result.details["max_ratio"]
+    keys = ("d1", "d2", "delta", "q", "s", "identity", "certified", "slack")
+    expected = [acceptance.thinning_check(*config, rel_err=0.05)
+                for config in acceptance.thinning_configs(1729, 50)]
+    assert [[row[k] for k in keys] for row in rows] == \
+        [[row[k] for k in keys] for row in expected]
+    assert all(row["slack"] is True for row in rows)
 
 
 def test_reports_are_deterministic(tmp_path):
