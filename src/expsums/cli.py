@@ -399,9 +399,15 @@ def _verify_multidimz(cfg):
     return verdict.to_json_dict(), verdict.passed, None
 
 
+_MAIN_PROP_KEYS = ("blocks", "d1", "d2", "delta", "q", "s")
+
+
 def _verify_main_prop(cfg):
     if cfg.input:
         obj = _read_json(cfg.input, "input")
+        if not isinstance(obj, dict) or not all(k in obj for k in _MAIN_PROP_KEYS):
+            raise ConfigError(f"input {cfg.input} must hold a JSON object with the "
+                              f"keys {', '.join(_MAIN_PROP_KEYS)}")
         blocks = {int(k): TrigPoly.from_json_dict(p) for k, p in obj["blocks"]}
         d1, d2 = int(obj["d1"]), int(obj["d2"])
         delta, q, s = float(obj["delta"]), int(obj["q"]), int(obj["s"])

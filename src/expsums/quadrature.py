@@ -54,17 +54,21 @@ alone, where rho = pi d / Q is about pi/2 and only the additive interval
 is used.  Otherwise :func:`_sized_grid` takes the least N = P' Q' >=
 N_want over rows of length Q (row 0's sum reused) and rows of 5-smooth
 lengths Q' < Q (started afresh) on which the frequencies have distinct
-residues (below), with P' <= 32; or N_rel when that transforms no more
-samples.  It streams that grid and returns the intersection above for
-its N.  Whole rows of length Q alone, P = ceil(N_want / Q), would
+residues (below), in any number P'; or N_rel when that transforms no
+more samples.  It streams that grid and returns the intersection above
+for its N.  Whole rows of length Q alone, P = ceil(N_want / Q), would
 overshoot N_want by up to Q, a tenth of the grid, so the width would fall
 anywhere in a band about 10% below rho_rel's, by an amount that depends
 on each polynomial's D/m.  Rows of 5-smooth lengths from 2d + 1 up to Q
 alone leave N a median 1% and at most 6.5% above N_want on the
 benchmark's sparse sets, whose Q is mostly within 5% of 2d + 1.  Sparse
-sets (terms^2 < 2d + 1) also try rows down to N_want/32 points, which
-bring N within 0.5% of N_want, so their widths all sit close to the one
-asked for; the shorter rows also transform fewer samples.
+sets (terms^2 < 2d + 1) also try rows below 2d + 1, down to a fixed floor
+of 32 points a term, which bring N within 0.2% of N_want, so their widths
+all sit close to the one asked for.  The floor keeps a row's O(terms)
+work (its twiddles and scatter) far below its transform's.  The short
+rows transform fewer samples, and in cache: on the benchmark's seed-1
+sparse sets 31 of 32 grids take rows of 2,048-8,748 points, 56-547 of
+them, where rows of at most 32 cosets were 16,875-64,800 points long.
 The estimate m only chooses N; the interval is certified for any N >=
 2d + 1, whatever m is.  So the grid is never larger than
 :func:`choose_grid`'s, and N = P' Q' need not be 5-smooth (the
@@ -86,9 +90,8 @@ an ulp).  The mean S is |c| prod S_i in floats; |g| factorizes, so in
 exact arithmetic that is the rank-r grid mean on the grid of the factor
 grids, which are :func:`choose_grid`'s unless a factor streams and is
 sized from D.  Detection is exact: every coefficient must equal the first
-(float equality), and the number of terms must equal prod_i |A_i| with
-A_i the distinct axis-i values, computed in Python integers.  The rows
-are distinct, and A lies inside the product, so it is the product.
+(float equality), and the support must be a product, which its sorted
+rows show in O(terms) without a sort (:func:`_product_axes`).
 A polynomial with unequal coefficients is left to the rank-r grid even
 when its coefficient tensor has rank 1, since a float product cannot be
 tested for equality exactly.  Constants (recentred degree 0) keep the
@@ -101,9 +104,11 @@ Its interval is [S, S] widened by one ulp each way.
 Coset streaming.  :func:`riemann_l1` evaluates a grid that does not fit in
 one block (``_BLOCK_BYTES``) one block of rows at a time.  On axis 0 it
 writes N_0 = P Q, with Q the smallest divisor of N_0 such that
-Q >= 2 d_0 + 1 and P <= 32 (``_MAX_COSETS``).  Q is 5-smooth when N_0 is;
-if Q = N_0, the grid is one row and is evaluated whole.  The grid points
-with j_0 = r + P i, for 0 <= i < Q, form the coset row r mod P, and on it
+Q >= 2 d_0 + 1 and P <= 32 (``_MAX_COSETS``), so these rows are alias-free
+and long.  Q is 5-smooth when N_0 is; if Q = N_0, the grid is one row and
+is evaluated whole.  The sized grids of :func:`_sized_grid` may have any
+number of rows.  The grid points with j_0 = r + P i, for 0 <= i < Q, form
+the coset row r mod P, and on it
 
     f((r + P i)/N_0, t') = sum_a [c_a e(a_0 r / N_0)] e(a_0 i / Q + a'.t'),
 
@@ -111,25 +116,35 @@ because P i / N_0 = i / Q.  So row r is one inverse FFT of shape
 (Q, N_1, ...) of the twiddled coefficients c_a e(a_0 r / N_0), placed at
 (a_0 mod Q, a' mod N').  Those residues are distinct since Q >= 2 d_0 + 1
 (the sized grids of :func:`_sized_grid` may have shorter rows, whose
-residues it checks), so plain assignment places them.  The grid sum is the sum of the P row
-sums.  With real coefficients f(-t) = conj f(t), and -(r + P i) = (P - r)
-+ P (Q - 1 - i) mod N_0, so row P - r has the same sum as row r.  Only
-rows 0 .. P//2 are evaluated.  Rows 0 < r < P/2 count twice; rows 0 and
-(P even) P/2 are their own mirrors and count once.
+residues it checks), so plain assignment places them.  The grid sum is
+the sum of the P row sums.  With real coefficients f(-t) = conj f(t), and
+-(r + P i) = (P - r) + P (Q - 1 - i) mod N_0, so row P - r has the same
+sum as row r.  Only rows 0 .. P//2 are evaluated.  Rows 0 < r < P/2 count
+twice; rows 0 and (P even) P/2 are their own mirrors and count once.
 
-The twiddles come from the recurrence row_r = row_{r-1} * e(a_0 / N_0).
-The step e(m / N_0), with m = a_0 mod N_0 < N_0, is exp of a rounded angle,
-within about 2u of exact (u = 2^-53).  Each complex product adds at most
-sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).  So row
-r's coefficients carry a relative error of at most about r * 3u each, so
-each sample of row r moves by at most r * 3u * sum |c_a|, an error of the
-same kind as the FFT's own rounding.  Here r <= P/2 (real) or r < P, and
-P <= 32, so the relative error stays below 16 * 3u = 5.3e-15 (real) or
-31 * 3u = 1.1e-14 (complex).  The grids of :func:`choose_grid` have
-P <= N_0 / (2 d_0 + 1), about pi / (2 rho_0), below 32 for rho_0 >= 0.05
-anyway; the cap matters for fine reference grids of low-degree
-polynomials.  Like the FFT's rounding, this error is not yet part of a
-certified floating-point term.
+The twiddles.  Every row r = 0 mod 32 is an anchor: its twiddles
+c_a e(a_0 r / N_0) are computed afresh from the integer phase
+a_0 r mod N_0, exact in int64.  The 31 rows after it follow by the
+recurrence row_r = row_{r-1} * e(a_0 / N_0), a block at a time.  No block
+crosses an anchor; a block's first row is the anchor's, or the row before
+times e(a_0 / N_0); and rows r_0 + k to r_0 + 2k - 1 are rows r_0 to
+r_0 + k - 1 times e(a_0 k / N_0), so each product doubles the rows done
+and no loop runs over single rows.  Either way row A + k, for the anchor
+A, is the anchor's row times k factors e(a_0 / N_0), formed with k
+rounded products, as in the plain recurrence.  A factor e(m / N_0),
+m < N_0, is exp of the angle 2 pi m / N_0 < 2 pi formed with three
+roundings, so it lies within 6 pi u of e(m / N_0) from the angle, plus
+about 2u from exp (u = 2^-53).  Each complex product adds at most
+sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).  So the
+anchor's twiddles carry a relative error of at most about 23u, and each
+step of the recurrence adds as much.  Row r sits at most 31 steps from
+its anchor, so its coefficients err by at most 32 * 23u, about 8.2e-14
+relatively, for any number of rows; each sample of the row moves by at
+most that times sum |c_a|.  That is an error of the same kind as the
+FFT's own rounding.  Measured on 2000 random steps with N_0 = 1,310,256,
+the worst row was 2.2e2 u = 2.5e-14 off, whatever the block size.  Like
+the FFT's rounding, this error is not yet part of a certified
+floating-point term.
 
 Everything here is pure and deterministic: grids are evaluated with a
 zero-padded FFT and reduced with pairwise summation, coset rows are taken
@@ -139,6 +154,7 @@ so results do not depend on scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -147,7 +163,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.fft
 
-from .core import IntegerSet, TrigPoly, indicator_poly, recentre
+from .core import IntegerSet, TrigPoly, _run_starts, indicator_poly, recentre
 from .errors import AliasingError, MemoryBudgetError
 
 # complex128; a real-coefficient grid holds a float64 input and a half-size
@@ -161,7 +177,9 @@ DEFAULT_MEMORY_BUDGET = 2 * 2 ** 30  # bytes of samples
 # fits in one block is transformed whole
 _BLOCK_BYTES = 4 * 2 ** 20
 _BLOCK_BYTES_PER_SAMPLE = 24
-# at most this many coset rows, which bounds the twiddle recurrence's error
+# the anchor interval: rows r = 0 mod 32 get their twiddles afresh, so the
+# recurrence runs at most 31 steps (module docstring); also the most coset
+# rows of a choose_grid grid (_coset_length)
 _MAX_COSETS = 32
 
 
@@ -337,35 +355,49 @@ def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int,
         row0_sum = _half_grid_abs_sum(scipy.fft.rfftn(row0), row_shape[-1])
         del row0  # freed before the block buffers exist
     # f(-t) = conj f(t) maps row r onto row P - r, so with real coefficients
-    # rows 0 .. P//2 suffice; a complex row 0 not yet summed runs untwiddled
-    # in the first block
+    # rows 0 .. P//2 suffice; a complex row 0 not yet summed is the first
+    # anchor row
     stop = p // 2 + 1 if real else p
     sums, first = ([], 0) if row0_sum is None else ([row0_sum], 1)
     if first == stop:
         return sums
-    step = np.exp((2j * math.pi / n0) * res[:, 0])  # e(a_0 / N_0)
-    row = f.coeffs * step if first else f.coeffs
-    rows = min(stop - first, max(1, _BLOCK_BYTES // (math.prod(row_shape)
-                                                     * _BLOCK_BYTES_PER_SAMPLE)))
+    scale = 2j * math.pi / n0
+    step = np.exp(scale * res[:, 0])  # e(a_0 / N_0)
+    # a_0 r mod N_0 at the anchor row r, exact in int64: it grows by
+    # a_0 32 mod N_0 < 32 N_0 from one anchor to the next
+    phase = 0
+    carry = f.coeffs * step  # row 1
+    row_bytes = math.prod(row_shape) * _BLOCK_BYTES_PER_SAMPLE
+    rows = min(stop - first, _MAX_COSETS, max(1, _BLOCK_BYTES // row_bytes))
     block = np.empty((rows,) + row_shape, dtype=np.complex128)
     moduli = np.empty((rows,) + row_shape, dtype=np.float64)
     axes = tuple(range(1, block.ndim))
-    for r0 in range(first, stop, rows):
-        nb = min(rows, stop - r0)
-        # twiddled coefficients of rows r0 .. r0+nb-1 by the recurrence
-        # row_r = row_{r-1} * e(a_0 / N_0)
-        twiddled = np.empty((nb, len(row)), dtype=np.complex128)
-        twiddled[0] = row
-        for k in range(1, nb):
-            np.multiply(twiddled[k - 1], step, out=twiddled[k])
-        row = twiddled[-1] * step
-        # the residues mod q are distinct (q >= 2 d_0 + 1): assignment suffices
-        blk = block[:nb]
-        blk.fill(0)
-        blk[(np.arange(nb)[:, None],) + idx] = twiddled
-        values = scipy.fft.ifftn(blk, axes=axes, norm="forward", overwrite_x=True)
-        mod = np.abs(values, out=moduli[:nb])
-        sums.extend(mod.reshape(nb, -1).sum(axis=1).tolist())
+    # blocks of at most `rows` rows, none across an anchor row (r = 0 mod 32)
+    for anchor in range(0, stop, _MAX_COSETS):
+        if anchor:
+            phase = (phase + res[:, 0] * _MAX_COSETS % n0) % n0
+        for r0 in range(max(anchor, first), min(anchor + _MAX_COSETS, stop), rows):
+            nb = min(rows, anchor + _MAX_COSETS - r0, stop - r0)
+            # rows r0 .. r0+nb-1: row r0 from the anchor's exact integer
+            # phase or from the row before; then row r0 + k + j is row
+            # r0 + j times e(a_0 k / N_0), which doubles the rows done
+            twiddled = np.empty((nb, len(step)), dtype=np.complex128)
+            twiddled[0] = f.coeffs * np.exp(scale * phase) if r0 == anchor else carry
+            k, power = 1, step  # power = e(a_0 k / N_0)
+            while k < nb:
+                np.multiply(twiddled[:min(k, nb - k)], power, out=twiddled[k:2 * k])
+                k *= 2
+                if k < nb:
+                    power = power * power
+            carry = twiddled[-1] * step
+            # distinct residues mod q (q >= 2 d_0 + 1, or checked by
+            # _sized_grid): assignment suffices
+            blk = block[:nb]
+            blk.fill(0)
+            blk[(np.arange(nb)[:, None],) + idx] = twiddled
+            values = scipy.fft.ifftn(blk, axes=axes, norm="forward", overwrite_x=True)
+            mod = np.abs(values, out=moduli[:nb])
+            sums.extend(mod.reshape(nb, -1).sum(axis=1).tolist())
     return sums
 
 
@@ -478,15 +510,27 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
 
 def _product_axes(g: TrigPoly) -> list[np.ndarray] | None:
     """The distinct values A_i of each axis of g when g is c times the
-    indicator of A_0 x ... x A_{r-1} (one coefficient, and as many terms as
-    the product has points), else None."""
+    indicator of A_0 x ... x A_{r-1} (one coefficient, and the support a
+    product), else None; O(terms), no sort."""
     if not (g.coeffs == g.coeffs[0]).all():
         return None
-    axes = [np.unique(g.freqs[:, i]) for i in range(g.rank)]
-    # Python ints: the product of the axis sizes may overflow int64
-    if math.prod(len(a) for a in axes) != len(g):
-        return None
-    return axes
+    axes, rows = [], g.freqs
+    # the rows are distinct and sorted lexicographically.  Cut them into as
+    # many blocks of m rows as there are first coordinates; if every block
+    # has the first block's tails B, the rows at one place in the blocks
+    # share a tail, so they have distinct, increasing first coordinates, and
+    # block j is the run of the j-th one: the rows are A_0 x B.  B is sorted
+    # too and is split the same way
+    while rows.shape[1] > 1:
+        starts = np.flatnonzero(_run_starts(rows[:, 0]))
+        if len(rows) % len(starts):
+            return None
+        tails = rows[:, 1:].reshape(len(starts), len(rows) // len(starts), -1)
+        if not (tails == tails[0]).all():
+            return None
+        axes.append(rows[starts, 0])
+        rows = tails[0]
+    return axes + [rows[:, 0].copy()]
 
 
 def _product_l1(g: TrigPoly, axes: list[np.ndarray], rel_err: float,
@@ -542,39 +586,59 @@ def _sized_grid(g: TrigPoly, want: float, n_rel: int, q: int) -> tuple[int, int]
     The :func:`choose_grid` grid n_rel = P_rel q if want >= n_rel, and row 0
     alone (N = q) if want <= q.  Otherwise the least N >= want over rows q
     long (row 0 reused) and rows of any 5-smooth length Q' < q on which the
-    frequencies of g have distinct residues, with P' <= ``_MAX_COSETS``; of
-    equal N, the one that transforms the fewest samples (rows 0 .. P'//2
-    when the coefficients are real); and n_rel if that transforms no more.
-    Every Q' >= 2d + 1 has distinct residues; shorter rows are tried only
-    when terms^2 < 2d + 1, where residues of spread-out frequencies mostly
-    are distinct."""
+    frequencies of g have distinct residues; of equal N, the one that
+    transforms the fewest samples (rows 0 .. P'//2 when the coefficients
+    are real); and n_rel if that transforms no more.  Every Q' >= 2d + 1
+    has distinct residues; shorter rows are tried only when terms^2 < 2d + 1,
+    where residues of spread-out frequencies mostly are distinct, and none
+    shorter than 32 points a term, so the O(terms) work of a row stays far
+    below its transform's."""
     if not want < n_rel:
         return n_rel, q
     if want <= q:
         return q, q
-    real = not g.coeffs.imag.any()
-
-    def plan(r, p):
-        rows = p // 2 + 1 if real else p
-        return p * r, (rows - (r == q)) * r, r  # N, samples, row length
-
     least, terms = 2 * g.degree[0] + 1, len(g.coeffs)
-    low = max(math.ceil(want / _MAX_COSETS), least if terms * terms >= least else terms)
-    lengths, r = [], scipy.fft.next_fast_len(low, real=True)
-    while r < q:
-        lengths.append(r)
-        r = scipy.fft.next_fast_len(r + 1, real=True)
-    short = np.array([r for r in lengths if r < least], dtype=np.int64)
+    low = least if terms * terms >= least else min(least, _MAX_COSETS * terms)
+    smooth = _smooth_lengths()
+    lengths = smooth[np.searchsorted(smooth, low):np.searchsorted(smooth, q)]
+    short = lengths[:np.searchsorted(lengths, least)]
     if short.size:
         # each length's residues of the frequencies, sorted: equal neighbours
         # are a clash
         res = np.sort(g.freqs[:, :1] % short, axis=0)
-        clash = set(short[(np.diff(res, axis=0) == 0).any(axis=0)].tolist())
-        lengths = [r for r in lengths if r not in clash]
-    n, samples, row = min(plan(r, math.ceil(want / r)) for r in [q] + lengths)
-    if plan(q, n_rel // q)[1] <= samples:
+        ok = np.ones(lengths.size, dtype=bool)
+        ok[:short.size] = (np.diff(res, axis=0) != 0).all(axis=0)
+        lengths = lengths[ok]
+    lengths = np.append(lengths, q)
+    p = -(-math.ceil(want) // lengths)
+    n = p * lengths
+    real = not g.coeffs.imag.any()
+    # samples transformed; row 0's sum is reused when the rows are q long
+    samples = ((p // 2 + 1 if real else p) - (lengths == q)) * lengths
+    best = np.lexsort((lengths, samples, n))[0]
+    p_rel = n_rel // q
+    if ((p_rel // 2 + 1 if real else p_rel) - 1) * q <= samples[best]:
         return n_rel, q
-    return n, row
+    return int(n[best]), int(lengths[best])
+
+
+@functools.cache
+def _smooth_lengths() -> np.ndarray:
+    """Every 5-smooth number below 2^62, ascending: the lengths that
+    ``scipy.fft.next_fast_len(n, real=True)`` returns.  Built on first use."""
+    out, a = [], 1
+    while a < 2 ** 62:
+        b = a
+        while b < 2 ** 62:
+            c = b
+            while c < 2 ** 62:
+                out.append(c)
+                c *= 5
+            b *= 3
+        a *= 2
+    lengths = np.array(sorted(out), dtype=np.int64)
+    lengths.flags.writeable = False
+    return lengths
 
 
 def derivative(f: TrigPoly, axis: int = 0) -> TrigPoly:

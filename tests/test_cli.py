@@ -327,6 +327,19 @@ def test_verify_main_prop_missing_input_is_usage_error(tmp_path, capsys):
     assert "cannot read input" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", ['{"d1": 1}', "[1, 2]"])
+def test_verify_main_prop_malformed_input_names_the_keys(tmp_path, capsys, content):
+    # a missing key, and a JSON value that is not an object
+    path = tmp_path / "in.json"
+    path.write_text(content)
+    code = main(["verify", "--theorem", "main-prop", "--input", str(path),
+                 "--output", str(tmp_path / "v.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(path) in err and "blocks, d1, d2, delta, q, s" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("theorem, flag", [
     ("thinning", "--count"), ("good-modulus", "--count"), ("mps", "--count"),

@@ -403,6 +403,18 @@ def test_coset_rows_match_grid_cosets(monkeypatch, shape, d0, p, real):
         assert got == pytest.approx(grid[r::p].sum(), rel=1e-13), r
 
 
+def test_coset_rows_keep_the_twiddle_bound_past_32_rows():
+    # |f| = |c| everywhere for one term, so every row sum is q |c| up to the
+    # twiddle recurrence's error, which the anchors bound for any number of
+    # rows; the recurrence alone over 4096 rows drifts to 1.6e-13 here
+    q, p = 8, 4096
+    for a in (1, 12_345, -77_777_777_777):
+        for c in (0.7, 0.6 - 0.8j):
+            sums = _coset_row_sums(TrigPoly(1, {a: c}), (q * p,), q)
+            assert len(sums) == (p // 2 + 1 if c.imag == 0 else p)
+            assert np.max(np.abs(np.array(sums) / (q * abs(c)) - 1)) < 1e-14, (a, c)
+
+
 def test_coset_mean_p1_is_the_whole_grid(monkeypatch):
     rng = np.random.default_rng(61)
     for real in (True, False):
@@ -621,14 +633,17 @@ def test_sized_grid_plan(real):
         g, _ = recentre(_sparse_poly(rng, 40_000, terms, real))
         d = g.degree[0]
         (n_rel,), _ = choose_grid((d,), 0.1)
-        q = _coset_length((n_rel,), d)
+        q, least = _coset_length((n_rel,), d), 2 * d + 1
         assert _sized_grid(g, n_rel, n_rel, q) == (n_rel, q)
         assert _sized_grid(g, math.inf, n_rel, q) == (n_rel, q)
         assert _sized_grid(g, q - 0.5, n_rel, q) == (q, q)
         overshoot, short = [], 0
         for want in np.linspace(q + 1, n_rel - 1, 200).tolist():
             n, row = _sized_grid(g, want, n_rel, q)
-            assert want <= n <= n_rel and n % row == 0 and n // row <= 32
+            assert want <= n <= n_rel and n % row == 0
+            # rows below 2d + 1 only for sparse sets, and none below 32 points
+            # a term, however many rows that takes
+            assert row >= (least if terms * terms >= least else 32 * terms)
             assert row <= q  # no block longer than the choose_grid grid's
             assert scipy.fft.next_fast_len(row, real=True) == row
             # plain assignment in _coset_row_sums needs distinct residues
@@ -643,6 +658,25 @@ def test_sized_grid_plan(real):
         assert np.median(overshoot) < 1.01 and np.quantile(overshoot, 0.9) < 1.03
         if terms == 64:
             assert np.quantile(overshoot, 0.9) < 1.005
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_sized_grid_of_hundreds_of_rows(monkeypatch, real):
+    # short rows: hundreds of coset rows, so rows r >= 32, 64, 96, ... take
+    # their twiddles from the exact anchors
+    plans = []
+    sized = quadrature._sized_grid
+    monkeypatch.setattr(quadrature, "_sized_grid",
+                        lambda *args: plans.append(sized(*args)) or plans[-1])
+    g, _ = recentre(_sparse_poly(np.random.default_rng([71, real]), 60_000, 64, real))
+    enc = certified_l1(g, 0.1)
+    (n,), row = enc.grid, plans[-1][1]
+    # real coefficients evaluate rows 0 .. P/2 only
+    assert plans[-1][0] == n and n // row >= 128
+    assert enc.riemann == pytest.approx(eval_grid(g, (n,)).abs_mean(), rel=1e-13)
+    # a 20x finer grid, with its own relative error, lies inside
+    ref, rho = riemann_l1(g, 20 * n), quadrature.riemann_rho(g.degree[0], 20 * n)
+    assert enc.lo <= ref / (1 + rho) and ref / (1 - rho) <= enc.hi
 
 
 # --- Cartesian products: a product of rank-1 enclosures ----------------------
@@ -720,6 +754,31 @@ def test_non_product_keeps_the_grid_path(change):
     assert enc.grid == shape
     assert enc.riemann.hex() == riemann_l1(g, shape).hex() == s.hex()
     assert (enc.lo, enc.hi) == (lo, hi)
+
+
+def test_product_axes_match_the_set_definition():
+    # against the definition: the support equals the product of its distinct
+    # axis values; random subsets of small boxes, most of them not products
+    rng = np.random.default_rng(73)
+    found = 0
+    for rank in (2, 3):
+        for _ in range(300):
+            axes = [np.sort(rng.choice(6, size=rng.integers(1, 4), replace=False))
+                    for _ in range(rank)]
+            pts = _product_poly(axes).freqs
+            if rng.random() < 0.7:
+                pts = pts[rng.random(len(pts)) < 0.8]
+            if not len(pts):
+                continue
+            g = TrigPoly.from_arrays(rank, pts, np.ones(len(pts)))
+            distinct = [np.unique(pts[:, i]) for i in range(rank)]
+            is_product = math.prod(len(a) for a in distinct) == len(pts)
+            got = quadrature._product_axes(g)
+            assert (got is not None) == is_product
+            if got is not None:
+                found += 1
+                assert all(np.array_equal(a, b) for a, b in zip(got, distinct))
+    assert found > 100
 
 
 def test_product_beyond_the_grid_budget():
