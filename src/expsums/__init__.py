@@ -14,8 +14,8 @@ from .bounds import (DEFAULT_C_MPS, HypothesisCheck, InequalityVerdict,
                      verify_mps, verify_multidim, verify_multidimz)
 from .core import (IntegerSet, LatticeSet, TrigPoly, char_e, indicator_poly,
                    recentre)
-from .errors import (AliasingError, CollisionError, HypothesisError,
-                     MemoryBudgetError, SupportError)
+from .errors import (AliasingError, CollisionError, GridOverflowError,
+                     HypothesisError, MemoryBudgetError, SupportError)
 from .kernels import (FlatTopKernel, dirichlet, discrete_l1_bound, fejer,
                       flat_top_build, flat_top_discrete_l1,
                       flat_top_transform, property_violations)
@@ -37,7 +37,7 @@ BACKEND = "numpy"
 __all__ = [
     "AliasingError", "BACKEND", "BernsteinCheck", "CollisionError",
     "DEFAULT_C_MPS", "DimCertificate", "FlatTopKernel", "GoodModulusResult",
-    "GridEvaluation", "HypothesisCheck", "HypothesisError",
+    "GridEvaluation", "GridOverflowError", "HypothesisCheck", "HypothesisError",
     "InequalityVerdict", "IntegerSet", "LatticeSet", "MainPropReport",
     "MemoryBudgetError", "NormInterval", "ResidueFilter", "ScanReport",
     "SupportError", "TrigPoly", "ValidationReport", "bernstein_check",

@@ -399,18 +399,27 @@ def _verify_multidimz(cfg):
     return verdict.to_json_dict(), verdict.passed, None
 
 
-_MAIN_PROP_KEYS = ("blocks", "d1", "d2", "delta", "q", "s")
+# each key of a main-prop --input file and the conversion of its value
+_MAIN_PROP_FIELDS = {
+    "blocks": lambda v: {int(k): TrigPoly.from_json_dict(p) for k, p in v},
+    "d1": int, "d2": int, "delta": float, "q": int, "s": int}
 
 
 def _verify_main_prop(cfg):
     if cfg.input:
         obj = _read_json(cfg.input, "input")
-        if not isinstance(obj, dict) or not all(k in obj for k in _MAIN_PROP_KEYS):
+        if not isinstance(obj, dict) or not all(k in obj for k in _MAIN_PROP_FIELDS):
             raise ConfigError(f"input {cfg.input} must hold a JSON object with the "
-                              f"keys {', '.join(_MAIN_PROP_KEYS)}")
-        blocks = {int(k): TrigPoly.from_json_dict(p) for k, p in obj["blocks"]}
-        d1, d2 = int(obj["d1"]), int(obj["d2"])
-        delta, q, s = float(obj["delta"]), int(obj["q"]), int(obj["s"])
+                              f"keys {', '.join(_MAIN_PROP_FIELDS)}")
+        fields = {}
+        for key, convert in _MAIN_PROP_FIELDS.items():
+            try:
+                fields[key] = convert(obj[key])
+            except (AttributeError, KeyError, OverflowError, TypeError,
+                    ValueError) as exc:
+                raise ConfigError(f"input {cfg.input}: bad {key!r} "
+                                  f"({type(exc).__name__}: {exc})") from exc
+        blocks, d1, d2, delta, q, s = fields.values()
     else:
         blocks = {k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
                   for k in range(26)}

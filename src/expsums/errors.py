@@ -21,6 +21,10 @@ class AliasingError(ValueError):
     """Grid too small for the polynomial's (recentred) degree."""
 
 
+class GridOverflowError(ValueError):
+    """A grid mean, or an end of its enclosure, overflows float64."""
+
+
 class SupportError(ValueError):
     """Coefficient support does not have the block structure an operation needs."""
 

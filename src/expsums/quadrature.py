@@ -1,126 +1,123 @@
 """Grid evaluation of trigonometric polynomials and certified L1 enclosures.
 
-The enclosure rests on the Riemann-sum error bound for a polynomial of
-degree d (frequencies in [-d, d]) sampled at N uniform points:
+Every enclosure rests on one quadrature bound.  Let the frequencies of f
+span a window of diameter Delta_i on axis i, sample f on the uniform grid
+of N_i > Delta_i points per axis, and let S be the grid mean
+(1/|grid|) sum_j |f(j/N)|.  Then
 
-    | ||f||_1 - (1/N) sum_j |f(j/N)| |  <=  (pi d / N) ||f||_1
+    S / c  <=  ||f||_1  <=  S c,      c = prod_i sqrt(N_i / (N_i - Delta_i)).
 
-so the grid mean S pins the true norm inside [S/(1+rho), S/(1-rho)] with
-rho = pi d / N (:func:`riemann_rho`).
+This is the Marcinkiewicz-Zygmund inequality with de la Vallee-Poussin
+means (Zygmund, *Trigonometric Series*, ch. X; Temlyakov, *Multivariate
+Approximation*, ch. 1).
 
-Proof.  Let g = |f|, a 1-periodic function.  The grid sum of g on the
-points j/N equals the sum of h(t) = g(t - 1/(2N)) on the centred points
-(j + 1/2)/N, and h has the same integral ||f||_1 and the same total
-variation as g.  The centred points have star discrepancy 1/(2N), so
-Koksma's inequality (Kuipers and Niederreiter, *Uniform Distribution of
-Sequences*, ch. 2) bounds the error by V(h)/(2N) = V(|f|)/(2N).  Since
-||f(s)| - |f(t)|| <= |f(s) - f(t)|, V(|f|) <= V(f) = ||f'||_1, and
-Bernstein's inequality in L1 (Zygmund, *Trigonometric Series*, ch. X)
-gives ||f'||_1 <= 2 pi d ||f||_1.  Together: error <= (pi d / N) ||f||_1.
-|f| does not change when f is multiplied by e(m t), so d may be taken as
-the recentred degree ceil(diameter/2) of the frequency support.
+Proof in rank 1.  Let the frequencies of f lie in [a, a + Delta], N > Delta
+and L = N - Delta.  Take V = (1/L) A B, where A sums e(kt) over the N
+integers from a - L + 1 to a + Delta, and B sums e(kt) over 0 .. L-1.  The
+coefficient of V at k is the number of ways to write k = i + j with i in
+A's range and j in B's, over L: it is 1 on [a, a + Delta].  V's
+frequencies lie in [a - L + 1, a + Delta + L - 1], so its coefficient is 0
+at every k + mN with k in [a, a + Delta] and m != 0.  Hence
 
-In rank r the bound is applied axis by axis: each slice with the other
-coordinates fixed is a 1-D polynomial of the axis degree, so averaging
-over one axis at a time moves the mean by a factor in [1 - rho_i, 1 + rho_i]
-and the relative errors compound multiplicatively.
+    f(t) = (1/N) sum_j f(j/N) V(t - j/N).
 
-The additive bound.  The same Koksma step, stopped before Bernstein,
-gives | ||f||_1 - S | <= ||f'||_1 / (2N).  By Cauchy-Schwarz on the unit
-circle ||f'||_1 <= ||f'||_2, and by Parseval ||f'||_2 = D with
+Upper end: by Cauchy-Schwarz and Parseval ||V||_1 <= (1/L) ||A||_2 ||B||_2
+= sqrt(N/L), so ||f||_1 <= S ||V||_1 <= c S.  Lower end: f = f * V, so
+f(j/N) = int f(s) V(j/N - s) ds and S <= int |f(s)| (1/N) sum_j
+|V(j/N - s)| ds.  A's N frequencies have distinct residues mod N, and so
+do B's L < N, so (1/N) sum_j |A(j/N - s)|^2 = N and (1/N) sum_j
+|B(j/N - s)|^2 = L for every s, and the discrete Cauchy-Schwarz bounds
+(1/N) sum_j |V(j/N - s)| by sqrt(N/L): S <= c ||f||_1.  No Bernstein step
+is used, and no grid finer than N > Delta is needed.
 
-    D = 2 pi sqrt(sum_n n^2 |c_n|^2),
+Rank r.  The tensor product V(t) = prod_i V_i(t_i) of the axis kernels has
+coefficient 1 on the product of the windows and 0 on every alias, and both
+its L1 norm and its grid means of |V| factor over the axes, so the same
+two steps give c = prod_i sqrt(N_i / (N_i - Delta_i)) directly.  Checked
+against 2^20-point reference grids on Dirichlet kernels, 1 + e(Delta t),
+two-term spikes and random polynomials, for every N in (Delta, 6 Delta),
+the bound was used up to 0.988 of its width (1 + e(Delta t) at
+N = 2 Delta): it is nearly tight.  |f| does not change when f is
+multiplied by e(m t), so only the diameters matter; :func:`certified_l1`
+recentres f first, which keeps every frequency small.
 
-exact from the coefficients in O(terms) (:func:`_derivative_l2` rounds it
-up).  Both [S/(1+rho), S/(1-rho)] and [S - D/(2N), S + D/(2N)] contain
-||f||_1, so their intersection does; the relative one is used only while
-rho < 1.  D is taken over the recentred frequencies, since |f| does not
-change under recentring but f' does.  Bernstein's bound is attained by
-single monomials, while D is often well below 2 pi d ||f||_1: on the
-benchmark's sparse sets D / (2 pi d ||f||_1) is 0.62-0.73.
+The grid rule.  :func:`certified_l1` asks for hi/lo = c^2 <= 1 + 2 rel_err,
+spread evenly over the r axes: the axis target is t = (1 + 2 rel_err)^(1/r),
+and N_i/(N_i - Delta_i) <= t exactly when N_i >= t Delta_i/(t - 1).
+:func:`choose_grid` returns N_i = ceil(t Delta_i/(t - 1)), at least the
+alias-free 2 d_i + 1 of the recentred degree d_i, and 1 on an axis with
+Delta_i = 0.  The memory budget is checked against that grid before any
+rounding.  A grid evaluated whole then rounds each N_i up to a 5-smooth
+length, the fast sizes of both transforms; a rank-1 grid too large for one
+block streams as P' rows of a 5-smooth length Q' with P' Q' >= N_0
+(below).  Either way every axis keeps c_i^2 <= t, so the relative width
+hi/lo - 1 is at most 2 rel_err.
 
-Sizing a rank-1 grid from D.  When the :func:`choose_grid` grid N_rel =
-P_rel Q streams as coset rows (below), :func:`certified_l1` first sums row
-0, the Q-point grid j/Q that every grid N = P Q shares, and takes its mean
-m = S_0/Q as an estimate of ||f||_1.  The target is the N at which the
-additive half-width D/(2N) is rho_rel m, taken 1% larger so that the
-error of m (under 0.2% on the benchmark's sparse sets) leaves no width
-above rho_rel's:
+Rounding.  c is rounded up: each N_i/(N_i - Delta_i) is moved one ulp up
+after the division, its square root one ulp up, and each product over the
+axes one ulp up (``math.nextafter``); each step covers one rounding to
+nearest.  Then lo = S/c is moved one ulp down and hi = S c one ulp up.  A
+constant (Delta_i = 0 on every axis) has c = 1 exactly, so its interval is
+[S, S] widened by one ulp each way, which covers the one ``abs`` that
+forms S = |c|.  A grid mean or an end that overflows float64 raises
+:class:`~expsums.errors.GridOverflowError` instead of an infinite interval.
 
-    N_want = 1.01 D Q / (2 S_0 rho_rel).
-
-If N_want >= N_rel, the grid stays N_rel; if N_want <= Q, it is row 0
-alone, where rho = pi d / Q is about pi/2 and only the additive interval
-is used.  Otherwise :func:`_sized_grid` takes the least N = P' Q' >=
-N_want over rows of length Q (row 0's sum reused) and rows of 5-smooth
-lengths Q' < Q (started afresh) on which the frequencies have distinct
-residues (below), in any number P'; or N_rel when that transforms no
-more samples.  It streams that grid and returns the intersection above
-for its N.  Whole rows of length Q alone, P = ceil(N_want / Q), would
-overshoot N_want by up to Q, a tenth of the grid, so the width would fall
-anywhere in a band about 10% below rho_rel's, by an amount that depends
-on each polynomial's D/m.  Rows of 5-smooth lengths from 2d + 1 up to Q
-alone leave N a median 1% and at most 6.5% above N_want on the
-benchmark's sparse sets, whose Q is mostly within 5% of 2d + 1.  Sparse
-sets (terms^2 < 2d + 1) also try rows below 2d + 1, down to a fixed floor
-of 32 points a term, which bring N within 0.2% of N_want, so their widths
-all sit close to the one asked for.  The floor keeps a row's O(terms)
-work (its twiddles and scatter) far below its transform's.  The short
-rows transform fewer samples, and in cache: on the benchmark's seed-1
-sparse sets 31 of 32 grids take rows of 2,048-8,748 points, 56-547 of
-them, where rows of at most 32 cosets were 16,875-64,800 points long.
-The estimate m only chooses N; the interval is certified for any N >=
-2d + 1, whatever m is.  So the grid is never larger than
-:func:`choose_grid`'s, and N = P' Q' need not be 5-smooth (the
-transforms have length Q').  Where D is large against 2 pi d m / P_rel
-(Fejer kernels, say), N = N_rel and the relative interval is the
-narrower one.  The proof of the additive bound in rank r, axis by axis,
-is not written yet, so rank >= 2 keeps the relative interval alone.
+The pi d / N bound.  :func:`riemann_rho` is the older bound
+| ||f||_1 - S | <= (pi d / N) ||f||_1 for a polynomial of degree d, from
+Koksma's inequality on the centred grid and Bernstein's inequality in L1.
+It still holds, and acceptance criterion 04 and ``verify --theorem
+numerical`` check it, but no enclosure uses it: at equal N its half-width
+is about pi times that of c.
 
 Products.  Let g = c 1_A with A = A_0 x ... x A_{r-1}, r >= 2.  Then
 g(t) = c prod_i f_i(t_i) with f_i the indicator polynomial of A_i, and by
 Fubini ||g||_1 = |c| prod_i ||f_i||_1 exactly.  So :func:`certified_l1`
-encloses each ||f_i||_1 with the rank-1 :func:`certified_l1` at rel_i =
-(1 + rel_err)^(1/r) - 1, the split :func:`choose_grid` makes, and
-multiplies: an axis with one value has |f_i| = 1 and contributes exactly 1.
-The ends start at |c| moved one ulp down and up, since ``abs`` errs by
-under an ulp, and after each product lo is moved one ulp down and hi one
-up (``math.nextafter``), which covers the product's rounding (under half
-an ulp).  The mean S is |c| prod S_i in floats; |g| factorizes, so in
-exact arithmetic that is the rank-r grid mean on the grid of the factor
-grids, which are :func:`choose_grid`'s unless a factor streams and is
-sized from D.  Detection is exact: every coefficient must equal the first
+encloses each ||f_i||_1 with the rank-1 :func:`certified_l1` at the axis
+target t, that is at rel_i = (t - 1)/2, and multiplies: an axis with one
+value has |f_i| = 1 and contributes exactly 1.  The ends start at |c|
+moved one ulp down and up, since ``abs`` errs by under an ulp, and after
+each product lo is moved one ulp down and hi one up, which covers the
+product's rounding (under half an ulp).  The mean S is |c| prod S_i in
+floats; |g| factorizes, so in exact arithmetic that is the rank-r grid
+mean on the grid of the factor grids, each the rank-1 rule's grid for its
+factor.  Detection is exact: every coefficient must equal the first
 (float equality), and the support must be a product, which its sorted
-rows show in O(terms) without a sort (:func:`_product_axes`).
-A polynomial with unequal coefficients is left to the rank-r grid even
-when its coefficient tensor has rank 1, since a float product cannot be
-tested for equality exactly.  Constants (recentred degree 0) keep the
-path below.
-
-A constant (a single term, recentred degree 0) needs no quadrature: its
-norm is |c|, and S is one ``abs`` of c, which errs by less than one ulp.
-Its interval is [S, S] widened by one ulp each way.
+rows show in O(terms) without a sort (:func:`_product_axes`).  A
+polynomial with unequal coefficients is left to the rank-r grid even when
+its coefficient tensor has rank 1, since a float product cannot be tested
+for equality exactly.  Constants keep the grid path.
 
 Coset streaming.  :func:`riemann_l1` evaluates a grid that does not fit in
 one block (``_BLOCK_BYTES``) one block of rows at a time.  On axis 0 it
 writes N_0 = P Q, with Q the smallest divisor of N_0 such that
 Q >= 2 d_0 + 1 and P <= 32 (``_MAX_COSETS``), so these rows are alias-free
 and long.  Q is 5-smooth when N_0 is; if Q = N_0, the grid is one row and
-is evaluated whole.  The sized grids of :func:`_sized_grid` may have any
-number of rows.  The grid points with j_0 = r + P i, for 0 <= i < Q, form
-the coset row r mod P, and on it
+is evaluated whole.  The grid points with j_0 = r + P i, for 0 <= i < Q,
+form the coset row r mod P, and on it
 
     f((r + P i)/N_0, t') = sum_a [c_a e(a_0 r / N_0)] e(a_0 i / Q + a'.t'),
 
 because P i / N_0 = i / Q.  So row r is one inverse FFT of shape
 (Q, N_1, ...) of the twiddled coefficients c_a e(a_0 r / N_0), placed at
-(a_0 mod Q, a' mod N').  Those residues are distinct since Q >= 2 d_0 + 1
-(the sized grids of :func:`_sized_grid` may have shorter rows, whose
-residues it checks), so plain assignment places them.  The grid sum is
-the sum of the P row sums.  With real coefficients f(-t) = conj f(t), and
+(a_0 mod Q, a' mod N').  Those residues are distinct since Q >= 2 d_0 + 1,
+so plain assignment places them.  The grid sum is the sum of the P row
+sums.  With real coefficients f(-t) = conj f(t), and
 -(r + P i) = (P - r) + P (Q - 1 - i) mod N_0, so row P - r has the same
-sum as row r.  Only rows 0 .. P//2 are evaluated.  Rows 0 < r < P/2 count
-twice; rows 0 and (P even) P/2 are their own mirrors and count once.
+sum as row r.  Only rows 0 .. P//2 are evaluated, row 0 by a real-input
+transform.  Rows 0 < r < P/2 count twice; rows 0 and (P even) P/2 are
+their own mirrors and count once.
+
+Streamed rank-1 grids.  The bound holds for every N > Delta, so a rank-1
+grid of :func:`certified_l1` that does not fit in one block need not be
+5-smooth: :func:`_sized_grid` takes the least N = P' Q' at or above the
+rule's N_0 over rows of 5-smooth lengths Q' from 2d + 1 up to one block,
+in any number P'.  A sparse set (terms^2 < 2d + 1) also tries shorter
+rows, down to 32 points a term, on which its frequencies have distinct
+residues, the one thing the coset identity needs.  The floor keeps a
+row's O(terms) work (its twiddles and scatter) far below its transform's.
+Short rows bring N within a fraction of a percent of N_0 and keep each
+transform in cache: without them, rows of at least 2d + 1 points raised
+the sparse benchmark's peak RSS from 78 to 111-114 MB.
 
 The twiddles.  Every row r = 0 mod 32 is an anchor: its twiddles
 c_a e(a_0 r / N_0) are computed afresh from the integer phase
@@ -164,7 +161,7 @@ import numpy as np
 import scipy.fft
 
 from .core import IntegerSet, TrigPoly, _run_starts, indicator_poly, recentre
-from .errors import AliasingError, MemoryBudgetError
+from .errors import AliasingError, GridOverflowError, MemoryBudgetError
 
 # complex128; a real-coefficient grid holds a float64 input and a half-size
 # complex128 output, about the same
@@ -179,7 +176,8 @@ _BLOCK_BYTES = 4 * 2 ** 20
 _BLOCK_BYTES_PER_SAMPLE = 24
 # the anchor interval: rows r = 0 mod 32 get their twiddles afresh, so the
 # recurrence runs at most 31 steps (module docstring); also the most coset
-# rows of a choose_grid grid (_coset_length)
+# rows _coset_length gives a grid, and the points a term of the shortest
+# rows of _sized_grid
 _MAX_COSETS = 32
 
 
@@ -287,11 +285,16 @@ def _checked_shape(f: TrigPoly, shape, memory_budget: int | None) -> tuple[int, 
             raise AliasingError(
                 f"axis {ax}: {n} samples alias a recentred degree-{d} polynomial "
                 f"(need >= {2 * d + 1})")
-    needed = math.prod(shape) * _BYTES_PER_SAMPLE
-    budget = _memory_budget(memory_budget)
-    if needed > budget:
-        raise MemoryBudgetError(shape, needed, budget)
+    _check_budget(shape, _memory_budget(memory_budget))
     return shape
+
+
+def _check_budget(shape: tuple[int, ...], budget: int) -> None:
+    needed = math.prod(shape) * _BYTES_PER_SAMPLE
+    # an axis of 2^62 samples or more passes the int64 indices and the
+    # 5-smooth lengths (_smooth_lengths) of every grid, whatever the budget
+    if needed > budget or max(shape) >= 2 ** 62:
+        raise MemoryBudgetError(shape, needed, budget)
 
 
 def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvaluation:
@@ -336,29 +339,26 @@ def _coset_length(shape: tuple[int, ...], d0: int) -> int:
                 for q in (k, n0 // k) if q >= least), default=n0)
 
 
-def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int,
-                    row0_sum: float | None = None) -> list[float]:
+def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
     """sum_i |f((r + P i)/N_0, t')| over each coset row r mod P = N_0/q, for
     r = 0 .. P-1, or r = 0 .. P//2 when every coefficient is real (the
-    coset identity in the module docstring).  Row 0 is the q-point grid that
-    every N_0 = P q shares; ``row0_sum`` is its sum when already known."""
+    coset identity in the module docstring)."""
     n0, p = shape[0], shape[0] // q
     row_shape = (q,) + shape[1:]
     # residues first, so no product below can overflow int64
     res = f.freqs % np.array(shape, dtype=np.int64)
     idx = (res[:, 0] % q,) + tuple(res[:, 1:].T)
     real = not f.coeffs.imag.any()
-    if row0_sum is None and real:
+    sums = []
+    if real:
         # row 0 has real coefficients and a half-grid transform
         row0 = np.zeros(row_shape, dtype=np.float64)
         row0[idx] = f.coeffs.real
-        row0_sum = _half_grid_abs_sum(scipy.fft.rfftn(row0), row_shape[-1])
+        sums.append(_half_grid_abs_sum(scipy.fft.rfftn(row0), row_shape[-1]))
         del row0  # freed before the block buffers exist
     # f(-t) = conj f(t) maps row r onto row P - r, so with real coefficients
-    # rows 0 .. P//2 suffice; a complex row 0 not yet summed is the first
-    # anchor row
-    stop = p // 2 + 1 if real else p
-    sums, first = ([], 0) if row0_sum is None else ([row0_sum], 1)
+    # rows 0 .. P//2 suffice; a complex row 0 is the first anchor row
+    stop, first = p // 2 + 1 if real else p, len(sums)
     if first == stop:
         return sums
     scale = 2j * math.pi / n0
@@ -401,10 +401,9 @@ def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int,
     return sums
 
 
-def _coset_mean(f: TrigPoly, shape: tuple[int, ...], q: int,
-                row0_sum: float | None = None) -> float:
+def _coset_mean(f: TrigPoly, shape: tuple[int, ...], q: int) -> float:
     """The grid mean of |f| from the coset row sums of :func:`_coset_row_sums`."""
-    sums = _coset_row_sums(f, shape, q, row0_sum)
+    sums = _coset_row_sums(f, shape, q)
     # each row P - r missing from sums is the mirror of row r, same sum
     p = shape[0] // q
     return math.fsum(sums + sums[1:p - len(sums) + 1]) / math.prod(shape)
@@ -428,84 +427,98 @@ def riemann_l1(f: TrigPoly, shape, memory_budget: int | None = None) -> float:
 
 
 def riemann_rho(d: int, n: int) -> float:
-    """Relative error bound pi d / N of the N-point grid mean of |f| for a
-    degree-d polynomial f (see the module docstring for the proof)."""
+    """The bound pi d / N on the relative error of the N-point grid mean of
+    |f| for a degree-d polynomial f (Koksma and Bernstein; module docstring,
+    "The pi d / N bound").  No enclosure uses it."""
     return math.pi * d / n
 
 
-def choose_grid(degree: Sequence[int], rel_err: float) -> tuple[tuple[int, ...],
-                                                                tuple[float, ...]]:
-    """Per-axis sample counts for a target total relative error.
+def choose_grid(diameter: Sequence[int], rel_err: float) -> tuple[int, ...]:
+    """The least per-axis sample counts N_i with hi/lo = c^2 <= 1 + 2 rel_err
+    for frequency diameters Delta_i (module docstring, "The grid rule").
 
-    Splits rel_err so the per-axis factors compound to at most (1 + rel_err):
-    rho_i = (1+rel_err)^(1/r) - 1, N_i = ceil(pi d_i / rho_i) rounded up to
-    a 5-smooth length (never below the alias-free 2 d_i + 1).  Returns
-    the counts and the achieved per-axis rho_i = riemann_rho(d_i, N_i).
+    N_i = ceil(t Delta_i/(t - 1)) with t = (1 + 2 rel_err)^(1/r), at least
+    the alias-free 2 d_i + 1 (d_i = ceil(Delta_i/2)), and 1 where
+    Delta_i = 0.  Not rounded: a grid evaluated whole takes the next
+    5-smooth lengths, a streamed rank-1 grid the rows of :func:`_sized_grid`.
     """
     if not 0 < rel_err < 1:
         raise ValueError("rel_err must be in (0, 1)")
-    r = len(degree)
-    target = (1.0 + rel_err) ** (1.0 / r) - 1.0
-    shape = []
-    rhos = []
-    for d in degree:
-        if d == 0:
-            shape.append(1)
-            rhos.append(0.0)
-            continue
-        # the smallest N with riemann_rho(d, N) <= target, rounded up to a
-        # 5-smooth length, which both the real and the complex FFT run fast
-        n = scipy.fft.next_fast_len(max(math.ceil(riemann_rho(d, 1) / target),
-                                        2 * d + 1), real=True)
-        shape.append(n)
-        rhos.append(riemann_rho(d, n))
-    return tuple(shape), tuple(rhos)
+    t = (1.0 + 2.0 * rel_err) ** (1.0 / len(diameter))
+    return tuple(max(math.ceil(t * d / (t - 1.0)), 2 * ((d + 1) // 2) + 1) if d else 1
+                 for d in diameter)
+
+
+def _quadrature_factor(grid: Sequence[int], diameter: Sequence[int]) -> float:
+    """c = prod_i sqrt(N_i/(N_i - Delta_i)), rounded up at every step
+    (module docstring, "Rounding"); exactly 1 for a constant."""
+    c = 1.0
+    for n, d in zip(grid, diameter):
+        if d:
+            root = math.nextafter(math.sqrt(math.nextafter(n / (n - d), math.inf)),
+                                  math.inf)
+            c = math.nextafter(c * root, math.inf)
+    return c
+
+
+def _finite(enc: NormInterval) -> NormInterval:
+    """``enc``, unless its mean or hi overflowed float64 (then lo <= hi is
+    no enclosure either)."""
+    if not (math.isfinite(enc.riemann) and math.isfinite(enc.hi)):
+        raise GridOverflowError(
+            f"the grid mean of |f| on grid {enc.grid} overflows float64 "
+            f"(riemann {enc.riemann}, hi {enc.hi}); scale the coefficients down")
+    return enc
 
 
 def certified_l1(f: TrigPoly, rel_err: float = 0.1,
                  memory_budget: int | None = None) -> NormInterval:
-    """Certified enclosure of ||f||_1 with relative width about 2*rel_err.
+    """Certified enclosure [S/c, S c] of ||f||_1 with hi/lo <= 1 + 2 rel_err.
 
-    Recentres f first (translation preserves the norm and minimizes the
-    degree), picks the grid with :func:`choose_grid`, and brackets the grid
-    mean S by [S / prod(1+rho_i), S / prod(1-rho_i)].
+    ``rel_err`` bounds the relative width: hi/lo = c^2 <= 1 + 2 rel_err, so
+    (hi - lo)/lo <= 2 rel_err.  Recentres f first (translation preserves
+    the norm and minimizes the degree), takes the grid of
+    :func:`choose_grid`, and encloses the grid mean S by [S/c, S c] with
+    c = prod_i sqrt(N_i/(N_i - Delta_i)) rounded up, lo moved one ulp down
+    and hi one up (module docstring).  A constant gets [S, S] widened by one
+    ulp each way.
 
-    A rank-1 grid too large for one block is sized again from the exact
-    bound ||f'||_2 (module docstring): it becomes P' Q' points, no more
-    than the :func:`choose_grid` grid, with rows of a 5-smooth length Q' but
-    N = P' Q' not necessarily 5-smooth, and S is bracketed by the
-    intersection of the relative and the additive interval.  A constant
-    (recentred degree 0) gets [S, S] widened by one ulp each way.
+    The memory budget is checked against the unrounded grid.  A rank-1 grid
+    too large for one block then streams as P' Q' points in rows of a
+    5-smooth length Q' (:func:`_sized_grid`); any other grid is rounded up
+    to 5-smooth lengths.  A grid mean or an end that overflows float64
+    raises :class:`~expsums.errors.GridOverflowError`.
 
     In rank >= 2, c times the indicator of a Cartesian product A_0 x ... x
     A_{r-1} is enclosed as |c| times the product of the rank-1 enclosures
-    of the A_i, each at (1 + rel_err)^(1/r) - 1, rounded outward (module
-    docstring, "Products"); ``grid`` holds the factor grids, and the
-    memory budget applies to each factor's grid alone.
+    of the A_i, each at the axis target (1 + 2 rel_err)^(1/r), rounded
+    outward (module docstring, "Products"); ``grid`` holds the factor grids,
+    and the memory budget applies to each factor's grid alone.
     """
     if not 0 < rel_err < 1:
         raise ValueError("rel_err must be in (0, 1)")
     if f.is_zero:
         raise ValueError("certified_l1 needs a nonzero polynomial")
     g, _ = recentre(f)
-    degree = g.degree
-    if g.rank > 1 and any(degree):
+    diameter = tuple(hi - lo for lo, hi in g.support_box)
+    if g.rank > 1 and any(diameter):
         axes = _product_axes(g)
         if axes is not None:
             return _product_l1(g, axes, rel_err, memory_budget)
-    shape, rhos = choose_grid(degree, rel_err)
-    if g.rank == 1 and degree[0]:
-        q = _coset_length(shape, degree[0])
-        if q < shape[0]:
-            return _sized_l1(g, shape, rhos[0], q, memory_budget)
-    s = riemann_l1(g, shape, memory_budget)
-    if not any(degree):
-        # one term: S = |c| from one abs, which errs by less than an ulp
-        return NormInterval(math.nextafter(s, 0.0), math.nextafter(s, math.inf),
-                            s, shape, degree)
-    up = math.prod(1.0 + r for r in rhos)
-    dn = math.prod(1.0 - r for r in rhos)
-    return NormInterval(s / up, s / dn, s, shape, degree)
+    budget = _memory_budget(memory_budget)
+    want = choose_grid(diameter, rel_err)
+    _check_budget(want, budget)
+    if g.rank == 1 and want[0] * _BLOCK_BYTES_PER_SAMPLE > _BLOCK_BYTES:
+        n, q = _sized_grid(g, want[0])
+        grid = (n,)
+        _check_budget(grid, budget)
+        s = _coset_mean(g, grid, q)
+    else:
+        grid = tuple(scipy.fft.next_fast_len(n, real=True) for n in want)
+        s = riemann_l1(g, grid, budget)
+    c = _quadrature_factor(grid, diameter)
+    return _finite(NormInterval(math.nextafter(s / c, 0.0), math.nextafter(s * c, math.inf),
+                                s, grid, g.degree))
 
 
 def _product_axes(g: TrigPoly) -> list[np.ndarray] | None:
@@ -540,7 +553,9 @@ def _product_l1(g: TrigPoly, axes: list[np.ndarray], rel_err: float,
     c = abs(complex(g.coeffs[0]))
     # abs errs by under an ulp
     lo, hi, s = math.nextafter(c, 0.0), math.nextafter(c, math.inf), c
-    rel = (1.0 + rel_err) ** (1.0 / g.rank) - 1.0  # choose_grid's split
+    # the axis target t = (1 + 2 rel_err)^(1/r) is hi/lo <= 1 + 2 rel for
+    # rel = (t - 1)/2
+    rel = ((1.0 + 2.0 * rel_err) ** (1.0 / g.rank) - 1.0) / 2.0
     grid = []
     for a in axes:
         if len(a) == 1:  # |e(a t)| = 1
@@ -551,74 +566,40 @@ def _product_l1(g: TrigPoly, axes: list[np.ndarray], rel_err: float,
         hi = math.nextafter(hi * enc.hi, math.inf)
         s *= enc.riemann
         grid += enc.grid
-    return NormInterval(lo, hi, s, tuple(grid), g.degree)
+    return _finite(NormInterval(lo, hi, s, tuple(grid), g.degree))
 
 
-def _sized_l1(g: TrigPoly, shape: tuple[int, ...], rho_rel: float, q: int,
-              memory_budget: int | None) -> NormInterval:
-    """certified_l1 of a recentred rank-1 g whose :func:`choose_grid` grid
-    ``shape`` (relative error ``rho_rel``) streams as P_rel rows of length
-    q: the grid sized from row 0 and ||g'||_2 (module docstring)."""
-    _checked_shape(g, shape, memory_budget)  # the budget of today's grid
-    s0 = _coset_row_sums(g, (q,), q)[0]
-    dl2 = _derivative_l2(g)
-    # the least N whose allowance D / (2 N) is rho_rel times the row-0 mean
-    # s0 / q, taken 1% larger so that the mean's error as an estimate of
-    # the norm does not leave the width above rho_rel's; the sizing needs
-    # no certificate, only the interval below
-    want = 1.01 * dl2 * q / (2 * s0 * rho_rel) if s0 else math.inf
-    n, row = _sized_grid(g, want, shape[0], q)
-    s = _coset_mean(g, (n,), row, row0_sum=s0 if row == q else None)
-    a = math.nextafter(dl2 / (2 * n), math.inf)
-    lo = max(math.nextafter(s - a, -math.inf), 0.0)
-    hi = math.nextafter(s + a, math.inf)
-    rho = riemann_rho(g.degree[0], n)
-    if rho < 1:
-        lo, hi = max(lo, s / (1 + rho)), min(hi, s / (1 - rho))
-    return NormInterval(lo, hi, s, (n,), g.degree)
+def _sized_grid(g: TrigPoly, want: int) -> tuple[int, int]:
+    """(N, Q'): the least grid N = P' Q' >= ``want`` for the recentred rank-1
+    g, streamed as P' rows of length Q' (module docstring, "Streamed rank-1
+    grids").
 
-
-def _sized_grid(g: TrigPoly, want: float, n_rel: int, q: int) -> tuple[int, int]:
-    """(N, Q'): the grid N = P' Q' of the sized path for the recentred
-    rank-1 g, streamed as rows of length Q', for the target N >= ``want``
-    (module docstring).
-
-    The :func:`choose_grid` grid n_rel = P_rel q if want >= n_rel, and row 0
-    alone (N = q) if want <= q.  Otherwise the least N >= want over rows q
-    long (row 0 reused) and rows of any 5-smooth length Q' < q on which the
-    frequencies of g have distinct residues; of equal N, the one that
+    Q' runs over the 5-smooth lengths from 2d + 1 up to one block (the least
+    one from 2d + 1 if that is longer), and, when terms^2 < 2d + 1, over
+    shorter ones down to 32 points a term on which the frequencies of g have
+    distinct residues; P' is any number.  Of equal N, the plan that
     transforms the fewest samples (rows 0 .. P'//2 when the coefficients
-    are real); and n_rel if that transforms no more.  Every Q' >= 2d + 1
-    has distinct residues; shorter rows are tried only when terms^2 < 2d + 1,
-    where residues of spread-out frequencies mostly are distinct, and none
-    shorter than 32 points a term, so the O(terms) work of a row stays far
-    below its transform's."""
-    if not want < n_rel:
-        return n_rel, q
-    if want <= q:
-        return q, q
+    are real) wins, then the shorter row."""
     least, terms = 2 * g.degree[0] + 1, len(g.coeffs)
     low = least if terms * terms >= least else min(least, _MAX_COSETS * terms)
     smooth = _smooth_lengths()
-    lengths = smooth[np.searchsorted(smooth, low):np.searchsorted(smooth, q)]
-    short = lengths[:np.searchsorted(lengths, least)]
-    if short.size:
-        # each length's residues of the frequencies, sorted: equal neighbours
-        # are a clash
-        res = np.sort(g.freqs[:, :1] % short, axis=0)
+    first, alias_free = (int(i) for i in np.searchsorted(smooth, [low, least]))
+    stop = max(int(np.searchsorted(smooth, _BLOCK_BYTES // _BLOCK_BYTES_PER_SAMPLE,
+                                   side="right")), alias_free + 1)
+    lengths = smooth[first:stop]
+    if alias_free > first:
+        # each short length's residues of the frequencies, sorted: equal
+        # neighbours are a clash
+        short = alias_free - first
+        res = np.sort(g.freqs[:, :1] % lengths[:short], axis=0)
         ok = np.ones(lengths.size, dtype=bool)
-        ok[:short.size] = (np.diff(res, axis=0) != 0).all(axis=0)
+        ok[:short] = (np.diff(res, axis=0) != 0).all(axis=0)
         lengths = lengths[ok]
-    lengths = np.append(lengths, q)
-    p = -(-math.ceil(want) // lengths)
+    p = -(-want // lengths)
     n = p * lengths
     real = not g.coeffs.imag.any()
-    # samples transformed; row 0's sum is reused when the rows are q long
-    samples = ((p // 2 + 1 if real else p) - (lengths == q)) * lengths
+    samples = (p // 2 + 1 if real else p) * lengths
     best = np.lexsort((lengths, samples, n))[0]
-    p_rel = n_rel // q
-    if ((p_rel // 2 + 1 if real else p_rel) - 1) * q <= samples[best]:
-        return n_rel, q
     return int(n[best]), int(lengths[best])
 
 
@@ -652,34 +633,6 @@ def derivative(f: TrigPoly, axis: int = 0) -> TrigPoly:
     dc.real = -(k * f.coeffs.imag)
     dc.imag = k * f.coeffs.real
     return TrigPoly.from_arrays(f.rank, f.freqs, dc)
-
-
-def _derivative_l2(f: TrigPoly) -> float:
-    """An upper bound, a few ulps per term above it, of ||g'||_2 =
-    2 pi sqrt(sum n^2 |c_n|^2) for the recentred g of a rank-1 f (Parseval;
-    inf if it overflows)."""
-    if f.is_zero:
-        return 0.0
-    (lo, hi), = f.support_box
-    n = (f.freqs[:, 0] - np.int64((lo + hi) // 2)).astype(np.float64)
-    # n Re c_n and n Im c_n, each one rounded product (the imaginary part of
-    # n + 0j adds exact zeros), cheaper than hypot
-    w = (f.coeffs * n).view(np.float64)
-    top = max(float(w.max()), -float(w.min()))
-    if not top or not math.isfinite(top):
-        return top
-    # in [-1, 1] now, so no square overflows, and each square that underflows
-    # loses under 2^-1074 against a sum of at least 1
-    w /= top
-    # a ufunc sum, not np.dot: BLAS may split a long dot over threads and
-    # wait for them, milliseconds on a busy host
-    total = float(np.square(w, out=w).sum())
-    # the conversion of n, the product and the division each err by at most
-    # u relatively (u = 2^-53), the sum of the m = w.size nonnegative squares
-    # by gamma_m, the underflow by m u, and the sqrt, tau and the products
-    # by u each: a factor 1 + 4 (m + 8) u covers them all
-    slack = 1.0 + 4 * (w.size + 8) * 2.0 ** -53
-    return math.nextafter(math.tau * top * math.sqrt(total) * slack, math.inf)
 
 
 class BernsteinCheck(NamedTuple):

@@ -142,13 +142,39 @@ def test_norm_memory_budget_exit_code(tmp_path):
 
 def test_norm_box_beyond_the_grid_budget(tmp_path):
     # a Cartesian product is a product of rank-1 enclosures, so the
-    # 12960^2 grid (2.7 GB) of the 400 x 400 box is never formed
+    # 4608^2 grid (340 MB) of the 400 x 400 box is never formed: a 1 MB
+    # budget, which each 4608-point factor grid fits, is enough
     out = tmp_path / "n.json"
-    r = run_cli("norm", "--set", "box:400,400", "--output", str(out))
+    r = run_cli("norm", "--set", "box:400,400", "--output", str(out),
+                env_extra={"EXPSUMS_MEMORY_BUDGET": "1000000"})
     assert r.returncode == 0, r.stderr
     enc = load_report(out)["result"]
-    assert enc["grid"] == [12960, 12960] and enc["degree"] == [200, 200]
+    assert enc["grid"] == [4608, 4608] and enc["degree"] == [200, 200]
+    assert 4608 ** 2 * 16 > 10 ** 6
     assert 0 < enc["lo"] <= enc["riemann"] <= enc["hi"]
+
+
+def test_norm_huge_span_is_a_budget_error(tmp_path):
+    # the grid of a 2^62 span is past int64; it exits 3 naming the grid
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps({"rank": 1, "terms": [[[0], [1.0, 0.0]],
+                                                    [[2 ** 62], [1.0, 0.0]]]}))
+    r = run_cli("norm", "--input", str(src), "--output", str(tmp_path / "n.json"))
+    assert r.returncode == 3, r.stderr
+    assert "grid (" in r.stderr and "budget" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_norm_overflowing_mean_is_usage_error(tmp_path):
+    # |1 + 1e307 e(7t)| sums past float64 on the grid: no [inf, inf] report
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"rank": 1, "terms": [[[0], [1.0, 0.0]],
+                                                    [[7], [1e307, 0.0]]]}))
+    out = tmp_path / "n.json"
+    r = run_cli("norm", "--input", str(src), "--output", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "overflows float64" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_non_product_lattice_keeps_the_budget(tmp_path):
@@ -338,6 +364,31 @@ def test_verify_main_prop_malformed_input_names_the_keys(tmp_path, capsys, conte
     assert code == 2, err
     assert str(path) in err and "blocks, d1, d2, delta, q, s" in err
     assert "Traceback" not in err
+
+
+_MAIN_PROP_OK = {"blocks": [[0, {"rank": 1, "terms": [[[0], [1.0, 0.0]]]}]],
+                 "d1": 5, "d2": 20, "delta": 1.0, "q": 13, "s": 0}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("blocks", 5), ("blocks", [[0, {"rank": 1}]]), ("d1", "x")])
+def test_verify_main_prop_bad_field_names_the_file_and_field(tmp_path, capsys,
+                                                             field, value):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**_MAIN_PROP_OK, field: value}))
+    code = main(["verify", "--theorem", "main-prop", "--input", str(path),
+                 "--output", str(tmp_path / "v.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(path) in err and repr(field) in err
+    assert "Traceback" not in err
+
+
+def test_verify_main_prop_good_fields_still_run(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_MAIN_PROP_OK))
+    assert main(["verify", "--theorem", "main-prop", "--input", str(path),
+                 "--output", str(tmp_path / "v.json"), "--no-fail"]) == 0
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

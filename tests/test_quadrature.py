@@ -11,9 +11,9 @@ import scipy.fft
 
 from expsums import quadrature
 from expsums.core import IntegerSet, TrigPoly, indicator_poly, recentre
-from expsums.errors import AliasingError, MemoryBudgetError
-from expsums.quadrature import (GridEvaluation, NormInterval, _coset_length,
-                                _coset_row_sums, _derivative_l2, _memory_budget,
+from expsums.errors import AliasingError, GridOverflowError, MemoryBudgetError
+from expsums.quadrature import (GridEvaluation, _coset_length, _coset_row_sums,
+                                _memory_budget, _quadrature_factor,
                                 _recentred_degree, _sized_grid, bernstein_check,
                                 certified_l1, choose_grid, derivative, eval_grid,
                                 riemann_l1)
@@ -97,28 +97,35 @@ def test_riemann_error_within_rho_empirically():
     assert worst < 1
 
 
+def _fast(shape):
+    # the 5-smooth lengths a grid evaluated whole is rounded up to
+    return tuple(scipy.fft.next_fast_len(n, real=True) for n in shape)
+
+
 def test_choose_grid_resolution():
-    for d, rel in ((10, 0.1), (200, 0.02), (64, 0.5)):
-        (n,), (rho,) = choose_grid((d,), rel)
-        target = (1.0 + rel) - 1.0  # the one-axis split of rel
-        assert rho == pytest.approx(math.pi * d / n)
-        assert rho <= target
-        assert n >= 2 * d + 1
-        assert n == scipy.fft.next_fast_len(math.ceil(math.pi * d / target),
-                                            real=True)
+    for delta, rel in ((20, 0.1), (400, 0.02), (127, 0.5), (10 ** 6, 0.1)):
+        (n,) = choose_grid((delta,), rel)
+        t = 1 + 2 * rel
+        # the least N with N / (N - Delta) <= t, up to the float rounding of
+        # t Delta / (t - 1)
+        assert n / (n - delta) <= t * (1 + 1e-12)
+        assert (n - 2) / (n - 2 - delta) > t
+        assert n >= 2 * ((delta + 1) // 2) + 1
 
 
 def test_choose_grid_splits_budget_across_axes():
-    shape, rhos = choose_grid((10, 10), 0.1)
-    assert len(shape) == 2
-    # per-axis errors compose to the requested total
-    assert math.prod(1 + r for r in rhos) <= 1.1 + 1e-9
+    shape = choose_grid((20, 7, 300), 0.1)
+    assert len(shape) == 3
+    # per-axis factors compose to the requested hi/lo
+    assert math.prod(n / (n - d) for n, d in zip(shape, (20, 7, 300))) <= 1.2 * (1 + 1e-12)
+    assert choose_grid((20, 20), 0.1)[0] > choose_grid((20,), 0.1)[0]
 
 
 def test_choose_grid_degree_zero():
-    (n,), (rho,) = choose_grid((0,), 0.1)
-    assert n == 1
-    assert rho == 0.0
+    assert choose_grid((0,), 0.1) == (1,)
+    assert choose_grid((0, 9), 0.1)[0] == 1
+    # the alias-free floor 2 d + 1 for a one-step span at a loose target
+    assert choose_grid((1,), 0.99) == (3,)
 
 
 def test_certified_l1_contains_reference():
@@ -431,7 +438,7 @@ def test_coset_mean_p1_is_the_whole_grid(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 7, 64, 1000, 20_000, 37_615, 60_000])
 def test_coset_length_is_least_alias_free_divisor(d):
-    grids = [choose_grid((d,), rel)[0][0] for rel in (0.1, 0.03)]
+    grids = [_fast(choose_grid((2 * d,), rel))[0] for rel in (0.1, 0.03)]
     for n in grids + [10 ** 6, 2 ** 20]:  # and fine reference grids
         if n < 2 * d + 1:
             continue
@@ -464,14 +471,13 @@ def test_coset_mean_keeps_the_grid_checks():
 
 
 def test_coset_mean_holds_a_quarter_of_the_grid():
-    # a sparse-style grid: 64 elements of span 76e3, 1.2M samples at rel_err
-    # 0.1; the whole grid would take N * 16 bytes at least
+    # a sparse-style grid: 64 elements of span 76e3 on 1.2M samples; the
+    # whole grid would take N * 16 bytes at least
     rng = np.random.default_rng(7)
     els = np.sort(rng.choice(76_000, size=64, replace=False))
     g, _ = recentre(indicator_poly(IntegerSet.from_iterable(int(x) for x in els)))
-    shape, _ = choose_grid(g.degree, 0.1)
+    shape = (1_200_000,)
     n = math.prod(shape)
-    assert 1_000_000 <= n <= 1_500_000
     for h in (g, TrigPoly.from_arrays(1, g.freqs, g.coeffs * (0.6 + 0.8j))):
         tracemalloc.start()
         try:
@@ -497,32 +503,113 @@ def test_certified_l1_degree_zero_contains_exact_modulus(f):
     assert enc.hi == math.nextafter(math.nextafter(enc.lo, math.inf), math.inf)
 
 
-# --- rank-1 grids sized from ||g'||_2 ----------------------------------------
+# --- the de la Vallee-Poussin bound: ||f||_1 in [S/c, S c] ----------------
 
-PI_LO, PI_HI = Fraction(math.pi), Fraction(math.nextafter(math.pi, 4.0))
+def _mean_abs(f, shape):
+    # the grid mean of |f| on any grid with N_i > Delta_i, where the
+    # residues are distinct but eval_grid would ask for 2 d_i + 1
+    coeffs = np.zeros(shape, dtype=np.complex128)
+    coeffs[tuple((f.freqs % np.array(shape)).T)] = f.coeffs
+    return float(np.mean(np.abs(scipy.fft.ifftn(coeffs, norm="forward"))))
 
 
-@pytest.mark.parametrize("real", [True, False])
-def test_derivative_l2_is_the_exact_value_rounded_up(real):
-    rng = np.random.default_rng([77, real])
-    for terms in (1, 2, 30, 3000):
-        freqs = rng.choice(10 ** 6, size=terms, replace=False) - 300_000
-        coeffs = rng.integers(-1000, 1001, size=terms).astype(np.float64)
-        if not real:
-            coeffs = coeffs + 1j * rng.integers(-1000, 1001, size=terms)
-        coeffs[0] = 7  # never the zero polynomial
-        f = TrigPoly.from_arrays(1, freqs[:, None], coeffs)
-        lo, hi = f.support_box[0]
-        centre = (lo + hi) // 2
-        exact = sum(Fraction((int(a) - centre) ** 2)
-                    * (Fraction(c.real) ** 2 + Fraction(c.imag) ** 2)
-                    for (a,), c in zip(f.freqs.tolist(), f.coeffs.tolist()))
-        got = Fraction(_derivative_l2(f)) ** 2
-        # 2 pi sqrt(exact) <= D <= 2 pi sqrt(exact) (1 + 1e-9)
-        assert 4 * PI_HI ** 2 * exact <= got
-        assert got <= 4 * PI_LO ** 2 * exact * Fraction(1 + 1e-9) ** 2
-        assert _derivative_l2(f.shifted((2 ** 40,))) == _derivative_l2(f)
+def _diameter(f):
+    return tuple(hi - lo for lo, hi in f.support_box)
 
+
+def _bound(f, shape):
+    # [S/c, S c] on ``shape``, in floats
+    s = _mean_abs(f, shape)
+    c = math.prod(math.sqrt(n / (n - d)) for n, d in zip(shape, _diameter(f)))
+    return s / c, s * c
+
+
+def _dvp_families(delta):
+    rng = np.random.default_rng(delta)
+    k = np.arange(delta + 1)
+    yield "dirichlet", TrigPoly.from_arrays(1, k[:, None], np.ones(delta + 1))
+    yield "real", TrigPoly.from_arrays(1, k[:, None], rng.standard_normal(delta + 1))
+    yield "complex", TrigPoly.from_arrays(
+        1, k[:, None], rng.standard_normal(delta + 1) + 1j * rng.standard_normal(delta + 1))
+    yield "spike", TrigPoly(1, {0: 1.0, delta: 0.3 - 0.2j})
+
+
+@pytest.mark.parametrize("delta", [3, 8, 21, 40])
+def test_dvp_bound_contains_the_norm_for_every_n(delta):
+    # every N in (Delta, 6 Delta], against a 2^16-point reference whose own
+    # interval is 3e-4 wide or less
+    for name, f in _dvp_families(delta):
+        ref_lo, ref_hi = _bound(f, (2 ** 16,))
+        assert ref_hi / ref_lo < 1 + 1.3e-3
+        for n in range(delta + 1, 6 * delta + 1):
+            lo, hi = _bound(f, (n,))
+            assert lo <= ref_lo and ref_hi <= hi, (name, n)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 5, 16, 77])
+def test_dvp_bound_near_equality(delta):
+    # 1 + e(Delta t) on N = 2 Delta: the samples are |1 + (-1)^j|, so S = 1,
+    # c = sqrt 2, and ||f||_1 = 4/pi uses 0.900 of the upper end
+    f = TrigPoly(1, {0: 1.0, delta: 1.0})
+    lo, hi = _bound(f, (2 * delta,))
+    assert lo == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+    assert hi == pytest.approx(math.sqrt(2), rel=1e-12)
+    assert lo <= 4 / math.pi <= hi
+    assert 4 / math.pi / hi > 0.9
+    enc = certified_l1(f, 0.1)
+    assert enc.contains(4 / math.pi)
+
+
+def test_dvp_bound_rank2_unequal_axes():
+    # Delta = (6, 23): every grid with 6 < N_0 <= 30 and 23 < N_1 <= 60 in
+    # steps, against a 512 x 1024 reference; then certified_l1 itself
+    rng = np.random.default_rng(19)
+    pts = np.stack([rng.integers(0, 7, 40), rng.integers(0, 24, 40)], axis=1)
+    pts[0], pts[1] = (0, 0), (6, 23)
+    for coeffs in (np.ones(40), rng.standard_normal(40) + 1j * rng.standard_normal(40)):
+        f = TrigPoly(2, {tuple(int(x) for x in p): complex(c) for p, c in zip(pts, coeffs)})
+        assert _diameter(f) == (6, 23)
+        ref_lo, ref_hi = _bound(f, (512, 1024))
+        for n0 in range(7, 31, 3):
+            for n1 in range(24, 61, 4):
+                lo, hi = _bound(f, (n0, n1))
+                assert lo <= ref_lo and ref_hi <= hi, (n0, n1)
+        g, _ = recentre(f)
+        assert quadrature._product_axes(g) is None
+        enc = certified_l1(f, 0.1)
+        assert enc.grid == _fast(choose_grid((6, 23), 0.1))
+        assert enc.grid[0] < enc.grid[1]
+        assert enc.lo <= ref_lo and ref_hi <= enc.hi
+        assert enc.hi / enc.lo <= 1.2 * (1 + 1e-12)
+
+
+def test_quadrature_factor_is_rounded_up():
+    for shape, diameter in (((601,), (100,)), ((7, 1000), (3, 617)), ((5, 1), (4, 0)),
+                            ((1,), (0,)), ((2 ** 40 + 3,), (2 ** 39,))):
+        c = _quadrature_factor(shape, diameter)
+        exact = math.prod(Fraction(n, n - d) for n, d in zip(shape, diameter))
+        assert Fraction(c) ** 2 >= exact
+        assert c <= math.sqrt(float(exact)) * (1 + 1e-15)
+    assert _quadrature_factor((1, 1), (0, 0)) == 1.0
+
+
+@pytest.mark.parametrize("rel", [0.9, 0.5, 0.1, 0.01])
+def test_certified_l1_is_the_dvp_interval(rel):
+    # the interval is [S/c, S c] with c from the grid, rounded outward, and
+    # its relative width hi/lo - 1 is at most 2 rel_err
+    for f in (_fejer(30), indicator_poly(IntegerSet.from_iterable([0, 4, 9, 33])),
+              TrigPoly(2, {(0, 0): 1.0, (3, 1): 2j, (1, 5): -0.5})):
+        enc = certified_l1(f, rel)
+        g, _ = recentre(f)
+        assert enc.grid == _fast(choose_grid(_diameter(g), rel))
+        c = _quadrature_factor(enc.grid, _diameter(g))
+        assert enc.riemann == riemann_l1(g, enc.grid)
+        assert enc.lo == math.nextafter(enc.riemann / c, 0.0)
+        assert enc.hi == math.nextafter(enc.riemann * c, math.inf)
+        assert enc.hi / enc.lo <= (1 + 2 * rel) * (1 + 1e-12)
+
+
+# --- streamed rank-1 grids: rows planned by _sized_grid -----------------------
 
 def _sparse_poly(rng, span, terms, real):
     freqs = np.sort(rng.choice(span + 1, size=terms, replace=False))
@@ -533,137 +620,137 @@ def _sparse_poly(rng, span, terms, real):
     return TrigPoly.from_arrays(1, freqs[:, None], coeffs)
 
 
-def _intersection(g, enc):
-    # the documented enclosure of the sized grid, from its S and N
-    (n,), s = enc.grid, enc.riemann
-    a = math.nextafter(_derivative_l2(g) / (2 * n), math.inf)
-    lo = max(math.nextafter(s - a, -math.inf), 0.0)
-    hi = math.nextafter(s + a, math.inf)
-    rho = quadrature.riemann_rho(g.degree[0], n)
-    if rho < 1:
-        lo, hi = max(lo, s / (1 + rho)), min(hi, s / (1 - rho))
-    return lo, hi
+def _streams(want):
+    return want * quadrature._BLOCK_BYTES_PER_SAMPLE > quadrature._BLOCK_BYTES
 
 
-def _relative_only(g, rel):
-    # today's enclosure on the choose_grid grid
-    shape, (rho,) = choose_grid(g.degree, rel)
-    s = riemann_l1(g, shape)
-    return NormInterval(s / (1 + rho), s / (1 - rho), s, shape, g.degree)
+def _sized_interval(enc, diameter):
+    # the documented interval of a streamed grid, from its S and N
+    c = _quadrature_factor(enc.grid, (diameter,))
+    return math.nextafter(enc.riemann / c, 0.0), math.nextafter(enc.riemann * c, math.inf)
 
 
 @pytest.mark.parametrize("real", [True, False])
 def test_sized_grid_is_smaller_narrower_and_contains_the_norm(real):
     rng = np.random.default_rng([31, real])
-    g, _ = recentre(_sparse_poly(rng, 20_000, 64, real))
+    g, _ = recentre(_sparse_poly(rng, 40_000, 64, real))
     rel = 0.1
-    enc, old = certified_l1(g, rel), _relative_only(g, rel)
-    assert _coset_length(old.grid, g.degree[0]) < old.grid[0]  # streamed
-    assert enc.grid[0] < old.grid[0]
-    assert enc.width <= old.width
-    # a 20x finer grid, with its own relative error, lies inside
-    n = 20 * old.grid[0]
-    ref, rho = riemann_l1(g, n), quadrature.riemann_rho(g.degree[0], n)
-    assert enc.lo <= ref / (1 + rho) and ref / (1 - rho) <= enc.hi
+    (want,) = choose_grid((40_000,), rel)
+    assert _streams(want)
+    enc = certified_l1(g, rel)
+    # the pi d / N rule needed N >= pi d / rho at rho = rel_err, for a
+    # relative width 2 rho / (1 - rho)
+    assert enc.grid[0] < math.pi * g.degree[0] / rel / 2.5
+    assert enc.hi / enc.lo - 1 <= 2 * rel * (1 + 1e-12) < 2 * rel / (1 - rel)
+    # a 20x finer grid's own interval lies inside
+    n = 20 * enc.grid[0]
+    ref, cf = riemann_l1(g, n), _quadrature_factor((n,), (40_000,))
+    assert enc.lo <= ref / cf and ref * cf <= enc.hi
     assert 0 <= enc.lo <= enc.riemann <= enc.hi
-    assert (enc.lo, enc.hi) == _intersection(g, enc)
+    assert (enc.lo, enc.hi) == _sized_interval(enc, 40_000)
 
 
 def test_sized_grid_keeps_the_fejer_report():
-    # ||F'||_2 is far above 2 pi d ||F||_1 / P: the grid and the report stay
-    f = _fejer(12_000)
+    # the Fejer kernel of degree 20,000: 40,001 real terms, norm 1; its report
+    # is the documented interval on the streamed grid N = P' Q' >= want
+    f = _fejer(20_000)
+    (want,) = choose_grid((40_000,), 0.1)
+    assert _streams(want)
     enc = certified_l1(f, 0.1)
-    assert _coset_length(enc.grid, 12_000) < enc.grid[0]
+    assert enc.contains(1.0) and want <= enc.grid[0] <= 1.02 * want
+    assert enc.riemann == pytest.approx(riemann_l1(f, enc.grid), rel=1e-13)
+    lo, hi = _sized_interval(enc, 40_000)
     assert (json.dumps(enc.to_json_dict())
-            == json.dumps(_relative_only(f, 0.1).to_json_dict()))
-
-
-def test_sized_grid_of_one_row_uses_the_additive_bound():
-    # a degree-5 body with 1e-9 e(+-D t) far out: ||g'||_2 is tiny, so the
-    # grid is the Q-point row 0 alone, where rho = pi d / Q >= 1
-    f = TrigPoly(1, {**_fejer(5).terms, (10_000,): 1e-9, (-10_000,): 1e-9})
-    enc = certified_l1(f, 0.1)
-    (n,), q = enc.grid, _coset_length(choose_grid((10_000,), 0.1)[0], 10_000)
-    assert n == q < choose_grid((10_000,), 0.1)[0][0]
-    assert quadrature.riemann_rho(10_000, n) >= 1
-    assert all(math.isfinite(v) for v in (enc.lo, enc.riemann, enc.hi))
-    assert 0 <= enc.lo <= enc.riemann <= enc.hi
-    # ||F_5||_1 = 1, and the two far terms move the norm by at most 2e-9
-    assert enc.lo <= 1 - 2e-9 and 1 + 2e-9 <= enc.hi
-    assert enc.width < 0.01
-    assert (enc.lo, enc.hi) == _intersection(recentre(f)[0], enc)
+            == json.dumps({"lo": lo, "hi": hi, "riemann": enc.riemann,
+                           "grid": list(enc.grid), "degree": [20_000]}))
 
 
 def test_sized_grid_keeps_the_budget_of_the_choose_grid_grid():
-    g, _ = recentre(_sparse_poly(np.random.default_rng(5), 20_000, 64, True))
-    (n,), _ = choose_grid(g.degree, 0.1)
-    assert certified_l1(g, 0.1).grid[0] < n
+    g, _ = recentre(_sparse_poly(np.random.default_rng(5), 40_000, 64, True))
+    (want,) = choose_grid((40_000,), 0.1)
+    (n,) = certified_l1(g, 0.1).grid
+    assert n > want  # so the two checks below name different grids
+    # the unrounded choose_grid grid is checked first ...
+    with pytest.raises(MemoryBudgetError) as err:
+        certified_l1(g, 0.1, memory_budget=want * 16 - 1)
+    assert err.value.needed_grid == (want,)
+    assert (err.value.needed_bytes, err.value.budget_bytes) == (want * 16, want * 16 - 1)
+    # ... then the streamed grid N = P' Q'
     with pytest.raises(MemoryBudgetError) as err:
         certified_l1(g, 0.1, memory_budget=n * 16 - 1)
     assert err.value.needed_grid == (n,)
-    assert (err.value.needed_bytes, err.value.budget_bytes) == (n * 16, n * 16 - 1)
+    assert err.value.needed_bytes == n * 16
 
 
 @pytest.mark.parametrize("real", [True, False])
 def test_sized_grid_width_is_the_one_asked_for(real):
-    # N is not rounded up to whole rows of the choose_grid grid, so every
-    # relative width lies within 2% of the relative-only one, whatever D/m
-    # (whole rows left 0.90-0.99 of it on these polynomials)
+    # N = P' Q' is not rounded to a 5-smooth length, so every relative width
+    # hi/lo - 1 lies just below 2 rel_err
     rng = np.random.default_rng([53, real])
+    (want,) = choose_grid((40_000,), 0.1)
     for _ in range(8):
-        g, _ = recentre(_sparse_poly(rng, 20_000, 64, real))
-        enc, old = certified_l1(g, 0.1), _relative_only(g, 0.1)
-        assert enc.grid[0] < old.grid[0]
-        ratio = (enc.width / enc.lo) / (old.width / old.lo)
-        assert 0.98 <= ratio <= 1, ratio
+        g, _ = recentre(_sparse_poly(rng, 40_000, 64, real))
+        enc = certified_l1(g, 0.1)
+        assert want <= enc.grid[0] <= 1.005 * want
+        assert 0.198 <= enc.hi / enc.lo - 1 <= 0.2 * (1 + 1e-12)
 
 
-def _transformed(g, n, row, q):
-    # samples the sized path transforms on n = P row, beyond row 0 of q
+def _transformed(g, n, row):
+    # samples the plan n = P row transforms
     p = n // row
-    rows = p // 2 + 1 if not g.coeffs.imag.any() else p
-    return (rows - (row == q)) * row
+    return (p // 2 + 1 if not g.coeffs.imag.any() else p) * row
 
 
 @pytest.mark.parametrize("real", [True, False])
 def test_sized_grid_plan(real):
     rng = np.random.default_rng([59, real])
+    block = quadrature._BLOCK_BYTES // quadrature._BLOCK_BYTES_PER_SAMPLE
+    smooth = quadrature._smooth_lengths()
     # 64 terms: 64^2 < 2d + 1, so rows below 2d + 1 are tried; 400 terms: not
     for terms in (64, 400):
         g, _ = recentre(_sparse_poly(rng, 40_000, terms, real))
         d = g.degree[0]
-        (n_rel,), _ = choose_grid((d,), 0.1)
-        q, least = _coset_length((n_rel,), d), 2 * d + 1
-        assert _sized_grid(g, n_rel, n_rel, q) == (n_rel, q)
-        assert _sized_grid(g, math.inf, n_rel, q) == (n_rel, q)
-        assert _sized_grid(g, q - 0.5, n_rel, q) == (q, q)
+        least = 2 * d + 1
         overshoot, short = [], 0
-        for want in np.linspace(q + 1, n_rel - 1, 200).tolist():
-            n, row = _sized_grid(g, want, n_rel, q)
-            assert want <= n <= n_rel and n % row == 0
+        for want in np.linspace(block + 1, 30 * block, 200).astype(int).tolist():
+            n, row = _sized_grid(g, want)
+            assert want <= n and n % row == 0
             # rows below 2d + 1 only for sparse sets, and none below 32 points
-            # a term, however many rows that takes
+            # a term, however many rows that takes; none above one block
             assert row >= (least if terms * terms >= least else 32 * terms)
-            assert row <= q  # no block longer than the choose_grid grid's
+            assert row <= block
             assert scipy.fft.next_fast_len(row, real=True) == row
             # plain assignment in _coset_row_sums needs distinct residues
             assert len(np.unique(g.freqs[:, 0] % row)) == terms
-            short += row < 2 * d + 1
-            if n < n_rel:
-                overshoot.append(n / want)
-                # a smaller grid only when it transforms fewer samples
-                assert _transformed(g, n, row, q) < _transformed(g, n_rel, q, q)
+            short += row < least
+            overshoot.append(n / want)
+            # no allowed row length gives a smaller N, nor the same N with
+            # fewer samples transformed
+            for q in smooth[(smooth >= 32 * terms) & (smooth <= block)].tolist():
+                if q < least and len(np.unique(g.freqs[:, 0] % q)) < terms:
+                    continue
+                if q < least and terms * terms >= least:
+                    continue
+                m = -(-want // q) * q
+                assert (m, _transformed(g, m, q)) >= (n, _transformed(g, n, row))
         assert short > 100 if terms == 64 else short == 0
-        # whole rows of q overshoot a median 7.7%, and 27% at the 90th percentile
-        assert np.median(overshoot) < 1.01 and np.quantile(overshoot, 0.9) < 1.03
-        if terms == 64:
-            assert np.quantile(overshoot, 0.9) < 1.005
+        assert np.median(overshoot) < 1.005 and np.quantile(overshoot, 0.9) < 1.01
+
+
+def test_sized_grid_beyond_a_block_of_rows():
+    # 2d + 1 above one block, and 700^2 >= 2d + 1 (no short rows): the rows
+    # are the least 5-smooth length >= 2d + 1
+    g, _ = recentre(_sparse_poly(np.random.default_rng(3), 400_000, 700, True))
+    (want,) = choose_grid((400_000,), 0.1)
+    n, row = _sized_grid(g, want)
+    assert row == scipy.fft.next_fast_len(400_001, real=True)
+    assert n == -(-want // row) * row
 
 
 @pytest.mark.parametrize("real", [True, False])
 def test_sized_grid_of_hundreds_of_rows(monkeypatch, real):
-    # short rows: hundreds of coset rows, so rows r >= 32, 64, 96, ... take
-    # their twiddles from the exact anchors
+    # short rows: more than 64 coset rows evaluated, so rows r >= 32 and
+    # r >= 64 take their twiddles from the exact anchors
     plans = []
     sized = quadrature._sized_grid
     monkeypatch.setattr(quadrature, "_sized_grid",
@@ -672,11 +759,43 @@ def test_sized_grid_of_hundreds_of_rows(monkeypatch, real):
     enc = certified_l1(g, 0.1)
     (n,), row = enc.grid, plans[-1][1]
     # real coefficients evaluate rows 0 .. P/2 only
-    assert plans[-1][0] == n and n // row >= 128
+    p = n // row
+    assert plans[-1][0] == n and (p // 2 + 1 if real else p) > 64
     assert enc.riemann == pytest.approx(eval_grid(g, (n,)).abs_mean(), rel=1e-13)
-    # a 20x finer grid, with its own relative error, lies inside
-    ref, rho = riemann_l1(g, 20 * n), quadrature.riemann_rho(g.degree[0], 20 * n)
-    assert enc.lo <= ref / (1 + rho) and ref / (1 - rho) <= enc.hi
+    # a 20x finer grid's own interval lies inside
+    ref, cf = riemann_l1(g, 20 * n), _quadrature_factor((20 * n,), (60_000,))
+    assert enc.lo <= ref / cf and ref * cf <= enc.hi
+
+
+# --- spans and means beyond float64 -------------------------------------------
+
+def test_huge_span_is_a_budget_error():
+    # the rule's grid for a span of 2^62 is 6 * 2^62 points, past int64 and
+    # past every 5-smooth length the planners know; the budget names it
+    f = TrigPoly(1, {0: 1.0, 2 ** 62: 1.0})
+    with pytest.raises(MemoryBudgetError) as err:
+        certified_l1(f, 0.1)
+    (n,) = err.value.needed_grid
+    assert n == choose_grid((2 ** 62,), 0.1)[0] > 5 * 2 ** 62
+    assert err.value.needed_bytes == 16 * n
+    with pytest.raises(MemoryBudgetError):
+        certified_l1(TrigPoly(2, {(0, 0): 1.0, (2 ** 62, 3): 1.0}), 0.1)
+    # no budget admits an axis past int64
+    with pytest.raises(MemoryBudgetError) as err:
+        certified_l1(f, 0.1, memory_budget=10 ** 24)
+    assert err.value.needed_grid == (n,)
+
+
+@pytest.mark.parametrize("f", [TrigPoly(1, {0: 1.0, 7: 1e307}),
+                               TrigPoly(1, {0: 1e308, 1: 1e308, 2: 1e308}),
+                               TrigPoly(2, {(0, 0): 1.5e308, (0, 1): 1.5e308,
+                                            (1, 0): 1.5e308, (1, 1): 1.5e308})])
+def test_overflowing_grid_mean_is_an_error(f):
+    # a mean that overflows (or an end past float64) is no enclosure; the
+    # last one is the product path
+    with pytest.raises(GridOverflowError, match="overflows float64"):
+        certified_l1(f, 0.1)
+    assert issubclass(GridOverflowError, ValueError)
 
 
 # --- Cartesian products: a product of rank-1 enclosures ----------------------
@@ -690,8 +809,8 @@ def _product_poly(axes, c=1.0):
 def _grid_enclosure(g, shape):
     # the enclosure of the rank-r grid mean on ``shape``, as for a non-product
     s = riemann_l1(g, shape)
-    rhos = [quadrature.riemann_rho(d, n) for d, n in zip(g.degree, shape)]
-    return (s / math.prod(1 + r for r in rhos), s / math.prod(1 - r for r in rhos), s)
+    c = _quadrature_factor(shape, _diameter(g))
+    return math.nextafter(s / c, 0.0), math.nextafter(s * c, math.inf), s
 
 
 def _box(*sides):
@@ -711,15 +830,15 @@ def test_product_matches_the_grid_enclosure(axes, c, rel):
     g, _ = recentre(_product_poly(axes, c))
     enc = certified_l1(g, rel)
     # the same per-axis grids as the rank-r path, and its interval to 1e-12
-    shape, _ = choose_grid(g.degree, rel)
+    shape = _fast(choose_grid(_diameter(g), rel))
     assert enc.grid == shape and enc.degree == g.degree
     lo, hi, s = _grid_enclosure(g, shape)
     assert enc.lo == pytest.approx(lo, rel=1e-12)
     assert enc.hi == pytest.approx(hi, rel=1e-12)
     assert enc.riemann == pytest.approx(s, rel=1e-12)
     assert 0 < enc.lo <= enc.riemann <= enc.hi
-    # a finer rank-r grid, widened by its own rho, lies inside: 8x per axis
-    # in rank 2, 2x per axis (8x the points) in rank 3
+    # a finer rank-r grid's own interval lies inside: 8x per axis in rank 2,
+    # 2x per axis (8x the points) in rank 3
     fine = tuple(n * (8 if g.rank == 2 else 2) for n in shape)
     ref_lo, ref_hi, _ = _grid_enclosure(g, fine)
     assert enc.lo <= ref_lo and ref_hi <= enc.hi
@@ -729,7 +848,7 @@ def test_product_rounds_the_factors_outward():
     axes = [np.arange(5), np.arange(3, 14)]
     c = 0.3 - 0.4j
     enc = certified_l1(_product_poly(axes, c), 0.1)
-    rel = 1.1 ** 0.5 - 1
+    rel = (1.2 ** 0.5 - 1) / 2  # hi/lo <= sqrt(1 + 2 rel_err) per factor
     lo, hi, s = math.nextafter(abs(c), 0), math.nextafter(abs(c), math.inf), abs(c)
     for a in axes:
         fac = certified_l1(indicator_poly(IntegerSet.from_iterable(a.tolist())), rel)
@@ -749,7 +868,7 @@ def test_non_product_keeps_the_grid_path(change):
     g, _ = recentre(TrigPoly.from_arrays(2, freqs, coeffs))
     assert quadrature._product_axes(g) is None
     enc = certified_l1(g, 0.1)
-    shape, _ = choose_grid(g.degree, 0.1)
+    shape = _fast(choose_grid(_diameter(g), 0.1))
     lo, hi, s = _grid_enclosure(g, shape)
     assert enc.grid == shape
     assert enc.riemann.hex() == riemann_l1(g, shape).hex() == s.hex()
@@ -782,20 +901,23 @@ def test_product_axes_match_the_set_definition():
 
 
 def test_product_beyond_the_grid_budget():
-    # the 400 x 400 grid needs 2.7 GB; its factors need 207 kB each
+    # the 400 x 400 grid needs 340 MB; its factors need 74 kB each
     g = _product_poly(_box(400, 400))
-    enc = certified_l1(g, 0.1)
+    budget = 10 ** 6
+    enc = certified_l1(g, 0.1, memory_budget=budget)
     fac = certified_l1(indicator_poly(IntegerSet.from_iterable(range(1, 401))),
-                       1.1 ** 0.5 - 1)
-    assert enc.grid == fac.grid * 2
-    assert math.prod(enc.grid) * 16 > quadrature.DEFAULT_MEMORY_BUDGET
+                       (1.2 ** 0.5 - 1) / 2)
+    assert enc.grid == fac.grid * 2 == (4608, 4608)
+    assert math.prod(enc.grid) * 16 > budget
     assert 0 < enc.lo <= enc.riemann <= enc.hi
     assert enc.lo <= fac.lo ** 2 and fac.hi ** 2 <= enc.hi
 
 
 def test_product_factor_budget_names_the_factor_grid():
     g = _product_poly(_box(32, 32))
-    (n, _), _ = choose_grid((16, 16), 0.1)
+    # a factor's unrounded rank-1 grid at hi/lo <= sqrt(1.2)
+    (n,) = choose_grid((31,), (1.2 ** 0.5 - 1) / 2)
+    assert n == choose_grid((31, 31), 0.1)[0]
     with pytest.raises(MemoryBudgetError) as err:
         certified_l1(g, 0.1, memory_budget=1000)
     assert err.value.needed_grid == (n,)
