@@ -276,13 +276,27 @@ def load_instance(cfg: ExperimentConfig):
                 and ("set" in obj["result"] or "thinned" in obj["result"]):
             obj = obj["result"]
         if isinstance(obj, dict) and "thinned" in obj:
-            return from_json_obj(obj["thinned"]), None
+            return _decoded(cfg.input, "thinned", from_json_obj, obj["thinned"]), None
         if isinstance(obj, dict) and "set" in obj:
-            cert = (DimCertificate.from_json_dict(obj["certificate"])
-                    if obj.get("certificate") else None)
-            return from_json_obj(obj["set"]), cert
-        return from_json_obj(obj), None
+            cert = (_decoded(cfg.input, "certificate", DimCertificate.from_json_dict,
+                             obj["certificate"]) if obj.get("certificate") else None)
+            return _decoded(cfg.input, "set", from_json_obj, obj["set"]), cert
+        field = next((key for key in ("terms", "points", "elements")
+                      if isinstance(obj, dict) and key in obj), None)
+        if field is None:
+            raise ConfigError(f"input {cfg.input} must hold a JSON object with one "
+                              f"of the keys set, thinned, terms, points, elements")
+        return _decoded(cfg.input, field, from_json_obj, obj), None
     raise ConfigError("need --input or --set")
+
+
+def _decoded(path: str, field: str, decode, value):
+    """decode(value), or a ConfigError naming the input file and the field."""
+    try:
+        return decode(value)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"input {path}: bad {field!r} "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 # the --params keys each gen kind cannot do without
@@ -411,15 +425,8 @@ def _verify_main_prop(cfg):
         if not isinstance(obj, dict) or not all(k in obj for k in _MAIN_PROP_FIELDS):
             raise ConfigError(f"input {cfg.input} must hold a JSON object with the "
                               f"keys {', '.join(_MAIN_PROP_FIELDS)}")
-        fields = {}
-        for key, convert in _MAIN_PROP_FIELDS.items():
-            try:
-                fields[key] = convert(obj[key])
-            except (AttributeError, KeyError, OverflowError, TypeError,
-                    ValueError) as exc:
-                raise ConfigError(f"input {cfg.input}: bad {key!r} "
-                                  f"({type(exc).__name__}: {exc})") from exc
-        blocks, d1, d2, delta, q, s = fields.values()
+        blocks, d1, d2, delta, q, s = (_decoded(cfg.input, key, convert, obj[key])
+                                       for key, convert in _MAIN_PROP_FIELDS.items())
     else:
         blocks = {k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
                   for k in range(26)}

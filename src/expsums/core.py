@@ -30,10 +30,15 @@ _I64_MAX = 2 ** 63 - 1
 
 
 def _check_i64(value: int, what: str) -> int:
-    value = int(value)
-    if not _I64_MIN <= value <= _I64_MAX:
-        raise OverflowError(f"{what} {value} outside the signed 64-bit range")
-    return value
+    """``value`` as a Python int; an integral float such as 2.0 is accepted,
+    anything int() would round (2.5) raises a ValueError naming it."""
+    n = int(value)
+    if n != value:
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise ValueError(f"{what} {shown!r} is not an integer")
+    if not _I64_MIN <= n <= _I64_MAX:
+        raise OverflowError(f"{what} {n} outside the signed 64-bit range")
+    return n
 
 
 def _wrapped_i64(value: int) -> np.int64:
@@ -323,7 +328,10 @@ class TrigPoly(_Frozen):
         like the constructor (any order, duplicates summed, zeros dropped)."""
         if rank < 1:
             raise ValueError("rank must be positive")
-        freqs = np.asarray(freqs, dtype=np.int64)
+        freqs = np.asarray(freqs)
+        if freqs.dtype.kind not in "iu":  # checked one value at a time
+            freqs = _int64_rows(freqs, rank, "frequency", scalars=True)
+        freqs = freqs.astype(np.int64, copy=False)
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
         if rank == 1 and freqs.ndim == 1:
             freqs = freqs.reshape(-1, 1)
@@ -437,7 +445,7 @@ class TrigPoly(_Frozen):
     def from_json_dict(cls, obj: Mapping) -> "TrigPoly":
         # pairs, not a dict: a frequency listed twice is summed, as the
         # constructor sums repeated terms
-        terms = [(tuple(int(x) for x in f), complex(re, im))
+        terms = [(tuple(_check_i64(x, "frequency") for x in f), complex(re, im))
                  for f, (re, im) in obj["terms"]]
         return cls(int(obj["rank"]), terms)
 

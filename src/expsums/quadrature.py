@@ -47,11 +47,11 @@ and N_i/(N_i - Delta_i) <= t exactly when N_i >= t Delta_i/(t - 1).
 :func:`choose_grid` returns N_i = ceil(t Delta_i/(t - 1)), at least the
 alias-free 2 d_i + 1 of the recentred degree d_i, and 1 on an axis with
 Delta_i = 0.  The memory budget is checked against that grid before any
-rounding.  A grid evaluated whole then rounds each N_i up to a 5-smooth
-length, the fast sizes of both transforms; a rank-1 grid too large for one
-block streams as P' rows of a 5-smooth length Q' with P' Q' >= N_0
-(below).  Either way every axis keeps c_i^2 <= t, so the relative width
-hi/lo - 1 is at most 2 rel_err.
+rounding.  A rank-1 grid too large for one block then streams as P' rows
+of a 5-smooth length Q' with P' Q' >= N_0 (below); any other grid rounds
+each N_i up to a 5-smooth length, the fast sizes of both transforms.
+Either way every axis keeps c_i^2 <= t, so the relative width hi/lo - 1
+is at most 2 rel_err.
 
 Rounding.  c is rounded up: each N_i/(N_i - Delta_i) is moved one ulp up
 after the division, its square root one ulp up, and each product over the
@@ -87,25 +87,26 @@ polynomial with unequal coefficients is left to the rank-r grid even when
 its coefficient tensor has rank 1, since a float product cannot be tested
 for equality exactly.  Constants keep the grid path.
 
-Coset streaming.  :func:`riemann_l1` evaluates a grid that does not fit in
-one block (``_BLOCK_BYTES``) one block of rows at a time.  On axis 0 it
-writes N_0 = P Q, with Q the smallest divisor of N_0 such that
-Q >= 2 d_0 + 1 and P <= 32 (``_MAX_COSETS``), so these rows are alias-free
-and long.  Q is 5-smooth when N_0 is; if Q = N_0, the grid is one row and
-is evaluated whole.  The grid points with j_0 = r + P i, for 0 <= i < Q,
-form the coset row r mod P, and on it
+Coset streaming.  Every grid mean, of :func:`riemann_l1` as of
+:func:`certified_l1`, sums the coset rows of axis 0, one block of rows
+(``_BLOCK_BYTES``) at a time.  N_0 = P Q, with Q = N_0 (P = 1) for a grid
+within one block, else the smallest divisor of N_0 with Q >= 2 d_0 + 1
+and P <= 32 (``_MAX_COSETS``), or N_0 if there is none.  The grid points
+with j_0 = r + P i, for 0 <= i < Q, form the coset row r mod P, and on it
 
     f((r + P i)/N_0, t') = sum_a [c_a e(a_0 r / N_0)] e(a_0 i / Q + a'.t'),
 
 because P i / N_0 = i / Q.  So row r is one inverse FFT of shape
 (Q, N_1, ...) of the twiddled coefficients c_a e(a_0 r / N_0), placed at
 (a_0 mod Q, a' mod N').  Those residues are distinct since Q >= 2 d_0 + 1,
-so plain assignment places them.  The grid sum is the sum of the P row
-sums.  With real coefficients f(-t) = conj f(t), and
--(r + P i) = (P - r) + P (Q - 1 - i) mod N_0, so row P - r has the same
-sum as row r.  Only rows 0 .. P//2 are evaluated, row 0 by a real-input
-transform.  Rows 0 < r < P/2 count twice; rows 0 and (P even) P/2 are
-their own mirrors and count once.
+so plain assignment places them.  Row 0's twiddles are 1: it is the plain
+transform of :func:`eval_grid` (``_grid_values``), real-input when every
+coefficient is real, and the twiddled blocks start at row 1.  With real
+coefficients f(-t) = conj f(t), and -(r + P i) = (P - r) + P (Q - 1 - i)
+mod N_0, so row P - r has the sum of row r: only rows 0 .. P//2 are
+evaluated, and rows 0 < r < P/2 count twice.  The grid sum is the
+``math.fsum`` of the row sums; a sample, row sum or total past float64
+leaves it inf or nan, which :func:`certified_l1` reports.
 
 Streamed rank-1 grids.  The bound holds for every N > Delta, so a rank-1
 grid of :func:`certified_l1` that does not fit in one block need not be
@@ -143,9 +144,8 @@ the worst row was 2.2e2 u = 2.5e-14 off, whatever the block size.  Like
 the FFT's rounding, this error is not yet part of a certified
 floating-point term.
 
-Everything here is pure and deterministic: grids are evaluated with a
-zero-padded FFT and reduced with pairwise summation, coset rows are taken
-in blocks in ascending order, and their sums are added by ``math.fsum``,
+Everything here is pure and deterministic: rows are taken in ascending
+blocks, each reduced by pairwise summation and all added by ``math.fsum``,
 so results do not depend on scheduling.
 """
 
@@ -169,9 +169,9 @@ _BYTES_PER_SAMPLE = 16
 
 DEFAULT_MEMORY_BUDGET = 2 * 2 ** 30  # bytes of samples
 
-# riemann_l1 streams a grid in blocks of coset rows of at most this many
-# bytes, each sample a complex128 value and its float64 modulus; a grid that
-# fits in one block is transformed whole
+# every grid mean streams its grid in blocks of coset rows of at most this
+# many bytes, each sample a complex128 value and its float64 modulus; a grid
+# that fits in one block is one row
 _BLOCK_BYTES = 4 * 2 ** 20
 _BLOCK_BYTES_PER_SAMPLE = 24
 # the anchor interval: rows r = 0 mod 32 get their twiddles afresh, so the
@@ -244,32 +244,21 @@ class GridEvaluation:
     values: np.ndarray  # complex128, shape == self.shape or the half grid
 
     def abs_mean(self) -> float:
-        if self.values.shape == self.shape:
-            return float(np.mean(np.abs(self.values.ravel())))
-        return _half_grid_abs_sum(self.values, self.shape[-1]) / math.prod(self.shape)
+        return _abs_sum(self.values, self.shape[-1]) / math.prod(self.shape)
 
 
-def _half_grid_abs_sum(values: np.ndarray, n_last: int) -> float:
-    """sum |f| over the full grid from the columns j_r = 0 .. n_last//2 of
-    the last axis (f with real coefficients)."""
+def _abs_sum(values: np.ndarray, n_last: int) -> float:
+    """sum |f| over a grid of n_last points on its last axis, from ``values``:
+    all its samples, or (f with real coefficients) its columns 0 .. n_last//2."""
+    a = np.abs(values)
+    if values.shape[-1] == n_last:  # the whole grid (or n_last <= 2)
+        return float(a.sum())
     # column j_r stands for itself and for column N_r - j_r, except
     # j_r = 0 and (N_r even) j_r = N_r/2, which are their own mirrors
-    a = np.abs(values)
     total = 2.0 * float(a.sum()) - float(a[..., 0].sum())
     if n_last % 2 == 0:
         total -= float(a[..., -1].sum())
     return total
-
-
-def _normalize_shape(f: TrigPoly, shape) -> tuple[int, ...]:
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape),) * f.rank
-    shape = tuple(int(n) for n in shape)
-    if len(shape) != f.rank:
-        raise ValueError(f"grid has {len(shape)} axes, polynomial has rank {f.rank}")
-    if any(n < 1 for n in shape):
-        raise ValueError("grid sizes must be positive")
-    return shape
 
 
 def _recentred_degree(f: TrigPoly) -> tuple[int, ...]:
@@ -278,8 +267,13 @@ def _recentred_degree(f: TrigPoly) -> tuple[int, ...]:
 
 
 def _checked_shape(f: TrigPoly, shape, memory_budget: int | None) -> tuple[int, ...]:
-    """The normalised grid shape, after the alias-free and budget checks."""
-    shape = _normalize_shape(f, shape)
+    """The grid shape as a tuple, after the alias-free and budget checks."""
+    shape = ((int(shape),) * f.rank if isinstance(shape, (int, np.integer))
+             else tuple(int(n) for n in shape))
+    if len(shape) != f.rank:
+        raise ValueError(f"grid has {len(shape)} axes, polynomial has rank {f.rank}")
+    if any(n < 1 for n in shape):
+        raise ValueError("grid sizes must be positive")
     for ax, (n, d) in enumerate(zip(shape, _recentred_degree(f))):
         if n < 2 * d + 1:
             raise AliasingError(
@@ -308,29 +302,35 @@ def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvalu
     When every coefficient is real, f(-t) = conj f(t), and only the
     non-redundant half of the last axis is computed, by a real-input FFT
     (see :class:`GridEvaluation`).
+
+    The values API and the tests' reference: no grid mean calls it, though
+    coset row 0 shares its transform (module docstring, "Coset streaming").
     """
     shape = _checked_shape(f, shape, memory_budget)
-    idx = tuple((f.freqs % np.array(shape, dtype=np.int64)).T)
-    if not f.coeffs.imag.any():
-        # alias-free, so the residues are distinct and assignment suffices;
-        # sum_a c_a e(-a.j/N) is the forward rfftn, and conj turns it into f
-        coeffs = np.zeros(shape, dtype=np.float64)
-        coeffs[idx] = f.coeffs.real
-        values = scipy.fft.rfftn(coeffs)
+    real = not f.coeffs.imag.any()
+    values = _grid_values(f, tuple((f.freqs % np.array(shape, dtype=np.int64)).T),
+                          shape, real)
+    if real:
         np.conjugate(values, out=values)
-        return GridEvaluation(shape, values)
-    coeffs = np.zeros(shape, dtype=np.complex128)
-    np.add.at(coeffs, idx, f.coeffs)
-    # coeffs is ours alone: transform in place, so one grid-sized array is live
-    values = scipy.fft.ifftn(coeffs, norm="forward", overwrite_x=True)
     return GridEvaluation(shape, values)
+
+
+def _grid_values(f: TrigPoly, idx: tuple, shape: tuple[int, ...], real: bool) -> np.ndarray:
+    """f's coefficients placed at the distinct ``idx`` on ``shape``, transformed: f's
+    samples, or, when ``real``, the conjugates of its columns 0 .. N_r//2 (rfftn)."""
+    coeffs = np.zeros(shape, dtype=np.float64 if real else np.complex128)
+    coeffs[idx] = f.coeffs.real if real else f.coeffs
+    if real:
+        return scipy.fft.rfftn(coeffs)
+    # coeffs is ours alone: transform in place, so one grid-sized array is live
+    return scipy.fft.ifftn(coeffs, norm="forward", overwrite_x=True)
 
 
 def _coset_length(shape: tuple[int, ...], d0: int) -> int:
     """Q: N_0 itself for a grid that fits in one block, else the smallest
     divisor of N_0 with Q >= 2*d0 + 1, so each coset row is alias-free, and
-    P = N_0/Q <= _MAX_COSETS (N_0 also when no divisor is alias-free, which
-    eval_grid then reports as aliasing)."""
+    P = N_0/Q <= _MAX_COSETS (N_0 also when no divisor is alias-free: the
+    grid is then one row)."""
     n0 = shape[0]
     if math.prod(shape) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
         return n0
@@ -339,44 +339,41 @@ def _coset_length(shape: tuple[int, ...], d0: int) -> int:
                 for q in (k, n0 // k) if q >= least), default=n0)
 
 
+# an overflow leaves inf or nan in the row sums, which certified_l1 reports
+@np.errstate(over="ignore", invalid="ignore")
 def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
     """sum_i |f((r + P i)/N_0, t')| over each coset row r mod P = N_0/q, for
     r = 0 .. P-1, or r = 0 .. P//2 when every coefficient is real (the
     coset identity in the module docstring)."""
     n0, p = shape[0], shape[0] // q
     row_shape = (q,) + shape[1:]
-    # residues first, so no product below can overflow int64
-    res = f.freqs % np.array(shape, dtype=np.int64)
-    idx = (res[:, 0] % q,) + tuple(res[:, 1:].T)
+    # residues mod the row, distinct (q >= 2 d_0 + 1, or checked by _sized_grid)
+    idx = tuple((f.freqs % np.array(row_shape, dtype=np.int64)).T)
     real = not f.coeffs.imag.any()
-    sums = []
-    if real:
-        # row 0 has real coefficients and a half-grid transform
-        row0 = np.zeros(row_shape, dtype=np.float64)
-        row0[idx] = f.coeffs.real
-        sums.append(_half_grid_abs_sum(scipy.fft.rfftn(row0), row_shape[-1]))
-        del row0  # freed before the block buffers exist
-    # f(-t) = conj f(t) maps row r onto row P - r, so with real coefficients
-    # rows 0 .. P//2 suffice; a complex row 0 is the first anchor row
-    stop, first = p // 2 + 1 if real else p, len(sums)
-    if first == stop:
+    # row 0's twiddles are 1: the plain transform of the row
+    sums = [_abs_sum(_grid_values(f, idx, row_shape, real), row_shape[-1])]
+    # f(-t) = conj f(t) maps row r onto P - r: real coefficients need rows 0 .. P//2
+    stop = p // 2 + 1 if real else p
+    if stop == 1:
         return sums
+    # residues first, so no product below can overflow int64
+    res0 = f.freqs[:, 0] % n0
     scale = 2j * math.pi / n0
-    step = np.exp(scale * res[:, 0])  # e(a_0 / N_0)
+    step = np.exp(scale * res0)  # e(a_0 / N_0)
     # a_0 r mod N_0 at the anchor row r, exact in int64: it grows by
     # a_0 32 mod N_0 < 32 N_0 from one anchor to the next
     phase = 0
     carry = f.coeffs * step  # row 1
     row_bytes = math.prod(row_shape) * _BLOCK_BYTES_PER_SAMPLE
-    rows = min(stop - first, _MAX_COSETS, max(1, _BLOCK_BYTES // row_bytes))
+    rows = min(stop - 1, _MAX_COSETS, max(1, _BLOCK_BYTES // row_bytes))
     block = np.empty((rows,) + row_shape, dtype=np.complex128)
     moduli = np.empty((rows,) + row_shape, dtype=np.float64)
     axes = tuple(range(1, block.ndim))
-    # blocks of at most `rows` rows, none across an anchor row (r = 0 mod 32)
+    # blocks of at most `rows` rows from row 1 on, none across an anchor (r = 0 mod 32)
     for anchor in range(0, stop, _MAX_COSETS):
         if anchor:
-            phase = (phase + res[:, 0] * _MAX_COSETS % n0) % n0
-        for r0 in range(max(anchor, first), min(anchor + _MAX_COSETS, stop), rows):
+            phase = (phase + res0 * _MAX_COSETS % n0) % n0
+        for r0 in range(max(anchor, 1), min(anchor + _MAX_COSETS, stop), rows):
             nb = min(rows, anchor + _MAX_COSETS - r0, stop - r0)
             # rows r0 .. r0+nb-1: row r0 from the anchor's exact integer
             # phase or from the row before; then row r0 + k + j is row
@@ -390,8 +387,6 @@ def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
                 if k < nb:
                     power = power * power
             carry = twiddled[-1] * step
-            # distinct residues mod q (q >= 2 d_0 + 1, or checked by
-            # _sized_grid): assignment suffices
             blk = block[:nb]
             blk.fill(0)
             blk[(np.arange(nb)[:, None],) + idx] = twiddled
@@ -405,25 +400,24 @@ def _coset_mean(f: TrigPoly, shape: tuple[int, ...], q: int) -> float:
     """The grid mean of |f| from the coset row sums of :func:`_coset_row_sums`."""
     sums = _coset_row_sums(f, shape, q)
     # each row P - r missing from sums is the mirror of row r, same sum
-    p = shape[0] // q
-    return math.fsum(sums + sums[1:p - len(sums) + 1]) / math.prod(shape)
+    try:
+        total = math.fsum(sums + sums[1:shape[0] // q - len(sums) + 1])
+    except OverflowError:  # finite row sums whose total passes float64
+        total = math.inf
+    return total / math.prod(shape)
 
 
 def riemann_l1(f: TrigPoly, shape, memory_budget: int | None = None) -> float:
     """The grid mean (1/|grid|) sum |f(j/N)| (0 for the zero polynomial).
 
-    A grid that fits in one block is evaluated whole by :func:`eval_grid`;
-    a larger one is streamed over the cosets of its first axis, so only one
-    block of rows is live at a time (module docstring).
+    The grid is checked, then streamed over the cosets of its first axis, one
+    block of rows at a time; a grid within one block is one row (module
+    docstring).
     """
+    shape = _checked_shape(f, shape, memory_budget)
     if f.is_zero:
         return 0.0
-    shape = _normalize_shape(f, shape)
-    q = _coset_length(shape, _recentred_degree(f)[0])
-    if q == shape[0]:
-        return eval_grid(f, shape, memory_budget).abs_mean()
-    _checked_shape(f, shape, memory_budget)
-    return _coset_mean(f, shape, q)
+    return _coset_mean(f, shape, _coset_length(shape, _recentred_degree(f)[0]))
 
 
 def riemann_rho(d: int, n: int) -> float:
@@ -439,8 +433,8 @@ def choose_grid(diameter: Sequence[int], rel_err: float) -> tuple[int, ...]:
 
     N_i = ceil(t Delta_i/(t - 1)) with t = (1 + 2 rel_err)^(1/r), at least
     the alias-free 2 d_i + 1 (d_i = ceil(Delta_i/2)), and 1 where
-    Delta_i = 0.  Not rounded: a grid evaluated whole takes the next
-    5-smooth lengths, a streamed rank-1 grid the rows of :func:`_sized_grid`.
+    Delta_i = 0.  Not rounded: a streamed rank-1 grid takes the rows of
+    :func:`_sized_grid`, any other grid the next 5-smooth lengths.
     """
     if not 0 < rel_err < 1:
         raise ValueError("rel_err must be in (0, 1)")
@@ -511,11 +505,12 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     if g.rank == 1 and want[0] * _BLOCK_BYTES_PER_SAMPLE > _BLOCK_BYTES:
         n, q = _sized_grid(g, want[0])
         grid = (n,)
-        _check_budget(grid, budget)
-        s = _coset_mean(g, grid, q)
     else:
+        # every N_i >= 2 d_i + 1 (choose_grid): alias-free
         grid = tuple(scipy.fft.next_fast_len(n, real=True) for n in want)
-        s = riemann_l1(g, grid, budget)
+        q = _coset_length(grid, (diameter[0] + 1) // 2)
+    _check_budget(grid, budget)
+    s = _coset_mean(g, grid, q)
     c = _quadrature_factor(grid, diameter)
     return _finite(NormInterval(math.nextafter(s / c, 0.0), math.nextafter(s * c, math.inf),
                                 s, grid, g.degree))
@@ -550,7 +545,10 @@ def _product_l1(g: TrigPoly, axes: list[np.ndarray], rel_err: float,
                 memory_budget: int | None) -> NormInterval:
     """certified_l1 of g = c 1_{A_0 x ... x A_{r-1}}: |c| times the product
     of the rank-1 enclosures of the A_i, rounded outward (module docstring)."""
-    c = abs(complex(g.coeffs[0]))
+    try:
+        c = abs(complex(g.coeffs[0]))
+    except OverflowError:  # |c| past float64, which _finite reports
+        c = math.inf
     # abs errs by under an ulp
     lo, hi, s = math.nextafter(c, 0.0), math.nextafter(c, math.inf), c
     # the axis target t = (1 + 2 rel_err)^(1/r) is hi/lo <= 1 + 2 rel for

@@ -358,21 +358,17 @@ def validate_certificate(A, cert: DimCertificate) -> ValidationReport:
     return chk.report()
 
 
-def project_and_fibre(A: LatticeSet, axis: int,
-                      allow_rank1: bool = False) -> tuple[IntegerSet,
-                                                          dict[int, LatticeSet]]:
+def project_and_fibre(A: LatticeSet,
+                      axis: int) -> tuple[IntegerSet, dict[int, LatticeSet]]:
     """Distinct values of a 1-based coordinate, and the fibre over each.
 
-    Fibres have rank r - 1 and their sizes sum to |A|.  Rank-1 input is
-    rejected unless ``allow_rank1``, in which case the projection is the set
-    itself and the fibre map is empty.
+    Fibres have rank r - 1 and their sizes sum to |A|.  Rank-1 input has no
+    fibres and is rejected.
     """
     if not 1 <= axis <= A.rank:
         raise ValueError(f"axis {axis} out of range for rank {A.rank}")
     if A.rank == 1:
-        if not allow_rank1:
-            raise ValueError("rank-1 set has no fibres (pass allow_rank1 to project)")
-        return IntegerSet.from_iterable(A.array[:, 0]), {}
+        raise ValueError("rank-1 set has no fibres")
     i = axis - 1
     order = np.argsort(A.array[:, i], kind="stable")
     pts = A.array[order]

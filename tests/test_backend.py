@@ -1,5 +1,6 @@
-"""The numpy reduction behind every grid mean: `GridEvaluation.abs_mean`
-on a full grid, checked against a plain numpy mean of |v|."""
+"""The numpy reduction behind every grid mean, `quadrature._abs_sum`, through
+`GridEvaluation.abs_mean` on a full grid, checked against a plain numpy
+mean of |v|."""
 
 import numpy as np
 import pytest

@@ -174,7 +174,41 @@ def test_norm_overflowing_mean_is_usage_error(tmp_path):
     r = run_cli("norm", "--input", str(src), "--output", str(out))
     assert r.returncode == 2, r.stderr
     assert "overflows float64" in r.stderr and "Traceback" not in r.stderr
+    # the error line alone: no numpy RuntimeWarning before it
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert r.stderr.startswith("error: ")
     assert not out.exists()
+
+
+def test_norm_non_integral_element_is_usage_error(tmp_path):
+    # 2.5 is not rounded to 2: no enclosure for {1, 2}
+    src = tmp_path / "half.json"
+    src.write_text(json.dumps({"elements": [1, 2.5]}))
+    out = tmp_path / "n.json"
+    r = run_cli("norm", "--input", str(src), "--output", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "element 2.5 is not an integer" in r.stderr
+    assert str(src) in r.stderr and "'elements'" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"terms": 5}, "terms"),
+    ({"rank": 1, "terms": [[0, [1, 0]]]}, "terms"),
+    ({"set": 5}, "set"),
+    ({"elements": "abc"}, "elements")])
+@pytest.mark.parametrize("command", [
+    ["norm"], ["thin", "--d1", "2", "--d2", "7", "--q", "5"],
+    ["verify", "--theorem", "mps"]])
+def test_malformed_input_names_the_file_and_field(tmp_path, capsys, obj, field,
+                                                  command):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code = main(command + ["--input", str(path), "--output", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"input {path}: bad {field!r}" in err
+    assert "Traceback" not in err
 
 
 def test_non_product_lattice_keeps_the_budget(tmp_path):

@@ -321,6 +321,27 @@ def test_from_arrays_checks_shapes():
         TrigPoly.from_arrays(2, [[1, 2]], [1.0, 2.0])
 
 
+def test_non_integral_frequencies_and_elements_are_rejected():
+    # int() would round each of these down in silence
+    makers = [lambda: TrigPoly(1, {2.5: 1.0}),
+              lambda: IntegerSet([1, 2.5]),
+              lambda: IntegerSet(np.array([1.5, 2.5])),
+              lambda: LatticeSet(2, [(1, 2.7)]),
+              lambda: TrigPoly.from_arrays(1, np.array([2.5]), [1.0]),
+              lambda: TrigPoly.from_json_dict({"rank": 1,
+                                               "terms": [[[2.5], [1.0, 0.0]]]})]
+    for make, bad in zip(makers, ("2.5", "2.5", "1.5", "2.7", "2.5", "2.5")):
+        with pytest.raises(ValueError, match=f"{bad} is not an integer"):
+            make()
+    # integral floats stay accepted
+    assert TrigPoly(1, {2.0: 1.0}) == TrigPoly(1, {2: 1.0})
+    assert IntegerSet(np.array([1.0, 2.0])) == IntegerSet([1, 2])
+    assert LatticeSet(2, [(1, 2.0)]) == LatticeSet(2, [(1, 2)])
+    assert TrigPoly.from_arrays(1, np.array([2.0]), [1.0]) == TrigPoly(1, {2: 1.0})
+    assert TrigPoly.from_json_dict({"rank": 1, "terms": [[[2.0], [1.0, 0.0]]]}) \
+        == TrigPoly(1, {2: 1.0})
+
+
 def test_degree_of_most_negative_frequency():
     f = TrigPoly(1, {-2 ** 63: 1, 5: 1})
     assert f.degree == (2 ** 63,)

@@ -50,6 +50,12 @@ def test_eval_grid_rejects_aliasing():
 
 def test_riemann_zero_poly():
     assert riemann_l1(TrigPoly(1, {}), 64) == 0.0
+    # the grid is checked first, as eval_grid checks it
+    for shape in (-5, (3, 4)):
+        with pytest.raises(ValueError):
+            eval_grid(TrigPoly(1), shape)
+        with pytest.raises(ValueError):
+            riemann_l1(TrigPoly(1), shape)
 
 
 def test_riemann_monomial_is_exact():
@@ -789,13 +795,52 @@ def test_huge_span_is_a_budget_error():
 @pytest.mark.parametrize("f", [TrigPoly(1, {0: 1.0, 7: 1e307}),
                                TrigPoly(1, {0: 1e308, 1: 1e308, 2: 1e308}),
                                TrigPoly(2, {(0, 0): 1.5e308, (0, 1): 1.5e308,
-                                            (1, 0): 1.5e308, (1, 1): 1.5e308})])
+                                            (1, 0): 1.5e308, (1, 1): 1.5e308}),
+                               TrigPoly(2, {(0, 0): 1.5e308 + 1.5e308j,
+                                            (0, 1): 1.5e308 + 1.5e308j})])
 def test_overflowing_grid_mean_is_an_error(f):
     # a mean that overflows (or an end past float64) is no enclosure; the
-    # last one is the product path
+    # last two are the product path, the last with |c| past float64
     with pytest.raises(GridOverflowError, match="overflows float64"):
         certified_l1(f, 0.1)
     assert issubclass(GridOverflowError, ValueError)
+
+
+def _scaled(f, k):
+    # 2^k f, exact while every coefficient stays finite
+    c = np.empty_like(f.coeffs)
+    c.real, c.imag = np.ldexp(f.coeffs.real, k), np.ldexp(f.coeffs.imag, k)
+    return TrigPoly.from_arrays(f.rank, f.freqs, c)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_scaled_enclosure_is_exact_or_an_overflow_error(rank, real):
+    # scaling by 2^k is exact in every step of certified_l1 until something
+    # overflows; from there on it must raise GridOverflowError (never a bare
+    # OverflowError, say from fsum over the streamed rows, nor a warning)
+    rng = np.random.default_rng(1003)
+    if rank == 1:  # span 40,000: a streamed grid of many rows
+        freqs = np.concatenate([[0, 40_000], rng.integers(1, 40_000, size=62)])
+    else:  # one block
+        freqs = np.concatenate([[[0, 0], [30, 20]], rng.integers(0, 30, size=(20, 2))])
+    coeffs = rng.uniform(-1, 1, size=len(freqs))
+    if not real:
+        coeffs = coeffs + 1j * rng.uniform(-1, 1, size=len(freqs))
+    f = TrigPoly.from_arrays(rank, freqs, coeffs)
+    enc = certified_l1(f, 0.1)
+    exact, raised = [], []
+    for k in range(990, 1024):
+        try:
+            got = certified_l1(_scaled(f, k), 0.1)
+        except GridOverflowError:
+            raised.append(k)
+            continue
+        assert (got.lo, got.hi, got.riemann) == (
+            math.ldexp(enc.lo, k), math.ldexp(enc.hi, k), math.ldexp(enc.riemann, k)), k
+        assert got.grid == enc.grid
+        exact.append(k)
+    assert exact and raised, (exact, raised)
 
 
 # --- Cartesian products: a product of rank-1 enclosures ----------------------

@@ -188,6 +188,9 @@ def test_project_and_fibre_axis_bounds():
         project_and_fibre(A, 0)
     with pytest.raises(ValueError):
         project_and_fibre(A, 3)
+    # a rank-1 set has no fibres
+    with pytest.raises(ValueError, match="rank-1"):
+        project_and_fibre(LatticeSet(1, [(1,), (4,)]), 1)
 
 
 def test_rank1_certificate_flavor_enforced():
