@@ -153,9 +153,15 @@ class IntegerSet(_Frozen):
         return iter(self.elements)
 
     def __contains__(self, x) -> bool:
-        x = int(x)
-        i = bisect.bisect_left(self.elements, x)
-        return i < len(self.elements) and self.elements[i] == x
+        try:
+            n = int(x)
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf
+            return False
+        # a non-integral x (2.5) is no element, though int() rounds it to one
+        if n != x:
+            return False
+        i = bisect.bisect_left(self.elements, n)
+        return i < len(self.elements) and self.elements[i] == n
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -261,7 +267,7 @@ class LatticeSet(_Frozen):
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "LatticeSet":
-        return cls(int(obj["rank"]), obj["points"])
+        return cls(_check_i64(obj["rank"], "rank"), obj["points"])
 
 
 def _normalize_terms(freqs: np.ndarray,
@@ -329,7 +335,9 @@ class TrigPoly(_Frozen):
         if rank < 1:
             raise ValueError("rank must be positive")
         freqs = np.asarray(freqs)
-        if freqs.dtype.kind not in "iu":  # checked one value at a time
+        # anything but a signed integer array goes through _int64_rows, which
+        # checks it one value at a time unless it is unsigned within int64
+        if freqs.dtype.kind != "i":
             freqs = _int64_rows(freqs, rank, "frequency", scalars=True)
         freqs = freqs.astype(np.int64, copy=False)
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
@@ -386,9 +394,11 @@ class TrigPoly(_Frozen):
         return f"TrigPoly(rank={self.rank!r}, terms={dict(self.terms)!r})"
 
     def coefficient(self, freq) -> complex:
-        if isinstance(freq, (int, np.integer)):
-            freq = (int(freq),)
-        return self.terms.get(tuple(int(f) for f in freq), 0j)
+        if np.ndim(freq) == 0:
+            freq = (freq,)
+        key = tuple(int(f) for f in freq)
+        # a non-integral frequency (2.5) has no term, though int() rounds it to one
+        return self.terms.get(key, 0j) if key == tuple(freq) else 0j
 
     def ordered_items(self) -> list[tuple[tuple[int, ...], complex]]:
         return list(self.terms.items())
@@ -447,7 +457,7 @@ class TrigPoly(_Frozen):
         # constructor sums repeated terms
         terms = [(tuple(_check_i64(x, "frequency") for x in f), complex(re, im))
                  for f, (re, im) in obj["terms"]]
-        return cls(int(obj["rank"]), terms)
+        return cls(_check_i64(obj["rank"], "rank"), terms)
 
 
 def indicator_poly(A) -> TrigPoly:

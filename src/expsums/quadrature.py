@@ -35,11 +35,14 @@ coefficient 1 on the product of the windows and 0 on every alias, and both
 its L1 norm and its grid means of |V| factor over the axes, so the same
 two steps give c = prod_i sqrt(N_i / (N_i - Delta_i)) directly.  Checked
 against 2^20-point reference grids on Dirichlet kernels, 1 + e(Delta t),
-two-term spikes and random polynomials, for every N in (Delta, 6 Delta),
-the bound was used up to 0.988 of its width (1 + e(Delta t) at
-N = 2 Delta): it is nearly tight.  |f| does not change when f is
-multiplied by e(m t), so only the diameters matter; :func:`certified_l1`
-recentres f first, which keeps every frequency small.
+two-term spikes and random polynomials, for every N in (Delta, 6 Delta],
+the norm always lay inside [S/c, S c].  For f = 1 + e(Delta t) it came
+closest to an end: at N = 2 Delta, S = 1 and ||f||_1 = 4/pi is 0.900 of
+S c, and over every N in (Delta, 6 Delta] for Delta = 3 .. 40 the larger
+of ||f||_1/(S c) and S/(c ||f||_1) peaked at 0.934, at N = 6 Delta.  |f|
+does not change when f is multiplied by e(m t), so only the diameters
+matter; :func:`certified_l1` recentres f first, which keeps every
+frequency small.
 
 The grid rule.  :func:`certified_l1` asks for hi/lo = c^2 <= 1 + 2 rel_err,
 spread evenly over the r axes: the axis target is t = (1 + 2 rel_err)^(1/r),
@@ -144,9 +147,26 @@ the worst row was 2.2e2 u = 2.5e-14 off, whatever the block size.  Like
 the FFT's rounding, this error is not yet part of a certified
 floating-point term.
 
+The transforms.  Every transform is numpy.fft's, in place through
+``out=``: a complex grid or block overwrites its coefficients, and a real
+grid writes its half-size output into one array, so a sample takes the 16
+bytes the budget charges.  One axis takes the 1-D functions, which cost
+less a call than the n-D ones.  Several axes go to the n-D functions in
+reverse order: numpy transforms the last axis given first, so the complex
+axes are taken in ascending order, as scipy.fft takes them, and the
+samples are scipy.fft's bit for bit (the tests keep scipy.fft as their
+reference).  numpy keeps no plan cache.  Each thread keeps its block
+buffers, at most one block, between calls, and coset rows of 2^14 samples
+or more are transformed one row a call, since numpy's batched path
+allocates a buffer on every call.  Without both, glibc faults those
+buffers in afresh on every call: a pass of the dense benchmark took about
+67,000 minor page faults with neither, 16,000 with the buffers kept but
+long rows batched, and 3,300 with both.
+
 Everything here is pure and deterministic: rows are taken in ascending
 blocks, each reduced by pairwise summation and all added by ``math.fsum``,
-so results do not depend on scheduling.
+so results do not depend on scheduling.  Each thread has its own block
+buffers, so threads may take grid means at once.
 """
 
 from __future__ import annotations
@@ -154,11 +174,11 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .core import IntegerSet, TrigPoly, _run_starts, indicator_poly, recentre
 from .errors import AliasingError, GridOverflowError, MemoryBudgetError
@@ -179,6 +199,14 @@ _BLOCK_BYTES_PER_SAMPLE = 24
 # rows _coset_length gives a grid, and the points a term of the shortest
 # rows of _sized_grid
 _MAX_COSETS = 32
+# coset rows of at least this many samples (256 KiB of complex128) are
+# transformed one row a call: numpy's batched path allocates a two-row buffer
+# on every call, which glibc faults in afresh each time once rows are this
+# long.  Shorter rows stay one block a call, which costs fewer calls
+_ROW_CALL_SAMPLES = 2 ** 14
+
+# each thread's block buffers, kept between calls (_block_buffers)
+_workspace = threading.local()
 
 
 def _memory_budget(override: int | None) -> int:
@@ -320,10 +348,43 @@ def _grid_values(f: TrigPoly, idx: tuple, shape: tuple[int, ...], real: bool) ->
     samples, or, when ``real``, the conjugates of its columns 0 .. N_r//2 (rfftn)."""
     coeffs = np.zeros(shape, dtype=np.float64 if real else np.complex128)
     coeffs[idx] = f.coeffs.real if real else f.coeffs
-    if real:
-        return scipy.fft.rfftn(coeffs)
-    # coeffs is ours alone: transform in place, so one grid-sized array is live
-    return scipy.fft.ifftn(coeffs, norm="forward", overwrite_x=True)
+    if not real:
+        # coeffs is ours alone: transform in place, so one grid-sized array is live
+        return _ifft(coeffs, tuple(range(len(shape))))
+    # the half-size output given, so no axis after the real one needs another array
+    out = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
+    if len(shape) == 1:
+        return np.fft.rfft(coeffs, out=out)
+    # the complex axes in reverse, as in _ifft
+    return np.fft.rfftn(coeffs, axes=tuple(range(len(shape) - 2, -1, -1)) + (len(shape) - 1,),
+                        out=out)
+
+
+def _ifft(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """x transformed in place by the unscaled inverse FFT over ``axes``.
+
+    One axis takes numpy's 1-D function, which costs less a call than the
+    n-D one.  Several axes go to the n-D function in reverse: it transforms
+    the last axis given first, so the axes are taken in ascending order,
+    which gives the same samples, bit for bit, as scipy.fft's order."""
+    if len(axes) == 1:
+        return np.fft.ifft(x, axis=axes[0], norm="forward", out=x)
+    return np.fft.ifftn(x, axes=axes[::-1], norm="forward", out=x)
+
+
+def _block_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """complex128 and float64 arrays of ``shape``: views of this thread's
+    workspace when they fit in one block (_BLOCK_BYTES), else fresh.  The
+    workspace only grows, and holds at most one block, so a pass does not
+    fault its block buffers in afresh on every call."""
+    size = math.prod(shape)
+    if size * _BLOCK_BYTES_PER_SAMPLE > _BLOCK_BYTES:
+        return np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.float64)
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _workspace.buffers = (np.empty(size, dtype=np.complex128),
+                                        np.empty(size, dtype=np.float64))
+    return buffers[0][:size].reshape(shape), buffers[1][:size].reshape(shape)
 
 
 def _coset_length(shape: tuple[int, ...], d0: int) -> int:
@@ -366,9 +427,12 @@ def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
     carry = f.coeffs * step  # row 1
     row_bytes = math.prod(row_shape) * _BLOCK_BYTES_PER_SAMPLE
     rows = min(stop - 1, _MAX_COSETS, max(1, _BLOCK_BYTES // row_bytes))
-    block = np.empty((rows,) + row_shape, dtype=np.complex128)
-    moduli = np.empty((rows,) + row_shape, dtype=np.float64)
-    axes = tuple(range(1, block.ndim))
+    block, moduli = _block_buffers((rows,) + row_shape)
+    # long rows one a call (_ROW_CALL_SAMPLES), short ones one block a call,
+    # with the block's rows on axis 0
+    per_row = math.prod(row_shape) >= _ROW_CALL_SAMPLES
+    first = 0 if per_row else 1
+    axes = tuple(range(first, first + len(row_shape)))
     # blocks of at most `rows` rows from row 1 on, none across an anchor (r = 0 mod 32)
     for anchor in range(0, stop, _MAX_COSETS):
         if anchor:
@@ -390,8 +454,9 @@ def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
             blk = block[:nb]
             blk.fill(0)
             blk[(np.arange(nb)[:, None],) + idx] = twiddled
-            values = scipy.fft.ifftn(blk, axes=axes, norm="forward", overwrite_x=True)
-            mod = np.abs(values, out=moduli[:nb])
+            for x in blk if per_row else (blk,):
+                _ifft(x, axes)
+            mod = np.abs(blk, out=moduli[:nb])
             sums.extend(mod.reshape(nb, -1).sum(axis=1).tolist())
     return sums
 
@@ -507,7 +572,8 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
         grid = (n,)
     else:
         # every N_i >= 2 d_i + 1 (choose_grid): alias-free
-        grid = tuple(scipy.fft.next_fast_len(n, real=True) for n in want)
+        smooth = _smooth_lengths()
+        grid = tuple(int(smooth[i]) for i in np.searchsorted(smooth, want))
         q = _coset_length(grid, (diameter[0] + 1) // 2)
     _check_budget(grid, budget)
     s = _coset_mean(g, grid, q)
@@ -603,19 +669,16 @@ def _sized_grid(g: TrigPoly, want: int) -> tuple[int, int]:
 
 @functools.cache
 def _smooth_lengths() -> np.ndarray:
-    """Every 5-smooth number below 2^62, ascending: the lengths that
-    ``scipy.fft.next_fast_len(n, real=True)`` returns.  Built on first use."""
-    out, a = [], 1
-    while a < 2 ** 62:
-        b = a
-        while b < 2 ** 62:
-            c = b
-            while c < 2 ** 62:
-                out.append(c)
-                c *= 5
-            b *= 3
-        a *= 2
-    lengths = np.array(sorted(out), dtype=np.int64)
+    """Every 5-smooth number below 2^62, ascending: the fast lengths of the
+    real and the complex FFT.  Built on first use."""
+    lengths = np.ones(1, dtype=np.int64)
+    for p in (2, 3, 5):
+        # the numbers so far times p^k, k = 0, 1, ..., while below 2^62
+        layer, layers = lengths, [lengths]
+        while (layer := layer[layer <= (2 ** 62 - 1) // p] * p).size:
+            layers.append(layer)
+        lengths = np.concatenate(layers)
+    lengths.sort()
     lengths.flags.writeable = False
     return lengths
 

@@ -342,6 +342,32 @@ def test_non_integral_frequencies_and_elements_are_rejected():
         == TrigPoly(1, {2: 1.0})
 
 
+def test_from_arrays_refuses_unsigned_frequencies_past_int64():
+    # astype(np.int64) would wrap 2^63 + 5 to -2^63 + 5 in silence
+    with pytest.raises(OverflowError, match=str(2 ** 63 + 5)):
+        TrigPoly.from_arrays(1, np.array([2 ** 63 + 5], dtype=np.uint64), [1.0])
+    assert TrigPoly.from_arrays(1, np.array([5, 3], dtype=np.uint64), [1.0, 2.0]) \
+        == TrigPoly(1, {3: 2.0, 5: 1.0})
+
+
+def test_non_integral_queries_find_nothing():
+    # int() would round 2.5 down to the element 2
+    A = IntegerSet([2])
+    assert 2.5 not in A
+    assert 2.0 in A and np.int64(2) in A
+    f = TrigPoly(1, {2: 1.0})
+    assert f.coefficient((2.5,)) == 0
+    assert f.coefficient((2.0,)) == 1 and f.coefficient(2) == 1
+
+
+@pytest.mark.parametrize("cls, key", [(TrigPoly, "terms"), (LatticeSet, "points")])
+def test_json_rank_must_be_an_integer(cls, key):
+    for bad in (1.5, 2.7):
+        with pytest.raises(ValueError, match=f"rank {bad} is not an integer"):
+            cls.from_json_dict({"rank": bad, key: []})
+    assert cls.from_json_dict({"rank": 2.0, key: []}).rank == 2
+
+
 def test_degree_of_most_negative_frequency():
     f = TrigPoly(1, {-2 ** 63: 1, 5: 1})
     assert f.degree == (2 ** 63,)

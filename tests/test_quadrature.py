@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -289,7 +294,8 @@ def _reference_grid(f, shape):
     return scipy.fft.ifftn(coeffs, norm="forward")
 
 
-@pytest.mark.parametrize("rank,shape", [(1, (97,)), (1, (128,)), (2, (15, 16))])
+@pytest.mark.parametrize("rank,shape", [(1, (97,)), (1, (128,)), (2, (15, 16)),
+                                        (3, (30, 40, 5))])
 def test_eval_grid_bitwise_matches_reference_scatter(rank, shape):
     rng = np.random.default_rng(31 + rank)
     for _ in range(10):
@@ -346,6 +352,23 @@ def test_eval_grid_real_path_matches_reference(shape, far):
         assert got.values.shape == shape[:-1] + (shape[-1] // 2 + 1,)
         assert np.max(np.abs(got.values - ref[..., :shape[-1] // 2 + 1])) <= 1e-12
         assert got.abs_mean() == pytest.approx(np.mean(np.abs(ref)), rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(97,), (128,), (15, 21), (30, 40, 5)])
+def test_eval_grid_real_path_bitwise_matches_scipy(shape):
+    # scipy.fft.rfftn, the independent reference, takes the complex axes in
+    # ascending order; numpy's default order gives other last bits at (30, 40, 5)
+    rng = np.random.default_rng(sum(shape))
+    windows = np.array([2 * ((m - 1) // 2) + 1 for m in shape])
+    for _ in range(5):
+        base = rng.integers(-2 ** 62, 2 ** 62, size=len(shape))
+        offsets = rng.integers(0, windows, size=(200, len(shape)))
+        f = TrigPoly.from_arrays(len(shape), base + offsets, rng.standard_normal(200))
+        coeffs = np.zeros(shape)
+        coeffs[tuple((f.freqs % np.array(shape)).T)] = f.coeffs.real
+        want = np.conjugate(scipy.fft.rfftn(coeffs))
+        assert np.array_equal(eval_grid(f, shape).values.view(np.uint64),
+                              want.view(np.uint64))
 
 
 def test_eval_grid_one_complex_coefficient_keeps_full_grid():
@@ -967,3 +990,72 @@ def test_product_factor_budget_names_the_factor_grid():
         certified_l1(g, 0.1, memory_budget=1000)
     assert err.value.needed_grid == (n,)
     assert err.value.needed_bytes == 16 * n
+
+
+# --- the FFT backend and its per-thread block buffers ---------------------------
+
+def test_no_scipy_at_run_time():
+    # every transform runs on numpy.fft: importing the package and taking
+    # each kind of grid (whole, streamed rank-1, rank-2 complex and real)
+    # loads no scipy module
+    code = """
+import json
+import sys
+import numpy as np
+from expsums import IntegerSet, TrigPoly, certified_l1, indicator_poly
+rng = np.random.default_rng(1)
+box = rng.integers(-30, 30, size=(40, 2))
+polys = [indicator_poly(IntegerSet.from_iterable(range(1, 102))),
+         indicator_poly(IntegerSet(rng.choice(100_000, 64, replace=False))),
+         TrigPoly.from_arrays(2, box, rng.standard_normal(40) + 1j * rng.standard_normal(40)),
+         TrigPoly.from_arrays(2, box, rng.standard_normal(40))]
+print(json.dumps([certified_l1(f).grid for f in polys]))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    src = os.path.dirname(os.path.dirname(quadrature.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path))
+    assert r.returncode == 0, r.stderr
+    grids = json.loads(r.stdout)
+    assert grids[0] == [625] and grids[1][0] > 174_762  # one row, and streamed
+    assert all(len(g) == 2 for g in grids[2:])
+
+
+def test_block_workspace_is_per_thread():
+    # four threads, more than the cores, stream dense sets (rows of one
+    # transform a call) and sparse ones (blocks of short rows), interleaved,
+    # each through its own block buffers: every enclosure is the serial
+    # one, bit for bit
+    rng = np.random.default_rng(77)
+    polys = []
+    for _ in range(2):
+        polys.append(indicator_poly(IntegerSet(np.flatnonzero(rng.random(40_000) < 0.5))))
+        polys.append(TrigPoly.from_arrays(1, rng.choice(120_000, 64, replace=False),
+                                          rng.standard_normal(64)
+                                          + 1j * rng.standard_normal(64)))
+    serial = [certified_l1(f) for f in polys]
+    for k, f in enumerate(polys):
+        g = recentre(f)[0]
+        row = _sized_grid(g, choose_grid((2 * g.degree[0],), 0.1)[0])[1]
+        assert (row >= quadrature._ROW_CALL_SAMPLES) == (k % 2 == 0)
+    start = threading.Barrier(len(polys), timeout=60)
+
+    def work(f):
+        start.wait()
+        return [certified_l1(f) for _ in range(4)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over often
+    try:
+        with ThreadPoolExecutor(len(polys)) as pool:
+            futures = [pool.submit(work, f) for f in polys]
+            runs = [fut.result(timeout=300) for fut in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for encs, want in zip(runs, serial):
+        assert len(encs) == 4
+        for enc in encs:
+            assert (enc.lo.hex(), enc.hi.hex(), enc.riemann.hex()) == \
+                (want.lo.hex(), want.hi.hex(), want.riemann.hex())
