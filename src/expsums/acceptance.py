@@ -18,7 +18,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -77,7 +76,7 @@ def _random_increasing(rng: np.random.Generator, size: int,
 
 
 def criterion_01(seed: int, inject_kernel_fault: bool = False) -> tuple[bool, dict]:
-    """Flat-top plateau and support hold with exact rational equality."""
+    """Flat-top plateau and support hold with exact integer equality."""
     pairs = 0
     violations = 0
     first_violation = ""
@@ -90,9 +89,8 @@ def criterion_01(seed: int, inject_kernel_fault: bool = False) -> tuple[bool, di
                 first_violation = first_violation or f"(M,N)=({m},{n}): {bad[0]}"
     if inject_kernel_fault:
         good = flat_top_build(3, 10)
-        corrupt = dict(good.values)
-        corrupt[0] = Fraction(1, 2)  # dent the plateau
-        bad = property_violations(FlatTopKernel(3, 10, corrupt))
+        dented = np.where(good.freqs == 0, 4, good.values)  # K(0) = 4/9
+        bad = property_violations(FlatTopKernel(3, 10, good.freqs, dented))
         pairs += 1
         if bad:
             violations += len(bad)

@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .bounds import (DEFAULT_C_MPS, constant_scan, family_intervals,
                      family_random_sets, verify_basic_multidim,
                      verify_main_prop, verify_mps, verify_multidim,
                      verify_multidimz)
-from .core import (IntegerSet, LatticeSet, TrigPoly, from_json_obj,
-                   indicator_poly)
+from .core import (IntegerSet, LatticeSet, TrigPoly, _check_i64,
+                   from_json_obj, indicator_poly)
 from .errors import (CollisionError, HypothesisError, MemoryBudgetError,
                      SupportError)
 from .kernels import flat_top_build
@@ -45,6 +46,7 @@ from .structures import (build_strong_integer, build_strong_lattice,
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+_BUDGET_ENV = "EXPSUMS_MEMORY_BUDGET"
 
 
 class ConfigError(ValueError):
@@ -225,7 +227,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             budget = _memory_budget(cfg.memory_budget)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        os.environ["EXPSUMS_MEMORY_BUDGET"] = str(budget)
+        os.environ[_BUDGET_ENV] = str(budget)
     return cfg
 
 
@@ -339,8 +341,9 @@ def cmd_norm(cfg: ExperimentConfig):
 
 def cmd_kernel(cfg: ExperimentConfig):
     kern = flat_top_build(cfg.m, cfg.n)
-    rows = [(k, str(kern.values[k]), float(kern.values[k]))
-            for k in sorted(kern.values)]
+    den = kern.denominator
+    rows = [(k, str(Fraction(v, den)), v / den)
+            for k, v in zip(kern.freqs.tolist(), kern.values.tolist())]
     return {"csv_rows": rows, "csv_header": ("k", "value_exact", "value_float"),
             "m": cfg.m, "n": cfg.n,
             "support_limit": kern.support_limit}, True
@@ -413,10 +416,15 @@ def _verify_multidimz(cfg):
     return verdict.to_json_dict(), verdict.passed, None
 
 
+def _integer(value) -> int:
+    return _check_i64(value, "value")
+
+
 # each key of a main-prop --input file and the conversion of its value
 _MAIN_PROP_FIELDS = {
-    "blocks": lambda v: {int(k): TrigPoly.from_json_dict(p) for k, p in v},
-    "d1": int, "d2": int, "delta": float, "q": int, "s": int}
+    "blocks": lambda v: {_check_i64(k, "block index"): TrigPoly.from_json_dict(p)
+                         for k, p in v},
+    "d1": _integer, "d2": _integer, "delta": float, "q": _integer, "s": _integer}
 
 
 def _verify_main_prop(cfg):
@@ -594,20 +602,29 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    # resolve_config hands --memory-budget to the library through the
+    # environment; it holds for this one command only
+    saved_budget = os.environ.get(_BUDGET_ENV)
     try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        payload, passed = _COMMANDS[cfg.command](cfg)
-    except MemoryBudgetError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return RESOURCE_ERROR
-    except (ConfigError, HypothesisError, SupportError, CollisionError,
-            KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        try:
+            cfg = resolve_config(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        try:
+            payload, passed = _COMMANDS[cfg.command](cfg)
+        except MemoryBudgetError as exc:
+            print(f"resource error: {exc}", file=sys.stderr)
+            return RESOURCE_ERROR
+        except (ConfigError, HypothesisError, SupportError, CollisionError,
+                KeyError, TypeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+    finally:
+        if saved_budget is None:
+            os.environ.pop(_BUDGET_ENV, None)
+        else:
+            os.environ[_BUDGET_ENV] = saved_budget
     try:
         _emit(cfg, payload, started)
     except OSError as exc:

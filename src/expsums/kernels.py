@@ -1,10 +1,10 @@
 """Dirichlet and Fejer kernels and the flat-top multiplier K_{M,N}.
 
 K_{M,N} is 1 on {|k| <= N}, 0 outside {|k| < N+2M}, and its transform
-factorizes as (1/M) * D_{N+M}(t) * F_{M-1}(t).  Values are kept as exact
-rationals (denominator dividing M^2) so the plateau and support claims can
-be tested with equality rather than a tolerance; only the transform uses
-floating point.
+factorizes as (1/M) * D_{N+M}(t) * F_{M-1}(t).  Every value is an integer
+multiple of 1/M^2, so a kernel keeps int64 numerators over M^2 and the
+plateau and support claims are tested with integer equality rather than a
+tolerance; only the transform uses floating point.
 """
 
 from __future__ import annotations
@@ -68,96 +68,90 @@ def fejer(n: int, t):
     return _scalar_or_array(lambda ts: _fejer_values(int(n), ts), t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatTopKernel:
     """Flat-top multiplier with plateau half-width ``n`` and ramp scale ``m``.
 
-    ``values`` holds the nonzero coefficients only, as exact Fractions.
-    The constructor does not re-verify the plateau/support properties (that
+    K(freqs[i]) = values[i] / M^2, and K is 0 at every frequency not in
+    ``freqs``; both are int64 arrays, ``freqs`` strictly increasing.  The
+    constructor does not re-verify the plateau/support properties (that
     allows deliberately corrupted kernels in negative-control tests); use
     :func:`property_violations` to check them.
     """
 
     m: int
     n: int
-    values: dict[int, Fraction]
+    freqs: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         if self.m < 2 or self.m >= self.n:
             raise ValueError(f"need 2 <= M < N, got M={self.m}, N={self.n}")
-        object.__setattr__(self, "values",
-                           {int(k): Fraction(v) for k, v in self.values.items()
-                            if Fraction(v) != 0})
+        if not (self.freqs.dtype == self.values.dtype == np.int64
+                and self.freqs.shape == self.values.shape and self.freqs.size):
+            raise TypeError("freqs and values must be nonempty int64 arrays "
+                            "of one shape")
 
     @property
     def support_limit(self) -> int:
         """Smallest L with values(k) = 0 required for |k| >= L (= N + 2M)."""
         return self.n + 2 * self.m
 
+    @property
+    def denominator(self) -> int:
+        return self.m * self.m
+
+    def numerators_at(self, ks) -> np.ndarray:
+        """The numerators of K over M^2 at the frequencies ``ks`` (0 where
+        none is stored)."""
+        at = np.searchsorted(self.freqs, ks).clip(max=len(self.freqs) - 1)
+        return np.where(self.freqs[at] == ks, self.values[at], 0)
+
     def value(self, k: int) -> Fraction:
-        return self.values.get(int(k), Fraction(0))
+        """K(k) as an exact Fraction."""
+        return Fraction(int(self.numerators_at(k)), self.denominator)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        ks = np.array(sorted(self.values), dtype=np.int64)
-        vs = np.array([float(self.values[int(k)]) for k in ks])
-        return ks, vs
+        return self.freqs, self.values / self.denominator
 
-    def coefficient_sum(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
+    def coefficient_sum(self) -> int | Fraction:
+        """sum_k K(k), exactly; an int whenever M^2 divides the numerators'
+        sum, as it does for every kernel :func:`flat_top_build` makes."""
+        total = int(self.values.sum())
+        whole, rest = divmod(total, self.denominator)
+        return whole if rest == 0 else Fraction(total, self.denominator)
 
 
 def flat_top_build(m: int, n: int) -> FlatTopKernel:
     """Build K_{M,N}(k) = (1/M) sum_{|j|<=M-1, |j-k|<=N+M} (1 - |j|/M) exactly.
 
-    Each value is an integer multiple of 1/M^2; the window sums are computed
-    with integer prefix sums, so construction is exact and fast.
+    M^2 K(k) is the sum of the integer weights M - |j| over a window, so the
+    numerators are differences of one int64 prefix sum of the weights.
     """
     if m < 2 or m >= n:
         raise ValueError(f"need 2 <= M < N, got M={m}, N={n}")
-    # weights M - |j| for j = -(M-1) .. M-1, then prefix sums for O(1) windows
-    js = list(range(-(m - 1), m))
-    weights = [m - abs(j) for j in js]
-    prefix = [0]
-    for w in weights:
-        prefix.append(prefix[-1] + w)
-
-    def window_sum(lo: int, hi: int) -> int:
-        # sum of weights for j in [lo, hi] intersected with [-(M-1), M-1]
-        lo = max(lo, -(m - 1))
-        hi = min(hi, m - 1)
-        if lo > hi:
-            return 0
-        return prefix[hi + m] - prefix[lo + m - 1]
-
-    values: dict[int, Fraction] = {}
-    half = n + 2 * m
-    for k in range(-half + 1, half):
-        num = window_sum(k - (n + m), k + (n + m))
-        if num:
-            values[k] = Fraction(num, m * m)
-    return FlatTopKernel(m, n, values)
+    # prefix[i] = sum of the weights M - |j| over -M <= j <= i - M (w(-M) = 0)
+    prefix = np.cumsum(m - np.abs(np.arange(-m, m, dtype=np.int64)))
+    ks = np.arange(1 - n - 2 * m, n + 2 * m, dtype=np.int64)
+    hi = np.minimum(ks + (n + m), m - 1)
+    lo = np.maximum(ks - (n + m) - 1, -m)
+    return FlatTopKernel(m, n, ks, prefix[hi + m] - prefix[lo + m])
 
 
 def property_violations(kern: FlatTopKernel) -> list[str]:
-    """Exact-equality check of the plateau/support/range invariants.
+    """Exact integer check of the plateau/support/range invariants.
 
     Returns a list of violation descriptions, empty when the kernel is good:
-    value 1 on |k| <= N, value 0 for |k| >= N+2M, all values in [0,1] with
-    denominator dividing M^2.
+    value 1 on |k| <= N, value 0 for |k| >= N+2M, all values in [0,1].
     """
-    out = []
-    for k in range(-kern.n, kern.n + 1):
-        if kern.value(k) != 1:
-            out.append(f"K({k}) = {kern.value(k)} != 1 inside the plateau")
-    limit = kern.support_limit
-    for k in kern.values:
-        if abs(k) >= limit:
-            out.append(f"K({k}) = {kern.values[k]} != 0 outside |k| < {limit}")
-    for k, v in kern.values.items():
-        if not 0 <= v <= 1:
-            out.append(f"K({k}) = {v} outside [0, 1]")
-        if (kern.m * kern.m) % v.denominator != 0:
-            out.append(f"K({k}) = {v} has denominator not dividing M^2")
+    ks, nums, limit = kern.freqs, kern.values, kern.support_limit
+    plateau = np.arange(-kern.n, kern.n + 1)
+    out = [f"K({k}) = {kern.value(k)} != 1 inside the plateau"
+           for k in plateau[kern.numerators_at(plateau) != kern.denominator].tolist()]
+    out += [f"K({k}) = {kern.value(k)} != 0 outside |k| < {limit}"
+            for k in ks[(np.abs(ks) >= limit) & (nums != 0)].tolist()]
+    out += [f"K({k}) = {kern.value(k)} outside [0, 1]"
+            for k in ks[(nums < 0) | (nums > kern.denominator)].tolist()]
     return out
 
 

@@ -8,20 +8,19 @@ class size in the window |I|^(1/3)/8 <= |I(q; s)| <= q^(1/2).
 ``thinning_transform`` multiplies a block-structured polynomial by a
 periodized flat-top kernel.  Under its hypotheses the periodized kernel is
 exactly 1 on every surviving frequency and exactly 0 on every other occupied
-frequency (the kernel values are rationals, so this is checked exactly), so
-the transform equals direct selection of the blocks whose index is congruent
-to s mod q.
+frequency (the kernel values are integers over M^2, so this is checked
+exactly), so the transform equals direct selection of the blocks whose index
+is congruent to s mod q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .core import IntegerSet, TrigPoly
+from .core import _I64_MAX, IntegerSet, TrigPoly
 from .errors import HypothesisError, SupportError
 from .kernels import flat_top_build
 
@@ -185,20 +184,20 @@ def thinning_transform(F: TrigPoly, d1: int, d2: int, delta: float,
 
     block, _ = _block_index(F, d1, d2)  # validates the support shape
     kern = flat_top_build(m, n)
-
-    def periodized(freq: int) -> Fraction:
-        r = freq % period
-        return kern.value(r) + kern.value(r - period)
-
     shifted = F.shifted(-s * d2)
-    kept = np.zeros(len(shifted), dtype=bool)
-    for i, f in enumerate(shifted.freqs[:, 0].tolist()):
-        w = periodized(f)
-        if w not in (0, 1):
-            raise RuntimeError(
-                f"periodized kernel is {w} at occupied frequency {f}; "
-                "the exactness hypotheses should make this impossible")
-        kept[i] = w == 1
+    g = shifted.freqs[:, 0]
+    # the periodized kernel at g is K(r) + K(r - qd2), r = g mod qd2; a
+    # period beyond int64 takes the residues as Python ints
+    r = (g if period <= _I64_MAX else g.astype(object)) % period
+    w = kern.numerators_at(r) + kern.numerators_at(r - period)
+    stray = (w != 0) & (w != kern.denominator)
+    if stray.any():
+        at = int(np.argmax(stray))
+        raise RuntimeError(
+            f"periodized kernel is {w[at]}/{kern.denominator} at occupied "
+            f"frequency {g[at]}; the exactness hypotheses should make this "
+            "impossible")
+    kept = w == kern.denominator
     by_kernel = TrigPoly.from_arrays(1, shifted.freqs[kept],
                                      shifted.coeffs[kept]).shifted(s * d2)
 

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import IntegerSet, LatticeSet
+from .core import IntegerSet, LatticeSet, _check_i64
 from .errors import CollisionError, HypothesisError
 
 FLAVOR_BASE = "base"
@@ -88,14 +88,15 @@ class DimCertificate:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "DimCertificate":
         children = tuple(
-            (int(k),
+            (_check_i64(k, "child key"),
              None if sub is None else IntegerSet.from_json_dict(sub),
              cls.from_json_dict(child))
             for k, sub, child in obj.get("children", []))
-        return cls(rank=int(obj["rank"]), n1=int(obj["n1"]),
+        return cls(rank=_check_i64(obj["rank"], "rank"),
+                   n1=_check_i64(obj["n1"], "n1"),
                    flavor=obj.get("flavor", FLAVOR_BASE),
-                   d1=None if obj.get("d1") is None else int(obj["d1"]),
-                   d2=None if obj.get("d2") is None else int(obj["d2"]),
+                   d1=None if obj.get("d1") is None else _check_i64(obj["d1"], "d1"),
+                   d2=None if obj.get("d2") is None else _check_i64(obj["d2"], "d2"),
                    delta=None if obj.get("delta") is None else float(obj["delta"]),
                    children=children)
 

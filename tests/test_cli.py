@@ -225,6 +225,22 @@ def test_non_product_lattice_keeps_the_budget(tmp_path):
     assert "budget" in r.stderr.lower()
 
 
+@pytest.mark.parametrize("before", [None, "5000000"])
+def test_memory_budget_flag_holds_for_one_command(tmp_path, monkeypatch,
+                                                  capsys, before):
+    if before is None:
+        monkeypatch.delenv("EXPSUMS_MEMORY_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("EXPSUMS_MEMORY_BUDGET", before)
+    # main-prop reads the budget from the environment, so 1000 bytes stops it
+    code = main(["verify", "--theorem", "main-prop", "--memory-budget", "1000",
+                 "--output", str(tmp_path / "v.json")])
+    assert code == 3, capsys.readouterr().err
+    assert os.environ.get("EXPSUMS_MEMORY_BUDGET") == before
+    assert main(["verify", "--theorem", "main-prop",
+                 "--output", str(tmp_path / "v.json")]) == 0
+
+
 def test_bad_memory_budget_is_usage_error(tmp_path):
     cfg = tmp_path / "c.json"
     out = str(tmp_path / "n.json")
@@ -290,6 +306,21 @@ def test_kernel_csv_golden(tmp_path):
     assert lines[0] == "k,value_exact,value_float"
     assert lines[1].startswith("-15,1/9,")
     assert len(lines) == 32  # header + 31 stored values
+
+
+_KERNEL_3_10_CSV = (
+    "k,value_exact,value_float\r\n"
+    "-15,1/9,0.1111111111111111\r\n-14,1/3,0.3333333333333333\r\n"
+    "-13,2/3,0.6666666666666666\r\n-12,8/9,0.8888888888888888\r\n"
+    + "".join(f"{k},1,1.0\r\n" for k in range(-11, 12))
+    + "12,8/9,0.8888888888888888\r\n13,2/3,0.6666666666666666\r\n"
+    "14,1/3,0.3333333333333333\r\n15,1/9,0.1111111111111111\r\n")
+
+
+def test_kernel_csv_bytes_pinned(tmp_path):
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--m", "3", "--n", "10", "--output", str(out)]) == 0
+    assert out.read_bytes() == _KERNEL_3_10_CSV.encode()
 
 
 def test_verify_kernel_needs_both_m_and_n(tmp_path):
@@ -405,7 +436,7 @@ _MAIN_PROP_OK = {"blocks": [[0, {"rank": 1, "terms": [[[0], [1.0, 0.0]]]}]],
 
 
 @pytest.mark.parametrize("field, value", [
-    ("blocks", 5), ("blocks", [[0, {"rank": 1}]]), ("d1", "x")])
+    ("blocks", 5), ("blocks", [[0, {"rank": 1}]]), ("d1", "x"), ("d1", 5.5)])
 def test_verify_main_prop_bad_field_names_the_file_and_field(tmp_path, capsys,
                                                              field, value):
     path = tmp_path / "in.json"

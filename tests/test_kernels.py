@@ -105,10 +105,59 @@ def test_flat_top_symmetry_and_range():
 
 
 def test_flat_top_denominators_divide_m_squared():
+    # every value is an int64 numerator over M^2, so no other denominator
+    # can occur
     for m, n in ((2, 5), (3, 10), (4, 9)):
         kern = flat_top_build(m, n)
-        for v in kern.values.values():
-            assert (m * m) % v.denominator == 0
+        assert kern.freqs.dtype == kern.values.dtype == np.int64
+        assert kern.denominator == m * m
+        assert np.all((kern.values > 0) & (kern.values <= m * m))
+        for k in kern.freqs.tolist():
+            assert (m * m) % kern.value(k).denominator == 0
+
+
+def test_flat_top_kernel_rejects_non_integer_values():
+    kern = flat_top_build(3, 10)
+    with pytest.raises(TypeError):
+        FlatTopKernel(3, 10, kern.freqs, kern.values / 9)
+    with pytest.raises(TypeError):
+        FlatTopKernel(3, 10, kern.freqs, kern.values[:-1])
+    with pytest.raises(TypeError):
+        FlatTopKernel(3, 10, kern.freqs[:0], kern.values[:0])
+
+
+def _reference_flat_top(m, n):
+    """K_{M,N} as {k: Fraction}, one Python-int window sum per frequency:
+    the reference the int64 builder must equal exactly."""
+    js = list(range(-(m - 1), m))
+    prefix = [0]
+    for j in js:
+        prefix.append(prefix[-1] + m - abs(j))
+
+    def window_sum(lo, hi):
+        lo, hi = max(lo, -(m - 1)), min(hi, m - 1)
+        return 0 if lo > hi else prefix[hi + m] - prefix[lo + m - 1]
+
+    values = {}
+    for k in range(-(n + 2 * m) + 1, n + 2 * m):
+        num = window_sum(k - (n + m), k + (n + m))
+        if num:
+            values[k] = Fraction(num, m * m)
+    return values
+
+
+# criterion 01's pairs (3 <= N <= 40) and the benchmark's audit pairs
+# (3 <= N <= 60), all with 2 <= M < N
+def test_flat_top_build_matches_fraction_reference():
+    for n, m in ((n, m) for n in range(3, 61) for m in range(2, n)):
+        kern = flat_top_build(m, n)
+        want = _reference_flat_top(m, n)
+        assert kern.freqs.tolist() == sorted(want)
+        assert {k: kern.value(k) for k in kern.freqs.tolist()} == want
+        floats = np.array([float(want[k]) for k in sorted(want)])
+        assert np.array_equal(kern.arrays()[1].view(np.uint64),
+                              floats.view(np.uint64))
+        assert kern.coefficient_sum() == sum(want.values())
 
 
 def test_flat_top_support_limit():
@@ -122,19 +171,20 @@ def test_property_violations_clean_kernel():
     assert property_violations(flat_top_build(3, 10)) == []
 
 
+def _with_numerator(kern, k, numerator):
+    """``kern`` with the numerator over M^2 at frequency k set, unverified."""
+    terms = dict(zip(kern.freqs.tolist(), kern.values.tolist()))
+    terms[k] = numerator
+    ks = sorted(terms)
+    return FlatTopKernel(kern.m, kern.n, np.array(ks, np.int64),
+                         np.array([terms[k] for k in ks], np.int64))
+
+
 def test_property_violations_detects_corruption():
     kern = flat_top_build(3, 10)
-    bad_plateau = dict(kern.values)
-    bad_plateau[0] = Fraction(1, 2)
-    assert property_violations(FlatTopKernel(3, 10, bad_plateau))
-
-    bad_support = dict(kern.values)
-    bad_support[16] = Fraction(1, 9)
-    assert property_violations(FlatTopKernel(3, 10, bad_support))
-
-    bad_range = dict(kern.values)
-    bad_range[13] = Fraction(3, 2)
-    assert property_violations(FlatTopKernel(3, 10, bad_range))
+    assert property_violations(_with_numerator(kern, 0, 4))  # 4/9 on the plateau
+    assert property_violations(_with_numerator(kern, 16, 1))  # 1/9 past the support
+    assert property_violations(_with_numerator(kern, 13, 27))  # 3, out of range
 
 
 def test_transform_factorization():
@@ -191,8 +241,8 @@ def test_transform_from_values_matches_per_term_sum(monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ELEMS", 5 * len(ks))
     ts = np.random.default_rng(810).random(33)
     want = np.zeros(33, complex)
-    for k, v in kern.values.items():
-        want += float(v) * np.exp(2j * np.pi * k * ts)
+    for k in ks.tolist():
+        want += float(kern.value(k)) * np.exp(2j * np.pi * k * ts)
     assert np.allclose(transform_from_values(kern, ts), want, atol=1e-10)
 
 

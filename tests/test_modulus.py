@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from expsums import modulus
 from expsums.core import IntegerSet, TrigPoly, indicator_poly
 from expsums.errors import HypothesisError, SupportError
+from expsums.kernels import FlatTopKernel, flat_top_build
 from expsums.modulus import (ResidueFilter, block_structure,
                              brute_force_modulus, good_modulus,
                              residue_filter, thinning_bound_factor,
@@ -163,6 +165,34 @@ def test_thinning_seeded_identity_sweep():
         expect = {(k * d2 + l,): c for k, f_k in blocks.items()
                   if k % q == s for (l,), c in f_k.terms.items()}
         assert thinned.terms == expect
+
+
+def test_thinning_rejects_inexact_periodized_kernel(monkeypatch):
+    # K(25) = 4/9 on block 1, which q = 4, s = 0 drops: the kernel selection
+    # and direct block selection still agree, so only the exactness check
+    # can see the stray value
+    def corrupted(m, n):
+        kern = flat_top_build(m, n)
+        return FlatTopKernel(m, n, np.append(kern.freqs, 25),
+                             np.append(kern.values, 4))
+
+    monkeypatch.setattr(modulus, "flat_top_build", corrupted)
+    F = TrigPoly(1, {0: 1.0, 25: 1.0})
+    with pytest.raises(RuntimeError, match="periodized kernel is 4/9 at "
+                                           "occupied frequency 25"):
+        thinning_transform(F, 5, 25, 1.0, ResidueFilter(4, 0))
+
+
+@pytest.mark.parametrize("q, s", [(2 ** 62, 0), (2 ** 62 + 5, 3)])
+def test_thinning_period_beyond_int64(q, s):
+    # q*d2 does not fit in int64, so the residues mod q*d2 are Python ints
+    d1, d2 = 10, 44
+    F = TrigPoly(1, {(k * d2 + l,): float(k % 7 + l + 20)
+                     for k in (-3, 0, 3, 5, 2 ** 40) for l in (-10, 0, 7)})
+    thinned, _ = thinning_transform(F, d1, d2, 1.0, ResidueFilter(q, s))
+    expect = {(f,): c for (f,), c in F.terms.items()
+              if ((f + d2 // 2) // d2) % q == s}
+    assert expect and thinned.terms == expect
 
 
 def test_thinning_hypothesis_guards():

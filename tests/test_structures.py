@@ -167,6 +167,22 @@ def test_certificate_json_round_trip():
         assert DimCertificate.from_json_dict(json.loads(wire)) == cert
 
 
+@pytest.mark.parametrize("path", [
+    ("rank",), ("n1",), ("d1",), ("d2",), ("children", 0, 0),
+    ("children", 0, 2, "n1")])
+def test_certificate_from_json_rejects_fractional_integers(path):
+    # rank 1.5 must not be read as rank 1
+    _, cert = build_strong_integer((0.5,), (3, 5), shape="random", seed=4)
+    obj = json.loads(json.dumps(cert.to_json_dict()))
+    *parents, last = path
+    holder = obj
+    for key in parents:
+        holder = holder[key]
+    holder[last] += 0.5
+    with pytest.raises(ValueError, match="is not an integer"):
+        DimCertificate.from_json_dict(obj)
+
+
 def test_certificate_children_sorted():
     _, cert = build_strong_integer((1.0,), (5, 3), shape="random", seed=9)
     keys = [k for k, _, _ in cert.children]
