@@ -92,9 +92,13 @@ def mps_rhs(coeffs: Sequence[complex]) -> float:
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if len(c) == 0:
         raise ValueError("need at least one coefficient")
+    return _decay_sum(c)
+
+
+def _decay_sum(c: np.ndarray) -> float:
     # hypot is what abs(complex) computes, and cumsum adds left to right,
     # so this is the plain sum |u_1|/1 + |u_2|/2 + ... on every Python
-    return float(np.cumsum(np.hypot(c.real, c.imag) / np.arange(1, len(c) + 1))[-1])
+    return float((np.hypot(c.real, c.imag) / np.arange(1, len(c) + 1)).cumsum()[-1])
 
 
 def mps_rhs_of(f: TrigPoly) -> float:
@@ -103,7 +107,7 @@ def mps_rhs_of(f: TrigPoly) -> float:
         raise ValueError("rank-1 polynomials only")
     if f.is_zero:
         raise ValueError("zero polynomial")
-    return mps_rhs(f.coeffs)
+    return _decay_sum(f.coeffs)  # already a complex128 vector
 
 
 def verify_mps(A, c_mps: float = DEFAULT_C_MPS,

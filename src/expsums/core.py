@@ -19,7 +19,7 @@ import bisect
 import cmath
 import json
 import math
-from functools import cached_property
+import struct
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -55,12 +55,22 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def _int64_rows(rows, rank: int, what: str, scalars: bool = False) -> np.ndarray:
     """The integer vectors ``rows`` as an int64 ``(n, rank)`` array.
 
-    One numpy conversion handles homogeneous integer input; anything else
-    (mixed scalar and tuple keys, values outside int64, floats) is coerced
-    one value at a time, which also produces the error messages.  With
-    ``scalars`` a rank-1 row may be given as a bare number.
+    Bare Python ints pack through ``struct``, and other homogeneous
+    integer input takes one numpy conversion; anything else (mixed scalar
+    and tuple keys, values outside int64, floats) is coerced one value at a
+    time, which also produces the error messages.  With ``scalars`` a
+    rank-1 row may be given as a bare number.
     """
     rows = rows if isinstance(rows, (np.ndarray, list, tuple)) else list(rows)
+    if scalars and rank == 1 and not isinstance(rows, np.ndarray):
+        # Python ints pack in one C loop; a float, string or int beyond int64
+        # raises, and the value then takes the checks below
+        try:
+            packed = struct.pack(f"{len(rows)}q", *rows)
+        except struct.error:
+            pass
+        else:
+            return np.frombuffer(packed, dtype=np.int64).reshape(-1, 1)
     try:
         arr = np.asarray(rows)
     except (ValueError, OverflowError):  # ragged rows or huge ints
@@ -104,6 +114,23 @@ def char_e(z):
     return cmath.exp(2j * cmath.pi * z)
 
 
+class _lazy:
+    """A read-only attribute computed on first access and kept in the
+    instance dict: ``functools.cached_property`` without the class-wide lock
+    it takes on every first access before Python 3.12.  The values are pure
+    functions of immutable arrays, so two threads that compute one at once
+    store equal values."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class _Frozen:
     __slots__ = ()
 
@@ -138,10 +165,16 @@ class IntegerSet(_Frozen):
 
     @classmethod
     def from_iterable(cls, it: Iterable[int]) -> "IntegerSet":
-        arr = np.sort(_int64_rows(it, 1, "element", scalars=True)[:, 0])
+        arr = _int64_rows(it, 1, "element", scalars=True)[:, 0]
+        # neighbours compared, not np.diff, which wraps at int64
+        if not np.count_nonzero(arr[1:] <= arr[:-1]):
+            # already sorted and distinct; a caller's array is copied, since
+            # the set marks its array read-only and must not share it
+            return cls._wrap(arr.copy() if isinstance(it, np.ndarray) else arr)
+        arr = np.sort(arr)
         return cls._wrap(arr[_run_starts(arr)])
 
-    @cached_property
+    @_lazy
     def elements(self) -> tuple[int, ...]:
         """The elements as a tuple of Python ints, ascending."""
         return tuple(self.array.tolist())
@@ -234,7 +267,7 @@ class LatticeSet(_Frozen):
         out._set(int(rank), pts[_run_starts(pts)])
         return out
 
-    @cached_property
+    @_lazy
     def points(self) -> tuple[tuple[int, ...], ...]:
         """The points as tuples of Python ints, in lexicographic order."""
         return tuple(map(tuple, self.array.tolist()))
@@ -276,21 +309,27 @@ def _normalize_terms(freqs: np.ndarray,
 
     The sort is stable and duplicates are summed in input order starting
     from 0, so every coefficient is exactly what the running sum
-    ``0 + c_1 + c_2 + ...`` over its input terms gives.
+    ``0 + c_1 + c_2 + ...`` over its input terms gives.  Rank-1 frequencies
+    that already increase strictly need neither: each coefficient is 0 + c.
     """
-    order = _lex_order(freqs)
-    freqs, coeffs = freqs[order], coeffs[order]
-    first = _run_starts(freqs)
-    totals = np.zeros(np.count_nonzero(first), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        np.add.at(totals, np.cumsum(first) - 1, coeffs)
-    freqs = freqs[first]
+    if freqs.shape[1] == 1 and not np.count_nonzero(freqs[1:, 0] <= freqs[:-1, 0]):
+        # 0 + c, not c: the sum turns a coefficient's -0.0 part into +0.0
+        totals = coeffs + 0.0
+    else:
+        order = _lex_order(freqs)
+        freqs, coeffs = freqs[order], coeffs[order]
+        first = _run_starts(freqs)
+        totals = np.zeros(np.count_nonzero(first), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            np.add.at(totals, np.cumsum(first) - 1, coeffs)
+        freqs = freqs[first]
     bad = ~np.isfinite(totals)
     if bad.any():
         # a non-finite coefficient, or finite duplicates whose sum overflows
         i = int(np.argmax(bad))
         raise ValueError(f"coefficient {complex(totals[i])} at frequency "
                          f"{tuple(freqs[i].tolist())} is not finite")
+    # boolean indexing copies, so a caller's frequency array is never kept
     keep = totals != 0
     return freqs[keep], totals[keep]
 
@@ -351,27 +390,35 @@ class TrigPoly(_Frozen):
         return out
 
     @classmethod
-    def _wrap(cls, rank: int, freqs: np.ndarray, coeffs: np.ndarray) -> "TrigPoly":
-        # freqs/coeffs already normalized (sorted, distinct, nonzero, finite)
+    def _wrap(cls, rank: int, freqs: np.ndarray, coeffs: np.ndarray,
+              box: tuple[tuple[int, int], ...] | None = None) -> "TrigPoly":
+        # freqs/coeffs already normalized (sorted, distinct, nonzero, finite);
+        # box, when known, is their support_box
         out = object.__new__(cls)
         out._set(rank, freqs, coeffs)
+        if box is not None:
+            object.__setattr__(out, "support_box", box)
         return out
 
-    @cached_property
+    @_lazy
     def terms(self) -> Mapping[tuple[int, ...], complex]:
         """Read-only ``{frequency tuple: coefficient}`` in frequency order."""
         return MappingProxyType(dict(zip(map(tuple, self.freqs.tolist()),
                                          self.coeffs.tolist())))
 
-    @cached_property
+    @_lazy
     def support_box(self) -> tuple[tuple[int, int], ...]:
         """Per-axis (min, max) of the frequency support."""
         if self.is_zero:
             return ((0, 0),) * self.rank
-        return tuple(zip(self.freqs.min(axis=0).tolist(),
-                         self.freqs.max(axis=0).tolist()))
+        # the rows are sorted, so axis 0 runs from the first row to the last
+        box = ((int(self.freqs[0, 0]), int(self.freqs[-1, 0])),)
+        if self.rank == 1:
+            return box
+        rest = self.freqs[:, 1:]
+        return box + tuple(zip(rest.min(axis=0).tolist(), rest.max(axis=0).tolist()))
 
-    @cached_property
+    @_lazy
     def degree(self) -> tuple[int, ...]:
         """Per-axis max |frequency| (zero vector for the zero polynomial)."""
         # Python ints: abs(-2**63) does not fit in int64
@@ -413,11 +460,11 @@ class TrigPoly(_Frozen):
         if self.is_zero:
             return self
         # numpy wraps silently, so check the extremes in Python ints first
-        for (lo, hi), s in zip(self.support_box, shift):
-            _check_i64(lo + s, "shifted frequency")
-            _check_i64(hi + s, "shifted frequency")
+        box = tuple((_check_i64(lo + s, "shifted frequency"),
+                     _check_i64(hi + s, "shifted frequency"))
+                    for (lo, hi), s in zip(self.support_box, shift))
         step = np.array([_wrapped_i64(s) for s in shift], dtype=np.int64)
-        return TrigPoly._wrap(self.rank, self.freqs + step, self.coeffs)
+        return TrigPoly._wrap(self.rank, self.freqs + step, self.coeffs, box)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The stored (terms, rank) int64 frequencies and complex128
@@ -482,8 +529,18 @@ def recentre(f: TrigPoly) -> tuple[TrigPoly, tuple[int, ...]]:
     """
     if f.is_zero:
         return f, (0,) * f.rank
-    shift = tuple((lo + hi) // 2 for lo, hi in f.support_box)
-    return f.shifted(tuple(-s for s in shift)), shift
+    # f.shifted(-shift) without its general argument handling, which costs
+    # about half of this call; every certified_l1 call recentres once
+    shift, box = [], []
+    for lo, hi in f.support_box:
+        mid = (lo + hi) // 2
+        shift.append(mid)
+        box.append((_check_i64(lo - mid, "shifted frequency"),
+                     _check_i64(hi - mid, "shifted frequency")))
+    # each mid lies in [lo, hi], so it fits in int64, and so does every
+    # shifted frequency: no wrapped step is needed
+    freqs = f.freqs - np.array(shift, dtype=np.int64)
+    return TrigPoly._wrap(f.rank, freqs, f.coeffs, tuple(box)), tuple(shift)
 
 
 def from_json_obj(obj: Mapping):

@@ -90,12 +90,18 @@ polynomial with unequal coefficients is left to the rank-r grid even when
 its coefficient tensor has rank 1, since a float product cannot be tested
 for equality exactly.  Constants keep the grid path.
 
-Coset streaming.  Every grid mean, of :func:`riemann_l1` as of
-:func:`certified_l1`, sums the coset rows of axis 0, one block of rows
-(``_BLOCK_BYTES``) at a time.  N_0 = P Q, with Q = N_0 (P = 1) for a grid
-within one block, else the smallest divisor of N_0 with Q >= 2 d_0 + 1
-and P <= 32 (``_MAX_COSETS``), or N_0 if there is none.  The grid points
-with j_0 = r + P i, for 0 <= i < Q, form the coset row r mod P, and on it
+One block, one transform.  A grid mean, of :func:`riemann_l1` as of
+:func:`certified_l1`, on a grid within one block (``_BLOCK_BYTES`` at 24
+bytes a sample) is one transform: the coefficients are placed at the
+residues of their frequencies and transformed once, real-input when every
+coefficient is real, exactly as :func:`eval_grid` does, and |.| is summed.
+:func:`_grid_mean` alone decides between this and streaming.
+
+Coset streaming.  A larger grid sums the coset rows of axis 0, one block
+of rows at a time.  N_0 = P Q, with Q the smallest divisor of N_0 with
+Q >= 2 d_0 + 1 and P <= 32 (``_MAX_COSETS``), or N_0 if there is none.
+The grid points with j_0 = r + P i, for 0 <= i < Q, form the coset row
+r mod P, and on it
 
     f((r + P i)/N_0, t') = sum_a [c_a e(a_0 r / N_0)] e(a_0 i / Q + a'.t'),
 
@@ -189,9 +195,9 @@ _BYTES_PER_SAMPLE = 16
 
 DEFAULT_MEMORY_BUDGET = 2 * 2 ** 30  # bytes of samples
 
-# every grid mean streams its grid in blocks of coset rows of at most this
-# many bytes, each sample a complex128 value and its float64 modulus; a grid
-# that fits in one block is one row
+# a grid mean takes a grid that fits in this many bytes, each sample a
+# complex128 value and its float64 modulus, as one transform, and streams a
+# larger one in blocks of coset rows of at most this many bytes
 _BLOCK_BYTES = 4 * 2 ** 20
 _BLOCK_BYTES_PER_SAMPLE = 24
 # the anchor interval: rows r = 0 mod 32 get their twiddles afresh, so the
@@ -279,13 +285,19 @@ def _abs_sum(values: np.ndarray, n_last: int) -> float:
     """sum |f| over a grid of n_last points on its last axis, from ``values``:
     all its samples, or (f with real coefficients) its columns 0 .. n_last//2."""
     a = np.abs(values)
+    total = float(a.sum())
     if values.shape[-1] == n_last:  # the whole grid (or n_last <= 2)
-        return float(a.sum())
+        return total
     # column j_r stands for itself and for column N_r - j_r, except
-    # j_r = 0 and (N_r even) j_r = N_r/2, which are their own mirrors
-    total = 2.0 * float(a.sum()) - float(a[..., 0].sum())
+    # j_r = 0 and (N_r even) j_r = N_r/2, which are their own mirrors; a row
+    # has them as its two end samples
+    if a.ndim == 1:
+        first, last = float(a[0]), float(a[-1])
+    else:
+        first, last = float(a[..., 0].sum()), float(a[..., -1].sum())
+    total = 2.0 * total - first
     if n_last % 2 == 0:
-        total -= float(a[..., -1].sum())
+        total -= last
     return total
 
 
@@ -336,11 +348,18 @@ def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvalu
     """
     shape = _checked_shape(f, shape, memory_budget)
     real = not f.coeffs.imag.any()
-    values = _grid_values(f, tuple((f.freqs % np.array(shape, dtype=np.int64)).T),
-                          shape, real)
+    values = _grid_values(f, _residues(f.freqs, shape), shape, real)
     if real:
         np.conjugate(values, out=values)
     return GridEvaluation(shape, values)
+
+
+def _residues(freqs: np.ndarray, shape: tuple[int, ...]) -> tuple:
+    """The grid indices of the (terms, rank) ``freqs``: their residues mod
+    ``shape``, one index array per axis."""
+    if len(shape) == 1:  # a Python int modulus: no array to build for it
+        return (freqs[:, 0] % shape[0],)
+    return tuple((freqs % np.array(shape, dtype=np.int64)).T)
 
 
 def _grid_values(f: TrigPoly, idx: tuple, shape: tuple[int, ...], real: bool) -> np.ndarray:
@@ -388,13 +407,10 @@ def _block_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coset_length(shape: tuple[int, ...], d0: int) -> int:
-    """Q: N_0 itself for a grid that fits in one block, else the smallest
-    divisor of N_0 with Q >= 2*d0 + 1, so each coset row is alias-free, and
-    P = N_0/Q <= _MAX_COSETS (N_0 also when no divisor is alias-free: the
-    grid is then one row)."""
+    """Q for a streamed grid: the smallest divisor of N_0 with Q >= 2*d0 + 1,
+    so each coset row is alias-free, and P = N_0/Q <= _MAX_COSETS (N_0 when
+    no divisor is alias-free: the grid is then one row)."""
     n0 = shape[0]
-    if math.prod(shape) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
-        return n0
     least = max(2 * d0 + 1, -(-n0 // _MAX_COSETS))
     return min((q for k in range(1, math.isqrt(n0) + 1) if n0 % k == 0
                 for q in (k, n0 // k) if q >= least), default=n0)
@@ -409,7 +425,7 @@ def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
     n0, p = shape[0], shape[0] // q
     row_shape = (q,) + shape[1:]
     # residues mod the row, distinct (q >= 2 d_0 + 1, or checked by _sized_grid)
-    idx = tuple((f.freqs % np.array(row_shape, dtype=np.int64)).T)
+    idx = _residues(f.freqs, row_shape)
     real = not f.coeffs.imag.any()
     # row 0's twiddles are 1: the plain transform of the row
     sums = [_abs_sum(_grid_values(f, idx, row_shape, real), row_shape[-1])]
@@ -472,17 +488,32 @@ def _coset_mean(f: TrigPoly, shape: tuple[int, ...], q: int) -> float:
     return total / math.prod(shape)
 
 
+def _grid_mean(f: TrigPoly, shape: tuple[int, ...], q: int | None = None) -> float:
+    """The grid mean of |f| on ``shape``.  The one place that decides how a
+    grid is taken: within one block it is one transform of the coefficients
+    placed at their residues; beyond, it streams coset rows of length q, by
+    default :func:`_coset_length`'s (module docstring)."""
+    if math.prod(shape) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
+        idx = _residues(f.freqs, shape)
+        real = not np.count_nonzero(f.coeffs.imag)
+        # an overflow leaves inf or nan in the sum, which certified_l1 reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _grid_values(f, idx, shape, real)
+            return _abs_sum(values, shape[-1]) / math.prod(shape)
+    return _coset_mean(f, shape, q or _coset_length(shape, _recentred_degree(f)[0]))
+
+
 def riemann_l1(f: TrigPoly, shape, memory_budget: int | None = None) -> float:
     """The grid mean (1/|grid|) sum |f(j/N)| (0 for the zero polynomial).
 
-    The grid is checked, then streamed over the cosets of its first axis, one
-    block of rows at a time; a grid within one block is one row (module
-    docstring).
+    The grid is checked, then taken by one transform when it fits in one
+    block, else streamed over the cosets of its first axis, one block of
+    rows at a time (module docstring).
     """
     shape = _checked_shape(f, shape, memory_budget)
     if f.is_zero:
         return 0.0
-    return _coset_mean(f, shape, _coset_length(shape, _recentred_degree(f)[0]))
+    return _grid_mean(f, shape)
 
 
 def riemann_rho(d: int, n: int) -> float:
@@ -558,6 +589,7 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
         raise ValueError("rel_err must be in (0, 1)")
     if f.is_zero:
         raise ValueError("certified_l1 needs a nonzero polynomial")
+    # the shift hands g its support_box, so there is no second pass for it
     g, _ = recentre(f)
     diameter = tuple(hi - lo for lo, hi in g.support_box)
     if g.rank > 1 and any(diameter):
@@ -567,16 +599,16 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     budget = _memory_budget(memory_budget)
     want = choose_grid(diameter, rel_err)
     _check_budget(want, budget)
+    q = None
     if g.rank == 1 and want[0] * _BLOCK_BYTES_PER_SAMPLE > _BLOCK_BYTES:
         n, q = _sized_grid(g, want[0])
         grid = (n,)
     else:
         # every N_i >= 2 d_i + 1 (choose_grid): alias-free
         smooth = _smooth_lengths()
-        grid = tuple(int(smooth[i]) for i in np.searchsorted(smooth, want))
-        q = _coset_length(grid, (diameter[0] + 1) // 2)
+        grid = tuple(int(smooth[smooth.searchsorted(n)]) for n in want)
     _check_budget(grid, budget)
-    s = _coset_mean(g, grid, q)
+    s = _grid_mean(g, grid, q)
     c = _quadrature_factor(grid, diameter)
     return _finite(NormInterval(math.nextafter(s / c, 0.0), math.nextafter(s * c, math.inf),
                                 s, grid, g.degree))

@@ -109,7 +109,9 @@ def gap_rank2(a: int, b: int, m: int, n: int, force: bool = False) -> IntegerSet
     generators) raise :class:`CollisionError` listing the colliding (i, j)
     pairs, so the result always has exactly m*n elements.
     """
-    a, b, m, n = int(a), int(b), int(m), int(n)
+    # 1.5 raises instead of truncating to 1
+    a, b, m, n = (_check_i64(v, what) for v, what in
+                  ((a, "generator a"), (b, "generator b"), (m, "side M"), (n, "side N")))
     if a == 0 or b == 0:
         raise ValueError("generators a, b must be nonzero")
     if m < 1 or n < 1:
@@ -152,7 +154,7 @@ def build_strong_lattice(sizes, mode: str = "box",
     coordinate level from a span of 4*n_i so fibres genuinely differ, with
     per-fibre substreams split off the seed.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(_check_i64(n, "size") for n in sizes)
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be a nonempty tuple of positive integers")
     if mode not in ("box", "random"):
@@ -207,7 +209,7 @@ def build_strong_integer(deltas, sizes, shape: str = "box", seed=None,
     identical blocks; random shape draws a sparse index set and independent
     blocks from seed substreams.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(_check_i64(n, "size") for n in sizes)
     deltas = tuple(float(d) for d in deltas)
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be a nonempty tuple of positive integers")

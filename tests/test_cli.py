@@ -90,6 +90,20 @@ def test_gen_missing_params_named(tmp_path, capsys, kind, params, missing):
     assert kind in err and missing in err, err
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("gap", '{"a": 1.5, "b": 10, "M": 3, "N": 2}', "generator a 1.5 is not an integer"),
+    ("lattice-box", '{"sizes": [2.7, 3]}', "size 2.7 is not an integer"),
+    ("zstrong-box", '{"sizes": [2.7, 3]}', "size 2.7 is not an integer")],
+    ids=["gap", "lattice-box", "zstrong-box"])
+def test_gen_fractional_params_are_usage_errors(tmp_path, capsys, kind, params, message):
+    # not truncated: a = 1.5 is no set of a = 1, sizes [2.7, 3] no 2 x 3 box
+    out = tmp_path / "x.json"
+    code = main(["gen", "--kind", kind, "--params", params, "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err and not out.exists()
+
+
 def test_params_not_an_object_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "k.json")
     cfg = tmp_path / "c.json"

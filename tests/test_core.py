@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expsums.core import (IntegerSet, LatticeSet, TrigPoly, char_e, dumps,
-                          from_json_obj, indicator_poly, loads, recentre)
+from expsums import core
+from expsums.core import (IntegerSet, LatticeSet, TrigPoly, _int64_rows, _run_starts,
+                          char_e, dumps, from_json_obj, indicator_poly, loads, recentre)
 
 
 def test_char_e_basic_values():
@@ -478,3 +479,95 @@ def test_eval_at_reduces_large_phases_exactly():
     ref = cmath.exp(2j * cmath.pi * float(ph[0] % 1)) + 0.5 * cmath.exp(
         2j * cmath.pi * float(ph[1] % 1))
     assert abs(f.eval_at(s) - ref) <= 1e-15
+
+
+# --- sorted input skips the sort --------------------------------------------
+
+def _sorted_path(it):
+    """The path every input took before the strictly increasing fast path:
+    sort, then keep the first of each run."""
+    arr = np.sort(_int64_rows(it, 1, "element", scalars=True)[:, 0])
+    return IntegerSet._wrap(arr[_run_starts(arr)])
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    # counts the calls of _run_starts, which only the sorting path makes
+    calls = []
+    real = core._run_starts
+    monkeypatch.setattr(core, "_run_starts", lambda a: calls.append(len(a)) or real(a))
+    return calls
+
+
+@pytest.mark.parametrize("given", [[-7, 0, 3, 2 ** 62], (1, 2, 5), range(-3, 40, 4),
+                                   np.array([4, 9, 11]), [5], [], [False, 2, np.int64(3)],
+                                   [np.uint64(2 ** 63 - 1)]])
+def test_increasing_input_skips_the_sort(sorts, given):
+    A = IntegerSet.from_iterable(given)
+    assert sorts == []
+    want = _sorted_path(given)
+    assert A == want and A.elements == want.elements
+    assert A.array.dtype == np.int64 and not A.array.flags.writeable
+
+
+@pytest.mark.parametrize("given", [[3, 1, 2], [1, 2, 2, 3], (5, 5), [2, 1, 1, 0],
+                                   np.array([9, 4, 4])])
+def test_unsorted_or_repeated_input_is_sorted(sorts, given):
+    A = IntegerSet.from_iterable(given)
+    assert sorts  # the sorting path
+    assert A == _sorted_path(given)
+    assert A.elements == tuple(sorted(set(int(x) for x in given)))
+
+
+def test_increasing_check_does_not_wrap():
+    # np.diff wraps at int64: this pair's wrapped difference is positive
+    pair = [2 ** 62 + 5, -(2 ** 62) - 5]
+    assert np.diff(np.array(pair))[0] > 0
+    A = IntegerSet.from_iterable(pair)
+    assert A.elements == (-(2 ** 62) - 5, 2 ** 62 + 5)
+    assert A == _sorted_path(pair)
+
+
+def test_sorted_input_keeps_the_integer_checks():
+    # an integral float is its integer on either path; 2.5 is refused on both
+    assert IntegerSet.from_iterable([1, 2.0, 3]).elements == (1, 2, 3)
+    assert IntegerSet.from_iterable([3, 2.0, 1]).elements == (1, 2, 3)
+    for bad in ([1, 2.5, 3], [3, 2.5, 1]):
+        with pytest.raises(ValueError, match="element 2.5 is not an integer"):
+            IntegerSet.from_iterable(bad)
+
+
+def test_sorted_input_array_stays_the_callers():
+    given = np.array([1, 5, 8], dtype=np.int64)
+    A = IntegerSet.from_iterable(given)
+    assert given.flags.writeable
+    given[0] = 100  # no effect on the set
+    assert A.elements == (1, 5, 8)
+    freqs = np.array([[1], [5], [8]], dtype=np.int64)
+    f = TrigPoly.from_arrays(1, freqs, np.ones(3))
+    assert freqs.flags.writeable and not f.freqs.flags.writeable
+    freqs[0, 0] = 100
+    assert f.freqs[:, 0].tolist() == [1, 5, 8]
+
+
+def test_sorted_terms_keep_the_sign_of_zero():
+    # each coefficient is 0 + c on either path, so an imaginary -0.0 prints
+    # as 0.0, as the JSON always showed it
+    c = complex(1, -0.0)
+    for f in (TrigPoly(1, {3: c}), TrigPoly(1, {1: 2.0, 3: c}), TrigPoly(1, {3: c, 1: 2.0}),
+              TrigPoly.from_arrays(1, [1, 3], [2.0, c])):
+        assert json.dumps(f.to_json_dict()["terms"][-1]) == "[[3], [1.0, 0.0]]"
+        assert math.copysign(1.0, f.coeffs[-1].imag) == 1.0
+
+
+def test_sorted_terms_match_the_sorting_path():
+    rng = np.random.default_rng(404)
+    for _ in range(50):
+        freqs = np.unique(rng.integers(-2 ** 62, 2 ** 62, size=int(rng.integers(1, 30))))
+        coeffs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+        coeffs[rng.random(len(freqs)) < 0.3] = 0  # dropped on both paths
+        fast = TrigPoly.from_arrays(1, freqs, coeffs)
+        order = rng.permutation(len(freqs))  # not increasing: the sort runs
+        slow = TrigPoly.from_arrays(1, freqs[order], coeffs[order])
+        assert np.array_equal(fast.freqs, slow.freqs)
+        assert fast.coeffs.tobytes() == slow.coeffs.tobytes()

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.special
 
 from expsums import quadrature
 from expsums.core import IntegerSet, TrigPoly, indicator_poly, recentre
@@ -471,14 +472,14 @@ def test_coset_length_is_least_alias_free_divisor(d):
     for n in grids + [10 ** 6, 2 ** 20]:  # and fine reference grids
         if n < 2 * d + 1:
             continue
+        # a grid within one block never asks (_grid_mean takes it whole), but
+        # the rule is the same for every N_0
         q = _coset_length((n,), d)
-        if n * quadrature._BLOCK_BYTES_PER_SAMPLE <= quadrature._BLOCK_BYTES:
-            assert q == n
-            continue
         least = max(2 * d + 1, math.ceil(n / quadrature._MAX_COSETS))
         assert n % q == 0 and q >= least and n // q <= quadrature._MAX_COSETS
         assert not any(n % k == 0 for k in range(least, q))
-        assert q < n  # these 5-smooth lengths always split
+        if n * quadrature._BLOCK_BYTES_PER_SAMPLE > quadrature._BLOCK_BYTES:
+            assert q < n  # these 5-smooth lengths always split
 
 
 def test_coset_mean_is_deterministic():
@@ -515,6 +516,63 @@ def test_coset_mean_holds_a_quarter_of_the_grid():
         finally:
             tracemalloc.stop()
         assert peak < n * 16 / 4, (peak, n)
+
+
+# --- a grid within one block is one transform --------------------------------
+
+def _known_norm_polys(rng, real):
+    """Seeded random rank-1 polynomials with their L1 norms, some with
+    frequencies near +-2^62: (f, norm, how the norm is known)."""
+    def coeff():
+        return float(rng.standard_normal()) if real else complex(*rng.standard_normal(2))
+
+    for far in (False, True, True):
+        base = int(rng.integers(-2 ** 62, 2 ** 62 - 10 ** 5)) if far else int(rng.integers(-99, 99))
+        # ||c_1 e(a t) + c_2 e((a + k) t)||_1 = (2/pi)(|c_1| + |c_2|) E(m),
+        # m = 4 |c_1| |c_2| / (|c_1| + |c_2|)^2, for every k != 0
+        c1, c2, k = coeff(), coeff(), int(rng.integers(1, 3000))
+        m = 4 * abs(c1) * abs(c2) / (abs(c1) + abs(c2)) ** 2
+        yield (TrigPoly(1, {base: c1, base + k: c2}),
+               2 / math.pi * (abs(c1) + abs(c2)) * scipy.special.ellipe(m), "two terms")
+        # c e(a t) F_n(t) has norm |c|
+        c, n = coeff(), int(rng.integers(1, 700))
+        yield (TrigPoly(1, {base + j: c * (1 - abs(j) / (n + 1)) for j in range(-n, n + 1)}),
+               abs(c), "Fejer")
+    mpmath = pytest.importorskip("mpmath")
+    for far in (False, True):
+        base = int(rng.integers(-2 ** 62, 2 ** 62 - 100)) if far else 0
+        freqs = base + np.unique(rng.integers(0, 40, size=12))
+        f = TrigPoly(1, {int(a): coeff() for a in freqs})
+        # 80 pieces of a period, each well within one oscillation
+        norm = mpmath.quad(lambda t: abs(f.eval_at(float(t))), mpmath.linspace(0, 1, 81))
+        yield f, float(norm), "mpmath"
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_one_block_grid_is_one_transform(monkeypatch, real):
+    rng = np.random.default_rng([2026, real])
+    for f, norm, how in _known_norm_polys(rng, real):
+        g = recentre(f)[0]
+        monkeypatch.setattr(quadrature, "_coset_row_sums",
+                            lambda *args: pytest.fail("a one-block grid streamed"))
+        enc = certified_l1(f, 0.1)
+        monkeypatch.undo()
+        assert enc.grid[0] * quadrature._BLOCK_BYTES_PER_SAMPLE <= quadrature._BLOCK_BYTES
+        # the whole grid of eval_grid, bit for bit
+        assert enc.riemann == eval_grid(g, enc.grid).abs_mean(), how
+        assert riemann_l1(f, enc.grid) == eval_grid(f, enc.grid).abs_mean(), how
+        assert enc.contains(norm), (how, enc, norm)
+        # the same polynomial streamed: coset rows of at most 32 samples a block
+        rows = []
+        _blocks_of(monkeypatch, 1, 32)
+        spied = quadrature._coset_row_sums
+        monkeypatch.setattr(quadrature, "_coset_row_sums",
+                            lambda *args: rows.append(args) or spied(*args))
+        streamed = certified_l1(f, 0.1)
+        monkeypatch.undo()
+        assert rows, how
+        assert streamed.contains(norm), (how, streamed, norm)
+        assert streamed.riemann == pytest.approx(riemann_l1(g, streamed.grid), rel=1e-13)
 
 
 # --- single terms: [S, S] widened by an ulp each way -------------------------

@@ -43,6 +43,19 @@ def test_gap_rank2_rejects_nonpositive():
             gap_rank2(*args)
 
 
+def test_generators_reject_fractional_integers():
+    # int() would truncate each of these to a smaller set; an integral float
+    # is still the integer it names
+    for args in ((1.5, 10, 3, 2), (1, 10.5, 3, 2), (1, 10, 3.5, 2), (1, 10, 3, 2.5)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            gap_rank2(*args)
+    assert gap_rank2(1.0, 10.0, 3.0, 2.0) == gap_rank2(1, 10, 3, 2)
+    for build in (build_strong_lattice, lambda sizes: build_strong_integer((1.0,), sizes)):
+        with pytest.raises(ValueError, match="size 2.7 is not an integer"):
+            build((2.7, 3))
+        assert build((2.0, 3)) == build((2, 3))
+
+
 def test_lattice_box_points():
     A, cert = build_strong_lattice((2, 3))
     assert A.points == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
