@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import IntegerSet, LatticeSet, TrigPoly, indicator_poly
+from .core import IntegerSet, LatticeSet, TrigPoly, _check_i64, indicator_poly
 from .errors import HypothesisError
 from .modulus import ResidueFilter, residue_filter, thinning_bound_factor
 from .quadrature import NormInterval, certified_l1
@@ -279,8 +279,9 @@ def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,
     Keys of ``blocks`` form the index set I; the surviving blocks are those
     with k = s mod q, enumerated k_1 < ... < k_J.
     """
-    d1, d2, q = int(d1), int(d2), int(q)
+    d1, d2 = _check_i64(d1, "d1"), _check_i64(d2, "d2")
     flt = ResidueFilter(q, s)
+    q = flt.q
     index = IntegerSet.from_iterable(blocks)
     survivors = residue_filter(index, flt.q, flt.s)
     hyps = [

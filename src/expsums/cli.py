@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import BACKEND, acceptance
-from .bounds import (DEFAULT_C_MPS, constant_scan, family_intervals,
+from .bounds import (DEFAULT_C_MPS, as_poly, constant_scan, family_intervals,
                      family_random_sets, verify_basic_multidim,
                      verify_main_prop, verify_mps, verify_multidim,
                      verify_multidimz)
@@ -334,7 +334,7 @@ def cmd_gen(cfg: ExperimentConfig):
 
 def cmd_norm(cfg: ExperimentConfig):
     obj, _ = load_instance(cfg)
-    f = obj if isinstance(obj, TrigPoly) else indicator_poly(obj)
+    f = as_poly(obj)
     enc = certified_l1(f, cfg.rel_err, cfg.memory_budget)
     return enc.to_json_dict(), True
 
@@ -351,7 +351,7 @@ def cmd_kernel(cfg: ExperimentConfig):
 
 def cmd_thin(cfg: ExperimentConfig):
     obj, _ = load_instance(cfg)
-    F = obj if isinstance(obj, TrigPoly) else indicator_poly(obj)
+    F = as_poly(obj)
     flt = ResidueFilter(cfg.q, cfg.s)
     thinned, factor = thinning_transform(F, cfg.d1, cfg.d2, cfg.delta, flt)
     kept = sorted({(f + cfg.d2 // 2) // cfg.d2 for (f,) in thinned.terms})
@@ -448,7 +448,7 @@ def _verify_bernstein(cfg):
     inst = _single_or_none(cfg)
     if inst is None:
         raise ConfigError("bernstein needs --input or --set")
-    f = inst[0] if isinstance(inst[0], TrigPoly) else indicator_poly(inst[0])
+    f = as_poly(inst[0])
     res = bernstein_check(f, cfg.rel_err)
     payload = {"lhs": res.lhs.to_json_dict(), "rhs_bound": res.rhs_bound,
                "passed": res.passed, "degree": f.degree[0]}
@@ -465,7 +465,7 @@ def _verify_numerical(cfg):
     rows = []
     ok = True
     for A in sets:
-        f = A if isinstance(A, TrigPoly) else indicator_poly(A)
+        f = as_poly(A)
         if f.rank != 1:
             raise ConfigError("numerical applies to rank-1 polynomials")
         # |f| is translation invariant, so the recentred degree sets the grid;
@@ -489,11 +489,11 @@ def _verify_kernel(cfg):
         raise ConfigError(f"kernel takes both m and n in --params, "
                           f"got only {given[0]}")
     if given:
-        pairs = [(int(params["m"]), int(params["n"]))]
+        pairs = [(_check_i64(params["m"], "m"), _check_i64(params["n"], "n"))]
     else:
         pairs = [(m, n) for n in range(3, 41) for m in range(2, n)]
     checks = [acceptance.kernel_check(
-        m, n, int(params.get("r", 2 * n + 4 * m + 1))) for m, n in pairs]
+        m, n, _check_i64(params.get("r", 2 * n + 4 * m + 1), "r")) for m, n in pairs]
     ok = all(row["ok"] for row in checks)
     rows = [row for row in checks if len(pairs) == 1 or not row["ok"]]
     return {"pairs": len(pairs), "rows": rows, "passed": ok}, ok, None

@@ -29,13 +29,19 @@ _I64_MIN = -(2 ** 63)
 _I64_MAX = 2 ** 63 - 1
 
 
-def _check_i64(value: int, what: str) -> int:
+def _check_int(value: int, what: str) -> int:
     """``value`` as a Python int; an integral float such as 2.0 is accepted,
     anything int() would round (2.5) raises a ValueError naming it."""
     n = int(value)
     if n != value:
         shown = value.item() if isinstance(value, np.generic) else value
         raise ValueError(f"{what} {shown!r} is not an integer")
+    return n
+
+
+def _check_i64(value: int, what: str) -> int:
+    """:func:`_check_int`, and an OverflowError outside the signed 64-bit range."""
+    n = _check_int(value, what)
     if not _I64_MIN <= n <= _I64_MAX:
         raise OverflowError(f"{what} {n} outside the signed 64-bit range")
     return n

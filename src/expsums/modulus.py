@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _I64_MAX, IntegerSet, TrigPoly
+from .core import _I64_MAX, IntegerSet, TrigPoly, _check_i64, _check_int
 from .errors import HypothesisError, SupportError
 from .kernels import flat_top_build
 
@@ -33,9 +33,12 @@ class ResidueFilter:
     s: int
 
     def __post_init__(self):
-        if self.q < 1:
+        # any size: residue_filter takes a modulus past int64
+        q = _check_int(self.q, "modulus q")
+        if q < 1:
             raise ValueError("modulus q must be positive")
-        object.__setattr__(self, "s", int(self.s) % int(self.q))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "s", _check_int(self.s, "residue s") % q)
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "s": self.s}
@@ -43,7 +46,7 @@ class ResidueFilter:
 
 def residue_filter(I: IntegerSet, q: int, s: int) -> IntegerSet:
     """Elements of I congruent to s mod q (possibly empty)."""
-    f = ResidueFilter(int(q), int(s))
+    f = ResidueFilter(q, s)
     if f.q >= 2 ** 63:
         # q does not fit in int64, and every element k has |k| <= q, so
         # k = s mod q leaves only k = s or k = s - q
@@ -160,7 +163,7 @@ def thinning_transform(F: TrigPoly, d1: int, d2: int, delta: float,
     polynomial (at its original frequencies) and the certified factor
     bounding ||thinned||_1 / ||F||_1.
     """
-    d1, d2 = int(d1), int(d2)
+    d1, d2 = _check_i64(d1, "d1"), _check_i64(d2, "d2")
     q, s = filter.q, filter.s
     if F.rank != 1:
         raise ValueError("rank-1 polynomials only")

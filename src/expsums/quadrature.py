@@ -50,11 +50,10 @@ and N_i/(N_i - Delta_i) <= t exactly when N_i >= t Delta_i/(t - 1).
 :func:`choose_grid` returns N_i = ceil(t Delta_i/(t - 1)), at least the
 alias-free 2 d_i + 1 of the recentred degree d_i, and 1 on an axis with
 Delta_i = 0.  The memory budget is checked against that grid before any
-rounding.  A rank-1 grid too large for one block then streams as P' rows
-of a 5-smooth length Q' with P' Q' >= N_0 (below); any other grid rounds
-each N_i up to a 5-smooth length, the fast sizes of both transforms.
-Either way every axis keeps c_i^2 <= t, so the relative width hi/lo - 1
-is at most 2 rel_err.
+rounding, and then against the grid that every N_i is rounded up to: the
+least 5-smooth length at or above it, the fast sizes of both transforms.
+Every axis keeps c_i^2 <= t, so the relative width hi/lo - 1 is at most
+2 rel_err.
 
 Rounding.  c is rounded up: each N_i/(N_i - Delta_i) is moved one ulp up
 after the division, its square root one ulp up, and each product over the
@@ -98,36 +97,34 @@ coefficient is real, exactly as :func:`eval_grid` does, and |.| is summed.
 :func:`_grid_mean` alone decides between this and streaming.
 
 Coset streaming.  A larger grid sums the coset rows of axis 0, one block
-of rows at a time.  N_0 = P Q, with Q the smallest divisor of N_0 with
-Q >= 2 d_0 + 1 and P <= 32 (``_MAX_COSETS``), or N_0 if there is none.
-The grid points with j_0 = r + P i, for 0 <= i < Q, form the coset row
-r mod P, and on it
+of rows at a time.  N_0 = P Q for a divisor Q of N_0 (Rows, below).  The
+grid points with j_0 = r + P i, for 0 <= i < Q, form the coset row r mod P,
+and on it
 
     f((r + P i)/N_0, t') = sum_a [c_a e(a_0 r / N_0)] e(a_0 i / Q + a'.t'),
 
 because P i / N_0 = i / Q.  So row r is one inverse FFT of shape
 (Q, N_1, ...) of the twiddled coefficients c_a e(a_0 r / N_0), placed at
-(a_0 mod Q, a' mod N').  Those residues are distinct since Q >= 2 d_0 + 1,
-so plain assignment places them.  Row 0's twiddles are 1: it is the plain
-transform of :func:`eval_grid` (``_grid_values``), real-input when every
-coefficient is real, and the twiddled blocks start at row 1.  With real
-coefficients f(-t) = conj f(t), and -(r + P i) = (P - r) + P (Q - 1 - i)
-mod N_0, so row P - r has the sum of row r: only rows 0 .. P//2 are
-evaluated, and rows 0 < r < P/2 count twice.  The grid sum is the
-``math.fsum`` of the row sums; a sample, row sum or total past float64
-leaves it inf or nan, which :func:`certified_l1` reports.
+(a_0 mod Q, a' mod N').  Row 0's twiddles are 1: it is the plain transform
+of its placed coefficients, real-input when every coefficient is real, and
+the twiddled blocks start at row 1.  With real coefficients
+f(-t) = conj f(t), and -(r + P i) = (P - r) + P (Q - 1 - i) mod N_0, so row
+P - r has the sum of row r: only rows 0 .. P//2 are evaluated, and rows
+0 < r < P/2 count twice.  The grid sum is the ``math.fsum`` of the row
+sums; a sample, row sum or total past float64 leaves it inf or nan, which
+:func:`certified_l1` reports.
 
-Streamed rank-1 grids.  The bound holds for every N > Delta, so a rank-1
-grid of :func:`certified_l1` that does not fit in one block need not be
-5-smooth: :func:`_sized_grid` takes the least N = P' Q' at or above the
-rule's N_0 over rows of 5-smooth lengths Q' from 2d + 1 up to one block,
-in any number P'.  A sparse set (terms^2 < 2d + 1) also tries shorter
-rows, down to 32 points a term, on which its frequencies have distinct
-residues, the one thing the coset identity needs.  The floor keeps a
-row's O(terms) work (its twiddles and scatter) far below its transform's.
-Short rows bring N within a fraction of a percent of N_0 and keep each
-transform in cache: without them, rows of at least 2d + 1 points raised
-the sparse benchmark's peak RSS from 78 to 111-114 MB.
+Rows.  The identity holds for every divisor Q of N_0: frequencies with
+equal residues mod Q have equal e(a_0 i / Q) on the row, so a row shorter
+than 2 d_0 + 1 sums the twiddled coefficients that share a residue
+(``np.add.at``; Bailey, J. Supercomputing 4, 1990).  Longer rows, one-block
+grids and :func:`eval_grid` are alias-free and assign them, which costs
+less.  :func:`_row_length` gives every streamed grid its Q: of the
+divisors of N_0 of at least min(2 d_0 + 1, 32 terms) along axis 0
+(``_ROW_POINTS_PER_TERM``, which keeps a row's O(terms) twiddles and
+scatter far below its transform) whose row fits in one block, the one
+that transforms the fewest samples, then the shorter; when no row fits,
+the least divisor that meets the floor (a prime N_0 is one row).
 
 The twiddles.  Every row r = 0 mod 32 is an anchor: its twiddles
 c_a e(a_0 r / N_0) are computed afresh from the integer phase
@@ -179,6 +176,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -201,10 +199,12 @@ DEFAULT_MEMORY_BUDGET = 2 * 2 ** 30  # bytes of samples
 _BLOCK_BYTES = 4 * 2 ** 20
 _BLOCK_BYTES_PER_SAMPLE = 24
 # the anchor interval: rows r = 0 mod 32 get their twiddles afresh, so the
-# recurrence runs at most 31 steps (module docstring); also the most coset
-# rows _coset_length gives a grid, and the points a term of the shortest
-# rows of _sized_grid
+# recurrence runs at most 31 steps (module docstring)
 _MAX_COSETS = 32
+# a coset row has at least this many points on axis 0 a term, unless it is
+# alias-free with fewer, so that its twiddles and scatter stay far below its
+# transform (module docstring, "Rows")
+_ROW_POINTS_PER_TERM = 32
 # coset rows of at least this many samples (256 KiB of complex128) are
 # transformed one row a call: numpy's batched path allocates a two-row buffer
 # on every call, which glibc faults in afresh each time once rows are this
@@ -348,7 +348,7 @@ def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvalu
     """
     shape = _checked_shape(f, shape, memory_budget)
     real = not f.coeffs.imag.any()
-    values = _grid_values(f, _residues(f.freqs, shape), shape, real)
+    values = _grid_values(_placed(f, _residues(f.freqs, shape), shape, real))
     if real:
         np.conjugate(values, out=values)
     return GridEvaluation(shape, values)
@@ -362,12 +362,20 @@ def _residues(freqs: np.ndarray, shape: tuple[int, ...]) -> tuple:
     return tuple((freqs % np.array(shape, dtype=np.int64)).T)
 
 
-def _grid_values(f: TrigPoly, idx: tuple, shape: tuple[int, ...], real: bool) -> np.ndarray:
-    """f's coefficients placed at the distinct ``idx`` on ``shape``, transformed: f's
-    samples, or, when ``real``, the conjugates of its columns 0 .. N_r//2 (rfftn)."""
+def _placed(f: TrigPoly, idx: tuple, shape: tuple[int, ...], real: bool,
+            place=operator.setitem) -> np.ndarray:
+    """f's coefficients, their real parts when ``real``, put at ``idx`` on a
+    zero grid of ``shape`` by ``place``: assignment, or :func:`_fold`."""
     coeffs = np.zeros(shape, dtype=np.float64 if real else np.complex128)
-    coeffs[idx] = f.coeffs.real if real else f.coeffs
-    if not real:
+    place(coeffs, idx, f.coeffs.real if real else f.coeffs)
+    return coeffs
+
+
+def _grid_values(coeffs: np.ndarray) -> np.ndarray:
+    """The placed ``coeffs`` transformed: f's samples, in place, or, for
+    float64 ``coeffs``, the conjugates of its columns 0 .. N_r//2 (rfftn)."""
+    shape = coeffs.shape
+    if coeffs.dtype == np.complex128:
         # coeffs is ours alone: transform in place, so one grid-sized array is live
         return _ifft(coeffs, tuple(range(len(shape))))
     # the half-size output given, so no axis after the real one needs another array
@@ -406,14 +414,33 @@ def _block_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return buffers[0][:size].reshape(shape), buffers[1][:size].reshape(shape)
 
 
-def _coset_length(shape: tuple[int, ...], d0: int) -> int:
-    """Q for a streamed grid: the smallest divisor of N_0 with Q >= 2*d0 + 1,
-    so each coset row is alias-free, and P = N_0/Q <= _MAX_COSETS (N_0 when
-    no divisor is alias-free: the grid is then one row)."""
+def _row_length(shape: tuple[int, ...], d0: int, terms: int, real: bool) -> int:
+    """Q, the length on axis 0 of the coset rows of a streamed grid, for
+    ``terms`` terms of recentred degree d0 on axis 0 (module docstring,
+    "Rows"): of the divisors of N_0 of at least min(2 d0 + 1, 32 terms)
+    whose row fits in one block, the one that transforms the fewest samples,
+    then the shortest; the least such divisor when no row fits."""
     n0 = shape[0]
-    least = max(2 * d0 + 1, -(-n0 // _MAX_COSETS))
-    return min((q for k in range(1, math.isqrt(n0) + 1) if n0 % k == 0
-                for q in (k, n0 // k) if q >= least), default=n0)
+    # every divisor of N_0, ascending (the square root of a square twice)
+    k = np.arange(1, math.isqrt(n0) + 1)
+    k = k[n0 % k == 0]
+    q = np.concatenate([k, n0 // k[::-1]])
+    # N_0 >= 2 d0 + 1 itself, so some divisor meets the floor
+    q = q[q >= min(2 * d0 + 1, _ROW_POINTS_PER_TERM * terms)]
+    fits = q[q <= _BLOCK_BYTES // (_BLOCK_BYTES_PER_SAMPLE * math.prod(shape[1:]))]
+    if not fits.size:
+        return int(q[0])
+    p = n0 // fits
+    # rows 0 .. P//2 are transformed when the coefficients are real; the
+    # first of equal counts is the shortest row
+    return int(fits[np.argmin((p // 2 + 1 if real else p) * fits)])
+
+
+def _fold(a: np.ndarray, idx: tuple, values: np.ndarray) -> None:
+    """a[idx] += values for the C-contiguous ``a``, summing the values
+    whose indices coincide."""
+    # flat indices take ufunc.at's fast path, as cheap as plain assignment
+    np.add.at(a.reshape(-1), np.ravel_multi_index(idx, a.shape).ravel(), values.ravel())
 
 
 # an overflow leaves inf or nan in the row sums, which certified_l1 reports
@@ -424,11 +451,13 @@ def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
     coset identity in the module docstring)."""
     n0, p = shape[0], shape[0] // q
     row_shape = (q,) + shape[1:]
-    # residues mod the row, distinct (q >= 2 d_0 + 1, or checked by _sized_grid)
     idx = _residues(f.freqs, row_shape)
     real = not f.coeffs.imag.any()
+    # a row shorter than 2 d_0 + 1 may give two frequencies one residue, so
+    # it sums the coefficients there; a longer row assigns them
+    place = operator.setitem if q >= 2 * _recentred_degree(f)[0] + 1 else _fold
     # row 0's twiddles are 1: the plain transform of the row
-    sums = [_abs_sum(_grid_values(f, idx, row_shape, real), row_shape[-1])]
+    sums = [_abs_sum(_grid_values(_placed(f, idx, row_shape, real, place)), row_shape[-1])]
     # f(-t) = conj f(t) maps row r onto P - r: real coefficients need rows 0 .. P//2
     stop = p // 2 + 1 if real else p
     if stop == 1:
@@ -469,7 +498,7 @@ def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
             carry = twiddled[-1] * step
             blk = block[:nb]
             blk.fill(0)
-            blk[(np.arange(nb)[:, None],) + idx] = twiddled
+            place(blk, (np.arange(nb)[:, None],) + idx, twiddled)
             for x in blk if per_row else (blk,):
                 _ifft(x, axes)
             mod = np.abs(blk, out=moduli[:nb])
@@ -488,19 +517,20 @@ def _coset_mean(f: TrigPoly, shape: tuple[int, ...], q: int) -> float:
     return total / math.prod(shape)
 
 
-def _grid_mean(f: TrigPoly, shape: tuple[int, ...], q: int | None = None) -> float:
+def _grid_mean(f: TrigPoly, shape: tuple[int, ...]) -> float:
     """The grid mean of |f| on ``shape``.  The one place that decides how a
     grid is taken: within one block it is one transform of the coefficients
-    placed at their residues; beyond, it streams coset rows of length q, by
-    default :func:`_coset_length`'s (module docstring)."""
+    placed at their residues; beyond, it streams coset rows of the length
+    :func:`_row_length` gives (module docstring)."""
+    real = not np.count_nonzero(f.coeffs.imag)
     if math.prod(shape) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
         idx = _residues(f.freqs, shape)
-        real = not np.count_nonzero(f.coeffs.imag)
         # an overflow leaves inf or nan in the sum, which certified_l1 reports
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _grid_values(f, idx, shape, real)
+            values = _grid_values(_placed(f, idx, shape, real))
             return _abs_sum(values, shape[-1]) / math.prod(shape)
-    return _coset_mean(f, shape, q or _coset_length(shape, _recentred_degree(f)[0]))
+    q = _row_length(shape, _recentred_degree(f)[0], len(f.coeffs), real)
+    return _coset_mean(f, shape, q)
 
 
 def riemann_l1(f: TrigPoly, shape, memory_budget: int | None = None) -> float:
@@ -529,8 +559,8 @@ def choose_grid(diameter: Sequence[int], rel_err: float) -> tuple[int, ...]:
 
     N_i = ceil(t Delta_i/(t - 1)) with t = (1 + 2 rel_err)^(1/r), at least
     the alias-free 2 d_i + 1 (d_i = ceil(Delta_i/2)), and 1 where
-    Delta_i = 0.  Not rounded: a streamed rank-1 grid takes the rows of
-    :func:`_sized_grid`, any other grid the next 5-smooth lengths.
+    Delta_i = 0.  Not rounded: :func:`certified_l1` rounds each N_i up to
+    the next 5-smooth length.
     """
     if not 0 < rel_err < 1:
         raise ValueError("rel_err must be in (0, 1)")
@@ -573,11 +603,11 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     and hi one up (module docstring).  A constant gets [S, S] widened by one
     ulp each way.
 
-    The memory budget is checked against the unrounded grid.  A rank-1 grid
-    too large for one block then streams as P' Q' points in rows of a
-    5-smooth length Q' (:func:`_sized_grid`); any other grid is rounded up
-    to 5-smooth lengths.  A grid mean or an end that overflows float64
-    raises :class:`~expsums.errors.GridOverflowError`.
+    The memory budget is checked against the unrounded grid, then against
+    the grid rounded up to 5-smooth lengths, which is taken whole within one
+    block and streamed in coset rows beyond it (module docstring, "Rows").
+    A grid mean or an end that overflows float64 raises
+    :class:`~expsums.errors.GridOverflowError`.
 
     In rank >= 2, c times the indicator of a Cartesian product A_0 x ... x
     A_{r-1} is enclosed as |c| times the product of the rank-1 enclosures
@@ -599,16 +629,11 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     budget = _memory_budget(memory_budget)
     want = choose_grid(diameter, rel_err)
     _check_budget(want, budget)
-    q = None
-    if g.rank == 1 and want[0] * _BLOCK_BYTES_PER_SAMPLE > _BLOCK_BYTES:
-        n, q = _sized_grid(g, want[0])
-        grid = (n,)
-    else:
-        # every N_i >= 2 d_i + 1 (choose_grid): alias-free
-        smooth = _smooth_lengths()
-        grid = tuple(int(smooth[smooth.searchsorted(n)]) for n in want)
+    # every N_i >= 2 d_i + 1 (choose_grid): alias-free
+    smooth = _smooth_lengths()
+    grid = tuple(int(smooth[smooth.searchsorted(n)]) for n in want)
     _check_budget(grid, budget)
-    s = _grid_mean(g, grid, q)
+    s = _grid_mean(g, grid)
     c = _quadrature_factor(grid, diameter)
     return _finite(NormInterval(math.nextafter(s / c, 0.0), math.nextafter(s * c, math.inf),
                                 s, grid, g.degree))
@@ -663,40 +688,6 @@ def _product_l1(g: TrigPoly, axes: list[np.ndarray], rel_err: float,
         s *= enc.riemann
         grid += enc.grid
     return _finite(NormInterval(lo, hi, s, tuple(grid), g.degree))
-
-
-def _sized_grid(g: TrigPoly, want: int) -> tuple[int, int]:
-    """(N, Q'): the least grid N = P' Q' >= ``want`` for the recentred rank-1
-    g, streamed as P' rows of length Q' (module docstring, "Streamed rank-1
-    grids").
-
-    Q' runs over the 5-smooth lengths from 2d + 1 up to one block (the least
-    one from 2d + 1 if that is longer), and, when terms^2 < 2d + 1, over
-    shorter ones down to 32 points a term on which the frequencies of g have
-    distinct residues; P' is any number.  Of equal N, the plan that
-    transforms the fewest samples (rows 0 .. P'//2 when the coefficients
-    are real) wins, then the shorter row."""
-    least, terms = 2 * g.degree[0] + 1, len(g.coeffs)
-    low = least if terms * terms >= least else min(least, _MAX_COSETS * terms)
-    smooth = _smooth_lengths()
-    first, alias_free = (int(i) for i in np.searchsorted(smooth, [low, least]))
-    stop = max(int(np.searchsorted(smooth, _BLOCK_BYTES // _BLOCK_BYTES_PER_SAMPLE,
-                                   side="right")), alias_free + 1)
-    lengths = smooth[first:stop]
-    if alias_free > first:
-        # each short length's residues of the frequencies, sorted: equal
-        # neighbours are a clash
-        short = alias_free - first
-        res = np.sort(g.freqs[:, :1] % lengths[:short], axis=0)
-        ok = np.ones(lengths.size, dtype=bool)
-        ok[:short] = (np.diff(res, axis=0) != 0).all(axis=0)
-        lengths = lengths[ok]
-    p = -(-want // lengths)
-    n = p * lengths
-    real = not g.coeffs.imag.any()
-    samples = (p // 2 + 1 if real else p) * lengths
-    best = np.lexsort((lengths, samples, n))[0]
-    return int(n[best]), int(lengths[best])
 
 
 @functools.cache

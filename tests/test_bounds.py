@@ -181,6 +181,21 @@ def test_verify_main_prop_interval_blocks():
     assert r.rows[0]["bracket"] == pytest.approx(0.25 / 2 - eps)
 
 
+def test_verify_main_prop_rejects_fractional_integers():
+    # int() would report "(2+delta)*d1 = 30.0" for d1 = 10.5 and "q = 13" for
+    # q = 13.7, and pass; an integral float is the integer it names
+    blocks = {k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
+              for k in range(26)}
+    for args, what in (((10.5, 44, 13), "d1 10.5"), ((10, 44.5, 13), "d2 44.5"),
+                       ((10, 44, 13.7), "modulus q 13.7")):
+        with pytest.raises(ValueError, match=f"{what} is not an integer"):
+            verify_main_prop(blocks, *args[:2], 1.0, args[2], 0)
+    with pytest.raises(ValueError, match="residue s 0.5 is not an integer"):
+        verify_main_prop(blocks, 10, 44, 1.0, 13, 0.5)
+    assert (verify_main_prop(blocks, 10.0, 44.0, 1.0, 13.0, 0.0).to_json_dict()
+            == verify_main_prop(blocks, 10, 44, 1.0, 13, 0).to_json_dict())
+
+
 def test_verify_main_prop_is_an_inequality_verdict():
     blocks = {k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
               for k in range(26)}

@@ -344,6 +344,23 @@ def test_verify_kernel_needs_both_m_and_n(tmp_path):
     assert "both m and n" in r.stderr
 
 
+@pytest.mark.parametrize("params, message", [
+    ('{"m": 3.5, "n": 10}', "m 3.5 is not an integer"),
+    ('{"m": 3, "n": 10.5}', "n 10.5 is not an integer"),
+    ('{"m": 3, "n": 10, "r": 40.5}', "r 40.5 is not an integer")])
+def test_verify_kernel_fractional_params_are_usage_errors(tmp_path, capsys, params, message):
+    # not truncated: m = 3.5 is no check of (3, 10) that exits 0
+    out = tmp_path / "k.json"
+    code = main(["verify", "--theorem", "kernel", "--params", params, "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err and not out.exists()
+    whole = tmp_path / "whole.json"
+    assert main(["verify", "--theorem", "kernel", "--params", '{"m": 3.0, "n": 10.0}',
+                 "--output", str(whole)]) == 0
+    assert load_report(whole)["result"]["pairs"] == 1
+
+
 def test_thin_chain(tmp_path):
     gen_out = tmp_path / "z.json"
     r = run_cli("gen", "--kind", "zstrong-box", "--params",

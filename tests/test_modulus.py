@@ -195,6 +195,24 @@ def test_thinning_period_beyond_int64(q, s):
     assert expect and thinned.terms == expect
 
 
+def test_fractional_moduli_and_degrees_are_refused():
+    # int() would truncate each of these: s = 2.5 to 2, q = 4.5 to 4 and
+    # d1, d2 = 10.9, 44.5 to 10, 44; an integral float is the integer it names
+    with pytest.raises(ValueError, match="residue s 2.5 is not an integer"):
+        ResidueFilter(13, 2.5)
+    assert ResidueFilter(13.0, 15.0) == ResidueFilter(13, 2)
+    I = IntegerSet.from_iterable(range(20))
+    with pytest.raises(ValueError, match="modulus q 4.5 is not an integer"):
+        residue_filter(I, 4.5, 1)
+    assert residue_filter(I, 4.0, 1.0) == residue_filter(I, 4, 1)
+    F = TrigPoly(1, {(k * 44 + l,): 1.0 for k in range(6) for l in (-3, 0, 5)})
+    for d1, d2, what in ((10.9, 44, "d1 10.9"), (10, 44.5, "d2 44.5")):
+        with pytest.raises(ValueError, match=f"{what} is not an integer"):
+            thinning_transform(F, d1, d2, 1.0, ResidueFilter(4, 0))
+    assert (thinning_transform(F, 10.0, 44.0, 1.0, ResidueFilter(4, 0))
+            == thinning_transform(F, 10, 44, 1.0, ResidueFilter(4, 0)))
+
+
 def test_thinning_hypothesis_guards():
     F = TrigPoly(1, {0: 1.0})
     cases = [

@@ -1,5 +1,6 @@
 """Grid evaluation, certified norm enclosures, and the derivative bound."""
 
+import functools
 import json
 import math
 import os
@@ -18,9 +19,9 @@ import scipy.special
 from expsums import quadrature
 from expsums.core import IntegerSet, TrigPoly, indicator_poly, recentre
 from expsums.errors import AliasingError, GridOverflowError, MemoryBudgetError
-from expsums.quadrature import (GridEvaluation, _coset_length, _coset_row_sums,
+from expsums.quadrature import (GridEvaluation, _coset_mean, _coset_row_sums,
                                 _memory_budget, _quadrature_factor,
-                                _recentred_degree, _sized_grid, bernstein_check,
+                                _recentred_degree, _row_length, bernstein_check,
                                 certified_l1, choose_grid, derivative, eval_grid,
                                 riemann_l1)
 
@@ -401,9 +402,11 @@ def _blocks_of(monkeypatch, rows, row_samples):
                         rows * row_samples * quadrature._BLOCK_BYTES_PER_SAMPLE)
 
 
-# (shape, d0, P): odd and even P, so that row P/2 is or is not a row of its own
+# (shape, d0, P): odd and even P, so that row P/2 is or is not a row of its own;
+# the last two have rows shorter than 2 d0 + 1, where 12 terms must share residues
 COSET_CASES = [((60,), 5, 5), ((60,), 4, 6), ((64,), 3, 8), ((90,), 7, 6),
-               ((60, 9), 5, 5), ((60, 8), 4, 6), ((45, 4), 2, 9)]
+               ((60, 9), 5, 5), ((60, 8), 4, 6), ((45, 4), 2, 9),
+               ((60,), 20, 6), ((60, 8), 12, 6)]
 
 
 @pytest.mark.parametrize("shape, d0, p", COSET_CASES)
@@ -414,7 +417,6 @@ def test_coset_mean_matches_whole_grid(monkeypatch, shape, d0, p, real, rows, fa
     q = shape[0] // p
     # 1, 2 and 4 rows per block: row counts that are and are not multiples
     _blocks_of(monkeypatch, rows, q * math.prod(shape[1:]))
-    assert _coset_length(shape, d0) == q
     rng = np.random.default_rng([sum(shape), d0, real, rows, far])
     for _ in range(5):
         # near +-2^62 the residues wrap around; no product may overflow int64
@@ -422,7 +424,9 @@ def test_coset_mean_matches_whole_grid(monkeypatch, shape, d0, p, real, rows, fa
         f = _window_poly(rng, shape, d0, real, base)
         assert _recentred_degree(f)[0] == d0
         want = eval_grid(f, shape).abs_mean()
+        # the rule's rows, and the case's rows of length q
         assert riemann_l1(f, shape) == pytest.approx(want, rel=1e-13)
+        assert _coset_mean(f, shape, q) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("shape, d0, p", COSET_CASES)
@@ -457,36 +461,60 @@ def test_coset_mean_p1_is_the_whole_grid(monkeypatch):
     for real in (True, False):
         f = _window_poly(rng, (61,), 6, real)
         # fits in one block: today's single transform, bit for bit
-        assert _coset_length((61,), 6) == 61
+        assert _row_length((61,), 6, 12, real) == 61
         assert riemann_l1(f, 61) == eval_grid(f, 61).abs_mean()
         # too large for a block, but 61 is prime: still one row
         _blocks_of(monkeypatch, 1, 4)
-        assert _coset_length((61,), 6) == 61
+        assert _row_length((61,), 6, 12, real) == 61
         assert riemann_l1(f, 61) == eval_grid(f, 61).abs_mean()
         monkeypatch.undo()
 
 
+@functools.cache
+def _divisors(n):
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small + [n // k for k in small]))
+
+
+def _rule_row(n0, rest, d0, terms, real):
+    # the row rule by its definition, one divisor at a time
+    floor = min(2 * d0 + 1, 32 * terms)
+    divisors = [q for q in _divisors(n0) if q >= floor]
+    block = quadrature._BLOCK_BYTES // quadrature._BLOCK_BYTES_PER_SAMPLE
+    fits = [q for q in divisors if q * rest <= block]
+    if not fits:
+        return divisors[0]
+    return min(fits, key=lambda q: ((n0 // q // 2 + 1 if real else n0 // q) * q, q))
+
+
 @pytest.mark.parametrize("d", [1, 7, 64, 1000, 20_000, 37_615, 60_000])
 def test_coset_length_is_least_alias_free_divisor(d):
+    # the row rule of _row_length, which replaced _coset_length, for every N_0
     grids = [_fast(choose_grid((2 * d,), rel))[0] for rel in (0.1, 0.03)]
-    for n in grids + [10 ** 6, 2 ** 20]:  # and fine reference grids
+    block = quadrature._BLOCK_BYTES // quadrature._BLOCK_BYTES_PER_SAMPLE
+    for n in grids + [10 ** 6, 2 ** 20, 1_200_007]:  # fine grids, and a prime
         if n < 2 * d + 1:
             continue
         # a grid within one block never asks (_grid_mean takes it whole), but
         # the rule is the same for every N_0
-        q = _coset_length((n,), d)
-        least = max(2 * d + 1, math.ceil(n / quadrature._MAX_COSETS))
-        assert n % q == 0 and q >= least and n // q <= quadrature._MAX_COSETS
-        assert not any(n % k == 0 for k in range(least, q))
-        if n * quadrature._BLOCK_BYTES_PER_SAMPLE > quadrature._BLOCK_BYTES:
-            assert q < n  # these 5-smooth lengths always split
+        for rest, terms, real in ((1, 64, True), (1, 64, False), (1, 10 ** 5, True),
+                                  (60, 3, False), (6000, 10 ** 4, True)):
+            q = _row_length((n, rest), d, terms, real)
+            assert q == _rule_row(n, rest, d, terms, real), (n, rest, terms, real)
+            assert n % q == 0 and q >= min(2 * d + 1, 32 * terms)
+            # within one block, unless no divisor that meets the floor is
+            if q * rest > block:
+                assert q == min(k for k in _divisors(n) if k >= min(2 * d + 1, 32 * terms))
+            if n in grids and rest == 1 and n > block:
+                assert q < n  # these 5-smooth lengths always split
+    assert _row_length((1_200_007,), 5, 64, True) == 1_200_007
 
 
 def test_coset_mean_is_deterministic():
     rng = np.random.default_rng(9)
     for real in (True, False):
         f = _window_poly(rng, (1_200_000,), 37_000, real, terms=64)
-        assert _coset_length((1_200_000,), 37_000) < 1_200_000
+        assert _row_length((1_200_000,), 37_000, 64, real) < 1_200_000
         a, b = riemann_l1(f, 1_200_000), riemann_l1(f, 1_200_000)
         assert a.hex() == b.hex()
         assert a == pytest.approx(eval_grid(f, 1_200_000).abs_mean(), rel=1e-13)
@@ -696,7 +724,7 @@ def test_certified_l1_is_the_dvp_interval(rel):
         assert enc.hi / enc.lo <= (1 + 2 * rel) * (1 + 1e-12)
 
 
-# --- streamed rank-1 grids: rows planned by _sized_grid -----------------------
+# --- streamed rank-1 grids: 5-smooth N, coset rows of the one rule -----------
 
 def _sparse_poly(rng, span, terms, real):
     freqs = np.sort(rng.choice(span + 1, size=terms, replace=False))
@@ -739,12 +767,12 @@ def test_sized_grid_is_smaller_narrower_and_contains_the_norm(real):
 
 def test_sized_grid_keeps_the_fejer_report():
     # the Fejer kernel of degree 20,000: 40,001 real terms, norm 1; its report
-    # is the documented interval on the streamed grid N = P' Q' >= want
+    # is the documented interval on the next 5-smooth grid N >= want
     f = _fejer(20_000)
     (want,) = choose_grid((40_000,), 0.1)
     assert _streams(want)
     enc = certified_l1(f, 0.1)
-    assert enc.contains(1.0) and want <= enc.grid[0] <= 1.02 * want
+    assert enc.contains(1.0) and enc.grid == _fast((want,))
     assert enc.riemann == pytest.approx(riemann_l1(f, enc.grid), rel=1e-13)
     lo, hi = _sized_interval(enc, 40_000)
     assert (json.dumps(enc.to_json_dict())
@@ -762,7 +790,7 @@ def test_sized_grid_keeps_the_budget_of_the_choose_grid_grid():
         certified_l1(g, 0.1, memory_budget=want * 16 - 1)
     assert err.value.needed_grid == (want,)
     assert (err.value.needed_bytes, err.value.budget_bytes) == (want * 16, want * 16 - 1)
-    # ... then the streamed grid N = P' Q'
+    # ... then the 5-smooth grid it is rounded up to
     with pytest.raises(MemoryBudgetError) as err:
         certified_l1(g, 0.1, memory_budget=n * 16 - 1)
     assert err.value.needed_grid == (n,)
@@ -771,67 +799,46 @@ def test_sized_grid_keeps_the_budget_of_the_choose_grid_grid():
 
 @pytest.mark.parametrize("real", [True, False])
 def test_sized_grid_width_is_the_one_asked_for(real):
-    # N = P' Q' is not rounded to a 5-smooth length, so every relative width
-    # hi/lo - 1 lies just below 2 rel_err
+    # a streamed grid is the next 5-smooth length, like every other grid, so
+    # every relative width hi/lo - 1 is at most 2 rel_err
     rng = np.random.default_rng([53, real])
     (want,) = choose_grid((40_000,), 0.1)
     for _ in range(8):
         g, _ = recentre(_sparse_poly(rng, 40_000, 64, real))
         enc = certified_l1(g, 0.1)
-        assert want <= enc.grid[0] <= 1.005 * want
-        assert 0.198 <= enc.hi / enc.lo - 1 <= 0.2 * (1 + 1e-12)
-
-
-def _transformed(g, n, row):
-    # samples the plan n = P row transforms
-    p = n // row
-    return (p // 2 + 1 if not g.coeffs.imag.any() else p) * row
+        assert enc.grid == _fast((want,))
+        assert enc.hi / enc.lo - 1 <= 0.2 * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("real", [True, False])
 def test_sized_grid_plan(real):
+    # the rows of streamed grids: the rule's, at most one block long, none
+    # below 32 points a term, and shorter than 2d + 1 only when 32 terms is
     rng = np.random.default_rng([59, real])
     block = quadrature._BLOCK_BYTES // quadrature._BLOCK_BYTES_PER_SAMPLE
-    smooth = quadrature._smooth_lengths()
-    # 64 terms: 64^2 < 2d + 1, so rows below 2d + 1 are tried; 400 terms: not
-    for terms in (64, 400):
+    for terms in (64, 2000):
         g, _ = recentre(_sparse_poly(rng, 40_000, terms, real))
         d = g.degree[0]
         least = 2 * d + 1
-        overshoot, short = [], 0
+        short = 0
         for want in np.linspace(block + 1, 30 * block, 200).astype(int).tolist():
-            n, row = _sized_grid(g, want)
-            assert want <= n and n % row == 0
-            # rows below 2d + 1 only for sparse sets, and none below 32 points
-            # a term, however many rows that takes; none above one block
-            assert row >= (least if terms * terms >= least else 32 * terms)
-            assert row <= block
-            assert scipy.fft.next_fast_len(row, real=True) == row
-            # plain assignment in _coset_row_sums needs distinct residues
-            assert len(np.unique(g.freqs[:, 0] % row)) == terms
+            (n,) = _fast((want,))
+            row = _row_length((n,), d, terms, real)
+            assert row == _rule_row(n, 1, d, terms, real)
+            assert n % row == 0 and min(least, 32 * terms) <= row <= block
             short += row < least
-            overshoot.append(n / want)
-            # no allowed row length gives a smaller N, nor the same N with
-            # fewer samples transformed
-            for q in smooth[(smooth >= 32 * terms) & (smooth <= block)].tolist():
-                if q < least and len(np.unique(g.freqs[:, 0] % q)) < terms:
-                    continue
-                if q < least and terms * terms >= least:
-                    continue
-                m = -(-want // q) * q
-                assert (m, _transformed(g, m, q)) >= (n, _transformed(g, n, row))
         assert short > 100 if terms == 64 else short == 0
-        assert np.median(overshoot) < 1.005 and np.quantile(overshoot, 0.9) < 1.01
 
 
 def test_sized_grid_beyond_a_block_of_rows():
-    # 2d + 1 above one block, and 700^2 >= 2d + 1 (no short rows): the rows
-    # are the least 5-smooth length >= 2d + 1
-    g, _ = recentre(_sparse_poly(np.random.default_rng(3), 400_000, 700, True))
-    (want,) = choose_grid((400_000,), 0.1)
-    n, row = _sized_grid(g, want)
-    assert row == scipy.fft.next_fast_len(400_001, real=True)
-    assert n == -(-want // row) * row
+    # 2d + 1 and 32 points a term both above one block: no row fits, so the
+    # rows are the least divisor of N at or above the floor
+    g, _ = recentre(_sparse_poly(np.random.default_rng(3), 400_000, 12_000, True))
+    (n,) = _fast(choose_grid((400_000,), 0.1))
+    floor = min(400_001, 32 * 12_000)
+    row = _row_length((n,), g.degree[0], 12_000, True)
+    assert row * quadrature._BLOCK_BYTES_PER_SAMPLE > quadrature._BLOCK_BYTES
+    assert row == min(q for q in _divisors(n) if q >= floor) < n
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -839,15 +846,15 @@ def test_sized_grid_of_hundreds_of_rows(monkeypatch, real):
     # short rows: more than 64 coset rows evaluated, so rows r >= 32 and
     # r >= 64 take their twiddles from the exact anchors
     plans = []
-    sized = quadrature._sized_grid
-    monkeypatch.setattr(quadrature, "_sized_grid",
-                        lambda *args: plans.append(sized(*args)) or plans[-1])
+    rule = quadrature._row_length
+    monkeypatch.setattr(quadrature, "_row_length",
+                        lambda *args: plans.append(rule(*args)) or plans[-1])
     g, _ = recentre(_sparse_poly(np.random.default_rng([71, real]), 60_000, 64, real))
     enc = certified_l1(g, 0.1)
-    (n,), row = enc.grid, plans[-1][1]
-    # real coefficients evaluate rows 0 .. P/2 only
+    (n,), row = enc.grid, plans[-1]
+    # real coefficients evaluate rows 0 .. P/2 only; these rows fold residues
     p = n // row
-    assert plans[-1][0] == n and (p // 2 + 1 if real else p) > 64
+    assert (p // 2 + 1 if real else p) > 64 and row < 2 * g.degree[0] + 1
     assert enc.riemann == pytest.approx(eval_grid(g, (n,)).abs_mean(), rel=1e-13)
     # a 20x finer grid's own interval lies inside
     ref, cf = riemann_l1(g, 20 * n), _quadrature_factor((20 * n,), (60_000,))
@@ -1096,7 +1103,8 @@ def test_block_workspace_is_per_thread():
     serial = [certified_l1(f) for f in polys]
     for k, f in enumerate(polys):
         g = recentre(f)[0]
-        row = _sized_grid(g, choose_grid((2 * g.degree[0],), 0.1)[0])[1]
+        row = _row_length(_fast(choose_grid((2 * g.degree[0],), 0.1)), g.degree[0],
+                          len(g.coeffs), not g.coeffs.imag.any())
         assert (row >= quadrature._ROW_CALL_SAMPLES) == (k % 2 == 0)
     start = threading.Barrier(len(polys), timeout=60)
 
