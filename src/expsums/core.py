@@ -230,7 +230,8 @@ class IntegerSet(_Frozen):
         return self.max - self.min if len(self) else 0
 
     def translate(self, shift: int) -> "IntegerSet":
-        shift = int(shift)
+        # an integer, which may lie outside int64 when the result does not
+        shift = _check_int(shift, "shift")
         if not len(self):
             return self
         _check_i64(self.min + shift, "translated element")
@@ -458,9 +459,9 @@ class TrigPoly(_Frozen):
 
     def shifted(self, shift) -> "TrigPoly":
         """Translate the frequency support by ``shift`` (L1 norm is unchanged)."""
-        if isinstance(shift, (int, np.integer)):
-            shift = (int(shift),)
-        shift = tuple(int(s) for s in shift)
+        if isinstance(shift, (int, float, np.generic)):
+            shift = (shift,)
+        shift = tuple(_check_int(s, "shift") for s in shift)
         if len(shift) != self.rank:
             raise ValueError("shift rank mismatch")
         if self.is_zero:

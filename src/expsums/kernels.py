@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import quadrature
-from .core import TrigPoly
+from .core import TrigPoly, _check_i64
 from .errors import HypothesisError
 
 # values of |sin(pi t)| below this are treated as the removable singularity
@@ -128,6 +128,7 @@ def flat_top_build(m: int, n: int) -> FlatTopKernel:
     M^2 K(k) is the sum of the integer weights M - |j| over a window, so the
     numerators are differences of one int64 prefix sum of the weights.
     """
+    m, n = _check_i64(m, "M"), _check_i64(n, "N")
     if m < 2 or m >= n:
         raise ValueError(f"need 2 <= M < N, got M={m}, N={n}")
     # prefix[i] = sum of the weights M - |j| over -M <= j <= i - M (w(-M) = 0)

@@ -126,28 +126,19 @@ scatter far below its transform) whose row fits in one block, the one
 that transforms the fewest samples, then the shorter; when no row fits,
 the least divisor that meets the floor (a prime N_0 is one row).
 
-The twiddles.  Every row r = 0 mod 32 is an anchor: its twiddles
-c_a e(a_0 r / N_0) are computed afresh from the integer phase
-a_0 r mod N_0, exact in int64.  The 31 rows after it follow by the
-recurrence row_r = row_{r-1} * e(a_0 / N_0), a block at a time.  No block
-crosses an anchor; a block's first row is the anchor's, or the row before
-times e(a_0 / N_0); and rows r_0 + k to r_0 + 2k - 1 are rows r_0 to
-r_0 + k - 1 times e(a_0 k / N_0), so each product doubles the rows done
-and no loop runs over single rows.  Either way row A + k, for the anchor
-A, is the anchor's row times k factors e(a_0 / N_0), formed with k
-rounded products, as in the plain recurrence.  A factor e(m / N_0),
-m < N_0, is exp of the angle 2 pi m / N_0 < 2 pi formed with three
-roundings, so it lies within 6 pi u of e(m / N_0) from the angle, plus
-about 2u from exp (u = 2^-53).  Each complex product adds at most
-sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).  So the
-anchor's twiddles carry a relative error of at most about 23u, and each
-step of the recurrence adds as much.  Row r sits at most 31 steps from
-its anchor, so its coefficients err by at most 32 * 23u, about 8.2e-14
-relatively, for any number of rows; each sample of the row moves by at
-most that times sum |c_a|.  That is an error of the same kind as the
-FFT's own rounding.  Measured on 2000 random steps with N_0 = 1,310,256,
-the worst row was 2.2e2 u = 2.5e-14 off, whatever the block size.  Like
-the FFT's rounding, this error is not yet part of a certified
+The twiddles.  Row r's twiddles come from the exact integer phase
+m = a_0 r mod N_0 (int64 while N_0 (r + 1) < 2^63 for the block's last row
+r, Python ints beyond) and two tables, lo[j] = e(j / N_0) for j < 2^k and
+hi[j] = e(j 2^k / N_0) with 2^(2k) >= N_0: c_a e(a_0 r / N_0) is
+c_a hi[m >> k] lo[m mod 2^k].  A table entry is the cosine and sine of the
+angle theta = 2 pi (j / N_0), formed with three roundings (four for N_0
+past 2^53), so with cos and sin within one ulp it lies within 4u theta + 2u
+of e(j / N_0) (u = 2^-53); the two angles add up to 2 pi m / N_0 < 2 pi.
+Each complex product adds at most sqrt(5) u (Brent, Percival and
+Zimmermann, Math. Comp. 76, 2007).  So every twiddled coefficient errs by
+at most (8 pi + 4 + 2 sqrt(5)) u < 34u, about 3.8e-15 relatively, in every
+row, and a sample of the row by at most that times sum |c_a|: an error of
+the FFT rounding's kind, and like it not yet part of a certified
 floating-point term.
 
 The transforms.  Every transform is numpy.fft's, in place through
@@ -198,9 +189,9 @@ DEFAULT_MEMORY_BUDGET = 2 * 2 ** 30  # bytes of samples
 # larger one in blocks of coset rows of at most this many bytes
 _BLOCK_BYTES = 4 * 2 ** 20
 _BLOCK_BYTES_PER_SAMPLE = 24
-# the anchor interval: rows r = 0 mod 32 get their twiddles afresh, so the
-# recurrence runs at most 31 steps (module docstring)
-_MAX_COSETS = 32
+# at most this many coset rows a block: without the cap, short rows fill the
+# block buffers to _BLOCK_BYTES, 1 MB more sparse peak RSS (CHANGES.md)
+_BLOCK_ROWS = 32
 # a coset row has at least this many points on axis 0 a term, unless it is
 # alias-free with fewer, so that its twiddles and scatter stay far below its
 # transform (module docstring, "Rows")
@@ -436,6 +427,35 @@ def _row_length(shape: tuple[int, ...], d0: int, terms: int, real: bool) -> int:
     return int(fits[np.argmin((p // 2 + 1 if real else p) * fits)])
 
 
+def _phase_tables(n0: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The least k with 2^(2k) >= N_0, and the tables lo[j] = e(j / N_0), j < 2^k,
+    and hi[j] = e(j 2^k / N_0), j 2^k < N_0 (module docstring, "The twiddles")."""
+    k = ((n0 - 1).bit_length() + 1) // 2
+    angle = np.concatenate([np.arange(1 << k), np.arange(0, n0, 1 << k)]) / n0
+    angle *= 2 * math.pi
+    roots = np.empty(len(angle), dtype=np.complex128)
+    np.cos(angle, out=roots.real)
+    np.sin(angle, out=roots.imag)
+    return k, roots[:1 << k], roots[1 << k:]
+
+
+def _twiddled(coeffs: np.ndarray, res0: np.ndarray, rows: range, n0: int,
+              tables: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The coefficients c_a e(a_0 r / N_0) of the coset rows r in ``rows``, from
+    res0 = a_0 mod N_0 and the :func:`_phase_tables` of N_0, one row a row."""
+    k, lo, hi = tables
+    # a_0 r < N_0 rows.stop: int64 while that fits, Python ints beyond
+    dtype = np.int64 if n0 * rows.stop < 2 ** 63 else object
+    phase = np.multiply.outer(np.arange(rows.start, rows.stop, dtype=dtype),
+                              res0.astype(dtype, copy=False))
+    phase %= n0
+    phase = phase.astype(np.int64, copy=False)
+    twiddled = hi[phase >> k]
+    twiddled *= lo[phase & ((1 << k) - 1)]
+    twiddled *= coeffs
+    return twiddled
+
+
 def _fold(a: np.ndarray, idx: tuple, values: np.ndarray) -> None:
     """a[idx] += values for the C-contiguous ``a``, summing the values
     whose indices coincide."""
@@ -462,47 +482,26 @@ def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
     stop = p // 2 + 1 if real else p
     if stop == 1:
         return sums
-    # residues first, so no product below can overflow int64
     res0 = f.freqs[:, 0] % n0
-    scale = 2j * math.pi / n0
-    step = np.exp(scale * res0)  # e(a_0 / N_0)
-    # a_0 r mod N_0 at the anchor row r, exact in int64: it grows by
-    # a_0 32 mod N_0 < 32 N_0 from one anchor to the next
-    phase = 0
-    carry = f.coeffs * step  # row 1
+    tables = _phase_tables(n0)
     row_bytes = math.prod(row_shape) * _BLOCK_BYTES_PER_SAMPLE
-    rows = min(stop - 1, _MAX_COSETS, max(1, _BLOCK_BYTES // row_bytes))
+    rows = min(stop - 1, _BLOCK_ROWS, max(1, _BLOCK_BYTES // row_bytes))
     block, moduli = _block_buffers((rows,) + row_shape)
     # long rows one a call (_ROW_CALL_SAMPLES), short ones one block a call,
     # with the block's rows on axis 0
     per_row = math.prod(row_shape) >= _ROW_CALL_SAMPLES
     first = 0 if per_row else 1
     axes = tuple(range(first, first + len(row_shape)))
-    # blocks of at most `rows` rows from row 1 on, none across an anchor (r = 0 mod 32)
-    for anchor in range(0, stop, _MAX_COSETS):
-        if anchor:
-            phase = (phase + res0 * _MAX_COSETS % n0) % n0
-        for r0 in range(max(anchor, 1), min(anchor + _MAX_COSETS, stop), rows):
-            nb = min(rows, anchor + _MAX_COSETS - r0, stop - r0)
-            # rows r0 .. r0+nb-1: row r0 from the anchor's exact integer
-            # phase or from the row before; then row r0 + k + j is row
-            # r0 + j times e(a_0 k / N_0), which doubles the rows done
-            twiddled = np.empty((nb, len(step)), dtype=np.complex128)
-            twiddled[0] = f.coeffs * np.exp(scale * phase) if r0 == anchor else carry
-            k, power = 1, step  # power = e(a_0 k / N_0)
-            while k < nb:
-                np.multiply(twiddled[:min(k, nb - k)], power, out=twiddled[k:2 * k])
-                k *= 2
-                if k < nb:
-                    power = power * power
-            carry = twiddled[-1] * step
-            blk = block[:nb]
-            blk.fill(0)
-            place(blk, (np.arange(nb)[:, None],) + idx, twiddled)
-            for x in blk if per_row else (blk,):
-                _ifft(x, axes)
-            mod = np.abs(blk, out=moduli[:nb])
-            sums.extend(mod.reshape(nb, -1).sum(axis=1).tolist())
+    for r0 in range(1, stop, rows):
+        nb = min(rows, stop - r0)
+        twiddled = _twiddled(f.coeffs, res0, range(r0, r0 + nb), n0, tables)
+        blk = block[:nb]
+        blk.fill(0)
+        place(blk, (np.arange(nb)[:, None],) + idx, twiddled)
+        for x in blk if per_row else (blk,):
+            _ifft(x, axes)
+        mod = np.abs(blk, out=moduli[:nb])
+        sums.extend(mod.reshape(nb, -1).sum(axis=1).tolist())
     return sums
 
 

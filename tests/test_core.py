@@ -395,6 +395,22 @@ def test_shift_and_translate_refuse_to_wrap():
                                                           -2 ** 62 + 4)
 
 
+def test_shift_and_translate_take_integer_shifts():
+    # a shift is an integer: 2.5 raises, naming it, and 2.0 is 2
+    f = TrigPoly(1, {0: 1.0})
+    for bad in ((2.5,), (np.float64(2.5),), 2.5):
+        with pytest.raises(ValueError, match="shift 2.5 is not an integer"):
+            f.shifted(bad)
+    with pytest.raises(ValueError, match="shift 2.5 is not an integer"):
+        TrigPoly(2, {(0, 0): 1.0}).shifted((1, 2.5))
+    with pytest.raises(ValueError, match="shift 2.5 is not an integer"):
+        IntegerSet([1, 2]).translate(2.5)
+    assert f.shifted((2.0,)).support_box == f.shifted(2.0).support_box == ((2, 2),)
+    assert type(f.shifted((2.0,)).support_box[0][0]) is int
+    assert IntegerSet([1, 2]).translate(2.0).elements == (3, 4)
+    assert IntegerSet([1, 2]).translate(np.int64(2)).elements == (3, 4)
+
+
 def test_recentre_near_int64_limits():
     lo, hi = -2 ** 62 - 3, 2 ** 62 + 5
     f = TrigPoly(1, {lo: 1.0, hi: 2j, 2 ** 62: 0.5})

@@ -265,3 +265,16 @@ def test_flat_top_build_rejects_bad_shapes():
         flat_top_build(0, 5)
     with pytest.raises((ValueError, HypothesisError)):
         flat_top_build(3, 0)
+
+
+def test_flat_top_build_takes_integral_floats_only():
+    # M and N are integers: an integral float is its integer, 3.5 raises naming M
+    want = flat_top_build(3, 10)
+    for m, n in ((3.0, 10), (3, 10.0), (np.float64(3.0), np.int64(10))):
+        kern = flat_top_build(m, n)
+        assert (kern.m, kern.n) == (3, 10) and type(kern.m) is int and type(kern.n) is int
+        assert np.array_equal(kern.freqs, want.freqs) and np.array_equal(kern.values, want.values)
+    with pytest.raises(ValueError, match="M 3.5 is not an integer"):
+        flat_top_build(3.5, 10)
+    with pytest.raises(ValueError, match="N 10.5 is not an integer"):
+        flat_top_build(3, 10.5)

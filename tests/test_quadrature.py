@@ -446,14 +446,96 @@ def test_coset_rows_match_grid_cosets(monkeypatch, shape, d0, p, real):
 
 def test_coset_rows_keep_the_twiddle_bound_past_32_rows():
     # |f| = |c| everywhere for one term, so every row sum is q |c| up to the
-    # twiddle recurrence's error, which the anchors bound for any number of
-    # rows; the recurrence alone over 4096 rows drifts to 1.6e-13 here
+    # twiddles' error, which takes one bound in every row (module docstring);
+    # a twiddle recurrence over 4096 rows drifts to 1.6e-13 here
     q, p = 8, 4096
     for a in (1, 12_345, -77_777_777_777):
         for c in (0.7, 0.6 - 0.8j):
             sums = _coset_row_sums(TrigPoly(1, {a: c}), (q * p,), q)
             assert len(sums) == (p // 2 + 1 if c.imag == 0 else p)
             assert np.max(np.abs(np.array(sums) / (q * abs(c)) - 1)) < 1e-14, (a, c)
+
+
+# the relative error of a twiddled coefficient in any row (module docstring,
+# "The twiddles"): (8 pi + 4 + 2 sqrt(5)) u < 34u
+TWIDDLE_BOUND = 34 * 2.0 ** -53
+
+
+def _twiddle_error(mpmath, coeffs, freqs0, rows, n0, got):
+    # the largest |got - c_a e(a_0 r / N_0)| / |c_a|, with the phase
+    # a_0 r mod N_0 in Python ints and e() in mpmath at 160 bits
+    worst = 0.0
+    with mpmath.workprec(160):
+        for r, row in zip(rows, got.tolist()):
+            for a, c, z in zip(freqs0, coeffs.tolist(), row):
+                want = mpmath.mpc(c) * mpmath.expjpi(mpmath.mpf(2 * (a * r % n0)) / n0)
+                worst = max(worst, float(abs(mpmath.mpc(z) - want)) / abs(c))
+    return worst
+
+
+def _twiddle_terms(rng, n0, terms=12):
+    # frequencies on either side of 0, up to 3 N_0 away within int64, with the
+    # residues 1 and N_0 - 1; coefficients of magnitudes 1e-3 .. 1e3
+    span = min(3 * n0, 2 ** 63 - 1)
+    freqs0 = [int(a) for a in rng.integers(-span, span, size=terms - 2)]
+    freqs0 += [1, n0 - 1 - 2 * n0]
+    coeffs = 10.0 ** rng.uniform(-3, 3, terms) * np.exp(2j * np.pi * rng.random(terms))
+    return freqs0, coeffs, np.array(freqs0, dtype=np.int64) % n0
+
+
+@pytest.mark.parametrize("n0, p", [(1_310_256, 4096), (2 ** 30, 2 ** 12), (3 ** 18, 3 ** 7),
+                                   (10 ** 9, 4000), (999_999_937, 999_999_937)])
+def test_twiddles_keep_their_bound_in_every_row(n0, p):
+    # the tables alone, no transform: rows 1, P/2 and P - 1, each alone and
+    # at the end of a block of up to 4096 rows from row 1 or before it; each
+    # row lies within the docstring's bound whatever its distance from row 1,
+    # and is the same, bit for bit, in every block that holds it
+    mpmath = pytest.importorskip("mpmath")
+    freqs0, coeffs, res0 = _twiddle_terms(np.random.default_rng(n0), n0)
+    tables = quadrature._phase_tables(n0)
+    k, lo, hi = tables
+    assert 4 ** k >= n0 > 4 ** (k - 1) and len(lo) == 2 ** k and len(hi) == -(-n0 // 2 ** k)
+    for r in (1, p // 2, p - 1):
+        alone = quadrature._twiddled(coeffs, res0, range(r, r + 1), n0, tables)
+        assert _twiddle_error(mpmath, coeffs, freqs0, [r], n0, alone) < TWIDDLE_BOUND, r
+        start = max(1, r - 4095)
+        block = quadrature._twiddled(coeffs, res0, range(start, r + 1), n0, tables)
+        assert block.shape == (r + 1 - start, len(coeffs))
+        assert np.array_equal(block[-1], alone[0]), r
+    far = quadrature._twiddled(coeffs, res0, range(1, min(p, 4097)), n0, tables)
+    rows = range(1, len(far) + 1)[::97]
+    assert _twiddle_error(mpmath, coeffs, freqs0, rows, n0, far[::97]) < TWIDDLE_BOUND
+
+
+class _RootsOnDemand:
+    # the table entries e(j 2^shift / N_0) as _phase_tables forms them, for
+    # the indices asked: the tables of an N_0 near 2^61 hold 2^31 entries each
+    def __init__(self, n0, shift):
+        self.n0, self.shift = n0, shift
+
+    def __getitem__(self, j):
+        angle = (j << self.shift) / self.n0
+        angle *= 2 * math.pi
+        return np.cos(angle) + 1j * np.sin(angle)
+
+
+def test_twiddles_cross_the_int64_phase_limit():
+    # a_0 r mod N_0 is exact in int64 while N_0 (r + 1) < 2^63, and taken in
+    # Python ints beyond: with N_0 from 2^61 to 2^62 that is from row 2 to 4
+    # on, where a_0 r for a residue near N_0 passes int64
+    mpmath = pytest.importorskip("mpmath")
+    small = 10 ** 6 + 3
+    k, lo, hi = quadrature._phase_tables(small)
+    assert np.array_equal(_RootsOnDemand(small, 0)[np.arange(len(lo))], lo)
+    assert np.array_equal(_RootsOnDemand(small, k)[np.arange(len(hi))], hi)
+    for n0 in (2 ** 61 - 1, 2 ** 61 + 2 ** 59, 2 ** 62 - 57):
+        freqs0, coeffs, res0 = _twiddle_terms(np.random.default_rng(n0 % 1000), n0)
+        k = ((n0 - 1).bit_length() + 1) // 2
+        tables = (k, _RootsOnDemand(n0, 0), _RootsOnDemand(n0, k))
+        for rows in (range(1, 3), range(1, 9), range(3, 5), range(6, 7)):
+            got = quadrature._twiddled(coeffs, res0, rows, n0, tables)
+            assert _twiddle_error(mpmath, coeffs, freqs0, rows, n0, got) < TWIDDLE_BOUND, \
+                (n0, rows)
 
 
 def test_coset_mean_p1_is_the_whole_grid(monkeypatch):
@@ -843,8 +925,8 @@ def test_sized_grid_beyond_a_block_of_rows():
 
 @pytest.mark.parametrize("real", [True, False])
 def test_sized_grid_of_hundreds_of_rows(monkeypatch, real):
-    # short rows: more than 64 coset rows evaluated, so rows r >= 32 and
-    # r >= 64 take their twiddles from the exact anchors
+    # short rows: more than 64 coset rows evaluated, in three blocks or more,
+    # each taking its twiddles from exact integer phases
     plans = []
     rule = quadrature._row_length
     monkeypatch.setattr(quadrature, "_row_length",
