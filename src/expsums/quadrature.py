@@ -89,17 +89,12 @@ polynomial with unequal coefficients is left to the rank-r grid even when
 its coefficient tensor has rank 1, since a float product cannot be tested
 for equality exactly.  Constants keep the grid path.
 
-One block, one transform.  A grid mean, of :func:`riemann_l1` as of
-:func:`certified_l1`, on a grid within one block (``_BLOCK_BYTES`` at 24
-bytes a sample) is one transform: the coefficients are placed at the
-residues of their frequencies and transformed once, real-input when every
-coefficient is real, exactly as :func:`eval_grid` does, and |.| is summed.
-:func:`_grid_mean` alone decides between this and streaming.
-
-Coset streaming.  A larger grid sums the coset rows of axis 0, one block
-of rows at a time.  N_0 = P Q for a divisor Q of N_0 (Rows, below).  The
-grid points with j_0 = r + P i, for 0 <= i < Q, form the coset row r mod P,
-and on it
+Coset streaming.  A grid mean, of :func:`riemann_l1` as of
+:func:`certified_l1`, sums the coset rows of axis 0, one block of rows at a
+time.  :func:`_plan` alone decides, before any transform, how a grid is
+taken (a :class:`GridPlan`), and :func:`_grid_mean` only executes the plan.
+N_0 = P Q for a divisor Q of N_0 (Rows, below).  The grid points with
+j_0 = r + P i, for 0 <= i < Q, form the coset row r mod P, and on it
 
     f((r + P i)/N_0, t') = sum_a [c_a e(a_0 r / N_0)] e(a_0 i / Q + a'.t'),
 
@@ -107,7 +102,10 @@ because P i / N_0 = i / Q.  So row r is one inverse FFT of shape
 (Q, N_1, ...) of the twiddled coefficients c_a e(a_0 r / N_0), placed at
 (a_0 mod Q, a' mod N').  Row 0's twiddles are 1: it is the plain transform
 of its placed coefficients, real-input when every coefficient is real, and
-the twiddled blocks start at row 1.  With real coefficients
+the twiddled blocks start at row 1.  A grid within one block (``_BLOCK_BYTES``
+at 24 bytes a sample) is the single row Q = N_0: one transform of the
+coefficients at their residues, exactly as :func:`eval_grid` does, with no
+twiddles and no block buffers.  With real coefficients
 f(-t) = conj f(t), and -(r + P i) = (P - r) + P (Q - 1 - i) mod N_0, so row
 P - r has the sum of row r: only rows 0 .. P//2 are evaluated, and rows
 0 < r < P/2 count twice.  The grid sum is the ``math.fsum`` of the row
@@ -117,9 +115,9 @@ sums; a sample, row sum or total past float64 leaves it inf or nan, which
 Rows.  The identity holds for every divisor Q of N_0: frequencies with
 equal residues mod Q have equal e(a_0 i / Q) on the row, so a row shorter
 than 2 d_0 + 1 sums the twiddled coefficients that share a residue
-(``np.add.at``; Bailey, J. Supercomputing 4, 1990).  Longer rows, one-block
-grids and :func:`eval_grid` are alias-free and assign them, which costs
-less.  :func:`_row_length` gives every streamed grid its Q: of the
+(``np.add.at``; Bailey, J. Supercomputing 4, 1990).  Longer rows, the
+one-block row and :func:`eval_grid` are alias-free and assign them, which
+costs less.  :func:`_row_length` gives every larger grid its Q: of the
 divisors of N_0 of at least min(2 d_0 + 1, 32 terms) along axis 0
 (``_ROW_POINTS_PER_TERM``, which keeps a row's O(terms) twiddles and
 scatter far below its transform) whose row fits in one block, the one
@@ -149,13 +147,15 @@ less a call than the n-D ones.  Several axes go to the n-D functions in
 reverse order: numpy transforms the last axis given first, so the complex
 axes are taken in ascending order, as scipy.fft takes them, and the
 samples are scipy.fft's bit for bit (the tests keep scipy.fft as their
-reference).  numpy keeps no plan cache.  Each thread keeps its block
-buffers, at most one block, between calls, and coset rows of 2^14 samples
-or more are transformed one row a call, since numpy's batched path
-allocates a buffer on every call.  Without both, glibc faults those
-buffers in afresh on every call: a pass of the dense benchmark took about
-67,000 minor page faults with neither, 16,000 with the buffers kept but
-long rows batched, and 3,300 with both.
+reference).  numpy keeps no plan cache.  Each thread keeps between calls
+its block buffers, at most one block, and its twiddle scratch: a block's
+terms are twiddled and placed in slices of at most 2^14 (row, term) pairs,
+768 KiB.  Coset rows of 2^14 samples or more are transformed one row a
+call, since numpy's batched path allocates a buffer on every call.
+Without these, glibc faults the buffers in afresh on every call: a pass of
+the dense benchmark took about 67,000 minor page faults with none of them,
+16,000 with the block buffers kept but long rows batched, 3,200-6,000 with
+fresh twiddle arrays for each block, and under 10 with all three.
 
 Everything here is pure and deterministic: rows are taken in ascending
 blocks, each reduced by pairwise summation and all added by ``math.fsum``,
@@ -175,7 +175,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import IntegerSet, TrigPoly, _run_starts, indicator_poly, recentre
+from .core import IntegerSet, TrigPoly, _check_int, _run_starts, indicator_poly, recentre
 from .errors import AliasingError, GridOverflowError, MemoryBudgetError
 
 # complex128; a real-coefficient grid holds a float64 input and a half-size
@@ -201,9 +201,14 @@ _ROW_POINTS_PER_TERM = 32
 # on every call, which glibc faults in afresh each time once rows are this
 # long.  Shorter rows stay one block a call, which costs fewer calls
 _ROW_CALL_SAMPLES = 2 ** 14
+# a block's twiddles are formed and placed at most this many (row, term)
+# pairs at a time, in scratch of 48 bytes a pair (_twiddled)
+_TWIDDLE_PAIRS = 2 ** 14
 
-# each thread's block buffers, kept between calls (_block_buffers)
+# each thread's block buffers and twiddle scratch, kept between calls: the
+# block and its moduli, then phases, table indices, twiddles and lo entries
 _workspace = threading.local()
+_BUFFER_DTYPES = (np.complex128, np.float64, np.int64, np.int64, np.complex128, np.complex128)
 
 
 def _memory_budget(override: int | None) -> int:
@@ -299,8 +304,10 @@ def _recentred_degree(f: TrigPoly) -> tuple[int, ...]:
 
 def _checked_shape(f: TrigPoly, shape, memory_budget: int | None) -> tuple[int, ...]:
     """The grid shape as a tuple, after the alias-free and budget checks."""
-    shape = ((int(shape),) * f.rank if isinstance(shape, (int, np.integer))
-             else tuple(int(n) for n in shape))
+    if isinstance(shape, (str, bytes)):
+        raise ValueError(f"grid shape {shape!r} is a string, not grid sizes")
+    shape = tuple(_check_int(n, "grid size")
+                  for n in (shape if np.iterable(shape) else (shape,) * f.rank))
     if len(shape) != f.rank:
         raise ValueError(f"grid has {len(shape)} axes, polynomial has rank {f.rank}")
     if any(n < 1 for n in shape):
@@ -390,19 +397,21 @@ def _ifft(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.fft.ifftn(x, axes=axes[::-1], norm="forward", out=x)
 
 
-def _block_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """complex128 and float64 arrays of ``shape``: views of this thread's
-    workspace when they fit in one block (_BLOCK_BYTES), else fresh.  The
-    workspace only grows, and holds at most one block, so a pass does not
-    fault its block buffers in afresh on every call."""
-    size = math.prod(shape)
-    if size * _BLOCK_BYTES_PER_SAMPLE > _BLOCK_BYTES:
-        return np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.float64)
-    buffers = getattr(_workspace, "buffers", None)
-    if buffers is None or buffers[0].size < size:
-        buffers = _workspace.buffers = (np.empty(size, dtype=np.complex128),
-                                        np.empty(size, dtype=np.float64))
-    return buffers[0][:size].reshape(shape), buffers[1][:size].reshape(shape)
+def _block_buffers(shape: tuple[int, ...], pairs: int) -> tuple[np.ndarray, ...]:
+    """complex128 and float64 arrays of the block ``shape``, then the flat
+    twiddle scratch of :func:`_twiddled` for ``pairs`` (row, term) pairs:
+    views of this thread's workspace when the block fits in one block
+    (_BLOCK_BYTES), else fresh.  The workspace only grows, to at most one
+    block and _TWIDDLE_PAIRS pairs, so a pass does not fault these buffers
+    in afresh on every call."""
+    shapes = (shape,) * 2 + ((pairs,),) * 4
+    sizes = [math.prod(s) for s in shapes]
+    if sizes[0] * _BLOCK_BYTES_PER_SAMPLE > _BLOCK_BYTES:
+        return tuple(np.empty(s, dtype=t) for s, t in zip(shapes, _BUFFER_DTYPES))
+    kept = getattr(_workspace, "buffers", None) or [np.empty(0, dtype=t) for t in _BUFFER_DTYPES]
+    kept = _workspace.buffers = [b if b.size >= n else np.empty(n, dtype=b.dtype)
+                                 for b, n in zip(kept, sizes)]
+    return tuple(b[:n].reshape(s) for b, n, s in zip(kept, sizes, shapes))
 
 
 def _row_length(shape: tuple[int, ...], d0: int, terms: int, real: bool) -> int:
@@ -427,6 +436,46 @@ def _row_length(shape: tuple[int, ...], d0: int, terms: int, real: bool) -> int:
     return int(fits[np.argmin((p // 2 + 1 if real else p) * fits)])
 
 
+class GridPlan(NamedTuple):
+    """How a checked grid is taken, decided by :func:`_plan` before any
+    transform (module docstring, "Coset streaming" and "Rows")."""
+
+    grid: tuple[int, ...]
+    real: bool  # every coefficient real: real-input rows, rows 0 .. P//2 only
+    q: int  # the coset row length on axis 0; N_0 for a grid within one block
+    fold: bool  # rows shorter than 2 d_0 + 1 sum the coefficients of a residue
+    rows: int  # twiddled rows a block (0 when only row 0 is evaluated)
+    per_row: bool  # one transform a row (_ROW_CALL_SAMPLES), else one a block
+    evaluated: int  # rows 0 .. evaluated - 1 are transformed
+    width: int  # terms twiddled and placed at a time (_TWIDDLE_PAIRS a block)
+
+
+def _plan(f: TrigPoly, grid: tuple[int, ...]) -> GridPlan:
+    """The plan of f's grid mean on the checked ``grid``: the one place that
+    decides how a grid is taken.  Within one block it is the single row
+    Q = N_0; beyond, the rows of :func:`_row_length`.  Allocates nothing of
+    grid size."""
+    real = not np.count_nonzero(f.coeffs.imag)
+    if math.prod(grid) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
+        # the single row Q = N_0, with no twiddled rows to plan
+        return GridPlan(grid, real, grid[0], False, 0, False, 1, len(f.coeffs))
+    d0 = _recentred_degree(f)[0]
+    q = _row_length(grid, d0, len(f.coeffs), real)
+    p = grid[0] // q
+    # f(-t) = conj f(t) maps row r onto P - r: real coefficients need rows 0 .. P//2
+    evaluated = p // 2 + 1 if real else p
+    row = q * math.prod(grid[1:])
+    rows = min(evaluated - 1, _BLOCK_ROWS, max(1, _BLOCK_BYTES // (row * _BLOCK_BYTES_PER_SAMPLE)))
+    # the terms in near-equal slices of at most _TWIDDLE_PAIRS pairs a block,
+    # so that below 2^27 terms no slice of a one-row block is one term: numpy
+    # rounds a one-element complex product unlike the same product in a longer array
+    most = _TWIDDLE_PAIRS // max(rows, 1)
+    width = -(-len(f.coeffs) // -(-len(f.coeffs) // most))
+    # a row shorter than 2 d_0 + 1 may give two frequencies one residue: fold
+    return GridPlan(grid, real, q, q < 2 * d0 + 1, rows, row >= _ROW_CALL_SAMPLES, evaluated,
+                    width)
+
+
 def _phase_tables(n0: int) -> tuple[int, np.ndarray, np.ndarray]:
     """The least k with 2^(2k) >= N_0, and the tables lo[j] = e(j / N_0), j < 2^k,
     and hi[j] = e(j 2^k / N_0), j 2^k < N_0 (module docstring, "The twiddles")."""
@@ -440,18 +489,26 @@ def _phase_tables(n0: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _twiddled(coeffs: np.ndarray, res0: np.ndarray, rows: range, n0: int,
-              tables: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray:
+              tables: tuple[int, np.ndarray, np.ndarray],
+              scratch: Sequence[np.ndarray]) -> np.ndarray:
     """The coefficients c_a e(a_0 r / N_0) of the coset rows r in ``rows``, from
-    res0 = a_0 mod N_0 and the :func:`_phase_tables` of N_0, one row a row."""
+    res0 = a_0 mod N_0 and the :func:`_phase_tables` of N_0, one row a row,
+    formed in the flat ``scratch`` of at least len(rows) terms entries each:
+    int64 phases and indices, complex128 twiddles and lo entries."""
     k, lo, hi = tables
+    shape = (len(rows), len(coeffs))
+    phase, index, twiddled, entries = (a[:math.prod(shape)].reshape(shape) for a in scratch)
     # a_0 r < N_0 rows.stop: int64 while that fits, Python ints beyond
-    dtype = np.int64 if n0 * rows.stop < 2 ** 63 else object
-    phase = np.multiply.outer(np.arange(rows.start, rows.stop, dtype=dtype),
-                              res0.astype(dtype, copy=False))
-    phase %= n0
-    phase = phase.astype(np.int64, copy=False)
-    twiddled = hi[phase >> k]
-    twiddled *= lo[phase & ((1 << k) - 1)]
+    if n0 * rows.stop < 2 ** 63:
+        np.multiply.outer(np.arange(rows.start, rows.stop), res0, out=phase)
+        np.remainder(phase, n0, out=phase)
+    else:
+        phase[...] = np.multiply.outer(np.arange(rows.start, rows.stop, dtype=object),
+                                       res0.astype(object)) % n0
+    # mode="clip" takes into ``out`` unbuffered; every index is in range
+    hi.take(np.right_shift(phase, k, out=index), out=twiddled, mode="clip")
+    lo.take(np.bitwise_and(phase, (1 << k) - 1, out=index), out=entries, mode="clip")
+    twiddled *= entries
     twiddled *= coeffs
     return twiddled
 
@@ -465,84 +522,65 @@ def _fold(a: np.ndarray, idx: tuple, values: np.ndarray) -> None:
 
 # an overflow leaves inf or nan in the row sums, which certified_l1 reports
 @np.errstate(over="ignore", invalid="ignore")
-def _coset_row_sums(f: TrigPoly, shape: tuple[int, ...], q: int) -> list[float]:
-    """sum_i |f((r + P i)/N_0, t')| over each coset row r mod P = N_0/q, for
-    r = 0 .. P-1, or r = 0 .. P//2 when every coefficient is real (the
-    coset identity in the module docstring)."""
-    n0, p = shape[0], shape[0] // q
-    row_shape = (q,) + shape[1:]
+def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
+    """sum_i |f((r + P i)/N_0, t')| over each coset row r = 0 .. evaluated - 1
+    of ``plan`` (the coset identity in the module docstring); it reads the
+    plan and decides nothing."""
+    n0 = plan.grid[0]
+    row_shape = (plan.q,) + plan.grid[1:]
     idx = _residues(f.freqs, row_shape)
-    real = not f.coeffs.imag.any()
-    # a row shorter than 2 d_0 + 1 may give two frequencies one residue, so
-    # it sums the coefficients there; a longer row assigns them
-    place = operator.setitem if q >= 2 * _recentred_degree(f)[0] + 1 else _fold
+    place = _fold if plan.fold else operator.setitem
     # row 0's twiddles are 1: the plain transform of the row
-    sums = [_abs_sum(_grid_values(_placed(f, idx, row_shape, real, place)), row_shape[-1])]
-    # f(-t) = conj f(t) maps row r onto P - r: real coefficients need rows 0 .. P//2
-    stop = p // 2 + 1 if real else p
-    if stop == 1:
+    sums = [_abs_sum(_grid_values(_placed(f, idx, row_shape, plan.real, place)), row_shape[-1])]
+    if plan.evaluated == 1:
         return sums
     res0 = f.freqs[:, 0] % n0
     tables = _phase_tables(n0)
-    row_bytes = math.prod(row_shape) * _BLOCK_BYTES_PER_SAMPLE
-    rows = min(stop - 1, _BLOCK_ROWS, max(1, _BLOCK_BYTES // row_bytes))
-    block, moduli = _block_buffers((rows,) + row_shape)
-    # long rows one a call (_ROW_CALL_SAMPLES), short ones one block a call,
-    # with the block's rows on axis 0
-    per_row = math.prod(row_shape) >= _ROW_CALL_SAMPLES
-    first = 0 if per_row else 1
+    block, moduli, *scratch = _block_buffers((plan.rows,) + row_shape, plan.rows * plan.width)
+    # long rows one a call, short ones one block a call, with the block's
+    # rows on axis 0
+    first = 0 if plan.per_row else 1
     axes = tuple(range(first, first + len(row_shape)))
-    for r0 in range(1, stop, rows):
-        nb = min(rows, stop - r0)
-        twiddled = _twiddled(f.coeffs, res0, range(r0, r0 + nb), n0, tables)
+    for r0 in range(1, plan.evaluated, plan.rows):
+        nb = min(plan.rows, plan.evaluated - r0)
         blk = block[:nb]
         blk.fill(0)
-        place(blk, (np.arange(nb)[:, None],) + idx, twiddled)
-        for x in blk if per_row else (blk,):
+        # the terms in slices of plan.width, in order, so that a fold adds
+        # the coefficients of one residue in the same order as all at once
+        for t in range(0, len(f.coeffs), plan.width):
+            part = slice(t, t + plan.width)
+            twiddled = _twiddled(f.coeffs[part], res0[part], range(r0, r0 + nb), n0, tables,
+                                 scratch)
+            place(blk, (np.arange(nb)[:, None],) + tuple(i[part] for i in idx), twiddled)
+        for x in blk if plan.per_row else (blk,):
             _ifft(x, axes)
         mod = np.abs(blk, out=moduli[:nb])
         sums.extend(mod.reshape(nb, -1).sum(axis=1).tolist())
     return sums
 
 
-def _coset_mean(f: TrigPoly, shape: tuple[int, ...], q: int) -> float:
-    """The grid mean of |f| from the coset row sums of :func:`_coset_row_sums`."""
-    sums = _coset_row_sums(f, shape, q)
+def _grid_mean(f: TrigPoly, plan: GridPlan) -> float:
+    """The grid mean of |f| on ``plan.grid``, from the coset row sums of
+    :func:`_row_sums`."""
+    sums = _row_sums(f, plan)
     # each row P - r missing from sums is the mirror of row r, same sum
     try:
-        total = math.fsum(sums + sums[1:shape[0] // q - len(sums) + 1])
+        total = math.fsum(sums + sums[1:plan.grid[0] // plan.q - len(sums) + 1])
     except OverflowError:  # finite row sums whose total passes float64
         total = math.inf
-    return total / math.prod(shape)
-
-
-def _grid_mean(f: TrigPoly, shape: tuple[int, ...]) -> float:
-    """The grid mean of |f| on ``shape``.  The one place that decides how a
-    grid is taken: within one block it is one transform of the coefficients
-    placed at their residues; beyond, it streams coset rows of the length
-    :func:`_row_length` gives (module docstring)."""
-    real = not np.count_nonzero(f.coeffs.imag)
-    if math.prod(shape) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
-        idx = _residues(f.freqs, shape)
-        # an overflow leaves inf or nan in the sum, which certified_l1 reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _grid_values(_placed(f, idx, shape, real))
-            return _abs_sum(values, shape[-1]) / math.prod(shape)
-    q = _row_length(shape, _recentred_degree(f)[0], len(f.coeffs), real)
-    return _coset_mean(f, shape, q)
+    return total / math.prod(plan.grid)
 
 
 def riemann_l1(f: TrigPoly, shape, memory_budget: int | None = None) -> float:
     """The grid mean (1/|grid|) sum |f(j/N)| (0 for the zero polynomial).
 
-    The grid is checked, then taken by one transform when it fits in one
-    block, else streamed over the cosets of its first axis, one block of
-    rows at a time (module docstring).
+    The grid is checked, planned and taken over the coset rows of its first
+    axis: one row, one transform, within one block (module docstring).
     """
     shape = _checked_shape(f, shape, memory_budget)
     if f.is_zero:
         return 0.0
-    return _grid_mean(f, shape)
+    return _grid_mean(f, _plan(f, shape))
 
 
 def riemann_rho(d: int, n: int) -> float:
@@ -632,7 +670,7 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     smooth = _smooth_lengths()
     grid = tuple(int(smooth[smooth.searchsorted(n)]) for n in want)
     _check_budget(grid, budget)
-    s = _grid_mean(g, grid)
+    s = _grid_mean(g, _plan(g, grid))
     c = _quadrature_factor(grid, diameter)
     return _finite(NormInterval(math.nextafter(s / c, 0.0), math.nextafter(s * c, math.inf),
                                 s, grid, g.degree))

@@ -9,9 +9,8 @@ shorter rows that fold them.  Inputs come from seeded numpy generators.
 import numpy as np
 import pytest
 
-from expsums import quadrature
 from expsums.core import TrigPoly
-from expsums.quadrature import _row_length, certified_l1, riemann_l1
+from expsums.quadrature import _plan, certified_l1, riemann_l1
 
 # (terms, span): a sparse polynomial and a dense one
 FAMILIES = [(40, 100), (1500, 3000)]
@@ -30,12 +29,11 @@ def _poly(rng, terms, span, real):
 
 
 def _path(f, enc):
-    """How the grid of ``enc`` was taken for f."""
-    (n,), (d,) = enc.grid, enc.degree
-    if n * quadrature._BLOCK_BYTES_PER_SAMPLE <= quadrature._BLOCK_BYTES:
+    """How the grid of ``enc`` was taken for f, as its plan says."""
+    plan = _plan(f, enc.grid)
+    if plan.q == enc.grid[0]:
         return "one block"
-    q = _row_length((n,), d, len(f.coeffs), not f.coeffs.imag.any())
-    return "folded rows" if q < 2 * d + 1 else "rows"
+    return "folded rows" if plan.fold else "rows"
 
 
 def _meet(a, b, what):
@@ -75,7 +73,7 @@ def test_translation_keeps_the_streamed_grid_mean(real):
     rng = np.random.default_rng([2003, 62, real])
     f = _poly(rng, 64, 40_000, real)
     shape = (360_000,)
-    assert shape[0] * quadrature._BLOCK_BYTES_PER_SAMPLE > quadrature._BLOCK_BYTES
+    assert _plan(f, shape).q < shape[0]
     want = riemann_l1(f, shape)
     for m in (2 ** 62 - 40_001, -(2 ** 62), int(rng.integers(-2 ** 62, 2 ** 62 - 40_000))):
         assert riemann_l1(f.shifted(m), shape) == pytest.approx(want, rel=1e-12), m

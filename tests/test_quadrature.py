@@ -19,15 +19,35 @@ import scipy.special
 from expsums import quadrature
 from expsums.core import IntegerSet, TrigPoly, indicator_poly, recentre
 from expsums.errors import AliasingError, GridOverflowError, MemoryBudgetError
-from expsums.quadrature import (GridEvaluation, _coset_mean, _coset_row_sums,
-                                _memory_budget, _quadrature_factor,
-                                _recentred_degree, _row_length, bernstein_check,
-                                certified_l1, choose_grid, derivative, eval_grid,
-                                riemann_l1)
+from expsums.quadrature import (GridEvaluation, GridPlan, _grid_mean, _memory_budget, _plan,
+                                _quadrature_factor, _recentred_degree, _row_length,
+                                _row_sums, bernstein_check, certified_l1, choose_grid,
+                                derivative, eval_grid, riemann_l1)
 
 # frozen 2^22-point Riemann oracles
 REF_INTERVAL_101 = 2.859870343104319
 REF_DIRICHLET_10 = 2.2233569241561897
+
+
+def test_abs_mean_matches_numpy_oracle():
+    # the reduction behind every grid mean, _abs_sum, through
+    # GridEvaluation.abs_mean on a full grid, against numpy's mean of |v|
+    rng = np.random.default_rng(808)
+    # sizes straddle 128-element blocks and the pairwise-summation unroll
+    for n in (1, 2, 127, 128, 129, 255, 256, 1000, 65536, 65537):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = GridEvaluation((n,), v).abs_mean()
+        assert got == pytest.approx(float(np.mean(np.abs(v))), rel=1e-13)
+    v = rng.standard_normal((129, 7)) + 1j * rng.standard_normal((129, 7))
+    assert GridEvaluation(v.shape, v).abs_mean() == pytest.approx(
+        float(np.mean(np.abs(v))), rel=1e-13)
+
+
+def test_abs_mean_numpy_path_directly():
+    rng = np.random.default_rng(809)
+    v = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    assert GridEvaluation((500,), v).abs_mean() == pytest.approx(
+        float(np.mean(np.abs(v))), rel=1e-13)
 
 
 def test_eval_grid_matches_direct_rank1():
@@ -63,6 +83,22 @@ def test_riemann_zero_poly():
             eval_grid(TrigPoly(1), shape)
         with pytest.raises(ValueError):
             riemann_l1(TrigPoly(1), shape)
+
+
+def test_grid_sizes_are_integers():
+    f = indicator_poly(IntegerSet.from_iterable(range(1, 17)))
+    want = riemann_l1(f, 96)
+    # an integral float is its integer, a scalar or one axis of a sequence
+    for shape in (96.0, (96.0,), np.float64(96), np.int64(96), [96]):
+        assert riemann_l1(f, shape) == want, shape
+    assert eval_grid(f, 33.0).shape == (33,)
+    # a fraction is refused, not truncated, and a string is not its digits
+    for shape, message in ((96.7, "grid size 96.7"), ((96.7,), "grid size 96.7"),
+                           ((33.9,), "grid size 33.9"), ("96", "string"), (("96",), "'96'")):
+        with pytest.raises(ValueError, match=message):
+            riemann_l1(f, shape)
+        with pytest.raises(ValueError, match=message):
+            eval_grid(f, shape)
 
 
 def test_riemann_monomial_is_exact():
@@ -396,10 +432,14 @@ def _window_poly(rng, shape, d0, real, base=0, terms=12):
     return TrigPoly.from_arrays(len(shape), base + offsets, coeffs)
 
 
-def _blocks_of(monkeypatch, rows, row_samples):
-    # blocks of `rows` coset rows of `row_samples` samples each
-    monkeypatch.setattr(quadrature, "_BLOCK_BYTES",
-                        rows * row_samples * quadrature._BLOCK_BYTES_PER_SAMPLE)
+def _plan_of(f, shape, q, rows):
+    # a hand-made plan of f on ``shape``: coset rows of length q, at most
+    # ``rows`` of them a block, one transform a block, all terms at once
+    real = not f.coeffs.imag.any()
+    p = shape[0] // q
+    evaluated = p // 2 + 1 if real else p
+    return GridPlan(tuple(shape), real, q, q < 2 * _recentred_degree(f)[0] + 1,
+                    min(rows, evaluated - 1), False, evaluated, len(f.coeffs))
 
 
 # (shape, d0, P): odd and even P, so that row P/2 is or is not a row of its own;
@@ -413,10 +453,8 @@ COSET_CASES = [((60,), 5, 5), ((60,), 4, 6), ((64,), 3, 8), ((90,), 7, 6),
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("rows", [1, 2, 4])
 @pytest.mark.parametrize("far", [False, True])
-def test_coset_mean_matches_whole_grid(monkeypatch, shape, d0, p, real, rows, far):
+def test_coset_mean_matches_whole_grid(shape, d0, p, real, rows, far):
     q = shape[0] // p
-    # 1, 2 and 4 rows per block: row counts that are and are not multiples
-    _blocks_of(monkeypatch, rows, q * math.prod(shape[1:]))
     rng = np.random.default_rng([sum(shape), d0, real, rows, far])
     for _ in range(5):
         # near +-2^62 the residues wrap around; no product may overflow int64
@@ -424,21 +462,29 @@ def test_coset_mean_matches_whole_grid(monkeypatch, shape, d0, p, real, rows, fa
         f = _window_poly(rng, shape, d0, real, base)
         assert _recentred_degree(f)[0] == d0
         want = eval_grid(f, shape).abs_mean()
-        # the rule's rows, and the case's rows of length q
+        # the planner's plan (one block), and the case's rows of length q,
+        # 1, 2 and 4 a block (row counts that are and are not multiples),
+        # one transform a block and one a row
         assert riemann_l1(f, shape) == pytest.approx(want, rel=1e-13)
-        assert _coset_mean(f, shape, q) == pytest.approx(want, rel=1e-13)
+        plan = _plan_of(f, shape, q, rows)
+        mean = _grid_mean(f, plan)
+        assert mean == pytest.approx(want, rel=1e-13)
+        assert _grid_mean(f, plan._replace(per_row=True)) == pytest.approx(want, rel=1e-13)
+        # the terms twiddled and placed in two slices, the last of two
+        # terms: the same bits, folded residues too
+        n = len(f.coeffs)
+        assert _grid_mean(f, plan._replace(width=n - 2 if n >= 4 else n)) == mean
 
 
 @pytest.mark.parametrize("shape, d0, p", COSET_CASES)
 @pytest.mark.parametrize("real", [True, False])
-def test_coset_rows_match_grid_cosets(monkeypatch, shape, d0, p, real):
+def test_coset_rows_match_grid_cosets(shape, d0, p, real):
     # each row sum is its own coset r mod P of the whole grid, not a mirror
     q = shape[0] // p
-    _blocks_of(monkeypatch, 2, q * math.prod(shape[1:]))
     rng = np.random.default_rng([sum(shape), d0, real])
     f = _window_poly(rng, shape, d0, real, base=rng.integers(-99, 99, size=len(shape)))
     grid = np.abs(_reference_grid(f, shape))
-    sums = _coset_row_sums(f, shape, q)
+    sums = _row_sums(f, _plan_of(f, shape, q, 2))
     assert len(sums) == (p // 2 + 1 if real else p)
     for r, got in enumerate(sums):
         assert got == pytest.approx(grid[r::p].sum(), rel=1e-13), r
@@ -451,7 +497,8 @@ def test_coset_rows_keep_the_twiddle_bound_past_32_rows():
     q, p = 8, 4096
     for a in (1, 12_345, -77_777_777_777):
         for c in (0.7, 0.6 - 0.8j):
-            sums = _coset_row_sums(TrigPoly(1, {a: c}), (q * p,), q)
+            f = TrigPoly(1, {a: c})
+            sums = _row_sums(f, _plan_of(f, (q * p,), q, 32))
             assert len(sums) == (p // 2 + 1 if c.imag == 0 else p)
             assert np.max(np.abs(np.array(sums) / (q * abs(c)) - 1)) < 1e-14, (a, c)
 
@@ -483,6 +530,14 @@ def _twiddle_terms(rng, n0, terms=12):
     return freqs0, coeffs, np.array(freqs0, dtype=np.int64) % n0
 
 
+def _twiddled(coeffs, res0, rows, n0, tables):
+    # quadrature._twiddled in scratch filled with junk and made for this
+    # call alone, so that no two results share memory
+    scratch = [np.full(len(rows) * len(coeffs) + 7, -1, dtype=t)
+               for t in quadrature._BUFFER_DTYPES[2:]]
+    return quadrature._twiddled(coeffs, res0, rows, n0, tables, scratch)
+
+
 @pytest.mark.parametrize("n0, p", [(1_310_256, 4096), (2 ** 30, 2 ** 12), (3 ** 18, 3 ** 7),
                                    (10 ** 9, 4000), (999_999_937, 999_999_937)])
 def test_twiddles_keep_their_bound_in_every_row(n0, p):
@@ -496,15 +551,21 @@ def test_twiddles_keep_their_bound_in_every_row(n0, p):
     k, lo, hi = tables
     assert 4 ** k >= n0 > 4 ** (k - 1) and len(lo) == 2 ** k and len(hi) == -(-n0 // 2 ** k)
     for r in (1, p // 2, p - 1):
-        alone = quadrature._twiddled(coeffs, res0, range(r, r + 1), n0, tables)
+        alone = _twiddled(coeffs, res0, range(r, r + 1), n0, tables)
         assert _twiddle_error(mpmath, coeffs, freqs0, [r], n0, alone) < TWIDDLE_BOUND, r
         start = max(1, r - 4095)
-        block = quadrature._twiddled(coeffs, res0, range(start, r + 1), n0, tables)
+        block = _twiddled(coeffs, res0, range(start, r + 1), n0, tables)
         assert block.shape == (r + 1 - start, len(coeffs))
         assert np.array_equal(block[-1], alone[0]), r
-    far = quadrature._twiddled(coeffs, res0, range(1, min(p, 4097)), n0, tables)
+    far = _twiddled(coeffs, res0, range(1, min(p, 4097)), n0, tables)
     rows = range(1, len(far) + 1)[::97]
     assert _twiddle_error(mpmath, coeffs, freqs0, rows, n0, far[::97]) < TWIDDLE_BOUND
+    # the scratch changes no bit: the twiddles of fresh arrays, hi[] lo[] c
+    phase = np.multiply.outer(np.arange(1, len(far) + 1), res0) % n0
+    want = hi[phase >> k]
+    want *= lo[phase & ((1 << k) - 1)]
+    want *= coeffs
+    assert np.array_equal(far, want)
 
 
 class _RootsOnDemand:
@@ -517,6 +578,11 @@ class _RootsOnDemand:
         angle = (j << self.shift) / self.n0
         angle *= 2 * math.pi
         return np.cos(angle) + 1j * np.sin(angle)
+
+    def take(self, j, out, mode):
+        # table.take(j, out=..., mode=...), as _twiddled calls it
+        out[...] = self[j]
+        return out
 
 
 def test_twiddles_cross_the_int64_phase_limit():
@@ -533,23 +599,26 @@ def test_twiddles_cross_the_int64_phase_limit():
         k = ((n0 - 1).bit_length() + 1) // 2
         tables = (k, _RootsOnDemand(n0, 0), _RootsOnDemand(n0, k))
         for rows in (range(1, 3), range(1, 9), range(3, 5), range(6, 7)):
-            got = quadrature._twiddled(coeffs, res0, rows, n0, tables)
+            got = _twiddled(coeffs, res0, rows, n0, tables)
             assert _twiddle_error(mpmath, coeffs, freqs0, rows, n0, got) < TWIDDLE_BOUND, \
                 (n0, rows)
 
 
-def test_coset_mean_p1_is_the_whole_grid(monkeypatch):
+def test_coset_mean_p1_is_the_whole_grid():
     rng = np.random.default_rng(61)
+    block = quadrature._BLOCK_BYTES // quadrature._BLOCK_BYTES_PER_SAMPLE
     for real in (True, False):
         f = _window_poly(rng, (61,), 6, real)
-        # fits in one block: today's single transform, bit for bit
+        # fits in one block: the single row Q = N_0, the one transform of
+        # eval_grid, bit for bit
         assert _row_length((61,), 6, 12, real) == 61
+        assert _plan(f, (61,)) == GridPlan((61,), real, 61, False, 0, False, 1, len(f.coeffs))
         assert riemann_l1(f, 61) == eval_grid(f, 61).abs_mean()
-        # too large for a block, but 61 is prime: still one row
-        _blocks_of(monkeypatch, 1, 4)
-        assert _row_length((61,), 6, 12, real) == 61
-        assert riemann_l1(f, 61) == eval_grid(f, 61).abs_mean()
-        monkeypatch.undo()
+        # too large for a block, but 180,001 is prime: still one row
+        n = 180_001
+        assert n > block and _row_length((n,), 6, 12, real) == n
+        assert _plan(f, (n,)) == GridPlan((n,), real, n, False, 0, True, 1, len(f.coeffs))
+        assert riemann_l1(f, n) == eval_grid(f, n).abs_mean()
 
 
 @functools.cache
@@ -577,7 +646,7 @@ def test_coset_length_is_least_alias_free_divisor(d):
     for n in grids + [10 ** 6, 2 ** 20, 1_200_007]:  # fine grids, and a prime
         if n < 2 * d + 1:
             continue
-        # a grid within one block never asks (_grid_mean takes it whole), but
+        # a grid within one block never asks (_plan takes it whole), but
         # the rule is the same for every N_0
         for rest, terms, real in ((1, 64, True), (1, 64, False), (1, 10 ** 5, True),
                                   (60, 3, False), (6000, 10 ** 4, True)):
@@ -596,7 +665,7 @@ def test_coset_mean_is_deterministic():
     rng = np.random.default_rng(9)
     for real in (True, False):
         f = _window_poly(rng, (1_200_000,), 37_000, real, terms=64)
-        assert _row_length((1_200_000,), 37_000, 64, real) < 1_200_000
+        assert _plan(f, (1_200_000,)).q < 1_200_000
         a, b = riemann_l1(f, 1_200_000), riemann_l1(f, 1_200_000)
         assert a.hex() == b.hex()
         assert a == pytest.approx(eval_grid(f, 1_200_000).abs_mean(), rel=1e-13)
@@ -626,6 +695,51 @@ def test_coset_mean_holds_a_quarter_of_the_grid():
         finally:
             tracemalloc.stop()
         assert peak < n * 16 / 4, (peak, n)
+
+
+# --- plans, made before any transform -----------------------------------------
+
+def _planned(monkeypatch, f, grid):
+    # _plan with every numpy.fft function failing
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, lambda *args, **kw: pytest.fail("a transform ran"))
+    try:
+        return _plan(f, grid)
+    finally:
+        monkeypatch.undo()
+
+
+def test_plans_are_made_before_any_transform(monkeypatch):
+    # the Fejer kernel F_20000 on certified_l1's grid (choose_grid asks for
+    # 240,001 points): rows of 48,600 points, assigned, P = 5 with rows
+    # 0 .. 2 evaluated, two a block, one a call, the 40,001 terms in five
+    # slices of at most 8001; on 240,000 points, rows of 48,000
+    f = _fejer(20_000)
+    (n,) = _fast(choose_grid((40_000,), 0.1))
+    assert _planned(monkeypatch, f, (n,)) == \
+        GridPlan((243_000,), True, 48_600, False, 2, True, 3, 8001)
+    assert _planned(monkeypatch, f, (240_000,)) == \
+        GridPlan((240_000,), True, 48_000, False, 2, True, 3, 8001)
+    # a complex rank-2 polynomial of recentred degrees (383, 1000): no row
+    # fits in a block, so the least divisor of 6912 at or above 767
+    rng = np.random.default_rng(4)
+    freqs = np.stack([rng.integers(0, 767, 40), rng.integers(0, 2001, 40)], axis=1)
+    freqs[0], freqs[1] = (0, 0), (766, 2000)
+    f = TrigPoly.from_arrays(2, freqs, rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    assert _recentred_degree(f) == (383, 1000)
+    assert _planned(monkeypatch, f, (6912, 5760)) == \
+        GridPlan((6912, 5760), False, 768, False, 1, True, 9, 40)
+    # a 64-element sparse set: short rows that fold residues, many a block
+    g, _ = recentre(_sparse_poly(np.random.default_rng(5), 40_000, 64, True))
+    grid = _fast(choose_grid((40_000,), 0.1))
+    plan = _planned(monkeypatch, g, grid)
+    assert plan.fold and plan.q < 2 * g.degree[0] + 1 and not plan.per_row
+    assert plan.q == _row_length(grid, g.degree[0], 64, True) and plan.rows > 1
+    # a grid within one block: the single row Q = N_0
+    h = indicator_poly(IntegerSet.from_iterable(range(1, 17)))
+    assert _planned(monkeypatch, h, (96,)) == GridPlan((96,), True, 96, False, 0, False, 1, 16)
+    # no fft was left patched
+    assert riemann_l1(h, 96) == eval_grid(h, 96).abs_mean()
 
 
 # --- a grid within one block is one transform --------------------------------
@@ -663,26 +777,31 @@ def test_one_block_grid_is_one_transform(monkeypatch, real):
     rng = np.random.default_rng([2026, real])
     for f, norm, how in _known_norm_polys(rng, real):
         g = recentre(f)[0]
-        monkeypatch.setattr(quadrature, "_coset_row_sums",
-                            lambda *args: pytest.fail("a one-block grid streamed"))
+        for name in ("_phase_tables", "_block_buffers"):
+            monkeypatch.setattr(quadrature, name,
+                                lambda *args: pytest.fail("a one-block grid streamed"))
         enc = certified_l1(f, 0.1)
+        one = riemann_l1(f, enc.grid)
         monkeypatch.undo()
         assert enc.grid[0] * quadrature._BLOCK_BYTES_PER_SAMPLE <= quadrature._BLOCK_BYTES
+        # the single coset row Q = N_0
+        plan = _plan(g, enc.grid)
+        assert plan.q == enc.grid[0] and plan.evaluated == 1, how
         # the whole grid of eval_grid, bit for bit
         assert enc.riemann == eval_grid(g, enc.grid).abs_mean(), how
-        assert riemann_l1(f, enc.grid) == eval_grid(f, enc.grid).abs_mean(), how
+        assert one == eval_grid(f, enc.grid).abs_mean(), how
         assert enc.contains(norm), (how, enc, norm)
-        # the same polynomial streamed: coset rows of at most 32 samples a block
-        rows = []
-        _blocks_of(monkeypatch, 1, 32)
-        spied = quadrature._coset_row_sums
-        monkeypatch.setattr(quadrature, "_coset_row_sums",
-                            lambda *args: rows.append(args) or spied(*args))
-        streamed = certified_l1(f, 0.1)
-        monkeypatch.undo()
-        assert rows, how
-        assert streamed.contains(norm), (how, streamed, norm)
-        assert streamed.riemann == pytest.approx(riemann_l1(g, streamed.grid), rel=1e-13)
+        # the same polynomial streamed, one row a block, in the rows that
+        # _row_length takes when no row fits: the least divisor at or above
+        # its floor
+        (n,), (d,) = enc.grid, g.degree
+        q = min(k for k in _divisors(n) if k >= min(2 * d + 1, 32 * len(g.coeffs)))
+        assert q < n, how
+        s = _grid_mean(g, _plan_of(g, enc.grid, q, 1))
+        c = _quadrature_factor(enc.grid, _diameter(g))
+        assert math.nextafter(s / c, 0.0) <= norm <= math.nextafter(s * c, math.inf), \
+            (how, s, norm)
+        assert s == pytest.approx(enc.riemann, rel=1e-13)
 
 
 # --- single terms: [S, S] widened by an ulp each way -------------------------
@@ -817,8 +936,9 @@ def _sparse_poly(rng, span, terms, real):
     return TrigPoly.from_arrays(1, freqs[:, None], coeffs)
 
 
-def _streams(want):
-    return want * quadrature._BLOCK_BYTES_PER_SAMPLE > quadrature._BLOCK_BYTES
+def _streams(g, grid):
+    # more than the one coset row Q = N_0
+    return _plan(g, grid).q < grid[0]
 
 
 def _sized_interval(enc, diameter):
@@ -832,9 +952,8 @@ def test_sized_grid_is_smaller_narrower_and_contains_the_norm(real):
     rng = np.random.default_rng([31, real])
     g, _ = recentre(_sparse_poly(rng, 40_000, 64, real))
     rel = 0.1
-    (want,) = choose_grid((40_000,), rel)
-    assert _streams(want)
     enc = certified_l1(g, rel)
+    assert _streams(g, enc.grid)
     # the pi d / N rule needed N >= pi d / rho at rho = rel_err, for a
     # relative width 2 rho / (1 - rho)
     assert enc.grid[0] < math.pi * g.degree[0] / rel / 2.5
@@ -852,7 +971,7 @@ def test_sized_grid_keeps_the_fejer_report():
     # is the documented interval on the next 5-smooth grid N >= want
     f = _fejer(20_000)
     (want,) = choose_grid((40_000,), 0.1)
-    assert _streams(want)
+    assert _streams(f, _fast((want,)))
     enc = certified_l1(f, 0.1)
     assert enc.contains(1.0) and enc.grid == _fast((want,))
     assert enc.riemann == pytest.approx(riemann_l1(f, enc.grid), rel=1e-13)
@@ -924,19 +1043,17 @@ def test_sized_grid_beyond_a_block_of_rows():
 
 
 @pytest.mark.parametrize("real", [True, False])
-def test_sized_grid_of_hundreds_of_rows(monkeypatch, real):
+def test_sized_grid_of_hundreds_of_rows(real):
     # short rows: more than 64 coset rows evaluated, in three blocks or more,
     # each taking its twiddles from exact integer phases
-    plans = []
-    rule = quadrature._row_length
-    monkeypatch.setattr(quadrature, "_row_length",
-                        lambda *args: plans.append(rule(*args)) or plans[-1])
     g, _ = recentre(_sparse_poly(np.random.default_rng([71, real]), 60_000, 64, real))
     enc = certified_l1(g, 0.1)
-    (n,), row = enc.grid, plans[-1]
+    (n,), plan = enc.grid, _plan(g, enc.grid)
     # real coefficients evaluate rows 0 .. P/2 only; these rows fold residues
-    p = n // row
-    assert (p // 2 + 1 if real else p) > 64 and row < 2 * g.degree[0] + 1
+    p = n // plan.q
+    assert plan.evaluated == (p // 2 + 1 if real else p) > 64
+    assert plan.evaluated - 1 > 2 * plan.rows
+    assert plan.fold and plan.q < 2 * g.degree[0] + 1
     assert enc.riemann == pytest.approx(eval_grid(g, (n,)).abs_mean(), rel=1e-13)
     # a 20x finer grid's own interval lies inside
     ref, cf = riemann_l1(g, 20 * n), _quadrature_factor((20 * n,), (60_000,))
@@ -1183,11 +1300,9 @@ def test_block_workspace_is_per_thread():
                                           rng.standard_normal(64)
                                           + 1j * rng.standard_normal(64)))
     serial = [certified_l1(f) for f in polys]
-    for k, f in enumerate(polys):
-        g = recentre(f)[0]
-        row = _row_length(_fast(choose_grid((2 * g.degree[0],), 0.1)), g.degree[0],
-                          len(g.coeffs), not g.coeffs.imag.any())
-        assert (row >= quadrature._ROW_CALL_SAMPLES) == (k % 2 == 0)
+    for k, (f, enc) in enumerate(zip(polys, serial)):
+        plan = _plan(recentre(f)[0], enc.grid)
+        assert plan.evaluated > 1 and plan.per_row == (k % 2 == 0)
     start = threading.Barrier(len(polys), timeout=60)
 
     def work(f):
