@@ -10,6 +10,9 @@ acceptance tests are thin wrappers around it.  The per-instance checks of
 criteria 3, 6 and 7 (``kernel_check``, ``good_modulus_check``,
 ``thinning_check``) and the seeded draws of 6 and 7 are also what
 ``verify --theorem kernel|good-modulus|thinning`` runs.
+
+Criteria, runners and grid-taking checks pass their ``memory_budget`` to
+every ``certified_l1`` or ``riemann_l1`` call (``None``: the environment's).
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ def _random_increasing(rng: np.random.Generator, size: int,
     return IntegerSet.from_iterable(int(x) for x in start + np.cumsum(gaps))
 
 
-def criterion_01(seed: int, inject_kernel_fault: bool = False) -> tuple[bool, dict]:
+def criterion_01(seed: int, memory_budget: int | None = None,
+                 inject_kernel_fault: bool = False) -> tuple[bool, dict]:
     """Flat-top plateau and support hold with exact integer equality."""
     pairs = 0
     violations = 0
@@ -102,7 +106,7 @@ def criterion_01(seed: int, inject_kernel_fault: bool = False) -> tuple[bool, di
     return violations == 0, details
 
 
-def criterion_02(seed: int) -> tuple[bool, dict]:
+def criterion_02(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """Transform factorization matches direct summation to 1e-9."""
     ts = np.arange(1000, dtype=np.float64) / 1000
     rows = []
@@ -117,36 +121,36 @@ def criterion_02(seed: int) -> tuple[bool, dict]:
     return worst <= 1e-9, {"rows": rows, "max_error": worst, "tolerance": 1e-9}
 
 
-def kernel_check(m: int, n: int, r: int) -> dict:
+def kernel_check(m: int, n: int, r: int, memory_budget: int | None = None) -> dict:
     """Exact plateau and support of the (M, N) flat-top kernel, and its
     r-point discrete transform mean against 32*pi*(2+log(1+N/M))."""
     kern = flat_top_build(m, n)
     bad = property_violations(kern)
-    mean = flat_top_discrete_l1(kern, r)
+    mean = flat_top_discrete_l1(kern, r, memory_budget)
     bound = discrete_l1_bound(m, n)
     return {"m": m, "n": n, "violations": bad, "r": r, "discrete_mean": mean,
             "bound": bound, "ok": not bad and mean <= bound}
 
 
-def criterion_03(seed: int) -> tuple[bool, dict]:
+def criterion_03(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """Discrete transform mean stays under 32*pi*(2+log(1+N/M))."""
-    checks = [kernel_check(m, n, mult * (2 * n + 4 * m + 1))
+    checks = [kernel_check(m, n, mult * (2 * n + 4 * m + 1), memory_budget)
               for m in (2, 5, 11) for n in (12, 23, 40) for mult in (1, 4, 16)]
     rows = [{"m": c["m"], "n": c["n"], "r": c["r"], "mean": c["discrete_mean"],
              "bound": c["bound"], "ok": c["ok"]} for c in checks]
     return all(c["ok"] for c in checks), {"rows": rows}
 
 
-def criterion_04(seed: int) -> tuple[bool, dict]:
+def criterion_04(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """Riemann means of Dirichlet kernels obey the pi*d/N error bound, down
     to the coarsest alias-free grid N = 2d+1."""
     rows = []
     ok = True
     for d in (10, 50, 200):
         f = indicator_poly(IntegerSet.from_iterable(range(-d, d + 1)))
-        reference = riemann_l1(f, 10 ** 6)
+        reference = riemann_l1(f, 10 ** 6, memory_budget)
         for n_coarse in (2 * d + 1, 4 * math.ceil(4 * math.pi * d)):
-            coarse = riemann_l1(f, n_coarse)
+            coarse = riemann_l1(f, n_coarse, memory_budget)
             allowed = riemann_rho(d, n_coarse) * reference
             err = abs(coarse - reference)
             good = err <= allowed
@@ -155,7 +159,7 @@ def criterion_04(seed: int) -> tuple[bool, dict]:
                          "reference": reference, "difference": err,
                          "allowed": allowed, "ok": good})
     interval = indicator_poly(IntegerSet.from_iterable(range(1, 102)))
-    ref101 = riemann_l1(interval, 10 ** 6)
+    ref101 = riemann_l1(interval, 10 ** 6, memory_budget)
     band_ok = abs(ref101 - 2.856) <= 0.01
     ok = ok and band_ok
     return ok, {"rows": rows, "interval_101_mean": ref101,
@@ -171,7 +175,7 @@ def _random_poly(rng: np.random.Generator, max_degree: int = 64) -> TrigPoly:
     return TrigPoly(1, {int(f): complex(a, b) for f, a, b in zip(freqs, re, im)})
 
 
-def criterion_05(seed: int) -> tuple[bool, dict]:
+def criterion_05(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """Derivative norms stay under 2*pi*d times the norm, 200 random polynomials."""
     from .quadrature import bernstein_check
 
@@ -180,7 +184,7 @@ def criterion_05(seed: int) -> tuple[bool, dict]:
     degrees = []
     for i in range(200):
         f = _random_poly(rng)
-        res = bernstein_check(f, rel_err=0.1)
+        res = bernstein_check(f, rel_err=0.1, memory_budget=memory_budget)
         degrees.append(f.degree[0])
         if not res.passed:
             failures.append({"index": i, "degree": f.degree[0],
@@ -212,7 +216,7 @@ def good_modulus_check(I: IntegerSet) -> tuple[GoodModulusResult, dict]:
                  "bounds_ok": res.bounds_ok, "ok": res.bounds_ok and agree}
 
 
-def criterion_06(seed: int) -> tuple[bool, dict]:
+def criterion_06(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """Good-modulus window bounds and brute-force agreement, 500 random sets."""
     rows = [good_modulus_check(I)[1] for I in good_modulus_sets(seed, 500)]
     bad = [{"index": i, **row} for i, row in enumerate(rows) if not row["ok"]]
@@ -250,7 +254,7 @@ def thinning_configs(seed: int, count: int):
 
 
 def thinning_check(blocks, d1: int, d2: int, delta: float, q: int, s: int,
-                   rel_err: float) -> dict:
+                   rel_err: float, memory_budget: int | None = None) -> dict:
     """Thin one block configuration: the transform must equal direct block
     selection exactly (identity), its certified norm must not exceed
     factor * ||F||_1 (certified), and its upper end must stay within
@@ -260,8 +264,8 @@ def thinning_check(blocks, d1: int, d2: int, delta: float, q: int, s: int,
     direct = {(k * d2 + l,): c for k, f_k in blocks.items() if k % q == s
               for (l,), c in f_k.terms.items()}
     identity = thinned.terms == direct
-    norm_f = certified_l1(F, rel_err)
-    norm_t = certified_l1(thinned, rel_err)
+    norm_f = certified_l1(F, rel_err, memory_budget)
+    norm_t = certified_l1(thinned, rel_err, memory_budget)
     certified = norm_t.lo <= factor * norm_f.hi
     slack = norm_t.hi <= factor * norm_f.hi * (1 + 2 * rel_err)
     return {"d1": d1, "d2": d2, "delta": delta, "q": q, "s": s,
@@ -270,9 +274,9 @@ def thinning_check(blocks, d1: int, d2: int, delta: float, q: int, s: int,
             "ok": identity and certified and slack}
 
 
-def criterion_07(seed: int) -> tuple[bool, dict]:
+def criterion_07(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """Thinning identity is exact and the certified norm ratio bound holds."""
-    rows = [thinning_check(*config, rel_err=0.05)
+    rows = [thinning_check(*config, rel_err=0.05, memory_budget=memory_budget)
             for config in thinning_configs(seed, 50)]
     bad = [{"index": i, **row} for i, row in enumerate(rows) if not row["ok"]]
     return not bad, {"count": 50, "max_ratio": max(r["ratio"] for r in rows),
@@ -289,37 +293,39 @@ def mps_scan_family(seed: int) -> list[tuple[str, IntegerSet]]:
     return fam
 
 
-def criterion_08(seed: int) -> tuple[bool, dict]:
+def criterion_08(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """Empirical coefficient-decay constant stays at or above 0.25."""
-    report = constant_scan(mps_scan_family(seed), mode="mps", rel_err=0.1)
+    report = constant_scan(mps_scan_family(seed), mode="mps", rel_err=0.1,
+                           memory_budget=memory_budget)
     ok = report.min_ratio >= 0.25
     return ok, {"count": len(report.rows), "min_ratio": report.min_ratio,
                 "median_ratio": report.median_ratio, "argmin": report.argmin,
                 "threshold": 0.25}
 
 
-def criterion_09(seed: int) -> tuple[bool, dict]:
+def criterion_09(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """The 32x32 box clears C^2 (ln 32)^2 with a certified margin."""
     A, cert = build_strong_lattice((32, 32))
-    verdict = verify_multidim(A, cert, c_mps=0.25, rel_err=0.1)
+    verdict = verify_multidim(A, cert, c_mps=0.25, rel_err=0.1, memory_budget=memory_budget)
     ok = verdict.certified and verdict.lhs.lo >= 0.751
     return ok, {"lhs": verdict.lhs.to_json_dict(), "rhs": verdict.rhs,
                 "margin": verdict.margin, "certified": verdict.certified,
                 "floor": 0.751}
 
 
-def criterion_10(seed: int) -> tuple[bool, dict]:
+def criterion_10(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """Integer-flavor desk check: theoretical constant, empirical constant,
     and the size hypothesis correctly reported unmet."""
     A, cert = build_strong_integer((1.0,), (16, 16), shape="box")
-    theory = verify_multidimz(A, cert, c_mps=0.25, rel_err=0.1)
+    theory = verify_multidimz(A, cert, c_mps=0.25, rel_err=0.1, memory_budget=memory_budget)
     scan = constant_scan(family_intervals(range(4, 129, 4)), mode="mps",
-                         rel_err=0.1)
+                         rel_err=0.1, memory_budget=memory_budget)
     c_emp = scan.min_ratio
     empirical_constant = c_emp ** cert.rank / math.prod(
         2 + math.log(1 + 2 / d) for d in cert.deltas())
     empirical = verify_multidimz(A, cert, c_mps=0.25, rel_err=0.1,
-                                 constant_override=empirical_constant)
+                                 constant_override=empirical_constant,
+                                 memory_budget=memory_budget)
     size_rows = [h for h in theory.hypotheses if h.condition.startswith("n_")]
     cert_rows = [h for h in theory.hypotheses
                  if h.condition == "certificate valid"]
@@ -352,14 +358,13 @@ _CRITERIA = (
 
 
 def run_criterion(number: int, seed: int = DEFAULT_SEED,
-                  inject_kernel_fault: bool = False) -> CriterionResult:
+                  inject_kernel_fault: bool = False,
+                  memory_budget: int | None = None) -> CriterionResult:
     for num, name, fn, limit in _CRITERIA:
         if num == number:
             start = time.perf_counter()
-            if num == 1:
-                passed, details = fn(seed, inject_kernel_fault=inject_kernel_fault)
-            else:
-                passed, details = fn(seed)
+            fault = {"inject_kernel_fault": inject_kernel_fault} if num == 1 else {}
+            passed, details = fn(seed, memory_budget, **fault)
             elapsed = time.perf_counter() - start
             return CriterionResult(num, name, passed, elapsed, limit, details)
     raise ValueError(f"no criterion {number}")
@@ -389,13 +394,13 @@ def _stripped(results) -> str:
 
 
 def run_all(seed: int = DEFAULT_SEED, inject_kernel_fault: bool = False,
-            determinism: bool = True) -> SuiteReport:
+            determinism: bool = True, memory_budget: int | None = None) -> SuiteReport:
     """Run criteria 1-10, then replay them to check report determinism (11)."""
-    results = [run_criterion(num, seed, inject_kernel_fault)
+    results = [run_criterion(num, seed, inject_kernel_fault, memory_budget)
                for num, _, _, _ in _CRITERIA]
     if determinism:
         start = time.perf_counter()
-        replay = [run_criterion(num, seed, inject_kernel_fault)
+        replay = [run_criterion(num, seed, inject_kernel_fault, memory_budget)
                   for num, _, _, _ in _CRITERIA]
         first, second = _stripped(results), _stripped(replay)
         elapsed = time.perf_counter() - start

@@ -110,21 +110,21 @@ def mps_rhs_of(f: TrigPoly) -> float:
     return _decay_sum(f.coeffs)  # already a complex128 vector
 
 
-def verify_mps(A, c_mps: float = DEFAULT_C_MPS,
-               rel_err: float = 0.1) -> InequalityVerdict:
+def verify_mps(A, c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
+               memory_budget: int | None = None) -> InequalityVerdict:
     """||f||_1 >= C * sum_j |u_j|/j for a rank-1 set or polynomial."""
     f = as_poly(A)
     if f.rank != 1:
         raise ValueError("rank-1 sets only")
     raw = mps_rhs_of(f)
-    lhs = certified_l1(f, rel_err)
+    lhs = certified_l1(f, rel_err, memory_budget)
     return InequalityVerdict("mps", lhs, c_mps * raw, c_mps,
                              extras={"rhs_without_constant": raw,
                                      "terms": len(f)})
 
 
-def verify_basic_multidim(A: LatticeSet, c_mps: float = DEFAULT_C_MPS,
-                          rel_err: float = 0.1) -> InequalityVerdict:
+def verify_basic_multidim(A: LatticeSet, c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
+                          memory_budget: int | None = None) -> InequalityVerdict:
     """Rank-r norm against C * sum_j ||fibre_j||_1 / j, fibres by first coordinate.
 
     The fibre norms enter through their certified LOWER ends, so the RHS is
@@ -136,11 +136,11 @@ def verify_basic_multidim(A: LatticeSet, c_mps: float = DEFAULT_C_MPS,
     rows = []
     raw = 0.0
     for j, a1 in enumerate(first, start=1):
-        enc = certified_l1(indicator_poly(fibres[a1]), rel_err)
+        enc = certified_l1(indicator_poly(fibres[a1]), rel_err, memory_budget)
         raw += enc.lo / j
         rows.append({"j": j, "a1": a1, "fibre_size": len(fibres[a1]),
                      "norm": enc.to_json_dict()})
-    lhs = certified_l1(indicator_poly(A), rel_err)
+    lhs = certified_l1(indicator_poly(A), rel_err, memory_budget)
     return InequalityVerdict("basic-multidim", lhs, c_mps * raw, c_mps,
                              extras={"rhs_without_constant": raw,
                                      "fibres": rows})
@@ -153,14 +153,14 @@ def _certificate_checks(A, cert: DimCertificate) -> tuple[HypothesisCheck, ...]:
 
 
 def verify_multidim(A: LatticeSet, cert: DimCertificate,
-                    c_mps: float = DEFAULT_C_MPS,
-                    rel_err: float = 0.1) -> InequalityVerdict:
+                    c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
+                    memory_budget: int | None = None) -> InequalityVerdict:
     """Rank-r lattice norm against C^r * prod_i ln(n_i)."""
     hyps = _certificate_checks(A, cert)
     sizes = cert.sizes()
     raw = math.prod(math.log(n) for n in sizes)
     rhs = c_mps ** cert.rank * raw
-    lhs = certified_l1(indicator_poly(A), rel_err)
+    lhs = certified_l1(indicator_poly(A), rel_err, memory_budget)
     return InequalityVerdict("multidim", lhs, rhs, c_mps, hyps,
                              extras={"sizes": list(sizes),
                                      "rhs_without_constant": raw})
@@ -201,7 +201,8 @@ def multidimz_size_checks(sizes: Sequence[int], c_mps: float,
 
 def verify_multidimz(A: IntegerSet, cert: DimCertificate,
                      c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
-                     constant_override: float | None = None) -> InequalityVerdict:
+                     constant_override: float | None = None,
+                     memory_budget: int | None = None) -> InequalityVerdict:
     """Integer-set norm against C_(delta...) * prod_i ln(n_i).
 
     The theoretical constant is astronomically small, so the interesting
@@ -210,7 +211,7 @@ def verify_multidimz(A: IntegerSet, cert: DimCertificate,
     where ``constant_override`` replaces the whole constant.
     """
     if cert.rank == 1:
-        return verify_mps(A, c_mps, rel_err)
+        return verify_mps(A, c_mps, rel_err, memory_budget)
     hyps = _certificate_checks(A, cert)
     sizes = cert.sizes()
     deltas = cert.deltas()
@@ -221,7 +222,7 @@ def verify_multidimz(A: IntegerSet, cert: DimCertificate,
         constant = multidimz_constant(cert.rank, deltas, c_mps)
     else:
         constant = float(constant_override)
-    lhs = certified_l1(indicator_poly(A), rel_err)
+    lhs = certified_l1(indicator_poly(A), rel_err, memory_budget)
     return InequalityVerdict("multidimz", lhs, constant * raw, constant, hyps,
                              extras={"sizes": list(sizes),
                                      "deltas": list(deltas),
@@ -272,8 +273,8 @@ def assemble_blocks(blocks: Mapping[int, TrigPoly], d2: int) -> TrigPoly:
 
 def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,
                      delta: float, q: int, s: int,
-                     c_mps: float = DEFAULT_C_MPS,
-                     rel_err: float = 0.1) -> MainPropReport:
+                     c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
+                     memory_budget: int | None = None) -> MainPropReport:
     """The residue-thinned block bound for F = sum_k f_k(t) e(d2 k t).
 
     Keys of ``blocks`` form the index set I; the surviving blocks are those
@@ -306,7 +307,7 @@ def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,
     t2 = 0.0
     rows = []
     for j, k in enumerate(survivors, start=1):
-        enc = certified_l1(blocks[k], rel_err)
+        enc = certified_l1(blocks[k], rel_err, memory_budget)
         bracket = c_mps / (2 * j) - eps
         t1 += c_mps * enc.lo / (2 * j)
         t2 += eps * enc.hi
@@ -315,7 +316,7 @@ def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,
     factor = thinning_bound_factor(delta)
     rhs = (t1 - t2) / factor
     F = assemble_blocks(blocks, d2)
-    lhs = certified_l1(F, rel_err)
+    lhs = certified_l1(F, rel_err, memory_budget)
     return MainPropReport("main-prop", lhs, rhs, c_mps, tuple(hyps), t1=t1,
                           t2=t2, factor=factor, rows=tuple(rows))
 
@@ -366,8 +367,8 @@ class ScanReport:
                 for r in self.rows]
 
 
-def constant_scan(family: Sequence[tuple[str, object]], mode: str = "mps",
-                  rel_err: float = 0.1) -> ScanReport:
+def constant_scan(family: Sequence[tuple[str, object]], mode: str = "mps", rel_err: float = 0.1,
+                  memory_budget: int | None = None) -> ScanReport:
     """Scan a family and record lhs.lo / rhs-without-constant per instance.
 
     mps mode takes sets or rank-1 polynomials; multidim and multidimz modes
@@ -385,7 +386,7 @@ def constant_scan(family: Sequence[tuple[str, object]], mode: str = "mps",
             A, cert = inst
             f = as_poly(A)
             raw = math.prod(math.log(n) for n in cert.sizes())
-        enc = certified_l1(f, rel_err)
+        enc = certified_l1(f, rel_err, memory_budget)
         ratio = math.inf if raw == 0 else enc.lo / raw
         rows.append(ScanRow(label, ratio, enc.lo, enc.hi, raw))
     if not rows:

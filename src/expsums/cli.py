@@ -19,10 +19,9 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -46,7 +45,6 @@ from .structures import (build_strong_integer, build_strong_lattice,
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
-_BUDGET_ENV = "EXPSUMS_MEMORY_BUDGET"
 
 
 class ConfigError(ValueError):
@@ -82,16 +80,10 @@ class ExperimentConfig:
     force: bool = False
 
     def echo(self) -> dict:
-        # config echo for the report; only stable, user-facing knobs
-        keep = {"command", "input", "set_spec", "params", "theorem", "kind",
-                "rel_err", "c_mps", "seed", "memory_budget", "count", "grid",
-                "no_fail", "delta", "d1", "d2", "q", "s", "m", "n", "force",
-                "inject_kernel_fault"}
-        return {k: v for k, v in self.__dict__.items() if k in keep}
-
-
-_MERGEABLE = ("rel_err", "c_mps", "seed", "memory_budget", "output",
-              "csv_path", "count", "no_fail", "delta", "s")
+        # config echo for the report: every setting but where the output
+        # goes and whether the replay ran
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("output", "csv_path", "skip_determinism")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "zstrong-box", "zstrong-random"])
     p.add_argument("--params", default="{}",
                    help='JSON parameters, e.g. \'{"a":1,"b":10,"M":3,"N":2}\'')
-    p.add_argument("--force", action="store_true",
+    p.add_argument("--force", action="store_true", default=None,
                    help="skip the a*M < b distinctness precondition")
 
     p = sub.add_parser("norm", help="certified L1 enclosure of a set or polynomial")
@@ -168,10 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the full acceptance suite")
     common(p)
-    p.add_argument("--inject-kernel-fault", action="store_true",
+    p.add_argument("--inject-kernel-fault", action="store_true", default=None,
                    help="negative control: corrupt one kernel, criterion 1 "
                         "must fail")
-    p.add_argument("--skip-determinism", action="store_true",
+    p.add_argument("--skip-determinism", action="store_true", default=None,
                    help="skip the replay comparison (criterion 11)")
     return parser
 
@@ -191,23 +183,19 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     cfg = ExperimentConfig(command=args.command)
-    for key in _MERGEABLE:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-        elif key in file_cfg:
-            setattr(cfg, key, file_cfg[key])
-    for key in ("input", "set_spec", "theorem", "kind", "grid", "d1", "d2",
-                "q", "m", "n"):
-        val = getattr(args, key, None)
-        if val is None:
-            val = file_cfg.get(key)
-        setattr(cfg, key, val)
-    for key in ("force", "inject_kernel_fault", "skip_determinism"):
-        setattr(cfg, key, bool(getattr(args, key, False) or file_cfg.get(key)))
+    # every setting: the flag, else the config file's value, else the default
+    for field in fields(cfg):
+        value = getattr(args, field.name, None)
+        if value is None:
+            value = file_cfg.get(field.name)
+        if value is None or field.name in ("command", "params"):
+            continue
+        if isinstance(field.default, bool):
+            _boolean(field.name, value)
+        setattr(cfg, field.name, value)
     for key in ("count", "grid"):
         val = getattr(cfg, key)
-        if val is not None and not (isinstance(val, int) and val >= 1):
+        if val is not None and (type(val) is not int or val < 1):  # bool is an int too
             raise ConfigError(f"--{key} must be an integer of at least 1, "
                               f"got {val!r}")
     params = getattr(args, "params", None)
@@ -222,13 +210,20 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if cfg.params is not None and not isinstance(cfg.params, dict):
         raise ConfigError(f"{source} must be a JSON object, "
                           f"got {type(cfg.params).__name__}")
+    # checked here for exit 2; every command passes it on as given
     if cfg.memory_budget is not None:
         try:
-            budget = _memory_budget(cfg.memory_budget)
+            _memory_budget(cfg.memory_budget)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        os.environ[_BUDGET_ENV] = str(budget)
     return cfg
+
+
+def _boolean(key: str, value) -> bool:
+    """``value`` when it is JSON true or false, else a ConfigError naming ``key``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def parse_set_spec(spec: str, seed: int):
@@ -258,7 +253,7 @@ def parse_set_spec(spec: str, seed: int):
             deltas = (tuple(float(x) for x in parts[0].split(","))
                       if len(parts) > 1 else (1.0,) * (len(sizes) - 1))
             return build_strong_integer(deltas, sizes)
-    except (ValueError, TypeError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad --set spec {spec!r}: {exc}") from exc
@@ -314,8 +309,9 @@ def cmd_gen(cfg: ExperimentConfig):
         raise ConfigError(f"gen --kind {cfg.kind} needs --params keys "
                           f"{', '.join(missing)}")
     if cfg.kind == "gap":
+        force = _boolean("--params force", params.get("force", False))
         A = gap_rank2(params["a"], params["b"], params["M"], params["N"],
-                      force=cfg.force or bool(params.get("force")))
+                      force=cfg.force or force)
         return {"set": A.to_json_dict(), "certificate": None,
                 "size": len(A)}, True
     if cfg.kind in ("lattice-box", "lattice-random"):
@@ -376,13 +372,14 @@ def _verify_mps(cfg):
         family = family_intervals(range(4, 129))
         family += family_random_sets(count, 64, 10 ** 5,
                                      seed=int(cfg.seed) * 11 + 8)
-        report = constant_scan(family, mode="mps", rel_err=cfg.rel_err)
+        report = constant_scan(family, mode="mps", rel_err=cfg.rel_err,
+                               memory_budget=cfg.memory_budget)
         payload = report.to_json_dict()
         payload["threshold"] = cfg.c_mps
         passed = report.min_ratio >= cfg.c_mps
         payload["passed"] = passed
         return payload, passed, [report.CSV_HEADER, *report.csv_rows()]
-    verdict = verify_mps(inst[0], cfg.c_mps, cfg.rel_err)
+    verdict = verify_mps(inst[0], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
     return verdict.to_json_dict(), verdict.passed, None
 
 
@@ -391,7 +388,7 @@ def _verify_basic_multidim(cfg):
     if inst is None or not isinstance(inst[0], LatticeSet):
         raise ConfigError("basic-multidim needs a lattice set "
                           "(--set box:n1,n2 or --input)")
-    verdict = verify_basic_multidim(inst[0], cfg.c_mps, cfg.rel_err)
+    verdict = verify_basic_multidim(inst[0], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
     return verdict.to_json_dict(), verdict.passed, None
 
 
@@ -400,7 +397,7 @@ def _verify_multidim(cfg):
     if inst is None or inst[1] is None:
         raise ConfigError("multidim needs a set with a certificate "
                           "(--set box:n1,n2 or --input with certificate)")
-    verdict = verify_multidim(inst[0], inst[1], cfg.c_mps, cfg.rel_err)
+    verdict = verify_multidim(inst[0], inst[1], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
     return verdict.to_json_dict(), verdict.certified, None
 
 
@@ -412,7 +409,7 @@ def _verify_multidimz(cfg):
     params = cfg.params or {}
     override = params.get("constant_override")
     verdict = verify_multidimz(inst[0], inst[1], cfg.c_mps, cfg.rel_err,
-                               constant_override=override)
+                               override, cfg.memory_budget)
     return verdict.to_json_dict(), verdict.passed, None
 
 
@@ -440,7 +437,7 @@ def _verify_main_prop(cfg):
                   for k in range(26)}
         d1, d2, delta, q, s = 10, 44, 1.0, 13, 0
     report = verify_main_prop(blocks, d1, d2, delta, q, s, cfg.c_mps,
-                              cfg.rel_err)
+                              cfg.rel_err, cfg.memory_budget)
     return report.to_json_dict(), report.passed, None
 
 
@@ -449,7 +446,7 @@ def _verify_bernstein(cfg):
     if inst is None:
         raise ConfigError("bernstein needs --input or --set")
     f = as_poly(inst[0])
-    res = bernstein_check(f, cfg.rel_err)
+    res = bernstein_check(f, cfg.rel_err, cfg.memory_budget)
     payload = {"lhs": res.lhs.to_json_dict(), "rhs_bound": res.rhs_bound,
                "passed": res.passed, "degree": f.degree[0]}
     return payload, res.passed, None
@@ -492,8 +489,8 @@ def _verify_kernel(cfg):
         pairs = [(_check_i64(params["m"], "m"), _check_i64(params["n"], "n"))]
     else:
         pairs = [(m, n) for n in range(3, 41) for m in range(2, n)]
-    checks = [acceptance.kernel_check(
-        m, n, _check_i64(params.get("r", 2 * n + 4 * m + 1), "r")) for m, n in pairs]
+    checks = [acceptance.kernel_check(m, n, _check_i64(params.get("r", 2 * n + 4 * m + 1), "r"),
+                                      cfg.memory_budget) for m, n in pairs]
     ok = all(row["ok"] for row in checks)
     rows = [row for row in checks if len(pairs) == 1 or not row["ok"]]
     return {"pairs": len(pairs), "rows": rows, "passed": ok}, ok, None
@@ -502,7 +499,7 @@ def _verify_kernel(cfg):
 def _verify_thinning(cfg):
     count = 10 if cfg.count is None else cfg.count
     configs = acceptance.thinning_configs(cfg.seed, count)
-    rows = [{"index": i, **acceptance.thinning_check(*config, cfg.rel_err)}
+    rows = [{"index": i, **acceptance.thinning_check(*config, cfg.rel_err, cfg.memory_budget)}
             for i, config in enumerate(configs)]
     ok = all(row["ok"] for row in rows)
     return {"count": count, "rows": rows, "passed": ok}, ok, _csv(
@@ -555,9 +552,8 @@ def cmd_verify(cfg: ExperimentConfig):
 
 
 def cmd_suite(cfg: ExperimentConfig):
-    report = acceptance.run_all(cfg.seed,
-                                inject_kernel_fault=cfg.inject_kernel_fault,
-                                determinism=not cfg.skip_determinism)
+    report = acceptance.run_all(cfg.seed, cfg.inject_kernel_fault, not cfg.skip_determinism,
+                                cfg.memory_budget)
     for line in report.lines():
         print(line, file=sys.stderr)
     return report.to_json_dict(), report.all_passed
@@ -602,29 +598,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    # resolve_config hands --memory-budget to the library through the
-    # environment; it holds for this one command only
-    saved_budget = os.environ.get(_BUDGET_ENV)
     try:
-        try:
-            cfg = resolve_config(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        try:
-            payload, passed = _COMMANDS[cfg.command](cfg)
-        except MemoryBudgetError as exc:
-            print(f"resource error: {exc}", file=sys.stderr)
-            return RESOURCE_ERROR
-        except (ConfigError, HypothesisError, SupportError, CollisionError,
-                KeyError, TypeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-    finally:
-        if saved_budget is None:
-            os.environ.pop(_BUDGET_ENV, None)
-        else:
-            os.environ[_BUDGET_ENV] = saved_budget
+        cfg = resolve_config(args)
+        payload, passed = _COMMANDS[cfg.command](cfg)
+    except MemoryBudgetError as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
+        return RESOURCE_ERROR
+    except (ConfigError, HypothesisError, SupportError, CollisionError,
+            KeyError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         _emit(cfg, payload, started)
     except OSError as exc:

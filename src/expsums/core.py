@@ -10,7 +10,8 @@ as read-only views (``elements``, ``points``, ``terms``) and in the JSON
 wire format.
 
 Frequencies are 64-bit signed integers; anything that would leave that
-range raises ``OverflowError`` instead of wrapping.
+range raises ``OverflowError`` instead of wrapping (from :func:`_check_i64`,
+an error that is also a ``ValueError``, as any other bad value is).
 """
 
 from __future__ import annotations
@@ -39,11 +40,15 @@ def _check_int(value: int, what: str) -> int:
     return n
 
 
+class _RangeError(OverflowError, ValueError):
+    """An integer outside the signed 64-bit range: an overflow, and a bad value."""
+
+
 def _check_i64(value: int, what: str) -> int:
-    """:func:`_check_int`, and an OverflowError outside the signed 64-bit range."""
+    """:func:`_check_int`, and a :class:`_RangeError` outside the signed 64-bit range."""
     n = _check_int(value, what)
     if not _I64_MIN <= n <= _I64_MAX:
-        raise OverflowError(f"{what} {n} outside the signed 64-bit range")
+        raise _RangeError(f"{what} {n} outside the signed 64-bit range")
     return n
 
 

@@ -190,7 +190,8 @@ def discrete_l1_bound(m: int, n: int) -> float:
     return 32.0 * math.pi * (2.0 + math.log(1.0 + n / m))
 
 
-def flat_top_discrete_l1(kern: FlatTopKernel, r: int) -> float:
+def flat_top_discrete_l1(kern: FlatTopKernel, r: int,
+                         memory_budget: int | None = None) -> float:
     """(1/R) sum_{j=1..R} |K^(j/R)|, evaluated from the stored coefficients.
 
     Requires R >= 2N + 4M + 1; the result is guaranteed at most
@@ -202,4 +203,5 @@ def flat_top_discrete_l1(kern: FlatTopKernel, r: int) -> float:
     # the grid j/R, j = 0..R-1, is the same set of points mod 1, and R is
     # above the alias-free 2d+1 for the degree d = N+2M-1, so the FFT samples
     # are the transform's values
-    return quadrature.riemann_l1(TrigPoly.from_arrays(1, *kern.arrays()), r)
+    return quadrature.riemann_l1(TrigPoly.from_arrays(1, *kern.arrays()), r,
+                                 memory_budget)

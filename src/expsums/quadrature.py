@@ -212,8 +212,8 @@ _BUFFER_DTYPES = (np.complex128, np.float64, np.int64, np.int64, np.complex128, 
 
 
 def _memory_budget(override: int | None) -> int:
-    """``override``, else ``EXPSUMS_MEMORY_BUDGET``, else the default; a
-    budget that is not a positive integer raises a ValueError naming it."""
+    """``override``, else ``EXPSUMS_MEMORY_BUDGET``, else the default; a budget
+    that is not a positive integer (nor True) raises a ValueError naming it."""
     source, raw = "memory_budget", override
     if raw is None:
         source = "EXPSUMS_MEMORY_BUDGET"
@@ -224,7 +224,7 @@ def _memory_budget(override: int | None) -> int:
         budget = int(raw)
     except (TypeError, ValueError, OverflowError):
         budget = 0
-    if budget < 1 or (isinstance(raw, float) and raw != budget):
+    if budget < 1 or isinstance(raw, bool) or (isinstance(raw, float) and raw != budget):
         raise ValueError(f"{source} must be a positive integer number of bytes, "
                          f"got {raw!r}")
     return budget
@@ -769,7 +769,8 @@ class BernsteinCheck(NamedTuple):
 _FP_SLACK = 1e-12
 
 
-def bernstein_check(f: TrigPoly, rel_err: float = 0.1) -> BernsteinCheck:
+def bernstein_check(f: TrigPoly, rel_err: float = 0.1,
+                    memory_budget: int | None = None) -> BernsteinCheck:
     """Check ||f'||_1 <= 2 pi d ||f||_1 with certified enclosures (rank 1).
 
     Uses the conservative interval ends: lhs.lo against 2 pi d * hi(||f||).
@@ -781,7 +782,7 @@ def bernstein_check(f: TrigPoly, rel_err: float = 0.1) -> BernsteinCheck:
     if f.is_zero:
         return BernsteinCheck(ZERO_INTERVAL, 0.0, True)
     df = derivative(f)
-    lhs = ZERO_INTERVAL if df.is_zero else certified_l1(df, rel_err)
+    lhs = ZERO_INTERVAL if df.is_zero else certified_l1(df, rel_err, memory_budget)
     d = f.degree[0]
-    rhs = 2 * math.pi * d * certified_l1(f, rel_err).hi
+    rhs = 2 * math.pi * d * certified_l1(f, rel_err, memory_budget).hi
     return BernsteinCheck(lhs, rhs, lhs.lo <= rhs * (1 + _FP_SLACK))

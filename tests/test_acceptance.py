@@ -7,6 +7,10 @@ line and holds the corresponding criterion to its time limit.
 import pytest
 
 from expsums import acceptance
+from expsums.core import IntegerSet, indicator_poly
+from expsums.errors import MemoryBudgetError
+from expsums.kernels import flat_top_build, flat_top_discrete_l1
+from expsums.quadrature import bernstein_check
 
 
 @pytest.fixture(scope="session")
@@ -102,3 +106,22 @@ def test_injected_fault_is_caught():
     r = acceptance.run_criterion(1, inject_kernel_fault=True)
     assert not r.passed
     assert r.details["fault_injected"]
+
+
+@pytest.mark.parametrize("check", [
+    lambda budget: acceptance.kernel_check(5, 23, 4 * 67, budget),
+    lambda budget: acceptance.thinning_check(*next(acceptance.thinning_configs(1729, 1)),
+                                             0.05, budget),
+    lambda budget: flat_top_discrete_l1(flat_top_build(5, 23), 4 * 67, budget),
+    lambda budget: bernstein_check(indicator_poly(IntegerSet.from_iterable(range(101))),
+                                   memory_budget=budget),
+    lambda budget: acceptance.run_criterion(3, memory_budget=budget),
+    lambda budget: acceptance.run_criterion(9, memory_budget=budget)],
+    ids=["kernel", "thinning", "discrete-l1", "bernstein", "criterion-3", "criterion-9"])
+def test_checks_take_the_memory_budget_argument(monkeypatch, check):
+    monkeypatch.delenv("EXPSUMS_MEMORY_BUDGET", raising=False)
+    with pytest.raises(MemoryBudgetError, match="budget is 1000 "):
+        check(1000)
+    # the argument wins over the variable
+    monkeypatch.setenv("EXPSUMS_MEMORY_BUDGET", "1000")
+    check(10 ** 9)

@@ -13,7 +13,7 @@ from expsums.bounds import (InequalityVerdict, assemble_blocks, constant_scan,
                             verify_main_prop, verify_mps, verify_multidim,
                             verify_multidimz)
 from expsums.core import IntegerSet, TrigPoly, indicator_poly
-from expsums.errors import HypothesisError
+from expsums.errors import HypothesisError, MemoryBudgetError
 from expsums.structures import build_strong_integer, build_strong_lattice
 
 # frozen: harmonic number H_101 and the 2^22-point Riemann oracle
@@ -57,6 +57,30 @@ def test_verify_mps_interval():
     assert v.lhs.lo <= REF_INTERVAL_101 <= v.lhs.hi
     assert v.passed and v.certified
     assert v.margin > 1.0
+
+
+_INTERVAL_BLOCKS = ({k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
+                     for k in range(26)}, 10, 44, 1.0, 13, 0)
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda budget: verify_mps(IntegerSet.from_iterable(range(1, 102)), memory_budget=budget),
+    lambda budget: verify_basic_multidim(build_strong_lattice((30, 40))[0],
+                                         memory_budget=budget),
+    lambda budget: verify_multidim(*build_strong_lattice((30, 40)), memory_budget=budget),
+    lambda budget: verify_multidimz(*build_strong_integer((1.0,), (8, 8), shape="box"),
+                                    memory_budget=budget),
+    lambda budget: verify_multidimz(*build_strong_integer((), (101,)), memory_budget=budget),
+    lambda budget: verify_main_prop(*_INTERVAL_BLOCKS, memory_budget=budget),
+    lambda budget: constant_scan(family_intervals([101]), memory_budget=budget)],
+    ids=["mps", "basic-multidim", "multidim", "multidimz", "multidimz-rank-1", "main-prop", "scan"])
+def test_verdicts_take_the_memory_budget_argument(monkeypatch, verdict):
+    monkeypatch.delenv("EXPSUMS_MEMORY_BUDGET", raising=False)
+    with pytest.raises(MemoryBudgetError, match="budget is 1000 "):
+        verdict(1000)
+    # the argument wins over the variable
+    monkeypatch.setenv("EXPSUMS_MEMORY_BUDGET", "1000")
+    verdict(10 ** 9)
 
 
 def test_verify_mps_absurd_constant_fails():

@@ -117,6 +117,47 @@ def test_params_not_an_object_is_usage_error(tmp_path, capsys):
         assert f"{source} must be a JSON object" in err, err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--kind", "gap", "--params", '{"a":1,"b":100000000000000000000000,"M":3,"N":2}'],
+     "generator b 100000000000000000000000 outside the signed 64-bit range"),
+    (["gen", "--kind", "lattice-box", "--params", '{"sizes":[3,1e30]}'],
+     "outside the signed 64-bit range"),
+    (["verify", "--theorem", "kernel", "--params", '{"m":3,"n":100000000000000000000}'],
+     "n 100000000000000000000 outside the signed 64-bit range"),
+    (["norm", "--set", "range:1:99999999999999999999"],
+     "bad --set spec 'range:1:99999999999999999999'")], ids=["gap", "box", "kernel", "range"])
+def test_int64_range_input_is_usage_error(tmp_path, capsys, argv, message):
+    # exit 2 naming the value, not exit 1 ("verdict failed") with a traceback
+    out = tmp_path / "r.json"
+    code = main(argv + ["--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["suite"], {"skip_determinism": "no"}, "skip_determinism must be true or false, got 'no'"),
+    (["suite"], {"inject_kernel_fault": 1}, "inject_kernel_fault must be true or false"),
+    (["verify", "--theorem", "kernel"], {"no_fail": "yes"}, "no_fail must be true or false"),
+    (["gen", "--kind", "gap", "--params", '{"a":5,"b":10,"M":3,"N":2,"force":"no"}'], {},
+     "--params force must be true or false, got 'no'"),
+    (["verify", "--theorem", "thinning"], {"count": True}, "--count must be an integer"),
+    (["verify", "--theorem", "numerical"], {"grid": False}, "--grid must be an integer"),
+    (["norm", "--set", "interval:11"], {"memory_budget": True},
+     "memory_budget must be a positive integer number of bytes, got True")],
+    ids=["skip_determinism", "inject_kernel_fault", "no_fail", "force", "count", "grid",
+         "memory_budget"])
+def test_settings_are_not_read_by_truthiness(tmp_path, capsys, argv, config, message):
+    # a string is no boolean, and true is no count
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    code = main(argv + ["--config", str(cfg), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err and not out.exists()
+
+
 def test_gen_unknown_kind_is_usage_error(tmp_path):
     r = run_cli("gen", "--kind", "nonsense",
                 "--output", str(tmp_path / "x.json"))
@@ -246,13 +287,42 @@ def test_memory_budget_flag_holds_for_one_command(tmp_path, monkeypatch,
         monkeypatch.delenv("EXPSUMS_MEMORY_BUDGET", raising=False)
     else:
         monkeypatch.setenv("EXPSUMS_MEMORY_BUDGET", before)
-    # main-prop reads the budget from the environment, so 1000 bytes stops it
+    # main-prop takes --memory-budget as its memory_budget argument, so 1000
+    # bytes stops it, and the variable is as it was
     code = main(["verify", "--theorem", "main-prop", "--memory-budget", "1000",
                  "--output", str(tmp_path / "v.json")])
     assert code == 3, capsys.readouterr().err
     assert os.environ.get("EXPSUMS_MEMORY_BUDGET") == before
     assert main(["verify", "--theorem", "main-prop",
                  "--output", str(tmp_path / "v.json")]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["norm", "--set", "interval:2000"], ["suite", "--skip-determinism"],
+    ["verify", "--theorem", "mps", "--set", "interval:101"], ["verify", "--theorem", "mps"],
+    ["verify", "--theorem", "basic-multidim", "--set", "box:30,40"],
+    ["verify", "--theorem", "multidim", "--set", "box:30,40"],
+    ["verify", "--theorem", "multidimz", "--set", "zbox:8,8"],
+    ["verify", "--theorem", "main-prop"],
+    ["verify", "--theorem", "bernstein", "--set", "interval:101"],
+    ["verify", "--theorem", "numerical"], ["verify", "--theorem", "kernel"],
+    ["verify", "--theorem", "thinning"]], ids=" ".join)
+def test_memory_budget_flag_never_writes_the_environment(tmp_path, monkeypatch, capsys,
+                                                         command):
+    # every grid of the command takes --memory-budget as its memory_budget
+    # argument; nothing is written to the process environment
+    monkeypatch.delenv("EXPSUMS_MEMORY_BUDGET", raising=False)
+
+    def refuse(*args):
+        raise AssertionError(f"the environment was written: {args}")
+
+    with monkeypatch.context() as patched:  # pytest itself writes between tests
+        patched.setattr(os, "putenv", refuse)
+        patched.setattr(os, "unsetenv", refuse)
+        code = main(command + ["--memory-budget", "1000", "--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "budget is 1000 " in err
 
 
 def test_bad_memory_budget_is_usage_error(tmp_path):
@@ -582,10 +652,20 @@ def test_write_csv_empty_rows_header_only(tmp_path):
 
 def test_console_script_entry_point():
     exe = shutil.which("expsums")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    r = subprocess.run([exe, "--help"], capture_output=True, text=True)
-    assert r.returncode == 0
+    if exe is not None:
+        argv = [exe, "--help"]
+    else:
+        # a bare checkout: run the target that pyproject.toml installs
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["expsums"]
+        assert target == "expsums.cli:main"
+        module, _, name = target.partition(":")
+        argv = [sys.executable, "-c",
+                f"import sys; from {module} import {name}; sys.exit({name}())", "--help"]
+    r = subprocess.run(argv, capture_output=True, text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
     for sub in ("gen", "norm", "kernel", "thin", "verify", "suite"):
         assert sub in r.stdout
 

@@ -343,6 +343,16 @@ def test_non_integral_frequencies_and_elements_are_rejected():
         == TrigPoly(1, {2: 1.0})
 
 
+def test_int64_range_error_is_also_a_value_error():
+    # an overflow to whoever asks for one, and a bad value to callers that
+    # map ValueError (the CLI's exit 2)
+    with pytest.raises(OverflowError, match="side 20{23} outside") as info:
+        core._check_i64(2 * 10 ** 23, "side")
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(ValueError, match="outside the signed 64-bit range"):
+        IntegerSet.from_iterable([2 ** 63])
+
+
 def test_from_arrays_refuses_unsigned_frequencies_past_int64():
     # astype(np.int64) would wrap 2^63 + 5 to -2^63 + 5 in silence
     with pytest.raises(OverflowError, match=str(2 ** 63 + 5)):

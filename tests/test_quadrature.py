@@ -263,7 +263,7 @@ def test_memory_budget_enforced(monkeypatch):
 
 
 @pytest.mark.parametrize("override, env, source", [
-    (0, None, "memory_budget"), (2.5, None, "memory_budget"),
+    (0, None, "memory_budget"), (2.5, None, "memory_budget"), (True, None, "memory_budget"),
     (None, "2e9", "EXPSUMS_MEMORY_BUDGET"),
     (None, "0", "EXPSUMS_MEMORY_BUDGET"), (None, "-1", "EXPSUMS_MEMORY_BUDGET")])
 def test_memory_budget_must_be_positive_integer(monkeypatch, override, env,
