@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import io
 import json
 import math
 import sys
 import time
+import typing
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -190,8 +192,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             value = file_cfg.get(field.name)
         if value is None or field.name in ("command", "params"):
             continue
-        if isinstance(field.default, bool):
-            _boolean(field.name, value)
         setattr(cfg, field.name, value)
     for key in ("count", "grid"):
         val = getattr(cfg, key)
@@ -216,7 +216,31 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             _memory_budget(cfg.memory_budget)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    # every file value, the ones a flag overrides too, of its field's type;
+    # memory_budget may be written 2e9, so any number, checked above
+    types = typing.get_type_hints(ExperimentConfig) | {"memory_budget": float}
+    for key, value in file_cfg.items():
+        _check_file_value(key, value, types)
     return cfg
+
+
+def _check_file_value(key: str, value, types: dict) -> None:
+    """A ConfigError naming ``key`` when the config file's ``value`` is not
+    of the type ``types`` gives it (null leaves it unset), or no type is
+    given for that name."""
+    if key not in types:
+        near = difflib.get_close_matches(key, types, n=1)
+        raise ConfigError(f"config file has an unknown key {key!r}"
+                          + (f" (did you mean {near[0]!r}?)" if near else ""))
+    if value is None:
+        return
+    (kind,) = set(typing.get_args(types[key]) or (types[key],)) - {type(None)}
+    if kind is bool:
+        _boolean(key, value)
+    # a JSON integer is a number too; true and false are neither
+    elif isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        what = {int: "an integer", float: "a number", str: "a string", dict: "an object"}[kind]
+        raise ConfigError(f"config file key {key} must be {what}, got {value!r}")
 
 
 def _boolean(key: str, value) -> bool:

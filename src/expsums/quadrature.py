@@ -105,7 +105,16 @@ of its placed coefficients, real-input when every coefficient is real, and
 the twiddled blocks start at row 1.  A grid within one block (``_BLOCK_BYTES``
 at 24 bytes a sample) is the single row Q = N_0: one transform of the
 coefficients at their residues, exactly as :func:`eval_grid` does, with no
-twiddles and no block buffers.  With real coefficients
+twiddles and no block buffers.  When the rows are batched (several a
+transform) and at least two are twiddled, and the process may run on two
+CPUs, the plan splits them (``GridPlan.split``): the caller takes row 0,
+a real transform that counts as half a twiddled row (a complex one as a
+whole row), and the twiddled rows before the split, and the module's one
+worker thread the blocks of rows from the split on, from the front; the
+caller, done with its own rows, takes the worker's blocks not yet begun
+from the back.  The split assumes the second CPU is free: it counts the
+CPUs the process may use, not the idle ones, and two threads spend about
+a quarter more CPU time on the same rows.  With real coefficients
 f(-t) = conj f(t), and -(r + P i) = (P - r) + P (Q - 1 - i) mod N_0, so row
 P - r has the sum of row r: only rows 0 .. P//2 are evaluated, and rows
 0 < r < P/2 count twice.  The grid sum is the ``math.fsum`` of the row
@@ -147,31 +156,47 @@ less a call than the n-D ones.  Several axes go to the n-D functions in
 reverse order: numpy transforms the last axis given first, so the complex
 axes are taken in ascending order, as scipy.fft takes them, and the
 samples are scipy.fft's bit for bit (the tests keep scipy.fft as their
-reference).  numpy keeps no plan cache.  Each thread keeps between calls
-its block buffers, at most one block, and its twiddle scratch: a block's
-terms are twiddled and placed in slices of at most 2^14 (row, term) pairs,
-768 KiB.  Coset rows of 2^14 samples or more are transformed one row a
-call, since numpy's batched path allocates a buffer on every call.
+reference).  numpy keeps no plan cache.  Each calling thread keeps between
+calls its block buffers, at most one block, and its twiddle scratch: a
+block's terms are twiddled and placed in slices of at most 2^14 (row,
+term) pairs, 768 KiB.  A split plan gives each thread half of
+``_BLOCK_ROWS``, half of the rows of ``_BLOCK_BYTES`` and half of the
+pairs, and the worker takes the second half of the caller's buffers, so
+two threads hold no more workspace than one.  Coset rows of 2^14 samples
+or more are transformed one row a call, since numpy's batched path
+allocates a buffer on every call; such plans stay on one thread, since a
+second pocketfft scratch in flight and the worker's malloc arena cost
+more peak memory than the benchmark allows (CHANGES.md).
 Without these, glibc faults the buffers in afresh on every call: a pass of
 the dense benchmark took about 67,000 minor page faults with none of them,
 16,000 with the block buffers kept but long rows batched, 3,200-6,000 with
 fresh twiddle arrays for each block, and under 10 with all three.
 
-Everything here is pure and deterministic: rows are taken in ascending
-blocks, each reduced by pairwise summation and all added by ``math.fsum``,
-so results do not depend on scheduling.  Each thread has its own block
-buffers, so threads may take grid means at once.
+Everything here is pure and deterministic: each thread takes its rows in
+ascending blocks, each row reduced by pairwise summation on its own, and
+``math.fsum`` adds the row sums in row order, so results do not depend on
+scheduling or on which thread took a row: a split plan gives the row sums
+of one thread bit for bit.  Each calling thread has its own block buffers,
+so threads may take grid means at once.  The worker serves one caller at
+a time; a caller that finds it busy takes all of its rows itself, so the
+worker never becomes a queue.  It is a daemon thread started on first use,
+a forked child starts its own, and an exception raised in it is raised
+again in the caller, which waits for the worker's blocks before it returns
+or raises.  A signal that cuts that wait short (KeyboardInterrupt) leaves
+the worker to finish its blocks into buffers the caller's thread then
+gives up, with an outcome that no later caller reads.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
 import os
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -444,36 +469,59 @@ class GridPlan(NamedTuple):
     real: bool  # every coefficient real: real-input rows, rows 0 .. P//2 only
     q: int  # the coset row length on axis 0; N_0 for a grid within one block
     fold: bool  # rows shorter than 2 d_0 + 1 sum the coefficients of a residue
-    rows: int  # twiddled rows a block (0 when only row 0 is evaluated)
+    rows: int  # twiddled rows a block of each thread (0 when only row 0 is evaluated)
     per_row: bool  # one transform a row (_ROW_CALL_SAMPLES), else one a block
     evaluated: int  # rows 0 .. evaluated - 1 are transformed
-    width: int  # terms twiddled and placed at a time (_TWIDDLE_PAIRS a block)
+    width: int  # terms twiddled and placed at a time (_TWIDDLE_PAIRS a block, all threads)
+    split: int = 0  # the first row of the worker's blocks; 0 for one thread
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _plan(f: TrigPoly, grid: tuple[int, ...]) -> GridPlan:
     """The plan of f's grid mean on the checked ``grid``: the one place that
     decides how a grid is taken.  Within one block it is the single row
-    Q = N_0; beyond, the rows of :func:`_row_length`.  Allocates nothing of
+    Q = N_0; beyond, the rows of :func:`_row_length`, batched ones on two
+    threads when the process may run on two CPUs.  Allocates nothing of
     grid size."""
     real = not np.count_nonzero(f.coeffs.imag)
     if math.prod(grid) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
         # the single row Q = N_0, with no twiddled rows to plan
-        return GridPlan(grid, real, grid[0], False, 0, False, 1, len(f.coeffs))
+        return GridPlan(grid, real, grid[0], False, 0, False, 1, len(f.coeffs), 0)
     d0 = _recentred_degree(f)[0]
     q = _row_length(grid, d0, len(f.coeffs), real)
     p = grid[0] // q
     # f(-t) = conj f(t) maps row r onto P - r: real coefficients need rows 0 .. P//2
     evaluated = p // 2 + 1 if real else p
     row = q * math.prod(grid[1:])
-    rows = min(evaluated - 1, _BLOCK_ROWS, max(1, _BLOCK_BYTES // (row * _BLOCK_BYTES_PER_SAMPLE)))
+    per_row = row >= _ROW_CALL_SAMPLES
+    # batched rows, at least two of them twiddled, split between the caller
+    # and the worker: the caller takes row 0, a real transform worth half a
+    # twiddled row (a complex one worth one), and rows 1 .. split - 1, so
+    # that each thread has about half the work, the worker at least as many
+    # twiddled rows as the caller and the caller at least one
+    split = 0
+    if not per_row and evaluated > 2 and _cpus() > 1:
+        split = 1 + (2 * evaluated - (1 if real else 2)) // 4
+    threads = 2 if split else 1
+    # each thread a share of _BLOCK_ROWS and of the _BLOCK_BYTES rows: the
+    # threads' blocks together are at most one block
+    rows = min(evaluated - (split or 1), _BLOCK_ROWS // threads,
+               max(1, _BLOCK_BYTES // threads // (row * _BLOCK_BYTES_PER_SAMPLE)))
     # the terms in near-equal slices of at most _TWIDDLE_PAIRS pairs a block,
-    # so that below 2^27 terms no slice of a one-row block is one term: numpy
-    # rounds a one-element complex product unlike the same product in a longer array
-    most = _TWIDDLE_PAIRS // max(rows, 1)
+    # shared by the threads, so that below 2^25 terms no slice of a one-row
+    # block is one term: numpy rounds a one-element complex product unlike
+    # the same product in a longer array
+    most = _TWIDDLE_PAIRS // threads // max(rows, 1)
     width = -(-len(f.coeffs) // -(-len(f.coeffs) // most))
     # a row shorter than 2 d_0 + 1 may give two frequencies one residue: fold
-    return GridPlan(grid, real, q, q < 2 * d0 + 1, rows, row >= _ROW_CALL_SAMPLES, evaluated,
-                    width)
+    return GridPlan(grid, real, q, q < 2 * d0 + 1, rows, per_row, evaluated, width, split)
 
 
 def _phase_tables(n0: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -520,29 +568,148 @@ def _fold(a: np.ndarray, idx: tuple, values: np.ndarray) -> None:
     np.add.at(a.reshape(-1), np.ravel_multi_index(idx, a.shape).ravel(), values.ravel())
 
 
+class _Worker:
+    """The one thread kept to take the worker's rows of split plans
+    (:attr:`GridPlan.split`), one job at a time.  Started on first use, as
+    a daemon; a forked child, which has no threads but its caller's, gets a
+    new one (:func:`_new_worker`)."""
+
+    def __init__(self) -> None:
+        # held from a job's start until the worker has finished it
+        self.lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+
+    def start(self, fn, *args):
+        """Start fn(*args) on the worker thread, unless it is busy: None, or
+        the queue that gets the job's outcome, (True, what fn returned) or
+        (False, what it raised).  Each job has its own queue, so an outcome
+        that its caller never reads reaches no other caller."""
+        if not self.lock.acquire(blocking=False):
+            return None
+        # imported here: 1 ms of import that a process without a split plan
+        # never needs
+        import queue
+        if self._thread is None:
+            try:
+                self._jobs = queue.SimpleQueue()
+                thread = threading.Thread(target=self._serve, name="expsums-rows", daemon=True)
+                thread.start()
+            except BaseException:
+                self.lock.release()
+                raise
+            self._thread = thread
+        done = queue.SimpleQueue()
+        self._jobs.put((fn, args, done))
+        return done
+
+    def _serve(self) -> None:
+        while True:
+            fn, args, done = self._jobs.get()
+            try:
+                outcome = (True, fn(*args))
+            except BaseException as exc:  # raised again in the caller
+                outcome = (False, exc)
+            # nothing of the job kept while idle: not its f, nor views of
+            # its caller's workspace
+            del fn, args
+            self.lock.release()
+            done.put(outcome)
+            del done, outcome
+
+
+def _new_worker() -> None:
+    global _worker
+    _worker = _Worker()
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
+
+
 # an overflow leaves inf or nan in the row sums, which certified_l1 reports
 @np.errstate(over="ignore", invalid="ignore")
 def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
     """sum_i |f((r + P i)/N_0, t')| over each coset row r = 0 .. evaluated - 1
     of ``plan`` (the coset identity in the module docstring); it reads the
-    plan and decides nothing."""
-    n0 = plan.grid[0]
+    plan and decides nothing.  The worker takes a split plan's blocks from
+    ``plan.split`` on, from the front, while the caller takes row 0, the rows
+    before the split and then the worker's blocks from the back."""
     row_shape = (plan.q,) + plan.grid[1:]
     idx = _residues(f.freqs, row_shape)
     place = _fold if plan.fold else operator.setitem
-    # row 0's twiddles are 1: the plain transform of the row
-    sums = [_abs_sum(_grid_values(_placed(f, idx, row_shape, plan.real, place)), row_shape[-1])]
+
+    def first() -> float:
+        # row 0's twiddles are 1: the plain transform of the row
+        return _abs_sum(_grid_values(_placed(f, idx, row_shape, plan.real, place)),
+                        row_shape[-1])
+
     if plan.evaluated == 1:
-        return sums
-    res0 = f.freqs[:, 0] % n0
-    tables = _phase_tables(n0)
-    block, moduli, *scratch = _block_buffers((plan.rows,) + row_shape, plan.rows * plan.width)
+        return [first()]
+    n0, rows = plan.grid[0], plan.rows
+    threads = 2 if plan.split else 1
+    block, moduli, *scratch = _block_buffers((threads * rows,) + row_shape,
+                                             threads * rows * plan.width)
+    # the caller's block buffers and scratch, then the worker's: halves of
+    # the caller's workspace
+    pairs = rows * plan.width
+    halves = [(block[k * rows:(k + 1) * rows], moduli[k * rows:(k + 1) * rows],
+               [a[k * pairs:(k + 1) * pairs] for a in scratch]) for k in range(threads)]
+    run = functools.partial(_range_sums, f, plan, idx, place, f.freqs[:, 0] % n0,
+                            _phase_tables(n0))
+    # the worker's blocks, which it takes from the front and the caller,
+    # done with its own rows, from the back: all of them when the worker is
+    # busy with another caller's rows, and one block at most when it waits
+    # for a CPU
+    own = plan.split or plan.evaluated
+    theirs = collections.deque(range(own, plan.evaluated, rows))
+    try:
+        done = _worker.start(run, _taken(theirs.popleft), plan.evaluated, *halves[1]) \
+            if theirs else None
+        try:
+            sums = [first()]
+            blocks = run(range(1, own, rows), own, *halves[0])
+            blocks |= run(_taken(theirs.pop), plan.evaluated, *halves[0])
+        finally:
+            # the worker has finished its blocks before this call returns or raises
+            ok, outcome = (True, {}) if done is None else done.get()
+        if not ok:
+            raise outcome
+    except BaseException:
+        # a signal that cuts the start or the wait short leaves the worker
+        # writing into this thread's buffers: the thread takes new ones
+        _workspace.buffers = None
+        raise
+    blocks |= outcome
+    return sums + [x for r0 in sorted(blocks) for x in blocks[r0]]
+
+
+def _taken(pop) -> Iterator[int]:
+    """What ``pop``, a deque's pop or popleft, takes until the deque is
+    empty; a deque's pops are atomic, so two threads may take from both ends."""
+    while True:
+        try:
+            yield pop()
+        except IndexError:
+            return
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _range_sums(f: TrigPoly, plan: GridPlan, idx: tuple, place, res0: np.ndarray,
+                tables: tuple, starts: Iterable[int], stop: int, block: np.ndarray,
+                moduli: np.ndarray, scratch: Sequence[np.ndarray]) -> dict[int, list[float]]:
+    """The sums of the twiddled coset rows of ``plan`` in the blocks that
+    begin at ``starts``, each plan.rows rows but none from ``stop`` on, by
+    the block's first row, taken in the given ``block``, ``moduli`` and
+    twiddle ``scratch``: one thread's share of :func:`_row_sums`."""
+    n0 = plan.grid[0]
     # long rows one a call, short ones one block a call, with the block's
     # rows on axis 0
     first = 0 if plan.per_row else 1
-    axes = tuple(range(first, first + len(row_shape)))
-    for r0 in range(1, plan.evaluated, plan.rows):
-        nb = min(plan.rows, plan.evaluated - r0)
+    axes = tuple(range(first, first + len(plan.grid)))
+    sums = {}
+    for r0 in starts:
+        nb = min(plan.rows, stop - r0)
         blk = block[:nb]
         blk.fill(0)
         # the terms in slices of plan.width, in order, so that a fold adds
@@ -555,7 +722,7 @@ def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
         for x in blk if plan.per_row else (blk,):
             _ifft(x, axes)
         mod = np.abs(blk, out=moduli[:nb])
-        sums.extend(mod.reshape(nb, -1).sum(axis=1).tolist())
+        sums[r0] = mod.reshape(nb, -1).sum(axis=1).tolist()
     return sums
 
 

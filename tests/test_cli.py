@@ -158,6 +158,30 @@ def test_settings_are_not_read_by_truthiness(tmp_path, capsys, argv, config, mes
     assert message in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["norm", "--set", "interval:11"], {"rel_err": "0.1"},
+     "config file key rel_err must be a number, got '0.1'"),
+    (["verify", "--theorem", "mps", "--set", "random:64,40000"], {"seed": "abc"},
+     "config file key seed must be an integer, got 'abc'"),
+    (["norm", "--set", "interval:11"], {"rel-err": 0.5},
+     "config file has an unknown key 'rel-err' (did you mean 'rel_err'?)")],
+    ids=["rel_err", "seed", "unknown"])
+def test_config_file_values_are_type_checked(tmp_path, capsys, argv, config, message):
+    # a string is no number, and a misspelt key is no setting
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    code = main(argv + ["--config", str(cfg), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err and not out.exists()
+    # a JSON integer is a number, and null leaves a setting at its default
+    cfg.write_text(json.dumps({"rel_err": 0.25, "delta": 2, "seed": None}))
+    assert main(["norm", "--set", "interval:11", "--config", str(cfg),
+                 "--output", str(out)]) == 0
+    assert load_report(out)["config"]["rel_err"] == 0.25
+
+
 def test_gen_unknown_kind_is_usage_error(tmp_path):
     r = run_cli("gen", "--kind", "nonsense",
                 "--output", str(tmp_path / "x.json"))

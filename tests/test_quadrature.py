@@ -1,6 +1,7 @@
 """Grid evaluation, certified norm enclosures, and the derivative bound."""
 
 import functools
+import gc
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -432,14 +434,21 @@ def _window_poly(rng, shape, d0, real, base=0, terms=12):
     return TrigPoly.from_arrays(len(shape), base + offsets, coeffs)
 
 
-def _plan_of(f, shape, q, rows):
+def _plan_of(f, shape, q, rows, split=0):
     # a hand-made plan of f on ``shape``: coset rows of length q, at most
-    # ``rows`` of them a block, one transform a block, all terms at once
+    # ``rows`` of them a block (of each thread), one transform a block, all
+    # terms at once, and the worker taking rows split .. evaluated - 1
     real = not f.coeffs.imag.any()
     p = shape[0] // q
     evaluated = p // 2 + 1 if real else p
     return GridPlan(tuple(shape), real, q, q < 2 * _recentred_degree(f)[0] + 1,
-                    min(rows, evaluated - 1), False, evaluated, len(f.coeffs))
+                    min(rows, evaluated - 1), False, evaluated, len(f.coeffs), split)
+
+
+def _cpus(monkeypatch, n):
+    # the number of CPUs that _plan finds this process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
 # (shape, d0, P): odd and even P, so that row P/2 is or is not a row of its own;
@@ -699,8 +708,9 @@ def test_coset_mean_holds_a_quarter_of_the_grid():
 
 # --- plans, made before any transform -----------------------------------------
 
-def _planned(monkeypatch, f, grid):
-    # _plan with every numpy.fft function failing
+def _planned(monkeypatch, f, grid, cpus=2):
+    # _plan with every numpy.fft function failing, on ``cpus`` CPUs
+    _cpus(monkeypatch, cpus)
     for name in np.fft.__all__:
         monkeypatch.setattr(np.fft, name, lambda *args, **kw: pytest.fail("a transform ran"))
     try:
@@ -712,14 +722,15 @@ def _planned(monkeypatch, f, grid):
 def test_plans_are_made_before_any_transform(monkeypatch):
     # the Fejer kernel F_20000 on certified_l1's grid (choose_grid asks for
     # 240,001 points): rows of 48,600 points, assigned, P = 5 with rows
-    # 0 .. 2 evaluated, two a block, one a call, the 40,001 terms in five
-    # slices of at most 8001; on 240,000 points, rows of 48,000
+    # 0 .. 2 evaluated, two a block, one a call, so on one thread, the
+    # 40,001 terms in five slices of at most 8001; on 240,000 points, rows
+    # of 48,000
     f = _fejer(20_000)
     (n,) = _fast(choose_grid((40_000,), 0.1))
     assert _planned(monkeypatch, f, (n,)) == \
-        GridPlan((243_000,), True, 48_600, False, 2, True, 3, 8001)
+        GridPlan((243_000,), True, 48_600, False, 2, True, 3, 8001, 0)
     assert _planned(monkeypatch, f, (240_000,)) == \
-        GridPlan((240_000,), True, 48_000, False, 2, True, 3, 8001)
+        GridPlan((240_000,), True, 48_000, False, 2, True, 3, 8001, 0)
     # a complex rank-2 polynomial of recentred degrees (383, 1000): no row
     # fits in a block, so the least divisor of 6912 at or above 767
     rng = np.random.default_rng(4)
@@ -728,16 +739,27 @@ def test_plans_are_made_before_any_transform(monkeypatch):
     f = TrigPoly.from_arrays(2, freqs, rng.standard_normal(40) + 1j * rng.standard_normal(40))
     assert _recentred_degree(f) == (383, 1000)
     assert _planned(monkeypatch, f, (6912, 5760)) == \
-        GridPlan((6912, 5760), False, 768, False, 1, True, 9, 40)
-    # a 64-element sparse set: short rows that fold residues, many a block
+        GridPlan((6912, 5760), False, 768, False, 1, True, 9, 40, 0)
+    # a 64-element sparse set: short rows that fold residues, many a block,
+    # on two threads: rows 0 .. 40 evaluated, row 0 (a real transform, half
+    # a row) and rows 1 .. 20 by the caller, rows 21 .. 40 by the worker,
+    # at most 16 a block each; with complex coefficients rows 0 .. 107,
+    # 54 a thread
     g, _ = recentre(_sparse_poly(np.random.default_rng(5), 40_000, 64, True))
     grid = _fast(choose_grid((40_000,), 0.1))
     plan = _planned(monkeypatch, g, grid)
     assert plan.fold and plan.q < 2 * g.degree[0] + 1 and not plan.per_row
-    assert plan.q == _row_length(grid, g.degree[0], 64, True) and plan.rows > 1
+    assert plan.q == _row_length(grid, g.degree[0], 64, True)
+    assert plan == GridPlan(grid, True, 3000, True, 16, False, 41, 64, 21)
+    h = TrigPoly.from_arrays(1, g.freqs, g.coeffs * (0.6 + 0.8j))
+    assert _planned(monkeypatch, h, grid) == \
+        GridPlan(grid, False, 2250, True, 16, False, 108, 64, 54)
+    # one CPU: one thread, with the whole _BLOCK_ROWS a block
+    assert _planned(monkeypatch, g, grid, cpus=1) == plan._replace(rows=32, split=0)
     # a grid within one block: the single row Q = N_0
     h = indicator_poly(IntegerSet.from_iterable(range(1, 17)))
-    assert _planned(monkeypatch, h, (96,)) == GridPlan((96,), True, 96, False, 0, False, 1, 16)
+    assert _planned(monkeypatch, h, (96,)) == \
+        GridPlan((96,), True, 96, False, 0, False, 1, 16, 0)
     # no fft was left patched
     assert riemann_l1(h, 96) == eval_grid(h, 96).abs_mean()
 
@@ -1256,6 +1278,205 @@ def test_product_factor_budget_names_the_factor_grid():
     assert err.value.needed_bytes == 16 * n
 
 
+# --- two threads over batched coset rows ------------------------------------
+
+# (shape, d0, P) of hand-made plans: assigned and folded rows, rank 1 and
+# rank 2, odd and even P, 2 twiddled rows (P = 5 real, P = 3 complex) and
+# more than 100 (P = 256 and 257); each with real and complex coefficients
+# where that leaves at least two twiddled rows to split
+SPLIT_CASES = [(case, real)
+               for case in [((60,), 5, 5), ((60,), 20, 6), ((45, 4), 2, 9), ((60, 8), 12, 6),
+                            ((36,), 5, 3), ((2056,), 3, 257), ((2048,), 10, 256),
+                            ((1024, 3), 5, 128)]
+               for real in (True, False) if (case[2] // 2 + 1 if real else case[2]) > 2]
+
+
+def _hex(sums):
+    return [x.hex() for x in sums]
+
+
+@pytest.mark.parametrize("case, real", SPLIT_CASES)
+def test_split_row_sums_are_the_one_thread_sums(case, real):
+    shape, d0, p = case
+    q = shape[0] // p
+    rng = np.random.default_rng([sum(shape), d0, p, real])
+    f = _window_poly(rng, shape, d0, real, base=rng.integers(-2 ** 40, 2 ** 40, size=len(shape)))
+    one = _plan_of(f, shape, q, 32)
+    assert one.fold == (q < 2 * d0 + 1)
+    want = _hex(_row_sums(f, one))
+    assert len(want) == one.evaluated
+    # the worker taking its first, middle or last possible row, each
+    # thread 1, 3 or 16 rows a block, the terms in one or two slices
+    n = len(f.coeffs)
+    for split in sorted({2, one.evaluated // 2 + 1, one.evaluated - 1}):
+        for rows in (1, 3, 16):
+            for width in (n, n - 2):
+                plan = _plan_of(f, shape, q, rows, split)._replace(width=width)
+                assert _hex(_row_sums(f, plan)) == want, (split, rows, width)
+    # the worker busy with another caller's rows: all of them here
+    plan = _plan_of(f, shape, q, 16, one.evaluated // 2 + 1)
+    with quadrature._worker.lock:
+        assert _hex(_row_sums(f, plan)) == want
+
+
+def test_plan_splits_only_on_two_cpus(monkeypatch):
+    g, _ = recentre(_sparse_poly(np.random.default_rng(8), 60_000, 64, False))
+    grid = _fast(choose_grid((60_000,), 0.1))
+    _cpus(monkeypatch, 2)
+    two = _plan(g, grid)
+    assert two.split > 1 and two.rows <= quadrature._BLOCK_ROWS // 2
+    # both threads' blocks together are at most one block
+    assert 2 * two.rows * two.q * quadrature._BLOCK_BYTES_PER_SAMPLE <= quadrature._BLOCK_BYTES
+    _cpus(monkeypatch, 1)
+    assert _plan(g, grid).split == 0
+    # no affinity call: the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _plan(g, grid).split == 0
+    _cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _plan(g, grid) == two
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_split_errors_reach_the_caller(monkeypatch, side):
+    rng = np.random.default_rng(12)
+    f = _window_poly(rng, (2056,), 3, False)
+    plan = _plan_of(f, (2056,), 8, 16, 100)
+    want = _hex(_row_sums(f, plan._replace(split=0)))
+    caller = threading.get_ident()
+    twiddled = quadrature._twiddled
+
+    def planted(*args):
+        if (threading.get_ident() == caller) == (side == "caller"):
+            raise ZeroDivisionError(f"planted in the {side}")
+        return twiddled(*args)
+
+    monkeypatch.setattr(quadrature, "_twiddled", planted)
+    with pytest.raises(ZeroDivisionError, match=f"planted in the {side}"):
+        _row_sums(f, plan)
+    monkeypatch.undo()
+    # the worker is free again and holds no stale result
+    assert not quadrature._worker.lock.locked()
+    assert _hex(_row_sums(f, plan)) == want
+
+
+def test_caller_takes_the_worker_blocks_not_begun(monkeypatch):
+    # the worker held back until the caller, done with its own rows, has
+    # taken all of the worker's blocks from the back: the caller forms
+    # every row, and the sums are the one-thread ones
+    rng = np.random.default_rng(15)
+    f = _window_poly(rng, (2056,), 3, False)
+    plan = _plan_of(f, (2056,), 8, 16, 100)
+    want = _hex(_row_sums(f, plan._replace(split=0)))
+    caller = threading.get_ident()
+    range_sums = quadrature._range_sums
+    taken = threading.Event()
+    formed = []
+
+    def held(*args):
+        mine = threading.get_ident() == caller
+        if not mine:
+            assert taken.wait(60)
+        sums = range_sums(*args)
+        formed.append((mine, sorted(sums)))
+        if mine and len(formed) == 2:
+            taken.set()
+        return sums
+
+    monkeypatch.setattr(quadrature, "_range_sums", held)
+    assert _hex(_row_sums(f, plan)) == want
+    assert formed == [(True, list(range(1, 100, 16))), (True, list(range(100, 257, 16))),
+                      (False, [])]
+
+
+def test_interrupted_wait_leaves_no_stale_result(monkeypatch):
+    # a KeyboardInterrupt that cuts the caller's wait for the worker short:
+    # the worker finishes that half unread, in buffers the caller's thread
+    # gives up, and every later call, split or not, is exact
+    rng = np.random.default_rng(13)
+    f = _window_poly(rng, (2056,), 3, False)
+    g = _window_poly(rng, (2048,), 10, True)
+    cut, other = _plan_of(f, (2056,), 8, 16, 100), _plan_of(g, (2048,), 8, 16, 60)
+    want_f = _hex(_row_sums(f, cut._replace(split=0)))
+    want_g = _hex(_row_sums(g, other._replace(split=0)))
+    start = quadrature._Worker.start
+
+    class Interrupted:
+        def get(self):
+            raise KeyboardInterrupt
+
+    def started(self, *args):
+        assert start(self, *args) is not None
+        return Interrupted()
+
+    monkeypatch.setattr(quadrature._Worker, "start", started)
+    with pytest.raises(KeyboardInterrupt):
+        _row_sums(f, cut)
+    monkeypatch.undo()
+    assert quadrature._workspace.buffers is None
+    # the worker perhaps still busy with the cut half
+    assert _hex(_row_sums(g, other)) == want_g
+    # and once it is free
+    assert quadrature._worker.lock.acquire(timeout=60)
+    quadrature._worker.lock.release()
+    assert _hex(_row_sums(g, other)) == want_g
+    assert _hex(_row_sums(f, cut)) == want_f
+
+
+def test_idle_worker_keeps_nothing_of_its_last_job():
+    # between jobs the worker holds neither the last caller's polynomial nor
+    # views of its workspace
+    rng = np.random.default_rng(14)
+    f = _window_poly(rng, (2056,), 3, False)
+    _row_sums(f, _plan_of(f, (2056,), 8, 16, 100))
+    gone = weakref.ref(f)
+    del f
+    gc.collect()
+    assert gone() is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_takes_split_rows():
+    # the parent's worker is running when it forks; the child, which
+    # inherits no thread but the caller, starts its own
+    code = """
+import os
+import signal
+import warnings
+import numpy as np
+from expsums import TrigPoly, quadrature, riemann_l1
+quadrature._cpus = lambda: 2
+rng = np.random.default_rng(3)
+f = TrigPoly.from_arrays(1, rng.choice(100_000, 64, replace=False),
+                         rng.standard_normal(64) + 1j * rng.standard_normal(64))
+grid = (720_000,)
+assert quadrature._plan(f, grid).split
+want = riemann_l1(f, grid).hex()
+assert quadrature._worker._thread is not None
+read, write = os.pipe()
+with warnings.catch_warnings():
+    # Python 3.12 warns of fork() in a process with threads
+    warnings.simplefilter("ignore", DeprecationWarning)
+    pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child stuck on the parent's worker ends
+    os.close(read)
+    os.write(write, riemann_l1(f, grid).hex().encode())
+    os._exit(0)
+os.close(write)
+got = os.read(read, 100).decode()
+assert os.waitpid(pid, 0)[1] == 0
+assert got == want, (got, want)
+print(got)
+"""
+    src = os.path.dirname(os.path.dirname(quadrature.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().startswith("0x1.")
+
+
 # --- the FFT backend and its per-thread block buffers ---------------------------
 
 def test_no_scipy_at_run_time():
@@ -1287,11 +1508,12 @@ assert not loaded, loaded
     assert all(len(g) == 2 for g in grids[2:])
 
 
-def test_block_workspace_is_per_thread():
+def test_block_workspace_is_per_thread(monkeypatch):
     # four threads, more than the cores, stream dense sets (rows of one
-    # transform a call) and sparse ones (blocks of short rows), interleaved,
-    # each through its own block buffers: every enclosure is the serial
-    # one, bit for bit
+    # transform a call) and sparse ones (blocks of short rows, split with
+    # the one worker, which a caller that finds it busy does without),
+    # interleaved, each through its own block buffers: every enclosure is
+    # the serial one-thread one, bit for bit
     rng = np.random.default_rng(77)
     polys = []
     for _ in range(2):
@@ -1299,10 +1521,13 @@ def test_block_workspace_is_per_thread():
         polys.append(TrigPoly.from_arrays(1, rng.choice(120_000, 64, replace=False),
                                           rng.standard_normal(64)
                                           + 1j * rng.standard_normal(64)))
+    _cpus(monkeypatch, 1)
     serial = [certified_l1(f) for f in polys]
+    _cpus(monkeypatch, 2)
     for k, (f, enc) in enumerate(zip(polys, serial)):
         plan = _plan(recentre(f)[0], enc.grid)
         assert plan.evaluated > 1 and plan.per_row == (k % 2 == 0)
+        assert bool(plan.split) == (k % 2 == 1)
     start = threading.Barrier(len(polys), timeout=60)
 
     def work(f):
