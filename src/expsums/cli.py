@@ -88,6 +88,11 @@ class ExperimentConfig:
                 if k not in ("output", "csv_path", "skip_determinism")}
 
 
+# the --set shorthands of parse_set_spec, for norm, thin and verify alike
+SET_HELP = ("shorthand: interval:N, range:a:b, gap:a,b,M,N, random:size,span, "
+            "box:n1,n2,..., zbox:[deltas;]n1,n2,...")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expsums",
@@ -125,9 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="certified L1 enclosure of a set or polynomial")
     common(p)
     p.add_argument("--input", help="JSON file with a set or polynomial")
-    p.add_argument("--set", dest="set_spec",
-                   help="shorthand: interval:N, range:a:b, gap:a,b,M,N, "
-                        "random:size,span, box:n1,n2,...")
+    p.add_argument("--set", dest="set_spec", help=SET_HELP)
 
     p = sub.add_parser("kernel", help="flat-top kernel values as CSV")
     common(p)
@@ -137,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thin", help="keep the blocks of one residue class")
     common(p)
     p.add_argument("--input", help="JSON file with a set or polynomial")
-    p.add_argument("--set", dest="set_spec")
+    p.add_argument("--set", dest="set_spec", help=SET_HELP)
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--delta", type=float, default=None)
@@ -151,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "multidimz", "bernstein", "numerical", "kernel",
                             "thinning", "good-modulus"])
     p.add_argument("--input", help="JSON file with the instance")
-    p.add_argument("--set", dest="set_spec")
+    p.add_argument("--set", dest="set_spec", help=SET_HELP)
     p.add_argument("--params", default=None, help="JSON parameters")
     p.add_argument("--count", type=int, default=None,
                    help="instances for property-style runs")

@@ -45,7 +45,10 @@ class MemoryBudgetError(RuntimeError):
         self.needed_grid = tuple(int(n) for n in needed_grid)
         self.needed_bytes = int(needed_bytes)
         self.budget_bytes = int(budget_bytes)
+        # within the budget, an axis is past the 5-smooth lengths (quadrature)
+        hint = ("raise EXPSUMS_MEMORY_BUDGET or the memory_budget argument"
+                if self.needed_bytes > self.budget_bytes else
+                "an axis passes 4608000000000000000 samples, the most a grid may have")
         super().__init__(
             f"grid {self.needed_grid} needs {self.needed_bytes} bytes of samples, "
-            f"budget is {self.budget_bytes} (raise EXPSUMS_MEMORY_BUDGET or the "
-            f"memory_budget argument)")
+            f"budget is {self.budget_bytes} ({hint})")

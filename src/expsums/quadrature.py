@@ -51,7 +51,8 @@ and N_i/(N_i - Delta_i) <= t exactly when N_i >= t Delta_i/(t - 1).
 alias-free 2 d_i + 1 of the recentred degree d_i, and 1 on an axis with
 Delta_i = 0.  The memory budget is checked against that grid before any
 rounding, and then against the grid that every N_i is rounded up to: the
-least 5-smooth length at or above it, the fast sizes of both transforms.
+least 5-smooth length at or above it, the fast sizes of both transforms
+(an N_i past the largest below 2^62 is refused, whatever the budget).
 Every axis keeps c_i^2 <= t, so the relative width hi/lo - 1 is at most
 2 rel_err.
 
@@ -105,21 +106,20 @@ of its placed coefficients, real-input when every coefficient is real, and
 the twiddled blocks start at row 1.  A grid within one block (``_BLOCK_BYTES``
 at 24 bytes a sample) is the single row Q = N_0: one transform of the
 coefficients at their residues, exactly as :func:`eval_grid` does, with no
-twiddles and no block buffers.  When the rows are batched (several a
-transform) and at least two are twiddled, and the process may run on two
-CPUs, the plan splits them (``GridPlan.split``): the caller takes row 0,
-a real transform that counts as half a twiddled row (a complex one as a
-whole row), and the twiddled rows before the split, and the module's one
-worker thread the blocks of rows from the split on, from the front; the
-caller, done with its own rows, takes the worker's blocks not yet begun
-from the back.  The split assumes the second CPU is free: it counts the
-CPUs the process may use, not the idle ones, and two threads spend about
-a quarter more CPU time on the same rows.  With real coefficients
-f(-t) = conj f(t), and -(r + P i) = (P - r) + P (Q - 1 - i) mod N_0, so row
-P - r has the sum of row r: only rows 0 .. P//2 are evaluated, and rows
-0 < r < P/2 count twice.  The grid sum is the ``math.fsum`` of the row
-sums; a sample, row sum or total past float64 leaves it inf or nan, which
-:func:`certified_l1` reports.
+twiddles and no block buffers.  The blocks of twiddled rows form one
+queue.  When the rows are batched (several a transform) and at least two
+are twiddled, and the process may run on two CPUs, the plan takes them on
+two threads (``GridPlan.threads``): the module's one worker thread takes
+blocks from the front of the queue, and the caller takes row 0 and then
+blocks from the back, so the two balance themselves and the worker keeps
+its head start while the caller forms row 0.  Two threads assume the
+second CPU is free: the plan counts the CPUs the process may use, not the
+idle ones, and two threads spend about a quarter more CPU time on the
+same rows.  With real coefficients f(-t) = conj f(t), and -(r + P i) =
+(P - r) + P (Q - 1 - i) mod N_0, so row P - r has the sum of row r: only
+rows 0 .. P//2 are evaluated, and rows 0 < r < P/2 count twice.  The grid
+sum is the ``math.fsum`` of the row sums; a sample, row sum or total past
+float64 leaves it inf or nan, which :func:`certified_l1` reports.
 
 Rows.  The identity holds for every divisor Q of N_0: frequencies with
 equal residues mod Q have equal e(a_0 i / Q) on the row, so a row shorter
@@ -159,7 +159,7 @@ samples are scipy.fft's bit for bit (the tests keep scipy.fft as their
 reference).  numpy keeps no plan cache.  Each calling thread keeps between
 calls its block buffers, at most one block, and its twiddle scratch: a
 block's terms are twiddled and placed in slices of at most 2^14 (row,
-term) pairs, 768 KiB.  A split plan gives each thread half of
+term) pairs, 768 KiB.  A two-thread plan gives each thread half of
 ``_BLOCK_ROWS``, half of the rows of ``_BLOCK_BYTES`` and half of the
 pairs, and the worker takes the second half of the caller's buffers, so
 two threads hold no more workspace than one.  Coset rows of 2^14 samples
@@ -172,19 +172,20 @@ the dense benchmark took about 67,000 minor page faults with none of them,
 16,000 with the block buffers kept but long rows batched, 3,200-6,000 with
 fresh twiddle arrays for each block, and under 10 with all three.
 
-Everything here is pure and deterministic: each thread takes its rows in
-ascending blocks, each row reduced by pairwise summation on its own, and
-``math.fsum`` adds the row sums in row order, so results do not depend on
-scheduling or on which thread took a row: a split plan gives the row sums
-of one thread bit for bit.  Each calling thread has its own block buffers,
-so threads may take grid means at once.  The worker serves one caller at
-a time; a caller that finds it busy takes all of its rows itself, so the
-worker never becomes a queue.  It is a daemon thread started on first use,
-a forked child starts its own, and an exception raised in it is raised
-again in the caller, which waits for the worker's blocks before it returns
-or raises.  A signal that cuts that wait short (KeyboardInterrupt) leaves
-the worker to finish its blocks into buffers the caller's thread then
-gives up, with an outcome that no later caller reads.
+Everything here is pure and deterministic: the blocks are the same
+whichever thread takes them, each row reduced by pairwise summation on its
+own into its own place, and ``math.fsum`` adds the row sums in row order,
+so results do not depend on scheduling or on which thread took a row: a
+two-thread plan gives the row sums of one thread bit for bit.  Each
+calling thread has its own block buffers, so threads may take grid means
+at once.  The worker serves one caller at a time; a caller that finds it
+busy takes every block itself, so the worker never becomes a queue.  It
+is a daemon thread started on first use, a forked child starts its own,
+and an exception raised in it is raised again in the caller, which waits
+for the worker's blocks before it returns or raises.  A signal that cuts
+that wait short (KeyboardInterrupt) leaves the worker to finish its blocks
+into buffers the caller's thread then gives up, with row sums and an
+outcome that no later caller reads.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -348,9 +349,9 @@ def _checked_shape(f: TrigPoly, shape, memory_budget: int | None) -> tuple[int, 
 
 def _check_budget(shape: tuple[int, ...], budget: int) -> None:
     needed = math.prod(shape) * _BYTES_PER_SAMPLE
-    # an axis of 2^62 samples or more passes the int64 indices and the
-    # 5-smooth lengths (_smooth_lengths) of every grid, whatever the budget
-    if needed > budget or max(shape) >= 2 ** 62:
+    # an axis past the largest 5-smooth length below 2^62 has none to be
+    # rounded up to (_smooth_lengths), whatever the budget
+    if needed > budget or max(shape) > _smooth_lengths()[-1]:
         raise MemoryBudgetError(shape, needed, budget)
 
 
@@ -473,7 +474,7 @@ class GridPlan(NamedTuple):
     per_row: bool  # one transform a row (_ROW_CALL_SAMPLES), else one a block
     evaluated: int  # rows 0 .. evaluated - 1 are transformed
     width: int  # terms twiddled and placed at a time (_TWIDDLE_PAIRS a block, all threads)
-    split: int = 0  # the first row of the worker's blocks; 0 for one thread
+    threads: int = 1  # 2: the caller and the worker take the blocks (_row_sums)
 
 
 def _cpus() -> int:
@@ -493,7 +494,7 @@ def _plan(f: TrigPoly, grid: tuple[int, ...]) -> GridPlan:
     real = not np.count_nonzero(f.coeffs.imag)
     if math.prod(grid) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
         # the single row Q = N_0, with no twiddled rows to plan
-        return GridPlan(grid, real, grid[0], False, 0, False, 1, len(f.coeffs), 0)
+        return GridPlan(grid, real, grid[0], False, 0, False, 1, len(f.coeffs))
     d0 = _recentred_degree(f)[0]
     q = _row_length(grid, d0, len(f.coeffs), real)
     p = grid[0] // q
@@ -501,18 +502,11 @@ def _plan(f: TrigPoly, grid: tuple[int, ...]) -> GridPlan:
     evaluated = p // 2 + 1 if real else p
     row = q * math.prod(grid[1:])
     per_row = row >= _ROW_CALL_SAMPLES
-    # batched rows, at least two of them twiddled, split between the caller
-    # and the worker: the caller takes row 0, a real transform worth half a
-    # twiddled row (a complex one worth one), and rows 1 .. split - 1, so
-    # that each thread has about half the work, the worker at least as many
-    # twiddled rows as the caller and the caller at least one
-    split = 0
-    if not per_row and evaluated > 2 and _cpus() > 1:
-        split = 1 + (2 * evaluated - (1 if real else 2)) // 4
-    threads = 2 if split else 1
-    # each thread a share of _BLOCK_ROWS and of the _BLOCK_BYTES rows: the
-    # threads' blocks together are at most one block
-    rows = min(evaluated - (split or 1), _BLOCK_ROWS // threads,
+    # batched rows, at least two of them twiddled, on the caller and the worker
+    threads = 2 if not per_row and evaluated > 2 and _cpus() > 1 else 1
+    # each thread a share of the twiddled rows, of _BLOCK_ROWS and of the
+    # _BLOCK_BYTES rows: the threads' blocks together are at most one block
+    rows = min(-(-(evaluated - 1) // threads), _BLOCK_ROWS // threads,
                max(1, _BLOCK_BYTES // threads // (row * _BLOCK_BYTES_PER_SAMPLE)))
     # the terms in near-equal slices of at most _TWIDDLE_PAIRS pairs a block,
     # shared by the threads, so that below 2^25 terms no slice of a one-row
@@ -521,7 +515,7 @@ def _plan(f: TrigPoly, grid: tuple[int, ...]) -> GridPlan:
     most = _TWIDDLE_PAIRS // threads // max(rows, 1)
     width = -(-len(f.coeffs) // -(-len(f.coeffs) // most))
     # a row shorter than 2 d_0 + 1 may give two frequencies one residue: fold
-    return GridPlan(grid, real, q, q < 2 * d0 + 1, rows, per_row, evaluated, width, split)
+    return GridPlan(grid, real, q, q < 2 * d0 + 1, rows, per_row, evaluated, width, threads)
 
 
 def _phase_tables(n0: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -569,8 +563,8 @@ def _fold(a: np.ndarray, idx: tuple, values: np.ndarray) -> None:
 
 
 class _Worker:
-    """The one thread kept to take the worker's rows of split plans
-    (:attr:`GridPlan.split`), one job at a time.  Started on first use, as
+    """The one thread kept to take blocks of rows of two-thread plans
+    (:attr:`GridPlan.threads`), one job at a time.  Started on first use, as
     a daemon; a forked child, which has no threads but its caller's, gets a
     new one (:func:`_new_worker`)."""
 
@@ -586,8 +580,8 @@ class _Worker:
         that its caller never reads reaches no other caller."""
         if not self.lock.acquire(blocking=False):
             return None
-        # imported here: 1 ms of import that a process without a split plan
-        # never needs
+        # imported here: 1 ms of import that a process without a two-thread
+        # plan never needs
         import queue
         if self._thread is None:
             try:
@@ -632,9 +626,9 @@ if hasattr(os, "register_at_fork"):
 def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
     """sum_i |f((r + P i)/N_0, t')| over each coset row r = 0 .. evaluated - 1
     of ``plan`` (the coset identity in the module docstring); it reads the
-    plan and decides nothing.  The worker takes a split plan's blocks from
-    ``plan.split`` on, from the front, while the caller takes row 0, the rows
-    before the split and then the worker's blocks from the back."""
+    plan and decides nothing.  The twiddled rows are one queue of blocks: on
+    two threads the worker takes them from the front, while the caller takes
+    row 0 and then blocks from the back."""
     row_shape = (plan.q,) + plan.grid[1:]
     idx = _residues(f.freqs, row_shape)
     place = _fold if plan.fold else operator.setitem
@@ -646,8 +640,7 @@ def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
 
     if plan.evaluated == 1:
         return [first()]
-    n0, rows = plan.grid[0], plan.rows
-    threads = 2 if plan.split else 1
+    n0, rows, threads = plan.grid[0], plan.rows, plan.threads
     block, moduli, *scratch = _block_buffers((threads * rows,) + row_shape,
                                              threads * rows * plan.width)
     # the caller's block buffers and scratch, then the worker's: halves of
@@ -657,22 +650,19 @@ def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
                [a[k * pairs:(k + 1) * pairs] for a in scratch]) for k in range(threads)]
     run = functools.partial(_range_sums, f, plan, idx, place, f.freqs[:, 0] % n0,
                             _phase_tables(n0))
-    # the worker's blocks, which it takes from the front and the caller,
-    # done with its own rows, from the back: all of them when the worker is
-    # busy with another caller's rows, and one block at most when it waits
-    # for a CPU
-    own = plan.split or plan.evaluated
-    theirs = collections.deque(range(own, plan.evaluated, rows))
+    # the first rows of the blocks: all of them the caller's when the worker
+    # is busy with another caller's rows, and one block at most the worker's
+    # when it waits for a CPU
+    starts = collections.deque(range(1, plan.evaluated, rows))
+    sums = [0.0] * plan.evaluated
     try:
-        done = _worker.start(run, _taken(theirs.popleft), plan.evaluated, *halves[1]) \
-            if theirs else None
+        done = _worker.start(run, starts.popleft, sums, *halves[1]) if threads == 2 else None
         try:
-            sums = [first()]
-            blocks = run(range(1, own, rows), own, *halves[0])
-            blocks |= run(_taken(theirs.pop), plan.evaluated, *halves[0])
+            sums[0] = first()
+            run(starts.pop, sums, *halves[0])
         finally:
             # the worker has finished its blocks before this call returns or raises
-            ok, outcome = (True, {}) if done is None else done.get()
+            ok, outcome = (True, None) if done is None else done.get()
         if not ok:
             raise outcome
     except BaseException:
@@ -680,36 +670,31 @@ def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
         # writing into this thread's buffers: the thread takes new ones
         _workspace.buffers = None
         raise
-    blocks |= outcome
-    return sums + [x for r0 in sorted(blocks) for x in blocks[r0]]
-
-
-def _taken(pop) -> Iterator[int]:
-    """What ``pop``, a deque's pop or popleft, takes until the deque is
-    empty; a deque's pops are atomic, so two threads may take from both ends."""
-    while True:
-        try:
-            yield pop()
-        except IndexError:
-            return
+    return sums
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _range_sums(f: TrigPoly, plan: GridPlan, idx: tuple, place, res0: np.ndarray,
-                tables: tuple, starts: Iterable[int], stop: int, block: np.ndarray,
-                moduli: np.ndarray, scratch: Sequence[np.ndarray]) -> dict[int, list[float]]:
-    """The sums of the twiddled coset rows of ``plan`` in the blocks that
-    begin at ``starts``, each plan.rows rows but none from ``stop`` on, by
-    the block's first row, taken in the given ``block``, ``moduli`` and
-    twiddle ``scratch``: one thread's share of :func:`_row_sums`."""
+                tables: tuple, pop, sums: list[float], block: np.ndarray,
+                moduli: np.ndarray, scratch: Sequence[np.ndarray]) -> None:
+    """Write into ``sums`` the sums of the twiddled coset rows of ``plan`` in
+    the blocks that begin at the rows ``pop`` takes, until it raises
+    IndexError, each plan.rows rows but none from plan.evaluated on, taken in
+    the given ``block``, ``moduli`` and twiddle ``scratch``: one thread's
+    share of :func:`_row_sums`.  A deque's pops are atomic, and each block
+    writes its own slice of ``sums`` in one assignment, so two threads may
+    take blocks from both ends."""
     n0 = plan.grid[0]
     # long rows one a call, short ones one block a call, with the block's
     # rows on axis 0
     first = 0 if plan.per_row else 1
     axes = tuple(range(first, first + len(plan.grid)))
-    sums = {}
-    for r0 in starts:
-        nb = min(plan.rows, stop - r0)
+    while True:
+        try:
+            r0 = pop()
+        except IndexError:
+            return
+        nb = min(plan.rows, plan.evaluated - r0)
         blk = block[:nb]
         blk.fill(0)
         # the terms in slices of plan.width, in order, so that a fold adds
@@ -722,8 +707,7 @@ def _range_sums(f: TrigPoly, plan: GridPlan, idx: tuple, place, res0: np.ndarray
         for x in blk if plan.per_row else (blk,):
             _ifft(x, axes)
         mod = np.abs(blk, out=moduli[:nb])
-        sums[r0] = mod.reshape(nb, -1).sum(axis=1).tolist()
-    return sums
+        sums[r0:r0 + nb] = mod.reshape(nb, -1).sum(axis=1).tolist()
 
 
 def _grid_mean(f: TrigPoly, plan: GridPlan) -> float:

@@ -244,6 +244,35 @@ def test_norm_huge_span_is_a_budget_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_norm_axis_past_the_smooth_lengths_is_a_budget_error(tmp_path, monkeypatch, capsys):
+    # a grid of 4.608e18 + 1024 points fits a budget of 2^70 bytes, but no
+    # 5-smooth length below 2^62 is that long: exit 3, not a traceback.  In
+    # process, with planning patched to fail, since the divisors of so long
+    # an axis would take about 17 GB
+    from expsums import quadrature
+    monkeypatch.setattr(quadrature, "_plan", lambda *args: pytest.fail("a grid was planned"))
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps({"elements": [0, 768_000_000_000_000_001]}))
+    code = main(["norm", "--input", str(src), "--memory-budget", str(2 ** 70),
+                 "--output", str(tmp_path / "n.json")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("resource error: grid (") and "4608000000000000000" in err
+    assert not (tmp_path / "n.json").exists()
+
+
+def test_set_help_is_the_same_for_every_command(capsys):
+    # norm, thin and verify take the same --set shorthands, zbox included
+    helps = []
+    for command in ("norm", "thin", "verify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        helps.append(text[text.index("--set SET_SPEC shorthand:"):].split(" --")[0])
+    assert helps[0] == helps[1] == helps[2]
+    assert "zbox:[deltas;]n1,n2,..." in helps[0] and "random:size,span" in helps[0]
+
+
 def test_norm_overflowing_mean_is_usage_error(tmp_path):
     # |1 + 1e307 e(7t)| sums past float64 on the grid: no [inf, inf] report
     src = tmp_path / "big.json"

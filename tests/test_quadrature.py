@@ -434,15 +434,15 @@ def _window_poly(rng, shape, d0, real, base=0, terms=12):
     return TrigPoly.from_arrays(len(shape), base + offsets, coeffs)
 
 
-def _plan_of(f, shape, q, rows, split=0):
+def _plan_of(f, shape, q, rows, threads=1):
     # a hand-made plan of f on ``shape``: coset rows of length q, at most
     # ``rows`` of them a block (of each thread), one transform a block, all
-    # terms at once, and the worker taking rows split .. evaluated - 1
+    # terms at once, on ``threads`` threads
     real = not f.coeffs.imag.any()
     p = shape[0] // q
     evaluated = p // 2 + 1 if real else p
     return GridPlan(tuple(shape), real, q, q < 2 * _recentred_degree(f)[0] + 1,
-                    min(rows, evaluated - 1), False, evaluated, len(f.coeffs), split)
+                    min(rows, evaluated - 1), False, evaluated, len(f.coeffs), threads)
 
 
 def _cpus(monkeypatch, n):
@@ -728,9 +728,9 @@ def test_plans_are_made_before_any_transform(monkeypatch):
     f = _fejer(20_000)
     (n,) = _fast(choose_grid((40_000,), 0.1))
     assert _planned(monkeypatch, f, (n,)) == \
-        GridPlan((243_000,), True, 48_600, False, 2, True, 3, 8001, 0)
+        GridPlan((243_000,), True, 48_600, False, 2, True, 3, 8001, 1)
     assert _planned(monkeypatch, f, (240_000,)) == \
-        GridPlan((240_000,), True, 48_000, False, 2, True, 3, 8001, 0)
+        GridPlan((240_000,), True, 48_000, False, 2, True, 3, 8001, 1)
     # a complex rank-2 polynomial of recentred degrees (383, 1000): no row
     # fits in a block, so the least divisor of 6912 at or above 767
     rng = np.random.default_rng(4)
@@ -739,27 +739,26 @@ def test_plans_are_made_before_any_transform(monkeypatch):
     f = TrigPoly.from_arrays(2, freqs, rng.standard_normal(40) + 1j * rng.standard_normal(40))
     assert _recentred_degree(f) == (383, 1000)
     assert _planned(monkeypatch, f, (6912, 5760)) == \
-        GridPlan((6912, 5760), False, 768, False, 1, True, 9, 40, 0)
+        GridPlan((6912, 5760), False, 768, False, 1, True, 9, 40, 1)
     # a 64-element sparse set: short rows that fold residues, many a block,
-    # on two threads: rows 0 .. 40 evaluated, row 0 (a real transform, half
-    # a row) and rows 1 .. 20 by the caller, rows 21 .. 40 by the worker,
-    # at most 16 a block each; with complex coefficients rows 0 .. 107,
-    # 54 a thread
+    # on two threads: rows 0 .. 40 evaluated, the 40 twiddled ones in blocks
+    # of 16 rows (half of _BLOCK_ROWS) that both threads take; with complex
+    # coefficients rows 0 .. 107
     g, _ = recentre(_sparse_poly(np.random.default_rng(5), 40_000, 64, True))
     grid = _fast(choose_grid((40_000,), 0.1))
     plan = _planned(monkeypatch, g, grid)
     assert plan.fold and plan.q < 2 * g.degree[0] + 1 and not plan.per_row
     assert plan.q == _row_length(grid, g.degree[0], 64, True)
-    assert plan == GridPlan(grid, True, 3000, True, 16, False, 41, 64, 21)
+    assert plan == GridPlan(grid, True, 3000, True, 16, False, 41, 64, 2)
     h = TrigPoly.from_arrays(1, g.freqs, g.coeffs * (0.6 + 0.8j))
     assert _planned(monkeypatch, h, grid) == \
-        GridPlan(grid, False, 2250, True, 16, False, 108, 64, 54)
+        GridPlan(grid, False, 2250, True, 16, False, 108, 64, 2)
     # one CPU: one thread, with the whole _BLOCK_ROWS a block
-    assert _planned(monkeypatch, g, grid, cpus=1) == plan._replace(rows=32, split=0)
+    assert _planned(monkeypatch, g, grid, cpus=1) == plan._replace(rows=32, threads=1)
     # a grid within one block: the single row Q = N_0
     h = indicator_poly(IntegerSet.from_iterable(range(1, 17)))
     assert _planned(monkeypatch, h, (96,)) == \
-        GridPlan((96,), True, 96, False, 0, False, 1, 16, 0)
+        GridPlan((96,), True, 96, False, 0, False, 1, 16, 1)
     # no fft was left patched
     assert riemann_l1(h, 96) == eval_grid(h, 96).abs_mean()
 
@@ -1101,6 +1100,28 @@ def test_huge_span_is_a_budget_error():
     assert err.value.needed_grid == (n,)
 
 
+def test_axis_past_the_smooth_lengths_is_a_budget_error(monkeypatch):
+    # a span of 7.68e17: its grid of 4.608e18 + 1024 points is within a
+    # budget of 2^70 bytes, but past 4,608,000,000,000,000,000, the largest
+    # 5-smooth length below 2^62, so nothing can round it up.  No plan may
+    # be made: the divisors of so long an axis would take about 17 GB
+    top = int(quadrature._smooth_lengths()[-1])
+    assert top == 4_608_000_000_000_000_000
+    for name in ("_plan", "_row_length"):
+        monkeypatch.setattr(quadrature, name, lambda *args: pytest.fail("a grid was planned"))
+    f = indicator_poly(IntegerSet.from_iterable([0, 768_000_000_000_000_001]))
+    with pytest.raises(MemoryBudgetError) as err:
+        certified_l1(f, memory_budget=2 ** 70)
+    (n,) = err.value.needed_grid
+    assert n == choose_grid((768_000_000_000_000_001,), 0.1)[0] > top
+    assert err.value.needed_bytes == 16 * n < 2 ** 70
+    assert str(top) in str(err.value)
+    # riemann_l1 and eval_grid refuse such an axis the same way
+    for evaluate in (riemann_l1, eval_grid):
+        with pytest.raises(MemoryBudgetError):
+            evaluate(TrigPoly(1, {0: 1.0}), top + 1, memory_budget=2 ** 70)
+
+
 @pytest.mark.parametrize("f", [TrigPoly(1, {0: 1.0, 7: 1e307}),
                                TrigPoly(1, {0: 1e308, 1: 1e308, 2: 1e308}),
                                TrigPoly(2, {(0, 0): 1.5e308, (0, 1): 1.5e308,
@@ -1283,7 +1304,7 @@ def test_product_factor_budget_names_the_factor_grid():
 # (shape, d0, P) of hand-made plans: assigned and folded rows, rank 1 and
 # rank 2, odd and even P, 2 twiddled rows (P = 5 real, P = 3 complex) and
 # more than 100 (P = 256 and 257); each with real and complex coefficients
-# where that leaves at least two twiddled rows to split
+# where that leaves at least two twiddled rows for two threads
 SPLIT_CASES = [(case, real)
                for case in [((60,), 5, 5), ((60,), 20, 6), ((45, 4), 2, 9), ((60, 8), 12, 6),
                             ((36,), 5, 3), ((2056,), 3, 257), ((2048,), 10, 256),
@@ -1305,16 +1326,16 @@ def test_split_row_sums_are_the_one_thread_sums(case, real):
     assert one.fold == (q < 2 * d0 + 1)
     want = _hex(_row_sums(f, one))
     assert len(want) == one.evaluated
-    # the worker taking its first, middle or last possible row, each
-    # thread 1, 3 or 16 rows a block, the terms in one or two slices
+    # one thread and two, each thread 1, 3 or 16 rows a block, the terms
+    # in one or two slices
     n = len(f.coeffs)
-    for split in sorted({2, one.evaluated // 2 + 1, one.evaluated - 1}):
+    for threads in (1, 2):
         for rows in (1, 3, 16):
             for width in (n, n - 2):
-                plan = _plan_of(f, shape, q, rows, split)._replace(width=width)
-                assert _hex(_row_sums(f, plan)) == want, (split, rows, width)
+                plan = _plan_of(f, shape, q, rows, threads)._replace(width=width)
+                assert _hex(_row_sums(f, plan)) == want, (threads, rows, width)
     # the worker busy with another caller's rows: all of them here
-    plan = _plan_of(f, shape, q, 16, one.evaluated // 2 + 1)
+    plan = _plan_of(f, shape, q, 16, 2)
     with quadrature._worker.lock:
         assert _hex(_row_sums(f, plan)) == want
 
@@ -1324,14 +1345,14 @@ def test_plan_splits_only_on_two_cpus(monkeypatch):
     grid = _fast(choose_grid((60_000,), 0.1))
     _cpus(monkeypatch, 2)
     two = _plan(g, grid)
-    assert two.split > 1 and two.rows <= quadrature._BLOCK_ROWS // 2
+    assert two.threads == 2 and two.rows <= quadrature._BLOCK_ROWS // 2
     # both threads' blocks together are at most one block
     assert 2 * two.rows * two.q * quadrature._BLOCK_BYTES_PER_SAMPLE <= quadrature._BLOCK_BYTES
     _cpus(monkeypatch, 1)
-    assert _plan(g, grid).split == 0
+    assert _plan(g, grid).threads == 1
     # no affinity call: the CPU count
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _plan(g, grid).split == 0
+    assert _plan(g, grid).threads == 1
     _cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert _plan(g, grid) == two
@@ -1341,17 +1362,22 @@ def test_plan_splits_only_on_two_cpus(monkeypatch):
 def test_split_errors_reach_the_caller(monkeypatch, side):
     rng = np.random.default_rng(12)
     f = _window_poly(rng, (2056,), 3, False)
-    plan = _plan_of(f, (2056,), 8, 16, 100)
-    want = _hex(_row_sums(f, plan._replace(split=0)))
+    plan = _plan_of(f, (2056,), 8, 16, 2)
+    want = _hex(_row_sums(f, plan._replace(threads=1)))
     caller = threading.get_ident()
     twiddled = quadrature._twiddled
+    planted = threading.Event()
 
-    def planted(*args):
+    def planting(*args):
         if (threading.get_ident() == caller) == (side == "caller"):
+            planted.set()
             raise ZeroDivisionError(f"planted in the {side}")
+        # the caller takes no block before the worker has raised, so that
+        # the worker has a block to raise in
+        assert side == "caller" or planted.wait(60)
         return twiddled(*args)
 
-    monkeypatch.setattr(quadrature, "_twiddled", planted)
+    monkeypatch.setattr(quadrature, "_twiddled", planting)
     with pytest.raises(ZeroDivisionError, match=f"planted in the {side}"):
         _row_sums(f, plan)
     monkeypatch.undo()
@@ -1360,45 +1386,72 @@ def test_split_errors_reach_the_caller(monkeypatch, side):
     assert _hex(_row_sums(f, plan)) == want
 
 
-def test_caller_takes_the_worker_blocks_not_begun(monkeypatch):
-    # the worker held back until the caller, done with its own rows, has
-    # taken all of the worker's blocks from the back: the caller forms
-    # every row, and the sums are the one-thread ones
+def _held_blocks(monkeypatch, held):
+    # the sums of a two-thread plan of 16 blocks, with the worker or the
+    # caller held back until the other has taken every block: (the sums,
+    # the one-thread sums, the (caller's?, first row) of each block in the
+    # order taken)
     rng = np.random.default_rng(15)
     f = _window_poly(rng, (2056,), 3, False)
-    plan = _plan_of(f, (2056,), 8, 16, 100)
-    want = _hex(_row_sums(f, plan._replace(split=0)))
+    plan = _plan_of(f, (2056,), 8, 16, 2)
+    want = _hex(_row_sums(f, plan._replace(threads=1)))
+    # the worker free, so that it takes this plan's job
+    assert quadrature._worker.lock.acquire(timeout=60)
+    quadrature._worker.lock.release()
     caller = threading.get_ident()
     range_sums = quadrature._range_sums
     taken = threading.Event()
-    formed = []
+    formed, ran = [], []
 
-    def held(*args):
+    def holding(*args):
         mine = threading.get_ident() == caller
-        if not mine:
+        ran.append(mine)
+        if (held == "worker") != mine:
             assert taken.wait(60)
-        sums = range_sums(*args)
-        formed.append((mine, sorted(sums)))
-        if mine and len(formed) == 2:
-            taken.set()
-        return sums
+        *head, pop, sums, block, moduli, scratch = args
 
-    monkeypatch.setattr(quadrature, "_range_sums", held)
-    assert _hex(_row_sums(f, plan)) == want
-    assert formed == [(True, list(range(1, 100, 16))), (True, list(range(100, 257, 16))),
-                      (False, [])]
+        def logged():
+            r0 = pop()
+            formed.append((mine, r0))
+            return r0
+
+        range_sums(*head, logged, sums, block, moduli, scratch)
+        taken.set()
+
+    monkeypatch.setattr(quadrature, "_range_sums", holding)
+    got = _hex(_row_sums(f, plan))
+    assert sorted(ran) == [False, True]
+    return got, want, formed
+
+
+def test_caller_takes_every_block_while_the_worker_is_held(monkeypatch):
+    # the worker held back until the caller, after row 0, has taken every
+    # block from the back: the caller forms every row, and the sums are the
+    # one-thread ones
+    got, want, formed = _held_blocks(monkeypatch, "worker")
+    assert got == want
+    assert formed == [(True, r0) for r0 in reversed(range(1, 257, 16))]
+
+
+def test_worker_takes_every_block_while_the_caller_is_held(monkeypatch):
+    # the caller held back after row 0 until the worker has taken every
+    # block from the front: the worker forms every twiddled row, and the
+    # sums are the one-thread ones
+    got, want, formed = _held_blocks(monkeypatch, "caller")
+    assert got == want
+    assert formed == [(False, r0) for r0 in range(1, 257, 16)]
 
 
 def test_interrupted_wait_leaves_no_stale_result(monkeypatch):
     # a KeyboardInterrupt that cuts the caller's wait for the worker short:
-    # the worker finishes that half unread, in buffers the caller's thread
-    # gives up, and every later call, split or not, is exact
+    # the worker finishes its blocks unread, in buffers the caller's thread
+    # gives up, and every later call, on two threads or one, is exact
     rng = np.random.default_rng(13)
     f = _window_poly(rng, (2056,), 3, False)
     g = _window_poly(rng, (2048,), 10, True)
-    cut, other = _plan_of(f, (2056,), 8, 16, 100), _plan_of(g, (2048,), 8, 16, 60)
-    want_f = _hex(_row_sums(f, cut._replace(split=0)))
-    want_g = _hex(_row_sums(g, other._replace(split=0)))
+    cut, other = _plan_of(f, (2056,), 8, 16, 2), _plan_of(g, (2048,), 8, 16, 2)
+    want_f = _hex(_row_sums(f, cut._replace(threads=1)))
+    want_g = _hex(_row_sums(g, other._replace(threads=1)))
     start = quadrature._Worker.start
 
     class Interrupted:
@@ -1428,7 +1481,7 @@ def test_idle_worker_keeps_nothing_of_its_last_job():
     # views of its workspace
     rng = np.random.default_rng(14)
     f = _window_poly(rng, (2056,), 3, False)
-    _row_sums(f, _plan_of(f, (2056,), 8, 16, 100))
+    _row_sums(f, _plan_of(f, (2056,), 8, 16, 2))
     gone = weakref.ref(f)
     del f
     gc.collect()
@@ -1450,7 +1503,7 @@ rng = np.random.default_rng(3)
 f = TrigPoly.from_arrays(1, rng.choice(100_000, 64, replace=False),
                          rng.standard_normal(64) + 1j * rng.standard_normal(64))
 grid = (720_000,)
-assert quadrature._plan(f, grid).split
+assert quadrature._plan(f, grid).threads == 2
 want = riemann_l1(f, grid).hex()
 assert quadrature._worker._thread is not None
 read, write = os.pipe()
@@ -1510,7 +1563,7 @@ assert not loaded, loaded
 
 def test_block_workspace_is_per_thread(monkeypatch):
     # four threads, more than the cores, stream dense sets (rows of one
-    # transform a call) and sparse ones (blocks of short rows, split with
+    # transform a call) and sparse ones (blocks of short rows, shared with
     # the one worker, which a caller that finds it busy does without),
     # interleaved, each through its own block buffers: every enclosure is
     # the serial one-thread one, bit for bit
@@ -1527,7 +1580,7 @@ def test_block_workspace_is_per_thread(monkeypatch):
     for k, (f, enc) in enumerate(zip(polys, serial)):
         plan = _plan(recentre(f)[0], enc.grid)
         assert plan.evaluated > 1 and plan.per_row == (k % 2 == 0)
-        assert bool(plan.split) == (k % 2 == 1)
+        assert (plan.threads == 2) == (k % 2 == 1)
     start = threading.Barrier(len(polys), timeout=60)
 
     def work(f):
