@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import IntegerSet, LatticeSet, TrigPoly, _check_i64, indicator_poly
+from .core import IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_real, indicator_poly
 from .errors import HypothesisError
 from .modulus import ResidueFilter, residue_filter, thinning_bound_factor
 from .quadrature import NormInterval, certified_l1
@@ -210,6 +210,8 @@ def verify_multidimz(A: IntegerSet, cert: DimCertificate,
     fails for any set small enough to integrate) plus the empirical mode,
     where ``constant_override`` replaces the whole constant.
     """
+    if constant_override is not None:
+        constant_override = _check_real(constant_override, "constant_override")
     if cert.rank == 1:
         return verify_mps(A, c_mps, rel_err, memory_budget)
     hyps = _certificate_checks(A, cert)
@@ -221,7 +223,7 @@ def verify_multidimz(A: IntegerSet, cert: DimCertificate,
     if constant_override is None:
         constant = multidimz_constant(cert.rank, deltas, c_mps)
     else:
-        constant = float(constant_override)
+        constant = constant_override
     lhs = certified_l1(indicator_poly(A), rel_err, memory_budget)
     return InequalityVerdict("multidimz", lhs, constant * raw, constant, hyps,
                              extras={"sizes": list(sizes),

@@ -349,7 +349,7 @@ def cmd_gen(cfg: ExperimentConfig):
         sizes = tuple(params["sizes"])
         deltas = tuple(params.get("deltas", (1.0,) * (len(sizes) - 1)))
         A, cert = build_strong_integer(deltas, sizes, shape, cfg.seed,
-                                       stretch=float(params.get("stretch", 1.0)))
+                                       stretch=params.get("stretch", 1.0))
     report = validate_certificate(A, cert)
     return {"set": A.to_json_dict(), "certificate": cert.to_json_dict(),
             "size": len(A), "validation": report.to_json_dict()}, report.ok
@@ -628,7 +628,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         payload, passed = _COMMANDS[cfg.command](cfg)
-    except MemoryBudgetError as exc:
+    except (MemoryBudgetError, MemoryError) as exc:  # MemoryError: numpy refused an allocation
         print(f"resource error: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
     except (ConfigError, HypothesisError, SupportError, CollisionError,

@@ -20,6 +20,7 @@ import bisect
 import cmath
 import json
 import math
+import numbers
 import struct
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -38,6 +39,17 @@ def _check_int(value: int, what: str) -> int:
         shown = value.item() if isinstance(value, np.generic) else value
         raise ValueError(f"{what} {shown!r} is not an integer")
     return n
+
+
+def _check_real(value, what: str) -> float:
+    """``value`` as a finite float; a bool, a string or anything else that is
+    not a finite real number raises a ValueError naming it."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer past float64
+        pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 class _RangeError(OverflowError, ValueError):

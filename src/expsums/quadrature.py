@@ -109,17 +109,18 @@ coefficients at their residues, exactly as :func:`eval_grid` does, with no
 twiddles and no block buffers.  The blocks of twiddled rows form one
 queue.  When the rows are batched (several a transform) and at least two
 are twiddled, and the process may run on two CPUs, the plan takes them on
-two threads (``GridPlan.threads``): the module's one worker thread takes
-blocks from the front of the queue, and the caller takes row 0 and then
-blocks from the back, so the two balance themselves and the worker keeps
-its head start while the caller forms row 0.  Two threads assume the
-second CPU is free: the plan counts the CPUs the process may use, not the
-idle ones, and two threads spend about a quarter more CPU time on the
-same rows.  With real coefficients f(-t) = conj f(t), and -(r + P i) =
-(P - r) + P (Q - 1 - i) mod N_0, so row P - r has the sum of row r: only
-rows 0 .. P//2 are evaluated, and rows 0 < r < P/2 count twice.  The grid
-sum is the ``math.fsum`` of the row sums; a sample, row sum or total past
-float64 leaves it inf or nan, which :func:`certified_l1` reports.
+two threads (``GridPlan.threads``): the caller submits a job to the
+module's one worker thread, which takes blocks from the front of the
+queue, and the caller takes row 0 and then blocks from the back, so the
+two balance themselves and the worker keeps its head start while the
+caller forms row 0.  Two threads assume the second CPU is free: the plan
+counts the CPUs the process may use, not the idle ones, and two threads
+spend about a quarter more CPU time on the same rows.  With real
+coefficients f(-t) = conj f(t), and -(r + P i) = (P - r) + P (Q - 1 - i)
+mod N_0, so row P - r has the sum of row r: only rows 0 .. P//2 are
+evaluated, and rows 0 < r < P/2 count twice.  The grid sum is the
+``math.fsum`` of the row sums; a sample, row sum or total past float64
+leaves it inf or nan, which :func:`certified_l1` reports.
 
 Rows.  The identity holds for every divisor Q of N_0: frequencies with
 equal residues mod Q have equal e(a_0 i / Q) on the row, so a row shorter
@@ -178,14 +179,22 @@ own into its own place, and ``math.fsum`` adds the row sums in row order,
 so results do not depend on scheduling or on which thread took a row: a
 two-thread plan gives the row sums of one thread bit for bit.  Each
 calling thread has its own block buffers, so threads may take grid means
-at once.  The worker serves one caller at a time; a caller that finds it
-busy takes every block itself, so the worker never becomes a queue.  It
-is a daemon thread started on first use, a forked child starts its own,
-and an exception raised in it is raised again in the caller, which waits
-for the worker's blocks before it returns or raises.  A signal that cuts
-that wait short (KeyboardInterrupt) leaves the worker to finish its blocks
-into buffers the caller's thread then gives up, with row sums and an
-outcome that no later caller reads.
+at once.  The worker is the one thread of a ``ThreadPoolExecutor(1)``,
+made by the first two-thread plan of each process, so a process that
+never makes one neither imports ``concurrent.futures`` nor starts a
+thread.  It takes one caller's job at a time.  A caller whose job it has
+not begun, being busy with another caller's rows, takes every block
+itself and then cancels the job (``Future.cancel``), which never runs: no
+caller waits for another caller's rows.  A job the worker has begun ends
+before its caller returns or raises, and an exception raised in it is
+raised again in the caller.  A signal that cuts that wait short
+(KeyboardInterrupt) leaves the worker to finish its blocks into buffers
+the caller's thread then gives up, with row sums and an outcome that no
+later caller reads.  The thread is not a daemon: interpreter exit joins
+it, and it is never more than one plan's blocks from idle.  A grid mean
+taken after that, in an atexit handler say, takes every block on its
+caller's thread.  A forked child, which inherits no thread but its
+caller's, makes its own pool.
 """
 
 from __future__ import annotations
@@ -562,63 +571,25 @@ def _fold(a: np.ndarray, idx: tuple, values: np.ndarray) -> None:
     np.add.at(a.reshape(-1), np.ravel_multi_index(idx, a.shape).ravel(), values.ravel())
 
 
-class _Worker:
-    """The one thread kept to take blocks of rows of two-thread plans
-    (:attr:`GridPlan.threads`), one job at a time.  Started on first use, as
-    a daemon; a forked child, which has no threads but its caller's, gets a
-    new one (:func:`_new_worker`)."""
-
-    def __init__(self) -> None:
-        # held from a job's start until the worker has finished it
-        self.lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-
-    def start(self, fn, *args):
-        """Start fn(*args) on the worker thread, unless it is busy: None, or
-        the queue that gets the job's outcome, (True, what fn returned) or
-        (False, what it raised).  Each job has its own queue, so an outcome
-        that its caller never reads reaches no other caller."""
-        if not self.lock.acquire(blocking=False):
-            return None
-        # imported here: 1 ms of import that a process without a two-thread
-        # plan never needs
-        import queue
-        if self._thread is None:
-            try:
-                self._jobs = queue.SimpleQueue()
-                thread = threading.Thread(target=self._serve, name="expsums-rows", daemon=True)
-                thread.start()
-            except BaseException:
-                self.lock.release()
-                raise
-            self._thread = thread
-        done = queue.SimpleQueue()
-        self._jobs.put((fn, args, done))
-        return done
-
-    def _serve(self) -> None:
-        while True:
-            fn, args, done = self._jobs.get()
-            try:
-                outcome = (True, fn(*args))
-            except BaseException as exc:  # raised again in the caller
-                outcome = (False, exc)
-            # nothing of the job kept while idle: not its f, nor views of
-            # its caller's workspace
-            del fn, args
-            self.lock.release()
-            done.put(outcome)
-            del done, outcome
+# the pool of each process, by pid: a forked child, which inherits no thread
+# but its caller's, makes its own
+_pools: dict = {}
 
 
-def _new_worker() -> None:
-    global _worker
-    _worker = _Worker()
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_worker)
+def _worker():
+    """The pool of the one thread kept to take blocks of rows of two-thread
+    plans (:attr:`GridPlan.threads`): a ``ThreadPoolExecutor(1)`` made on
+    first use in each process."""
+    pool = _pools.get(os.getpid())
+    if pool is None:
+        # imported here: 4 ms and 0.6 MB (it loads logging) that a process
+        # without a two-thread plan never needs
+        from concurrent.futures import ThreadPoolExecutor
+        # two first callers at once may each make a pool: one is kept, and
+        # the other, never given a job, never starts its thread
+        pool = _pools.setdefault(os.getpid(),
+                                 ThreadPoolExecutor(1, thread_name_prefix="expsums-rows"))
+    return pool
 
 
 # an overflow leaves inf or nan in the row sums, which certified_l1 reports
@@ -651,20 +622,24 @@ def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
     run = functools.partial(_range_sums, f, plan, idx, place, f.freqs[:, 0] % n0,
                             _phase_tables(n0))
     # the first rows of the blocks: all of them the caller's when the worker
-    # is busy with another caller's rows, and one block at most the worker's
-    # when it waits for a CPU
+    # is busy with another caller's rows (its job is then cancelled), and one
+    # block at most the worker's when it waits for a CPU
     starts = collections.deque(range(1, plan.evaluated, rows))
     sums = [0.0] * plan.evaluated
     try:
-        done = _worker.start(run, starts.popleft, sums, *halves[1]) if threads == 2 else None
+        try:
+            job = _worker().submit(run, starts.popleft, sums, *halves[1]) if threads == 2 else None
+        except RuntimeError:  # a pool shut down (atexit handlers run after it): one thread
+            job = None
         try:
             sums[0] = first()
             run(starts.pop, sums, *halves[0])
         finally:
-            # the worker has finished its blocks before this call returns or raises
-            ok, outcome = (True, None) if done is None else done.get()
-        if not ok:
-            raise outcome
+            # a job the worker has not begun never runs; one it has begun
+            # ends before this call returns or raises, and its error is
+            # raised here
+            if job is not None and not job.cancel():
+                job.result()
     except BaseException:
         # a signal that cuts the start or the wait short leaves the worker
         # writing into this thread's buffers: the thread takes new ones

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import IntegerSet, LatticeSet, _check_i64
+from .core import IntegerSet, LatticeSet, _check_i64, _check_real
 from .errors import CollisionError, HypothesisError
 
 FLAVOR_BASE = "base"
@@ -210,7 +210,8 @@ def build_strong_integer(deltas, sizes, shape: str = "box", seed=None,
     blocks from seed substreams.
     """
     sizes = tuple(_check_i64(n, "size") for n in sizes)
-    deltas = tuple(float(d) for d in deltas)
+    deltas = tuple(_check_real(d, "delta") for d in deltas)
+    stretch = _check_real(stretch, "stretch")
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be a nonempty tuple of positive integers")
     if len(deltas) != len(sizes) - 1:

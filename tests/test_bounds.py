@@ -179,6 +179,15 @@ def test_verify_multidimz_constant_override():
     assert not v.passed
 
 
+@pytest.mark.parametrize("override", [True, "1e-3", math.nan, math.inf, 10 ** 400])
+@pytest.mark.parametrize("sizes", [(6, 6), (8,)])
+def test_verify_multidimz_override_must_be_a_finite_number(sizes, override):
+    # not read as 1.0 or 0.001, on every rank
+    A, cert = build_strong_integer((1.0,) * (len(sizes) - 1), sizes)
+    with pytest.raises(ValueError, match="constant_override must be a finite number"):
+        verify_multidimz(A, cert, constant_override=override)
+
+
 def test_verify_multidimz_rank1_delegates():
     A, cert = build_strong_integer((), (8,))
     v = verify_multidimz(A, cert)

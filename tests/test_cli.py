@@ -104,6 +104,29 @@ def test_gen_fractional_params_are_usage_errors(tmp_path, capsys, kind, params, 
     assert message in err and not out.exists()
 
 
+_ZBOX = ["verify", "--theorem", "multidimz", "--set", "zbox:4,4", "--params"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (_ZBOX + ['{"constant_override": true}'], "constant_override"),
+    (_ZBOX + ['{"constant_override": "1e-3"}'], "constant_override"),
+    (["gen", "--kind", "zstrong-box", "--params", '{"sizes": [4, 4], "stretch": true}'],
+     "stretch"),
+    (["gen", "--kind", "zstrong-box", "--params", '{"sizes": [4, 4], "deltas": [true]}'],
+     "delta")],
+    ids=["override-true", "override-string", "stretch-true", "delta-true"])
+def test_number_params_must_be_json_numbers(tmp_path, capsys, argv, key):
+    # not read as 1.0 or 0.001: true and "1e-3" are no numbers
+    out = tmp_path / "x.json"
+    code = main(argv + ["--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{key} must be a finite number" in err and not out.exists()
+    # the same key with a JSON number runs
+    number = argv[-1].replace('"1e-3"', "1e-3").replace("true", "1")
+    assert main(argv[:-1] + [number, "--output", str(out)]) == 0, capsys.readouterr().err
+
+
 def test_params_not_an_object_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "k.json")
     cfg = tmp_path / "c.json"
@@ -259,6 +282,22 @@ def test_norm_axis_past_the_smooth_lengths_is_a_budget_error(tmp_path, monkeypat
     assert code == 3, err
     assert err.startswith("resource error: grid (") and "4608000000000000000" in err
     assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--m", "2", "--n", str(10 ** 15)],
+    ["verify", "--theorem", "kernel", "--params", json.dumps({"m": 2, "n": 10 ** 15})]],
+    ids=["kernel", "verify"])
+def test_refused_allocation_is_a_resource_error(tmp_path, capsys, argv):
+    # n = 10^15 asks numpy for 14.2 PiB, which it refuses at once: exit 3,
+    # not a traceback with the exit code of a failed verdict.  An n whose
+    # arrays could be granted (10^9 - 10^10 is 16-160 GB) is never tried
+    out = tmp_path / "k.json"
+    code = main(argv + ["--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("resource error: ") and "allocate" in err
+    assert not out.exists()
 
 
 def test_set_help_is_the_same_for_every_command(capsys):

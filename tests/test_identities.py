@@ -4,12 +4,18 @@ Polynomials whose L1 norms are equal by proof must get intersecting
 certified enclosures, whichever way their grids are taken: whole in one
 block, streamed in coset rows that assign their residues, or streamed in
 shorter rows that fold them.  Inputs come from seeded numpy generators.
+Dirichlet kernels, whose norms are known exactly, must have them inside
+their enclosures on every kind of plan.
 """
 
+import functools
+
+import mpmath
 import numpy as np
 import pytest
 
-from expsums.core import TrigPoly
+from expsums import quadrature
+from expsums.core import IntegerSet, TrigPoly, indicator_poly
 from expsums.quadrature import _plan, certified_l1, riemann_l1
 
 # (terms, span): a sparse polynomial and a dense one
@@ -77,3 +83,48 @@ def test_translation_keeps_the_streamed_grid_mean(real):
     want = riemann_l1(f, shape)
     for m in (2 ** 62 - 40_001, -(2 ** 62), int(rng.integers(-2 ** 62, 2 ** 62 - 40_000))):
         assert riemann_l1(f.shifted(m), shape) == pytest.approx(want, rel=1e-12), m
+
+
+@functools.cache
+def _lebesgue(n):
+    """||D_n||_1 for the Dirichlet kernel D_n, the indicator polynomial of
+    {-n..n}, to 30 digits by Fejer's formula:
+    1/(2n+1) + (2/pi) sum_{k=1..n} tan(pi k/(2n+1))/k."""
+    with mpmath.workdps(30):
+        return 1 / mpmath.mpf(2 * n + 1) + 2 / mpmath.pi * mpmath.fsum(
+            mpmath.tan(mpmath.pi * k / (2 * n + 1)) / k for k in range(1, n + 1))
+
+
+def test_lebesgue_constant_oracle():
+    # the formula against known values, and against direct quadrature of
+    # |D_5(t)| = |sin((2n+1) pi t)/sin(pi t)| between its zeros
+    assert mpmath.nstr(_lebesgue(1), 9) == "1.43599112"
+    assert mpmath.nstr(_lebesgue(50), 9) == "2.85987034"
+    with mpmath.workdps(30):
+        zeros = [mpmath.mpf(k) / 11 for k in range(12)]
+        direct = mpmath.quad(
+            lambda t: abs(mpmath.sin(11 * mpmath.pi * t) / mpmath.sin(mpmath.pi * t)), zeros)
+        assert abs(direct - _lebesgue(5)) < mpmath.mpf(10) ** -28
+
+
+# (n, m, rel_err, plan kind on two CPUs) for the dilate by m of {-n..n}
+EXACT_CASES = [(1, 1, 0.1, "one block"), (5, 1, 0.01, "one block"),
+               (50, 1, 0.01, "one block"), (50, 7, 0.01, "one block"),
+               (2000, 30, 0.1, "long rows"), (30000, 1, 0.01, "long rows"),
+               (50, 1000, 0.1, "two threads"), (50, 1000, 0.02, "two threads")]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_dirichlet_kernels_contain_the_exact_norm(monkeypatch, cpus):
+    # ||D_n(m t)||_1 = ||D_n||_1, known exactly, inside the enclosure of
+    # every plan kind, on one CPU and on two
+    monkeypatch.setattr(quadrature, "_cpus", lambda: cpus)
+    for n, m, rel_err, kind in EXACT_CASES:
+        f = indicator_poly(IntegerSet(np.arange(-n, n + 1) * m))
+        enc = certified_l1(f, rel_err)
+        plan = _plan(f, enc.grid)
+        got = ("one block" if plan.q == enc.grid[0] else "long rows" if plan.per_row
+               else "two threads" if plan.threads == 2 else "short rows")
+        assert got == (kind if cpus == 2 or kind != "two threads" else "short rows"), (n, m)
+        assert enc.hi / enc.lo <= 1 + 2 * rel_err
+        assert enc.lo <= _lebesgue(n) <= enc.hi, (n, m, enc)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -1334,10 +1335,22 @@ def test_split_row_sums_are_the_one_thread_sums(case, real):
             for width in (n, n - 2):
                 plan = _plan_of(f, shape, q, rows, threads)._replace(width=width)
                 assert _hex(_row_sums(f, plan)) == want, (threads, rows, width)
-    # the worker busy with another caller's rows: all of them here
+    # the worker busy with another caller's rows: all of them here, and the
+    # caller does not wait for the worker
     plan = _plan_of(f, shape, q, 16, 2)
-    with quadrature._worker.lock:
+    held = threading.Event()
+    busy = quadrature._worker().submit(held.wait, 20)
+    try:
         assert _hex(_row_sums(f, plan)) == want
+        assert not busy.done()
+    finally:
+        held.set()
+
+
+def _wait_for_worker():
+    # the worker free: a no-op job submitted now runs within 60 s, after
+    # every job before it
+    quadrature._worker().submit(int).result(timeout=60)
 
 
 def test_plan_splits_only_on_two_cpus(monkeypatch):
@@ -1382,7 +1395,7 @@ def test_split_errors_reach_the_caller(monkeypatch, side):
         _row_sums(f, plan)
     monkeypatch.undo()
     # the worker is free again and holds no stale result
-    assert not quadrature._worker.lock.locked()
+    _wait_for_worker()
     assert _hex(_row_sums(f, plan)) == want
 
 
@@ -1396,16 +1409,20 @@ def _held_blocks(monkeypatch, held):
     plan = _plan_of(f, (2056,), 8, 16, 2)
     want = _hex(_row_sums(f, plan._replace(threads=1)))
     # the worker free, so that it takes this plan's job
-    assert quadrature._worker.lock.acquire(timeout=60)
-    quadrature._worker.lock.release()
+    _wait_for_worker()
     caller = threading.get_ident()
     range_sums = quadrature._range_sums
-    taken = threading.Event()
+    begun, taken = threading.Event(), threading.Event()
     formed, ran = [], []
 
     def holding(*args):
         mine = threading.get_ident() == caller
         ran.append(mine)
+        if mine:
+            # the worker has begun its job, which the caller then cannot cancel
+            assert begun.wait(60)
+        else:
+            begun.set()
         if (held == "worker") != mine:
             assert taken.wait(60)
         *head, pop, sums, block, moduli, scratch = args
@@ -1442,6 +1459,45 @@ def test_worker_takes_every_block_while_the_caller_is_held(monkeypatch):
     assert formed == [(False, r0) for r0 in range(1, 257, 16)]
 
 
+def test_caller_waits_for_the_block_the_worker_has_begun(monkeypatch):
+    # the worker takes the first block and holds it until the caller has
+    # taken every other one: the caller returns only once the worker's job
+    # has ended, with that block's sums in place
+    rng = np.random.default_rng(16)
+    f = _window_poly(rng, (2056,), 3, False)
+    plan = _plan_of(f, (2056,), 8, 16, 2)
+    want = _hex(_row_sums(f, plan._replace(threads=1)))
+    _wait_for_worker()
+    caller = threading.get_ident()
+    range_sums = quadrature._range_sums
+    begun, drained, ended = threading.Event(), threading.Event(), threading.Event()
+
+    def holding(*args):
+        *head, pop, sums, block, moduli, scratch = args
+        if threading.get_ident() == caller:
+            assert begun.wait(60)
+            range_sums(*args)
+            drained.set()
+            return
+
+        def held():
+            r0 = pop()
+            if not begun.is_set():
+                begun.set()
+                # a caller that does not wait returns in this time
+                assert drained.wait(60)
+                time.sleep(0.05)
+            return r0
+
+        range_sums(*head, held, sums, block, moduli, scratch)
+        ended.set()
+
+    monkeypatch.setattr(quadrature, "_range_sums", holding)
+    got = _hex(_row_sums(f, plan))
+    assert ended.is_set()
+    assert got == want
+
+
 def test_interrupted_wait_leaves_no_stale_result(monkeypatch):
     # a KeyboardInterrupt that cuts the caller's wait for the worker short:
     # the worker finishes its blocks unread, in buffers the caller's thread
@@ -1452,17 +1508,21 @@ def test_interrupted_wait_leaves_no_stale_result(monkeypatch):
     cut, other = _plan_of(f, (2056,), 8, 16, 2), _plan_of(g, (2048,), 8, 16, 2)
     want_f = _hex(_row_sums(f, cut._replace(threads=1)))
     want_g = _hex(_row_sums(g, other._replace(threads=1)))
-    start = quadrature._Worker.start
+    pool = quadrature._worker()
 
     class Interrupted:
-        def get(self):
+        # the pool, with a job whose wait a KeyboardInterrupt cuts short
+        def submit(self, *args):
+            self.job = pool.submit(*args)
+            return self
+
+        def cancel(self):
+            return False
+
+        def result(self):
             raise KeyboardInterrupt
 
-    def started(self, *args):
-        assert start(self, *args) is not None
-        return Interrupted()
-
-    monkeypatch.setattr(quadrature._Worker, "start", started)
+    monkeypatch.setattr(quadrature, "_worker", Interrupted)
     with pytest.raises(KeyboardInterrupt):
         _row_sums(f, cut)
     monkeypatch.undo()
@@ -1470,31 +1530,76 @@ def test_interrupted_wait_leaves_no_stale_result(monkeypatch):
     # the worker perhaps still busy with the cut half
     assert _hex(_row_sums(g, other)) == want_g
     # and once it is free
-    assert quadrature._worker.lock.acquire(timeout=60)
-    quadrature._worker.lock.release()
+    _wait_for_worker()
     assert _hex(_row_sums(g, other)) == want_g
     assert _hex(_row_sums(f, cut)) == want_f
 
 
-def test_idle_worker_keeps_nothing_of_its_last_job():
-    # between jobs the worker holds neither the last caller's polynomial nor
-    # views of its workspace
+def _last_job_of_idle_worker(monkeypatch, cancelled):
+    # a weak reference to the polynomial of a two-thread call whose job the
+    # worker ran, or whose caller cancelled it, the worker then left idle
     rng = np.random.default_rng(14)
     f = _window_poly(rng, (2056,), 3, False)
-    _row_sums(f, _plan_of(f, (2056,), 8, 16, 2))
-    gone = weakref.ref(f)
-    del f
-    gc.collect()
-    assert gone() is None
+    plan = _plan_of(f, (2056,), 8, 16, 2)
+    _wait_for_worker()
+    held = threading.Event()
+    if cancelled:
+        # the job queued behind one that holds the worker
+        quadrature._worker().submit(held.wait, 20)
+    else:
+        # the caller takes no block before the worker has begun its job
+        caller, begun, range_sums = threading.get_ident(), threading.Event(), quadrature._range_sums
+
+        def after_the_worker(*args):
+            if threading.get_ident() == caller:
+                assert begun.wait(60)
+            else:
+                begun.set()
+            range_sums(*args)
+
+        monkeypatch.setattr(quadrature, "_range_sums", after_the_worker)
+    _row_sums(f, plan)
+    monkeypatch.undo()
+    held.set()
+    return weakref.ref(f)
+
+
+def test_idle_worker_keeps_nothing_of_its_last_job(monkeypatch):
+    # once idle, with no later job, the worker holds neither the last
+    # caller's polynomial nor views of its workspace, whether it ran the job
+    # or its caller cancelled it
+    for cancelled in (False, True):
+        gone = _last_job_of_idle_worker(monkeypatch, cancelled)
+        # the worker drops a job it ran just after its caller's wait ends,
+        # and a cancelled one when it reaches it in the queue
+        deadline = time.monotonic() + 60
+        while gone() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert gone() is None, cancelled
+
+
+def test_shut_down_pool_leaves_every_block_to_the_caller(monkeypatch):
+    # interpreter exit shuts the pool down before atexit handlers run: a
+    # grid mean taken in one takes every block on its caller's thread
+    rng = np.random.default_rng(17)
+    f = _window_poly(rng, (2056,), 3, False)
+    plan = _plan_of(f, (2056,), 8, 16, 2)
+    want = _hex(_row_sums(f, plan._replace(threads=1)))
+    pool = ThreadPoolExecutor(1)
+    pool.shutdown()
+    monkeypatch.setattr(quadrature, "_worker", lambda: pool)
+    assert _hex(_row_sums(f, plan)) == want
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_forked_child_takes_split_rows():
     # the parent's worker is running when it forks; the child, which
-    # inherits no thread but the caller, starts its own
+    # inherits no thread but the caller, starts its own, which runs jobs
     code = """
 import os
 import signal
+import threading
 import warnings
 import numpy as np
 from expsums import TrigPoly, quadrature, riemann_l1
@@ -1505,7 +1610,7 @@ f = TrigPoly.from_arrays(1, rng.choice(100_000, 64, replace=False),
 grid = (720_000,)
 assert quadrature._plan(f, grid).threads == 2
 want = riemann_l1(f, grid).hex()
-assert quadrature._worker._thread is not None
+assert any(t.name.startswith("expsums-rows") for t in threading.enumerate())
 read, write = os.pipe()
 with warnings.catch_warnings():
     # Python 3.12 warns of fork() in a process with threads
@@ -1514,7 +1619,9 @@ with warnings.catch_warnings():
 if pid == 0:
     signal.alarm(60)  # a child stuck on the parent's worker ends
     os.close(read)
-    os.write(write, riemann_l1(f, grid).hex().encode())
+    got = riemann_l1(f, grid).hex()
+    assert quadrature._worker().submit(os.getpid).result(timeout=30) == os.getpid()
+    os.write(write, got.encode())
     os._exit(0)
 os.close(write)
 got = os.read(read, 100).decode()
@@ -1535,12 +1642,15 @@ print(got)
 def test_no_scipy_at_run_time():
     # every transform runs on numpy.fft: importing the package and taking
     # each kind of grid (whole, streamed rank-1, rank-2 complex and real)
-    # loads no scipy module
+    # loads no scipy module.  Importing it makes no worker pool either
     code = """
 import json
 import sys
+import threading
 import numpy as np
 from expsums import IntegerSet, TrigPoly, certified_l1, indicator_poly
+assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == 1
 rng = np.random.default_rng(1)
 box = rng.integers(-30, 30, size=(40, 2))
 polys = [indicator_poly(IntegerSet.from_iterable(range(1, 102))),

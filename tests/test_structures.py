@@ -119,6 +119,19 @@ def test_integer_box_rank3():
     assert validate_certificate(A, cert).ok
 
 
+@pytest.mark.parametrize("deltas, stretch, what", [
+    ((True,), 1.0, "delta"), (("1e-3",), 1.0, "delta"), ((float("nan"),), 1.0, "delta"),
+    ((1.0,), True, "stretch"), ((1.0,), "2", "stretch"), ((1.0,), 10 ** 400, "stretch")])
+def test_integer_deltas_and_stretch_must_be_finite_numbers(deltas, stretch, what):
+    # not read as 1.0 or 0.001; a NaN delta passed the "deltas must be
+    # positive" check
+    with pytest.raises(ValueError, match=f"{what} must be a finite number"):
+        build_strong_integer(deltas, (4, 4), stretch=stretch)
+    # numpy numbers and ints are numbers
+    A, cert = build_strong_integer((np.float64(1.0),), (4, 4), stretch=np.int64(2))
+    assert cert.deltas() == (1.0,) and validate_certificate(A, cert).ok
+
+
 def test_integer_random_is_valid_and_seeded():
     A1, c1 = build_strong_integer((1.0,), (4, 6), shape="random", seed=7)
     A2, _ = build_strong_integer((1.0,), (4, 6), shape="random", seed=7)
