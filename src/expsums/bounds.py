@@ -28,6 +28,15 @@ from .structures import (DimCertificate, build_strong_lattice, gap_rank2,
 DEFAULT_C_MPS = 0.25
 
 
+def _check_c_mps(c_mps) -> float:
+    """``c_mps`` as a float; a ValueError naming it unless it is a finite
+    number above 0."""
+    c = _check_real(c_mps, "c_mps")
+    if c <= 0:
+        raise ValueError(f"c_mps must be a finite number above 0, got {c_mps!r}")
+    return c
+
+
 @dataclass(frozen=True)
 class HypothesisCheck:
     condition: str
@@ -113,6 +122,7 @@ def mps_rhs_of(f: TrigPoly) -> float:
 def verify_mps(A, c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
                memory_budget: int | None = None) -> InequalityVerdict:
     """||f||_1 >= C * sum_j |u_j|/j for a rank-1 set or polynomial."""
+    c_mps = _check_c_mps(c_mps)
     f = as_poly(A)
     if f.rank != 1:
         raise ValueError("rank-1 sets only")
@@ -130,6 +140,7 @@ def verify_basic_multidim(A: LatticeSet, c_mps: float = DEFAULT_C_MPS, rel_err: 
     The fibre norms enter through their certified LOWER ends, so the RHS is
     itself certified and the comparison stays one-sided.
     """
+    c_mps = _check_c_mps(c_mps)
     if not isinstance(A, LatticeSet) or A.rank < 2:
         raise ValueError("lattice sets of rank >= 2 only")
     first, fibres = project_and_fibre(A, 1)
@@ -156,6 +167,7 @@ def verify_multidim(A: LatticeSet, cert: DimCertificate,
                     c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
                     memory_budget: int | None = None) -> InequalityVerdict:
     """Rank-r lattice norm against C^r * prod_i ln(n_i)."""
+    c_mps = _check_c_mps(c_mps)
     hyps = _certificate_checks(A, cert)
     sizes = cert.sizes()
     raw = math.prod(math.log(n) for n in sizes)
@@ -171,7 +183,7 @@ def multidimz_constant(rank: int, deltas: Sequence[float],
     """C^r (2^9 pi)^(-r) prod_j (2 + log(1 + 2/delta_j))^(-1)."""
     if len(deltas) != rank - 1:
         raise ValueError("need exactly rank - 1 deltas")
-    c = (c_mps / (2 ** 9 * math.pi)) ** rank
+    c = (_check_c_mps(c_mps) / (2 ** 9 * math.pi)) ** rank
     for d in deltas:
         c /= 2 + math.log(1 + 2 / d)
     return c
@@ -185,7 +197,7 @@ def multidimz_size_checks(sizes: Sequence[int], c_mps: float,
     C^3 weakens the requirement as C shrinks, which reads like a typo; both
     readings are reported, only the literal one gates certification).
     """
-    cpow = c_mps ** (-3 if inverse_constant else 3)
+    cpow = _check_c_mps(c_mps) ** (-3 if inverse_constant else 3)
     tag = "C^-3" if inverse_constant else "C^3"
     out = []
     r = len(sizes)
@@ -212,6 +224,7 @@ def verify_multidimz(A: IntegerSet, cert: DimCertificate,
     """
     if constant_override is not None:
         constant_override = _check_real(constant_override, "constant_override")
+    c_mps = _check_c_mps(c_mps)
     if cert.rank == 1:
         return verify_mps(A, c_mps, rel_err, memory_budget)
     hyps = _certificate_checks(A, cert)
@@ -283,6 +296,7 @@ def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,
     with k = s mod q, enumerated k_1 < ... < k_J.
     """
     d1, d2 = _check_i64(d1, "d1"), _check_i64(d2, "d2")
+    delta, c_mps = _check_real(delta, "delta"), _check_c_mps(c_mps)
     flt = ResidueFilter(q, s)
     q = flt.q
     index = IntegerSet.from_iterable(blocks)

@@ -30,11 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import BACKEND, acceptance
-from .bounds import (DEFAULT_C_MPS, as_poly, constant_scan, family_intervals,
+from .bounds import (DEFAULT_C_MPS, _check_c_mps, as_poly, constant_scan, family_intervals,
                      family_random_sets, verify_basic_multidim,
                      verify_main_prop, verify_mps, verify_multidim,
                      verify_multidimz)
-from .core import (IntegerSet, LatticeSet, TrigPoly, _check_i64,
+from .core import (IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_real,
                    from_json_obj, indicator_poly)
 from .errors import (CollisionError, HypothesisError, MemoryBudgetError,
                      SupportError)
@@ -395,6 +395,7 @@ def _verify_mps(cfg):
     inst = _single_or_none(cfg)
     if inst is None:
         # scan mode: intervals plus seeded random sets, threshold c_mps
+        threshold = _check_c_mps(cfg.c_mps)
         count = 10 if cfg.count is None else cfg.count
         family = family_intervals(range(4, 129))
         family += family_random_sets(count, 64, 10 ** 5,
@@ -402,8 +403,8 @@ def _verify_mps(cfg):
         report = constant_scan(family, mode="mps", rel_err=cfg.rel_err,
                                memory_budget=cfg.memory_budget)
         payload = report.to_json_dict()
-        payload["threshold"] = cfg.c_mps
-        passed = report.min_ratio >= cfg.c_mps
+        payload["threshold"] = threshold
+        passed = report.min_ratio >= threshold
         payload["passed"] = passed
         return payload, passed, [report.CSV_HEADER, *report.csv_rows()]
     verdict = verify_mps(inst[0], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
@@ -444,11 +445,15 @@ def _integer(value) -> int:
     return _check_i64(value, "value")
 
 
+def _real(value) -> float:
+    return _check_real(value, "value")
+
+
 # each key of a main-prop --input file and the conversion of its value
 _MAIN_PROP_FIELDS = {
     "blocks": lambda v: {_check_i64(k, "block index"): TrigPoly.from_json_dict(p)
                          for k, p in v},
-    "d1": _integer, "d2": _integer, "delta": float, "q": _integer, "s": _integer}
+    "d1": _integer, "d2": _integer, "delta": _real, "q": _integer, "s": _integer}
 
 
 def _verify_main_prop(cfg):

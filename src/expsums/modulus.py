@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _I64_MAX, IntegerSet, TrigPoly, _check_i64, _check_int
+from .core import _I64_MAX, IntegerSet, TrigPoly, _check_i64, _check_int, _check_real
 from .errors import HypothesisError, SupportError
 from .kernels import flat_top_build
 
@@ -164,6 +164,7 @@ def thinning_transform(F: TrigPoly, d1: int, d2: int, delta: float,
     bounding ||thinned||_1 / ||F||_1.
     """
     d1, d2 = _check_i64(d1, "d1"), _check_i64(d2, "d2")
+    delta = _check_real(delta, "delta")
     q, s = filter.q, filter.s
     if F.rank != 1:
         raise ValueError("rank-1 polynomials only")

@@ -157,17 +157,21 @@ less a call than the n-D ones.  Several axes go to the n-D functions in
 reverse order: numpy transforms the last axis given first, so the complex
 axes are taken in ascending order, as scipy.fft takes them, and the
 samples are scipy.fft's bit for bit (the tests keep scipy.fft as their
-reference).  numpy keeps no plan cache.  Each calling thread keeps between
-calls its block buffers, at most one block, and its twiddle scratch: a
-block's terms are twiddled and placed in slices of at most 2^14 (row,
-term) pairs, 768 KiB.  A two-thread plan gives each thread half of
+reference).  numpy keeps no plan cache.  Each thread that forms rows keeps
+between calls its own block buffers, at most one block, and its twiddle
+scratch: a block's terms are twiddled and placed in slices of at most 2^14
+(row, term) pairs, 768 KiB.  A two-thread plan gives each thread half of
 ``_BLOCK_ROWS``, half of the rows of ``_BLOCK_BYTES`` and half of the
-pairs, and the worker takes the second half of the caller's buffers, so
-two threads hold no more workspace than one.  Coset rows of 2^14 samples
-or more are transformed one row a call, since numpy's batched path
-allocates a buffer on every call; such plans stay on one thread, since a
-second pocketfft scratch in flight and the worker's malloc arena cost
-more peak memory than the benchmark allows (CHANGES.md).
+pairs, so the caller and the worker each form their blocks in at most half
+a block of their own workspace, and no thread writes into another's.  The
+worker keeps its share between calls: a process whose calling thread also
+takes one-thread plans, which grow its workspace to a whole block, may
+hold up to half a block (2 MiB, and 384 KiB of scratch) more than on one
+thread.  Coset rows of 2^14 samples or more are transformed one row a
+call, since numpy's batched path allocates a buffer on every call; such
+plans stay on one thread, since a second pocketfft scratch in flight and
+the worker's malloc arena cost more peak memory than the benchmark allows
+(CHANGES.md).
 Without these, glibc faults the buffers in afresh on every call: a pass of
 the dense benchmark took about 67,000 minor page faults with none of them,
 16,000 with the block buffers kept but long rows batched, 3,200-6,000 with
@@ -178,21 +182,20 @@ whichever thread takes them, each row reduced by pairwise summation on its
 own into its own place, and ``math.fsum`` adds the row sums in row order,
 so results do not depend on scheduling or on which thread took a row: a
 two-thread plan gives the row sums of one thread bit for bit.  Each
-calling thread has its own block buffers, so threads may take grid means
-at once.  The worker is the one thread of a ``ThreadPoolExecutor(1)``,
-made by the first two-thread plan of each process, so a process that
-never makes one neither imports ``concurrent.futures`` nor starts a
-thread.  It takes one caller's job at a time.  A caller whose job it has
-not begun, being busy with another caller's rows, takes every block
-itself and then cancels the job (``Future.cancel``), which never runs: no
-caller waits for another caller's rows.  A job the worker has begun ends
-before its caller returns or raises, and an exception raised in it is
-raised again in the caller.  A signal that cuts that wait short
-(KeyboardInterrupt) leaves the worker to finish its blocks into buffers
-the caller's thread then gives up, with row sums and an outcome that no
-later caller reads.  The thread is not a daemon: interpreter exit joins
-it, and it is never more than one plan's blocks from idle.  A grid mean
-taken after that, in an atexit handler say, takes every block on its
+thread has its own block buffers, so threads may take grid means at once.
+The worker is the one thread of a ``ThreadPoolExecutor(1)``, made by the
+first two-thread plan of each process, so a process that never makes one
+neither imports ``concurrent.futures`` nor starts a thread.  It takes one
+caller's job at a time.  A caller whose job it has not begun, being busy
+with another caller's rows, takes every block itself and then cancels the
+job (``Future.cancel``), which never runs: no caller waits for another
+caller's rows.  A job the worker has begun ends before its caller returns
+or raises, and an exception raised in it is raised again in the caller.
+A signal that cuts that wait short (KeyboardInterrupt) leaves the worker
+to finish its blocks in its own buffers, with row sums and an outcome
+that no later caller reads.  The thread is not a daemon: interpreter exit
+joins it, and it is never more than one plan's blocks from idle.  A grid
+mean taken after that, in an atexit handler say, takes every block on its
 caller's thread.  A forked child, which inherits no thread but its
 caller's, makes its own pool.
 """
@@ -611,55 +614,42 @@ def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
 
     if plan.evaluated == 1:
         return [first()]
-    n0, rows, threads = plan.grid[0], plan.rows, plan.threads
-    block, moduli, *scratch = _block_buffers((threads * rows,) + row_shape,
-                                             threads * rows * plan.width)
-    # the caller's block buffers and scratch, then the worker's: halves of
-    # the caller's workspace
-    pairs = rows * plan.width
-    halves = [(block[k * rows:(k + 1) * rows], moduli[k * rows:(k + 1) * rows],
-               [a[k * pairs:(k + 1) * pairs] for a in scratch]) for k in range(threads)]
+    n0 = plan.grid[0]
     run = functools.partial(_range_sums, f, plan, idx, place, f.freqs[:, 0] % n0,
                             _phase_tables(n0))
     # the first rows of the blocks: all of them the caller's when the worker
     # is busy with another caller's rows (its job is then cancelled), and one
     # block at most the worker's when it waits for a CPU
-    starts = collections.deque(range(1, plan.evaluated, rows))
+    starts = collections.deque(range(1, plan.evaluated, plan.rows))
     sums = [0.0] * plan.evaluated
     try:
-        try:
-            job = _worker().submit(run, starts.popleft, sums, *halves[1]) if threads == 2 else None
-        except RuntimeError:  # a pool shut down (atexit handlers run after it): one thread
-            job = None
-        try:
-            sums[0] = first()
-            run(starts.pop, sums, *halves[0])
-        finally:
-            # a job the worker has not begun never runs; one it has begun
-            # ends before this call returns or raises, and its error is
-            # raised here
-            if job is not None and not job.cancel():
-                job.result()
-    except BaseException:
-        # a signal that cuts the start or the wait short leaves the worker
-        # writing into this thread's buffers: the thread takes new ones
-        _workspace.buffers = None
-        raise
+        job = _worker().submit(run, starts.popleft, sums) if plan.threads == 2 else None
+    except RuntimeError:  # a pool shut down (atexit handlers run after it): one thread
+        job = None
+    try:
+        sums[0] = first()
+        run(starts.pop, sums)
+    finally:
+        # a job the worker has not begun never runs; one it has begun ends
+        # before this call returns or raises, and its error is raised here
+        if job is not None and not job.cancel():
+            job.result()
     return sums
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _range_sums(f: TrigPoly, plan: GridPlan, idx: tuple, place, res0: np.ndarray,
-                tables: tuple, pop, sums: list[float], block: np.ndarray,
-                moduli: np.ndarray, scratch: Sequence[np.ndarray]) -> None:
+                tables: tuple, pop, sums: list[float]) -> None:
     """Write into ``sums`` the sums of the twiddled coset rows of ``plan`` in
     the blocks that begin at the rows ``pop`` takes, until it raises
     IndexError, each plan.rows rows but none from plan.evaluated on, taken in
-    the given ``block``, ``moduli`` and twiddle ``scratch``: one thread's
-    share of :func:`_row_sums`.  A deque's pops are atomic, and each block
-    writes its own slice of ``sums`` in one assignment, so two threads may
-    take blocks from both ends."""
+    the block buffers and twiddle scratch of the thread that runs it: one
+    thread's share of :func:`_row_sums`.  A deque's pops are atomic, and each
+    block writes its own slice of ``sums`` in one assignment, so two threads
+    may take blocks from both ends."""
     n0 = plan.grid[0]
+    block, moduli, *scratch = _block_buffers((plan.rows, plan.q) + plan.grid[1:],
+                                             plan.rows * plan.width)
     # long rows one a call, short ones one block a call, with the block's
     # rows on axis 0
     first = 0 if plan.per_row else 1
@@ -725,11 +715,21 @@ def choose_grid(diameter: Sequence[int], rel_err: float) -> tuple[int, ...]:
     Delta_i = 0.  Not rounded: :func:`certified_l1` rounds each N_i up to
     the next 5-smooth length.
     """
-    if not 0 < rel_err < 1:
-        raise ValueError("rel_err must be in (0, 1)")
-    t = (1.0 + 2.0 * rel_err) ** (1.0 / len(diameter))
+    t = _axis_target(rel_err, len(diameter))
     return tuple(max(math.ceil(t * d / (t - 1.0)), 2 * ((d + 1) // 2) + 1) if d else 1
                  for d in diameter)
+
+
+def _axis_target(rel_err: float, rank: int) -> float:
+    """The axis target t = (1 + 2 rel_err)^(1/rank) (module docstring, "The
+    grid rule"); a ValueError naming rel_err when it is not in (0, 1), or so
+    small that t rounds to 1 and no grid meets it."""
+    if not 0 < rel_err < 1:
+        raise ValueError(f"rel_err must be in (0, 1), got {rel_err!r}")
+    t = (1.0 + 2.0 * rel_err) ** (1.0 / rank)
+    if t == 1.0:
+        raise ValueError(f"rel_err {rel_err!r} is too small: (1 + 2 rel_err)^(1/{rank}) is 1.0")
+    return t
 
 
 def _quadrature_factor(grid: Sequence[int], diameter: Sequence[int]) -> float:
@@ -770,7 +770,8 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     the grid rounded up to 5-smooth lengths, which is taken whole within one
     block and streamed in coset rows beyond it (module docstring, "Rows").
     A grid mean or an end that overflows float64 raises
-    :class:`~expsums.errors.GridOverflowError`.
+    :class:`~expsums.errors.GridOverflowError`.  A ``rel_err`` outside (0, 1),
+    or too small for float64 (:func:`_axis_target`), raises a ValueError.
 
     In rank >= 2, c times the indicator of a Cartesian product A_0 x ... x
     A_{r-1} is enclosed as |c| times the product of the rank-1 enclosures
@@ -778,8 +779,6 @@ def certified_l1(f: TrigPoly, rel_err: float = 0.1,
     outward (module docstring, "Products"); ``grid`` holds the factor grids,
     and the memory budget applies to each factor's grid alone.
     """
-    if not 0 < rel_err < 1:
-        raise ValueError("rel_err must be in (0, 1)")
     if f.is_zero:
         raise ValueError("certified_l1 needs a nonzero polynomial")
     # the shift hands g its support_box, so there is no second pass for it
@@ -837,9 +836,9 @@ def _product_l1(g: TrigPoly, axes: list[np.ndarray], rel_err: float,
         c = math.inf
     # abs errs by under an ulp
     lo, hi, s = math.nextafter(c, 0.0), math.nextafter(c, math.inf), c
-    # the axis target t = (1 + 2 rel_err)^(1/r) is hi/lo <= 1 + 2 rel for
-    # rel = (t - 1)/2
-    rel = ((1.0 + 2.0 * rel_err) ** (1.0 / g.rank) - 1.0) / 2.0
+    # the axis target t is hi/lo <= 1 + 2 rel for rel = (t - 1)/2, whose
+    # rank-1 target 1 + 2 rel is t again, exactly
+    rel = (_axis_target(rel_err, g.rank) - 1.0) / 2.0
     grid = []
     for a in axes:
         if len(a) == 1:  # |e(a t)| = 1

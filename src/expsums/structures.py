@@ -97,7 +97,7 @@ class DimCertificate:
                    flavor=obj.get("flavor", FLAVOR_BASE),
                    d1=None if obj.get("d1") is None else _check_i64(obj["d1"], "d1"),
                    d2=None if obj.get("d2") is None else _check_i64(obj["d2"], "d2"),
-                   delta=None if obj.get("delta") is None else float(obj["delta"]),
+                   delta=None if obj.get("delta") is None else _check_real(obj["delta"], "delta"),
                    children=children)
 
 

@@ -83,6 +83,35 @@ def test_verdicts_take_the_memory_budget_argument(monkeypatch, verdict):
     verdict(10 ** 9)
 
 
+@pytest.mark.parametrize("c_mps", [0, 0.0, -1.0, math.nan, math.inf, -math.inf, True, "0.25"])
+def test_c_mps_must_be_a_finite_number_above_0(c_mps):
+    # every verdict and helper that takes c_mps refuses it, naming it, before
+    # any norm is taken: no ZeroDivisionError, no verdict on a negative or
+    # non-finite right-hand side
+    lattice, lattice_cert = build_strong_lattice((4, 4))
+    zset, zcert = build_strong_integer((1.0,), (4, 4), shape="box")
+    calls = [lambda: verify_mps(IntegerSet.from_iterable(range(1, 11)), c_mps),
+             lambda: verify_basic_multidim(lattice, c_mps),
+             lambda: verify_multidim(lattice, lattice_cert, c_mps),
+             lambda: verify_multidimz(zset, zcert, c_mps),
+             lambda: verify_multidimz(*build_strong_integer((), (10,)), c_mps),
+             lambda: verify_main_prop(*_INTERVAL_BLOCKS, c_mps),
+             lambda: multidimz_constant(2, (1.0,), c_mps),
+             lambda: multidimz_size_checks((4, 4), c_mps),
+             lambda: multidimz_size_checks((4, 4), c_mps, inverse_constant=True)]
+    for call in calls:
+        with pytest.raises(ValueError, match="c_mps must be a finite number"):
+            call()
+
+
+@pytest.mark.parametrize("delta", [True, "1.0", math.nan, math.inf])
+def test_main_prop_delta_must_be_a_finite_number(delta):
+    # not read as 1.0 by float(), and no hypothesis checked against nan
+    blocks, d1, d2, _, q, s = _INTERVAL_BLOCKS
+    with pytest.raises(ValueError, match="delta must be a finite number"):
+        verify_main_prop(blocks, d1, d2, delta, q, s)
+
+
 def test_verify_mps_absurd_constant_fails():
     v = verify_mps(IntegerSet.from_iterable(range(1, 102)), c_mps=10.0)
     assert not v.passed

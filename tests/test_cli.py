@@ -127,6 +127,63 @@ def test_number_params_must_be_json_numbers(tmp_path, capsys, argv, key):
     assert main(argv[:-1] + [number, "--output", str(out)]) == 0, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--set", "interval:10", "--rel-err", "1e-17"],
+    ["verify", "--theorem", "mps", "--set", "interval:10", "--rel-err", "1e-300"],
+    ["norm", "--set", "box:3,3", "--rel-err", "1e-16"]],
+    ids=["norm", "mps", "box"])
+def test_rel_err_too_small_for_float64_is_usage_error(tmp_path, capsys, argv):
+    # the axis target rounds to 1: exit 2 naming rel_err, no traceback
+    out = tmp_path / "x.json"
+    code = main(argv + ["--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"rel_err {float(argv[-1])!r} is too small" in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["verify", "--theorem", "multidimz", "--set", "zbox:4,4"], "0"),
+    (["verify", "--theorem", "multidimz", "--set", "zbox:4,4"], "nan"),
+    (["verify", "--theorem", "multidimz", "--set", "zbox:4,4"], "inf"),
+    (["verify", "--theorem", "mps", "--set", "interval:10"], "-1"),
+    (["verify", "--theorem", "mps", "--count", "1"], "-1"),
+    (["verify", "--theorem", "multidim", "--set", "box:4,4"], "-1"),
+    (["verify", "--theorem", "basic-multidim", "--set", "box:4,4"], "-1"),
+    (["verify", "--theorem", "main-prop"], "-1")],
+    ids=["multidimz-0", "multidimz-nan", "multidimz-inf", "mps--1", "mps-scan--1",
+         "multidim--1", "basic-multidim--1", "main-prop--1"])
+def test_c_mps_must_be_a_finite_number_above_0(tmp_path, capsys, argv, value):
+    # no verdict on a zero, negative or non-finite constant: exit 2 naming c_mps
+    out = tmp_path / "x.json"
+    code = main(argv + ["--c-mps", value, "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "c_mps must be a finite number" in err and not out.exists()
+
+
+@pytest.mark.parametrize("delta", [True, "1.0"], ids=["true", "string"])
+def test_certificate_delta_must_be_a_json_number(tmp_path, capsys, delta):
+    # a certificate's delta of true or "1.0" is not read as 1.0: exit 2
+    # naming the file and the field; the JSON number 1 runs
+    gen_out = tmp_path / "z.json"
+    assert main(["gen", "--kind", "zstrong-box", "--params", '{"sizes": [4, 4]}',
+                 "--output", str(gen_out)]) == 0
+    report = load_report(gen_out)
+    for value, want in ((delta, 2), (1, 0)):
+        report["result"]["certificate"]["delta"] = value
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(report))
+        out = tmp_path / "v.json"
+        code = main(["verify", "--theorem", "multidimz", "--input", str(path),
+                     "--output", str(out), "--no-fail"])
+        err = capsys.readouterr().err
+        assert code == want, err
+        if want:
+            assert f"input {path}: bad 'certificate'" in err
+            assert "delta must be a finite number" in err and not out.exists()
+    assert load_report(out)["result"]["extras"]["deltas"] == [1.0]
+
+
 def test_params_not_an_object_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "k.json")
     cfg = tmp_path / "c.json"
@@ -629,7 +686,8 @@ _MAIN_PROP_OK = {"blocks": [[0, {"rank": 1, "terms": [[[0], [1.0, 0.0]]]}]],
 
 
 @pytest.mark.parametrize("field, value", [
-    ("blocks", 5), ("blocks", [[0, {"rank": 1}]]), ("d1", "x"), ("d1", 5.5)])
+    ("blocks", 5), ("blocks", [[0, {"rank": 1}]]), ("d1", "x"), ("d1", 5.5),
+    ("delta", True), ("delta", "1.0")])
 def test_verify_main_prop_bad_field_names_the_file_and_field(tmp_path, capsys,
                                                              field, value):
     path = tmp_path / "in.json"

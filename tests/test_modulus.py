@@ -213,6 +213,14 @@ def test_fractional_moduli_and_degrees_are_refused():
             == thinning_transform(F, 10, 44, 1.0, ResidueFilter(4, 0)))
 
 
+@pytest.mark.parametrize("delta", [True, "1.0", math.nan, math.inf])
+def test_thinning_delta_must_be_a_finite_number(delta):
+    # not read as 1.0 by arithmetic on a bool, and no string or nan
+    F = TrigPoly(1, {(k * 44 + l,): 1.0 for k in range(6) for l in (-3, 0, 5)})
+    with pytest.raises(ValueError, match="delta must be a finite number"):
+        thinning_transform(F, 10, 44, delta, ResidueFilter(4, 0))
+
+
 def test_thinning_hypothesis_guards():
     F = TrigPoly(1, {0: 1.0})
     cases = [

@@ -180,6 +180,32 @@ def test_choose_grid_degree_zero():
     assert choose_grid((1,), 0.99) == (3,)
 
 
+def test_rel_err_too_small_for_float64_is_refused():
+    # the axis target (1 + 2 rel_err)^(1/r) rounds to 1, so no grid meets
+    # it: a ValueError naming rel_err on the grid path and the product path
+    # alike, not a division by zero or "rel_err must be in (0, 1)"
+    for rel_err, rank in [(1e-17, 1), (1e-300, 1), (1e-16, 2), (1.2e-16, 3)]:
+        match = f"rel_err {rel_err!r} is too small"
+        with pytest.raises(ValueError, match=match):
+            choose_grid((9,) * rank, rel_err)
+        freqs = np.array(list(np.ndindex((3,) * rank)))
+        box = TrigPoly.from_arrays(rank, freqs, np.ones(len(freqs)))
+        # one coefficient changed: no product, so the rank-r grid path
+        other = TrigPoly.from_arrays(rank, freqs, np.arange(1.0, len(freqs) + 1))
+        for f in (box, other):
+            with pytest.raises(ValueError, match=match):
+                certified_l1(f, rel_err)
+    # a target just above 1 keeps the grid rule: a huge grid, which the
+    # budget refuses
+    t = 1.0 + 2.0 * 1e-16
+    assert choose_grid((9,), 1e-16) == (math.ceil(t * 9 / (t - 1.0)),)
+    with pytest.raises(MemoryBudgetError):
+        certified_l1(indicator_poly(IntegerSet.from_iterable(range(10))), 1e-16)
+    for bad in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match=r"rel_err must be in \(0, 1\)"):
+            choose_grid((9,), bad)
+
+
 def test_certified_l1_contains_reference():
     f = indicator_poly(IntegerSet.from_iterable(range(1, 102)))
     for rel in (0.1, 0.02):
@@ -1425,14 +1451,14 @@ def _held_blocks(monkeypatch, held):
             begun.set()
         if (held == "worker") != mine:
             assert taken.wait(60)
-        *head, pop, sums, block, moduli, scratch = args
+        *head, pop, sums = args
 
         def logged():
             r0 = pop()
             formed.append((mine, r0))
             return r0
 
-        range_sums(*head, logged, sums, block, moduli, scratch)
+        range_sums(*head, logged, sums)
         taken.set()
 
     monkeypatch.setattr(quadrature, "_range_sums", holding)
@@ -1459,6 +1485,19 @@ def test_worker_takes_every_block_while_the_caller_is_held(monkeypatch):
     assert formed == [(False, r0) for r0 in range(1, 257, 16)]
 
 
+def test_each_thread_forms_its_rows_in_its_own_workspace(monkeypatch):
+    # the worker, having formed every twiddled row of a two-thread plan,
+    # keeps block buffers and twiddle scratch of its own, none of which
+    # shares memory with the caller's
+    got, want, formed = _held_blocks(monkeypatch, "caller")
+    assert got == want and formed and not any(mine for mine, _ in formed)
+    caller = quadrature._workspace.buffers
+    worker = quadrature._worker().submit(
+        lambda: getattr(quadrature._workspace, "buffers", None)).result(timeout=60)
+    assert caller and worker
+    assert not any(np.shares_memory(a, b) for a in caller for b in worker)
+
+
 def test_caller_waits_for_the_block_the_worker_has_begun(monkeypatch):
     # the worker takes the first block and holds it until the caller has
     # taken every other one: the caller returns only once the worker's job
@@ -1473,7 +1512,7 @@ def test_caller_waits_for_the_block_the_worker_has_begun(monkeypatch):
     begun, drained, ended = threading.Event(), threading.Event(), threading.Event()
 
     def holding(*args):
-        *head, pop, sums, block, moduli, scratch = args
+        *head, pop, sums = args
         if threading.get_ident() == caller:
             assert begun.wait(60)
             range_sums(*args)
@@ -1489,7 +1528,7 @@ def test_caller_waits_for_the_block_the_worker_has_begun(monkeypatch):
                 time.sleep(0.05)
             return r0
 
-        range_sums(*head, held, sums, block, moduli, scratch)
+        range_sums(*head, held, sums)
         ended.set()
 
     monkeypatch.setattr(quadrature, "_range_sums", holding)
@@ -1500,14 +1539,16 @@ def test_caller_waits_for_the_block_the_worker_has_begun(monkeypatch):
 
 def test_interrupted_wait_leaves_no_stale_result(monkeypatch):
     # a KeyboardInterrupt that cuts the caller's wait for the worker short:
-    # the worker finishes its blocks unread, in buffers the caller's thread
-    # gives up, and every later call, on two threads or one, is exact
+    # the worker finishes its blocks unread, in its own buffers, the
+    # caller's thread keeps its workspace, and every later call, on two
+    # threads or one, is exact
     rng = np.random.default_rng(13)
     f = _window_poly(rng, (2056,), 3, False)
     g = _window_poly(rng, (2048,), 10, True)
     cut, other = _plan_of(f, (2056,), 8, 16, 2), _plan_of(g, (2048,), 8, 16, 2)
     want_f = _hex(_row_sums(f, cut._replace(threads=1)))
     want_g = _hex(_row_sums(g, other._replace(threads=1)))
+    kept = list(quadrature._workspace.buffers)
     pool = quadrature._worker()
 
     class Interrupted:
@@ -1526,7 +1567,7 @@ def test_interrupted_wait_leaves_no_stale_result(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         _row_sums(f, cut)
     monkeypatch.undo()
-    assert quadrature._workspace.buffers is None
+    assert all(a is b for a, b in zip(quadrature._workspace.buffers, kept, strict=True))
     # the worker perhaps still busy with the cut half
     assert _hex(_row_sums(g, other)) == want_g
     # and once it is free
@@ -1590,6 +1631,36 @@ def test_shut_down_pool_leaves_every_block_to_the_caller(monkeypatch):
     pool.shutdown()
     monkeypatch.setattr(quadrature, "_worker", lambda: pool)
     assert _hex(_row_sums(f, plan)) == want
+
+
+@pytest.mark.parametrize("pool_made", [True, False], ids=["pool-made", "pool-in-handler"])
+def test_grid_mean_at_interpreter_exit(pool_made):
+    # an atexit handler takes a two-thread grid mean at real interpreter
+    # exit, with the pool made before exit (and shut down by then) or with
+    # the first two-thread plan inside the handler: it gives the live mean
+    code = f"""
+import atexit
+import numpy as np
+from expsums import TrigPoly, quadrature, riemann_l1
+quadrature._cpus = lambda: 2
+rng = np.random.default_rng(3)
+f = TrigPoly.from_arrays(1, rng.choice(100_000, 64, replace=False),
+                         rng.standard_normal(64) + 1j * rng.standard_normal(64))
+grid = (720_000,)
+assert quadrature._plan(f, grid).threads == 2
+atexit.register(lambda: print(riemann_l1(f, grid).hex()))
+if {pool_made}:
+    quadrature._worker()
+"""
+    rng = np.random.default_rng(3)
+    f = TrigPoly.from_arrays(1, rng.choice(100_000, 64, replace=False),
+                             rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    src = os.path.dirname(os.path.dirname(quadrature.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == riemann_l1(f, (720_000,)).hex()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")

@@ -1,6 +1,7 @@
 """Structured set generators and certificate validation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -206,6 +207,16 @@ def test_certificate_from_json_rejects_fractional_integers(path):
         holder = holder[key]
     holder[last] += 0.5
     with pytest.raises(ValueError, match="is not an integer"):
+        DimCertificate.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("delta", [True, "0.5", math.nan])
+def test_certificate_from_json_rejects_a_delta_that_is_no_number(delta):
+    # true and "0.5" must not be read as 1.0 and 0.5
+    _, cert = build_strong_integer((0.5,), (3, 5), shape="random", seed=4)
+    obj = json.loads(json.dumps(cert.to_json_dict()))
+    obj["delta"] = delta
+    with pytest.raises(ValueError, match="delta must be a finite number"):
         DimCertificate.from_json_dict(obj)
 
 
