@@ -37,6 +37,16 @@ def _check_c_mps(c_mps) -> float:
     return c
 
 
+def _c_mps_power(base: float, k: int, c_mps: float) -> float:
+    """base^k, for a ``base`` formed from ``c_mps``; a ValueError naming
+    c_mps when the power passes float64 (an underflow gives 0.0)."""
+    try:
+        return base ** k
+    except OverflowError:
+        raise ValueError(f"c_mps {c_mps!r} is out of range: {base!r}^{k} "
+                         "passes float64") from None
+
+
 @dataclass(frozen=True)
 class HypothesisCheck:
     condition: str
@@ -171,7 +181,7 @@ def verify_multidim(A: LatticeSet, cert: DimCertificate,
     hyps = _certificate_checks(A, cert)
     sizes = cert.sizes()
     raw = math.prod(math.log(n) for n in sizes)
-    rhs = c_mps ** cert.rank * raw
+    rhs = _c_mps_power(c_mps, cert.rank, c_mps) * raw
     lhs = certified_l1(indicator_poly(A), rel_err, memory_budget)
     return InequalityVerdict("multidim", lhs, rhs, c_mps, hyps,
                              extras={"sizes": list(sizes),
@@ -183,7 +193,8 @@ def multidimz_constant(rank: int, deltas: Sequence[float],
     """C^r (2^9 pi)^(-r) prod_j (2 + log(1 + 2/delta_j))^(-1)."""
     if len(deltas) != rank - 1:
         raise ValueError("need exactly rank - 1 deltas")
-    c = (_check_c_mps(c_mps) / (2 ** 9 * math.pi)) ** rank
+    c_mps = _check_c_mps(c_mps)
+    c = _c_mps_power(c_mps / (2 ** 9 * math.pi), rank, c_mps)
     for d in deltas:
         c /= 2 + math.log(1 + 2 / d)
     return c
@@ -197,7 +208,8 @@ def multidimz_size_checks(sizes: Sequence[int], c_mps: float,
     C^3 weakens the requirement as C shrinks, which reads like a typo; both
     readings are reported, only the literal one gates certification).
     """
-    cpow = _check_c_mps(c_mps) ** (-3 if inverse_constant else 3)
+    c_mps = _check_c_mps(c_mps)
+    cpow = _c_mps_power(c_mps, -3 if inverse_constant else 3, c_mps)
     tag = "C^-3" if inverse_constant else "C^3"
     out = []
     r = len(sizes)

@@ -12,6 +12,22 @@ wire format.
 Frequencies are 64-bit signed integers; anything that would leave that
 range raises ``OverflowError`` instead of wrapping (from :func:`_check_i64`,
 an error that is also a ``ValueError``, as any other bad value is).
+
+A polynomial's terms are converted one column at a time, never one value
+at a time.  Rank-1 keys that are Python ints pack through ``struct``, other
+keys take one numpy conversion (:func:`_int64_rows`).  A coefficient column
+of real numbers whose first value is a float packs through ``struct`` as C
+doubles, each the double numpy's complex128 conversion gives its real part;
+such a column is checked and normalized as float64 and becomes complex128
+with imaginary parts +0.0.  Whether the values are real is read from the
+type of their sum (:func:`_all_real`), never from the pack, which takes a
+value by its ``__float__``: a numpy complex scalar's real part, with only
+a warning (and, on older numpy, a one-element array's element).
+Any other column (a complex value, an array, an int past float64, a
+Decimal) takes numpy's complex128 conversion, after a check of its value
+types: a value that is not a number (a string or bytes, which numpy would
+parse, None, which it would read as nan, or a sequence) raises a
+ValueError naming its frequency (:func:`_coefficients`).
 """
 
 from __future__ import annotations
@@ -327,14 +343,69 @@ class LatticeSet(_Frozen):
         return cls(_check_i64(obj["rank"], "rank"), obj["points"])
 
 
+# the common number types: a column of these alone needs no look at each
+# value; a column with any other type is checked value by value (_coefficients)
+_PLAIN_NUMBERS = frozenset({float, int, complex, bool, np.float64, np.complex128, np.int64})
+
+
+def _is_number(value) -> bool:
+    """A number: anything ``numbers.Number`` (Python, numpy, ``Fraction``,
+    ``Decimal``), a numpy bool or a 0-d numeric array.  Not a string, bytes,
+    None or a sequence, which numpy's conversion would parse or reshape."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0 and value.dtype.kind in "biufc"
+    return isinstance(value, (numbers.Number, np.bool_))
+
+
+def _all_real(values: list) -> bool:
+    """Whether the values are real numbers, read from the type of their sum
+    in one C loop (Python floats and ints add without a call).  The sum is a
+    float (np.float64 too) for floats, ints, bools, numpy ints, np.float64,
+    0-d float arrays and Fractions, and never when a value is complex,
+    Python's or numpy's (the sum is complex), or an array of one or more
+    dimensions (an array); a string, bytes, None, a sequence, a Decimal or
+    an int past float64 raises.  Another real type (np.float32, say) may
+    give False, which costs only numpy's slower conversion."""
+    try:
+        # a sum of numpy scalars may overflow; only its type is read
+        with np.errstate(over="ignore", invalid="ignore"):
+            return isinstance(sum(values, 0.0), float)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _coefficients(values: list, freqs: np.ndarray) -> np.ndarray:
+    """The coefficient column of ``values`` (the terms of the (n, rank)
+    ``freqs``): float64 when the first value is a float and all are real
+    numbers, else complex128.  A value that is not a number raises a
+    ValueError naming its frequency."""
+    if values and isinstance(values[0], float) and _all_real(values):
+        # real numbers pack in one C loop, each by its __float__ to the
+        # double numpy would convert it to (the check above keeps a numpy
+        # complex scalar, whose __float__ drops its imaginary part, away)
+        try:
+            return np.frombuffer(struct.pack(f"{len(values)}d", *values), dtype=np.float64)
+        except struct.error:
+            pass
+    if not set(map(type, values)) <= _PLAIN_NUMBERS:
+        for i, value in enumerate(values):
+            if not _is_number(value):
+                raise ValueError(f"coefficient {value!r} at frequency "
+                                 f"{tuple(freqs[i].tolist())} is not a number")
+    return np.array(values, dtype=np.complex128).reshape(len(values))
+
+
 def _normalize_terms(freqs: np.ndarray,
                      coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort terms by frequency, sum duplicates, drop zeros, reject non-finite.
 
-    The sort is stable and duplicates are summed in input order starting
-    from 0, so every coefficient is exactly what the running sum
-    ``0 + c_1 + c_2 + ...`` over its input terms gives.  Rank-1 frequencies
-    that already increase strictly need neither: each coefficient is 0 + c.
+    ``coeffs`` is a float64 or complex128 column; the result is complex128,
+    a float's imaginary part +0.0, as numpy's conversion gives it.  The sort
+    is stable and duplicates are summed in input order starting from 0, so
+    every coefficient is exactly what the running sum ``0 + c_1 + c_2 + ...``
+    over its input terms gives.  Rank-1 frequencies that already increase
+    strictly need neither: each coefficient is 0 + c.  When no term is
+    dropped, ``freqs`` is returned as given: the caller's to copy.
     """
     if freqs.shape[1] == 1 and not np.count_nonzero(freqs[1:, 0] <= freqs[:-1, 0]):
         # 0 + c, not c: the sum turns a coefficient's -0.0 part into +0.0
@@ -343,19 +414,20 @@ def _normalize_terms(freqs: np.ndarray,
         order = _lex_order(freqs)
         freqs, coeffs = freqs[order], coeffs[order]
         first = _run_starts(freqs)
-        totals = np.zeros(np.count_nonzero(first), dtype=np.complex128)
+        totals = np.zeros(np.count_nonzero(first), dtype=coeffs.dtype)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             np.add.at(totals, np.cumsum(first) - 1, coeffs)
         freqs = freqs[first]
-    bad = ~np.isfinite(totals)
-    if bad.any():
+    finite = np.isfinite(totals)
+    if not finite.all():
         # a non-finite coefficient, or finite duplicates whose sum overflows
-        i = int(np.argmax(bad))
+        i = int(np.argmin(finite))
         raise ValueError(f"coefficient {complex(totals[i])} at frequency "
                          f"{tuple(freqs[i].tolist())} is not finite")
-    # boolean indexing copies, so a caller's frequency array is never kept
-    keep = totals != 0
-    return freqs[keep], totals[keep]
+    if np.count_nonzero(totals) < len(totals):
+        keep = totals != 0
+        freqs, totals = freqs[keep], totals[keep]
+    return freqs, totals.astype(np.complex128, copy=False)
 
 
 class TrigPoly(_Frozen):
@@ -382,9 +454,9 @@ class TrigPoly(_Frozen):
         else:
             pairs = list(terms)
             keys, values = [p[0] for p in pairs], [p[1] for p in pairs]
+        # both columns are fresh arrays, which the polynomial may own
         freqs = _int64_rows(keys, rank, "frequency", scalars=True)
-        coeffs = np.array(values, dtype=np.complex128).reshape(len(values))
-        self._set(int(rank), *_normalize_terms(freqs, coeffs))
+        self._set(int(rank), *_normalize_terms(freqs, _coefficients(values, freqs)))
 
     def _set(self, rank: int, freqs: np.ndarray, coeffs: np.ndarray) -> None:
         object.__setattr__(self, "rank", rank)
@@ -399,16 +471,23 @@ class TrigPoly(_Frozen):
             raise ValueError("rank must be positive")
         freqs = np.asarray(freqs)
         # anything but a signed integer array goes through _int64_rows, which
-        # checks it one value at a time unless it is unsigned within int64
+        # checks it one value at a time unless it is unsigned within int64;
+        # a caller's array is copied, since the polynomial marks its own
+        # read-only and may keep it
         if freqs.dtype.kind != "i":
             freqs = _int64_rows(freqs, rank, "frequency", scalars=True)
-        freqs = freqs.astype(np.int64, copy=False)
-        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+        freqs = freqs.astype(np.int64)
         if rank == 1 and freqs.ndim == 1:
             freqs = freqs.reshape(-1, 1)
+        # a numeric array converts at once; a list, or an array of strings
+        # or objects, is converted as the constructor converts its values
+        numeric = isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "biufc"
+        coeffs = np.asarray(coeffs, dtype=np.complex128 if numeric else object).reshape(-1)
         if freqs.shape != (len(coeffs), rank):
             raise ValueError(f"frequencies of shape {freqs.shape} for "
                              f"{len(coeffs)} rank-{rank} coefficients")
+        if not numeric:
+            coeffs = _coefficients(coeffs.tolist(), freqs)
         out = object.__new__(cls)
         out._set(int(rank), *_normalize_terms(freqs, coeffs))
         return out

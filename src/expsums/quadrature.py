@@ -149,6 +149,20 @@ row, and a sample of the row by at most that times sum |c_a|: an error of
 the FFT rounding's kind, and like it not yet part of a certified
 floating-point term.
 
+Residues and phases without int64 division.  A term's index on an axis of
+n points is its frequency mod n.  When the axis's frequencies all lie in
+(-n, n), as they do on axis 0 for every alias-free row of a recentred
+polynomial (|a_0| <= d_0 < Q <= N_0), :func:`_reduced` adds n to the
+negative ones; support_box tells, so nothing is scanned for it, and
+frequencies outside (-n, n) (a polynomial :func:`riemann_l1` or
+:func:`eval_grid` takes as given, far from 0) take ``%``.  In int64, each
+row's phases are the row before's plus a_0 mod N_0, less N_0 where the sum
+reaches N_0, so a block takes at most one ``%``, on its first row, and
+none when that is row 1, whose phases are a_0 mod N_0 itself.  Both give
+the integers ``%`` gives.  A column of fewer than ``_DIVIDE_BELOW`` (1024)
+terms still takes one ``%`` (the phases of a whole block in one call),
+which costs less than the calls that avoid it there.
+
 The transforms.  Every transform is numpy.fft's, in place through
 ``out=``: a complex grid or block overwrites its coefficients, and a real
 grid writes its half-size output into one array, so a sample takes the 16
@@ -242,6 +256,10 @@ _ROW_CALL_SAMPLES = 2 ** 14
 # a block's twiddles are formed and placed at most this many (row, term)
 # pairs at a time, in scratch of 48 bytes a pair (_twiddled)
 _TWIDDLE_PAIRS = 2 ** 14
+# an int64 column of fewer terms than this is reduced mod n with one `%`:
+# below it one division call costs less than the two or three calls that
+# avoid it (module docstring, "Residues and phases"; CHANGES.md)
+_DIVIDE_BELOW = 1024
 
 # each thread's block buffers and twiddle scratch, kept between calls: the
 # block and its moduli, then phases, table indices, twiddles and lo entries
@@ -384,18 +402,34 @@ def eval_grid(f: TrigPoly, shape, memory_budget: int | None = None) -> GridEvalu
     """
     shape = _checked_shape(f, shape, memory_budget)
     real = not f.coeffs.imag.any()
-    values = _grid_values(_placed(f, _residues(f.freqs, shape), shape, real))
+    values = _grid_values(_placed(f, _residues(f, shape), shape, real))
     if real:
         np.conjugate(values, out=values)
     return GridEvaluation(shape, values)
 
 
-def _residues(freqs: np.ndarray, shape: tuple[int, ...]) -> tuple:
-    """The grid indices of the (terms, rank) ``freqs``: their residues mod
-    ``shape``, one index array per axis."""
-    if len(shape) == 1:  # a Python int modulus: no array to build for it
-        return (freqs[:, 0] % shape[0],)
-    return tuple((freqs % np.array(shape, dtype=np.int64)).T)
+def _residues(f: TrigPoly, shape: tuple[int, ...]) -> tuple:
+    """The grid indices of f's terms on a grid of ``shape``: their
+    frequencies' residues mod ``shape``, one index array per axis."""
+    if len(f.freqs) < _DIVIDE_BELOW:  # one `%` an axis, the cheaper there
+        if len(shape) == 1:  # a Python int modulus: no array to build for it
+            return (f.freqs[:, 0] % shape[0],)
+        return tuple((f.freqs % np.array(shape, dtype=np.int64)).T)
+    return tuple(_reduced(f.freqs[:, i], n, f.support_box[i]) for i, n in enumerate(shape))
+
+
+def _reduced(a: np.ndarray, n: int, box: tuple[int, int]) -> np.ndarray:
+    """The int64 column ``a`` mod n, its entries lying in ``box`` = (min, max):
+    n added to the negative entries when all lie in (-n, n), else ``%``
+    (module docstring, "Residues and phases")."""
+    if not (-n < box[0] and box[1] < n):
+        return a % n
+    out = a + n
+    # read as unsigned, an entry a >= 0 is below a + n, and an entry a < 0 is
+    # 2^63 or more, while a + n lies in [1, n): the lesser is a mod n
+    u = out.view(np.uint64)
+    np.minimum(a.view(np.uint64), u, out=u)
+    return out
 
 
 def _placed(f: TrigPoly, idx: tuple, shape: tuple[int, ...], real: bool,
@@ -548,17 +582,31 @@ def _twiddled(coeffs: np.ndarray, res0: np.ndarray, rows: range, n0: int,
     """The coefficients c_a e(a_0 r / N_0) of the coset rows r in ``rows``, from
     res0 = a_0 mod N_0 and the :func:`_phase_tables` of N_0, one row a row,
     formed in the flat ``scratch`` of at least len(rows) terms entries each:
-    int64 phases and indices, complex128 twiddles and lo entries."""
+    int64 phases and indices, complex128 twiddles and lo entries.  The
+    phases a_0 r mod N_0 are exact: in int64 from _DIVIDE_BELOW terms on,
+    the row before's plus res0, wrapped (module docstring, "Residues and
+    phases")."""
     k, lo, hi = tables
     shape = (len(rows), len(coeffs))
     phase, index, twiddled, entries = (a[:math.prod(shape)].reshape(shape) for a in scratch)
     # a_0 r < N_0 rows.stop: int64 while that fits, Python ints beyond
-    if n0 * rows.stop < 2 ** 63:
+    if n0 * rows.stop >= 2 ** 63:
+        phase[...] = np.multiply.outer(np.arange(rows.start, rows.stop, dtype=object),
+                                       res0.astype(object)) % n0
+    elif len(coeffs) < _DIVIDE_BELOW:
         np.multiply.outer(np.arange(rows.start, rows.stop), res0, out=phase)
         np.remainder(phase, n0, out=phase)
     else:
-        phase[...] = np.multiply.outer(np.arange(rows.start, rows.stop, dtype=object),
-                                       res0.astype(object)) % n0
+        if rows.start == 1:
+            phase[0] = res0
+        else:
+            np.remainder(np.multiply(res0, rows.start, out=phase[0]), n0, out=phase[0])
+        # unsigned, a sum s < N_0 gives s - N_0 >= 2^64 - N_0 > s, and a sum
+        # s >= N_0 gives s - N_0 < s: the lesser is s mod N_0 (N_0 < 2^62)
+        step, u, wrapped = res0.view(np.uint64), phase.view(np.uint64), index[0].view(np.uint64)
+        for i in range(1, len(rows)):
+            np.add(u[i - 1], step, out=u[i])
+            np.minimum(u[i], np.subtract(u[i], n0, out=wrapped), out=u[i])
     # mode="clip" takes into ``out`` unbuffered; every index is in range
     hi.take(np.right_shift(phase, k, out=index), out=twiddled, mode="clip")
     lo.take(np.bitwise_and(phase, (1 << k) - 1, out=index), out=entries, mode="clip")
@@ -604,7 +652,7 @@ def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
     two threads the worker takes them from the front, while the caller takes
     row 0 and then blocks from the back."""
     row_shape = (plan.q,) + plan.grid[1:]
-    idx = _residues(f.freqs, row_shape)
+    idx = _residues(f, row_shape)
     place = _fold if plan.fold else operator.setitem
 
     def first() -> float:
@@ -615,8 +663,9 @@ def _row_sums(f: TrigPoly, plan: GridPlan) -> list[float]:
     if plan.evaluated == 1:
         return [first()]
     n0 = plan.grid[0]
-    run = functools.partial(_range_sums, f, plan, idx, place, f.freqs[:, 0] % n0,
-                            _phase_tables(n0))
+    res0 = (f.freqs[:, 0] % n0 if len(f.freqs) < _DIVIDE_BELOW
+            else _reduced(f.freqs[:, 0], n0, f.support_box[0]))
+    run = functools.partial(_range_sums, f, plan, idx, place, res0, _phase_tables(n0))
     # the first rows of the blocks: all of them the caller's when the worker
     # is busy with another caller's rows (its job is then cancelled), and one
     # block at most the worker's when it waits for a CPU

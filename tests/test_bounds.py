@@ -104,6 +104,25 @@ def test_c_mps_must_be_a_finite_number_above_0(c_mps):
             call()
 
 
+def test_c_mps_whose_power_passes_float64_is_refused():
+    # C^r, C^3, C^-3 and (C / (2^9 pi))^r past float64 raise a ValueError
+    # naming c_mps, not an OverflowError; a power that underflows is 0.0
+    lattice, lattice_cert = build_strong_lattice((4, 4))
+    zset, zcert = build_strong_integer((1.0,), (4, 4), shape="box")
+    calls = [lambda: verify_multidim(lattice, lattice_cert, 1e200),
+             lambda: verify_multidimz(zset, zcert, 1e-200),
+             lambda: verify_multidimz(zset, zcert, 1e120),
+             lambda: multidimz_size_checks((4, 4), 1e120),
+             lambda: multidimz_size_checks((4, 4), 1e-120, inverse_constant=True),
+             lambda: multidimz_constant(2, (1.0,), 1e300)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"c_mps 1e[-+]\d+ is out of range"):
+            call()
+    assert multidimz_constant(2, (1.0,), 1e-200) == 0.0
+    assert all(h.passed for h in multidimz_size_checks((4, 4), 1e-120))
+    assert verify_multidim(lattice, lattice_cert, 1e-200).rhs == 0.0
+
+
 @pytest.mark.parametrize("delta", [True, "1.0", math.nan, math.inf])
 def test_main_prop_delta_must_be_a_finite_number(delta):
     # not read as 1.0 by float(), and no hypothesis checked against nan

@@ -161,6 +161,21 @@ def test_c_mps_must_be_a_finite_number_above_0(tmp_path, capsys, argv, value):
     assert "c_mps must be a finite number" in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["verify", "--theorem", "multidim", "--set", "box:4,4"], "1e200"),
+    (["verify", "--theorem", "multidimz", "--set", "zbox:4,4"], "1e-200"),
+    (["verify", "--theorem", "multidimz", "--set", "zbox:4,4"], "1e120")],
+    ids=["multidim-1e200", "multidimz-1e-200", "multidimz-1e120"])
+def test_c_mps_whose_power_passes_float64_is_usage_error(tmp_path, capsys, argv, value):
+    # c_mps^rank and c_mps^(+-3) overflow float64: exit 2 naming c_mps, no traceback
+    out = tmp_path / "x.json"
+    code = main(argv + ["--c-mps", value, "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"c_mps {float(value)!r} is out of range" in err and not out.exists()
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("delta", [True, "1.0"], ids=["true", "string"])
 def test_certificate_delta_must_be_a_json_number(tmp_path, capsys, delta):
     # a certificate's delta of true or "1.0" is not read as 1.0: exit 2

@@ -3,7 +3,11 @@
 import cmath
 import json
 import math
+import re
+import warnings
+from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -597,3 +601,141 @@ def test_sorted_terms_match_the_sorting_path():
         slow = TrigPoly.from_arrays(1, freqs[order], coeffs[order])
         assert np.array_equal(fast.freqs, slow.freqs)
         assert fast.coeffs.tobytes() == slow.coeffs.tobytes()
+
+
+def _numpy_column(values):
+    # the conversion the constructor made before it packed real columns: one
+    # np.array to complex128, then 0 + c and the zeros dropped
+    column = np.array(values, dtype=np.complex128) + 0.0
+    return column[column != 0]
+
+
+_INTS = [int(x) for x in np.random.default_rng(80).integers(-2 ** 62, 2 ** 62, 2000)
+         * np.random.default_rng(81).integers(1, 2 ** 17, 2000).astype(object)]
+_REAL_VALUES = [2 ** 53 + 1, -(2 ** 53) - 1, 2 ** 63, -(2 ** 63), 2 ** 64 + 3,
+                np.uint64(2 ** 64 - 1), np.int64(-(2 ** 63)), np.float32(0.1), Fraction(1, 3),
+                Decimal("0.1"), True, False, np.True_, -0.0, 0.0, 5e-324, -5e-324, 1e308,
+                np.float64(0.3), np.float16(0.1), np.array(2.5)]
+_COMPLEX_VALUES = [1 + 2j, complex(-0.0, 1.0), np.complex128(0.5 - 0.25j),
+                   np.complex64(0.1 + 0.2j), 3j]
+
+
+@pytest.mark.parametrize("first", [0.5, 7, 1j], ids=["float", "int", "complex"])
+@pytest.mark.parametrize("values", [_INTS, _REAL_VALUES, _REAL_VALUES + _COMPLEX_VALUES,
+                                    _COMPLEX_VALUES + _REAL_VALUES,
+                                    _COMPLEX_VALUES[2:4] + _REAL_VALUES,
+                                    [np.complex128(1 + 2j)], [np.complex64(1 + 2j)]],
+                         ids=["ints-to-2^80", "reals", "reals-then-complex", "complex-first",
+                              "numpy-complex-first", "np.complex128", "np.complex64"])
+def test_coefficients_convert_as_numpy_does_bit_for_bit(first, values):
+    # a column that starts with a float packs as C doubles (struct), any
+    # other takes numpy's complex128 conversion: every value, float, int past
+    # 2^53 or 2^63, numpy scalar, Fraction, Decimal, bool, -0.0 or subnormal,
+    # lands on the same bits either way, and as the reference dict gives it.
+    # With warnings shown, not raised: a numpy complex scalar packed by its
+    # __float__ would lose its imaginary part with only a ComplexWarning
+    values = [first] + list(values)
+    want = _numpy_column(values)
+    ref = _reference_terms(1, dict(enumerate(values)))
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        polys = (TrigPoly(1, dict(enumerate(values))), TrigPoly(1, list(enumerate(values))),
+                 TrigPoly.from_arrays(1, list(range(len(values))), values),
+                 TrigPoly.from_arrays(1, np.arange(len(values)),
+                                      np.array(values, dtype=object)))
+    assert not shown
+    for f in polys:
+        assert f.coeffs.dtype == np.complex128 and f.coeffs.tobytes() == want.tobytes()
+        assert _bits(f.terms.items()) == _bits(ref.items())
+
+
+def test_real_column_sum_that_overflows_warns_of_nothing():
+    # the realness check adds the values: numpy scalars whose sum passes
+    # float64 neither warn nor change a coefficient
+    values = [1e308, np.float64(1e308), np.float64(-np.inf), np.float64(np.inf)]
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        f = TrigPoly(1, dict(enumerate(values[:2])))
+        with pytest.raises(ValueError, match=r"\(-inf\+0j\) at frequency \(2,\) is not finite"):
+            TrigPoly(1, dict(enumerate(values)))
+    assert not shown
+    assert f.coeffs.tobytes() == _numpy_column(values[:2]).tobytes()
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
+def test_real_columns_match_the_complex_path(rank, order):
+    # real coefficients give the bits of the same values given as complex
+    # numbers (numpy's path), for sorted and unsorted keys, repeated keys
+    # summed in input order, Mappings and pairs, in rank 1 and 2
+    rng = np.random.default_rng(["sorted", "unsorted", "repeated"].index(order) + 10 * rank)
+    n = 3000
+    keys = (np.unique(rng.integers(-10 ** 6, 10 ** 6, (n, rank)), axis=0) if order == "sorted"
+            else rng.integers(-40 if order == "repeated" else -10 ** 6,
+                              40 if order == "repeated" else 10 ** 6, (n, rank)))
+    keys = [k[0] if rank == 1 else tuple(k) for k in keys.tolist()]
+    values = (rng.standard_normal(len(keys)) * 10.0 ** rng.integers(-300, 300, len(keys))).tolist()
+    values[::7] = [0.0] * len(values[::7])
+    values[3::11] = [-0.0] * len(values[3::11])
+    pairs = list(zip(keys, values))
+    as_dict = dict(pairs)  # the last of repeated keys
+    for terms, as_complex in ((pairs, [(k, complex(v)) for k, v in pairs]),
+                              (as_dict, {k: complex(v) for k, v in as_dict.items()})):
+        want = TrigPoly(rank, as_complex)
+        assert _bits(want.terms.items()) == _bits(_reference_terms(rank, as_complex).items())
+        given = ((terms, iter(terms)) if isinstance(terms, list)
+                 else (terms, MappingProxyType(terms)))
+        for f in (TrigPoly(rank, t) for t in given):
+            assert np.array_equal(f.freqs, want.freqs)
+            assert f.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_real_column_drops_zeros_and_keeps_the_error_messages():
+    # a zero and -0.0 are dropped on the packed path too; a nan, an inf and
+    # an overflowing sum name their frequency as the complex path does
+    f = TrigPoly(1, {1: 0.5, 2: 0.0, 3: -0.0, 4: -2.0})
+    assert f.terms == {(1,): 0.5 + 0j, (4,): -2 + 0j}
+    assert all(math.copysign(1.0, c.imag) == 1.0 for c in f.coeffs.tolist())
+    for bad, shown in ((math.nan, r"\(nan\+0j\)"), (math.inf, r"\(inf\+0j\)"),
+                       (-math.inf, r"\(-inf\+0j\)")):
+        with pytest.raises(ValueError, match=shown + r" at frequency \(3,\) is not finite"):
+            TrigPoly(1, {1: 0.5, 3: bad})
+        with pytest.raises(ValueError, match=shown + r" at frequency \(3,\) is not finite"):
+            TrigPoly(1, {1: 0.5, 3: complex(bad)})
+    for terms in ([(2, 1e308), (2, 1e308)], [(2, 1e308 + 0j), (2, 1e308 + 0j)]):
+        with pytest.raises(ValueError, match=r"\(inf\+0j\) at frequency \(2,\) is not finite"):
+            TrigPoly(1, [(5, 1.0)] + terms)
+
+
+@pytest.mark.parametrize("bad", ["1.0", "1+2j", b"3", None, np.str_("2"), np.bytes_(b"2"),
+                                 [1.0], (1.0,), np.array([1.0]), object()],
+                         ids=["str", "complex-str", "bytes", "None", "np.str_", "np.bytes_",
+                              "list", "tuple", "1-d-array", "object"])
+@pytest.mark.parametrize("first", [0.5, 1j, None], ids=["after-float", "after-complex", "alone"])
+def test_coefficient_that_is_no_number_is_refused(bad, first):
+    # numpy's conversion would parse a string or bytes, read None as nan and
+    # a one-element sequence as its element: each is refused, naming its
+    # frequency and showing the value, on the packed path and numpy's
+    # (with warnings shown, not raised, as outside this suite: a one-element
+    # array after a float packs by its __float__ with a DeprecationWarning)
+    terms = ({} if first is None else {(0, 0): first}) | {(1, 2): bad}
+    shown = re.escape(repr(bad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=f"coefficient {shown} at frequency \\(1, 2\\) is not a number"):
+            TrigPoly(2, terms)
+        with pytest.raises(ValueError, match=f"coefficient {shown} at frequency \\(1, 2\\) is not a number"):
+            TrigPoly(2, list(terms.items()))
+    if np.ndim(bad):
+        return  # from_arrays reads nested sequences as one array of coefficients
+    column = np.empty(len(terms), dtype=object)
+    column[:] = list(terms.values())
+    for coeffs in (list(terms.values()), column):
+        with pytest.raises(ValueError, match=f"coefficient {shown} at frequency \\(1, 2\\) is not a number"):
+            TrigPoly.from_arrays(2, list(terms), coeffs)
+
+
+def test_string_arrays_are_refused_by_from_arrays():
+    for coeffs in (np.array(["1.0", "2"]), np.array([b"1", b"2"]), ["1.0", 2.0]):
+        with pytest.raises(ValueError, match=r"coefficient .*'1.*' at frequency \(4,\) is not a number"):
+            TrigPoly.from_arrays(1, [4, 5], coeffs)

@@ -640,6 +640,121 @@ def test_twiddles_cross_the_int64_phase_limit():
                 (n0, rows)
 
 
+# --- residues and phases without int64 division -----------------------------
+
+def _dividing(monkeypatch, divide):
+    # every residue and phase by `%` (divide), or by the division-free forms
+    # wherever their ranges allow, whatever the column's length
+    monkeypatch.setattr(quadrature, "_DIVIDE_BELOW", 2 ** 62 if divide else 0)
+
+
+def _wrap_terms(n0, w, rng):
+    # residues mod N_0 whose multiples reach N_0 exactly (N_0/2, N_0/3, ...),
+    # 0, 1 and N_0 - 1, the rest random
+    special = [0, 1, n0 - 1, n0 // 2, n0 // 3, 2 * (n0 // 3), n0 // 4, n0 - n0 // 5]
+    res0 = np.array(special + [int(x) for x in rng.integers(0, n0, w - len(special))],
+                    dtype=np.int64)
+    coeffs = rng.standard_normal(w) + 1j * rng.standard_normal(w)
+    return res0, coeffs
+
+
+@pytest.mark.parametrize("n0", [12_000, 1_119_744, 999_999_937, 2 ** 61 + 2 ** 59])
+@pytest.mark.parametrize("rows", [range(1, 2), range(1, 3), range(1, 9), range(2, 4),
+                                  range(37, 42), range(4, 6)])
+def test_wrapped_phases_are_the_product_mod_n0(monkeypatch, n0, rows):
+    # from _DIVIDE_BELOW terms on, each row's phases are the row before's
+    # plus res0, less N_0 where the sum reaches it (exactly, for the
+    # multiples of N_0/2 and N_0/3), and only a block's first row past row 1
+    # takes a `%`: the phases are a_0 r mod N_0 in Python ints, and the
+    # twiddles are those of the dividing path, bit for bit.  With N_0 near
+    # 2^62, N_0 (r + 1) passes 2^63 from row 4 on, where the Python-int
+    # phases are still taken
+    rng = np.random.default_rng([n0 % 10 ** 6, rows.start, len(rows)])
+    w = quadrature._DIVIDE_BELOW + 3
+    res0, coeffs = _wrap_terms(n0, w, rng)
+    k = ((n0 - 1).bit_length() + 1) // 2
+    tables = (quadrature._phase_tables(n0) if n0 < 2 ** 40
+              else (k, _RootsOnDemand(n0, 0), _RootsOnDemand(n0, k)))
+    want_phase = (np.multiply.outer(np.arange(rows.start, rows.stop, dtype=object),
+                                    res0.astype(object)) % n0).astype(np.int64)
+    got = {}
+    for divide in (True, False):
+        _dividing(monkeypatch, divide)
+        scratch = [np.full(len(rows) * w + 7, -1, dtype=t) for t in quadrature._BUFFER_DTYPES[2:]]
+        got[divide] = quadrature._twiddled(coeffs, res0, rows, n0, tables, scratch).copy()
+        assert np.array_equal(scratch[0][:len(rows) * w].reshape(len(rows), w), want_phase)
+    monkeypatch.undo()
+    # the default takes the division-free phases for this many terms
+    assert w >= quadrature._DIVIDE_BELOW
+    assert got[True].tobytes() == got[False].tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 1000, 12_000, 2 ** 61 + 1, 2 ** 62 - 57])
+def test_division_free_residues_are_the_remainders(n):
+    # within (-n, n) the residue of a negative entry is the entry plus n;
+    # a column reaching -n or n, or int64's ends, takes `%`
+    rng = np.random.default_rng(n % 1000)
+    size = quadrature._DIVIDE_BELOW
+    inner = [0, 1, -1, n - 1, -(n - 1)] + [int(x) for x in rng.integers(-n + 1, n, size)]
+    for extra in ([], [-n], [n], [-n - 1], [n + 1], [2 * n], [-(2 ** 63)], [2 ** 63 - 1],
+                  [-(2 ** 63), 2 ** 63 - 1]):
+        column = np.array(inner + extra, dtype=np.int64).reshape(-1, 1)[:, 0]
+        box = (int(column.min()), int(column.max()))
+        got = quadrature._reduced(column, n, box)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(a) % n for a in column.tolist()], extra
+    # a column of a rank-3 array: strided, as every axis of a rank-3 polynomial
+    freqs = np.array([inner, inner[::-1], inner], dtype=np.int64).T
+    for axis in range(3):
+        got = quadrature._reduced(freqs[:, axis], n, (-n + 1, n - 1))
+        assert got.tolist() == [a % n for a in freqs[:, axis].tolist()]
+
+
+@pytest.mark.parametrize("side", [2 ** 63 - 1, -(2 ** 63)])
+def test_eval_grid_at_the_int64_ends(side):
+    # frequencies within 2500 of an end of int64 (so `%`) against the same
+    # polynomial moved by a multiple of N into (-N, N) (division-free): the
+    # same residues, the same samples, bit for bit
+    rng = np.random.default_rng(side % 97)
+    n = 5003
+    offsets = np.unique(rng.integers(0, 2500, 1500))
+    offsets[0], offsets[-1] = 0, 2499
+    freqs = side - offsets if side > 0 else side + offsets
+    coeffs = rng.standard_normal(len(freqs))
+    f = TrigPoly.from_arrays(1, freqs, coeffs)
+    m = side // n * n if side > 0 else -(-side // n * n)  # within int64
+    near = TrigPoly.from_arrays(1, freqs - m, coeffs)
+    lo, hi = near.support_box[0]
+    assert -n < lo and hi < n and len(near) >= quadrature._DIVIDE_BELOW
+    assert eval_grid(f, n).values.tobytes() == eval_grid(near, n).values.tobytes()
+    assert np.allclose(eval_grid(f, n).values, _reference_grid(f, (n,))[:n // 2 + 1],
+                       rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape, d0, p", COSET_CASES)
+@pytest.mark.parametrize("real", [True, False])
+def test_division_free_row_sums_are_the_dividing_ones(monkeypatch, shape, d0, p, real):
+    # every plan kind, its rows assigned or folded, in rank 1 and 2, with
+    # the terms recentred (division-free where the rows are alias-free), at
+    # 0 .. 2 d_0, moved left past the row or far out (`%`): the row sums,
+    # grid means and samples of the dividing path, bit for bit, also through
+    # riemann_l1, which takes the polynomial as given
+    q = shape[0] // p
+    rng = np.random.default_rng([sum(shape), d0, p, real, 40])
+    f = _window_poly(rng, shape, d0, real, terms=quadrature._DIVIDE_BELOW + 5)
+    polys = [recentre(f)[0], f, f.shifted((-2 * d0 - 7,) + (0,) * (len(shape) - 1)),
+             f.shifted(tuple(int(x) for x in rng.integers(-2 ** 62, 2 ** 62, len(shape))))]
+    within = [-q < g.support_box[0][0] and g.support_box[0][1] < q for g in polys]
+    assert within == [q > d0, q > 2 * d0, False, False]
+    for g in polys:
+        got = {}
+        for divide in (True, False):
+            _dividing(monkeypatch, divide)
+            got[divide] = ([_hex(_row_sums(g, _plan_of(g, shape, q, rows))) for rows in (1, 4)],
+                           riemann_l1(g, shape).hex(), eval_grid(g, shape).values.tobytes())
+        assert got[True] == got[False]
+
+
 def test_coset_mean_p1_is_the_whole_grid():
     rng = np.random.default_rng(61)
     block = quadrature._BLOCK_BYTES // quadrature._BLOCK_BYTES_PER_SAMPLE
