@@ -8,7 +8,7 @@ lower bounds at desk scale.
 """
 
 from .bounds import (DEFAULT_C_MPS, HypothesisCheck, InequalityVerdict,
-                     MainPropReport, ScanReport, constant_scan,
+                     ScanReport, bernstein_check, constant_scan,
                      family_gaps, family_intervals, family_random_sets,
                      mps_rhs, verify_basic_multidim, verify_main_prop,
                      verify_mps, verify_multidim, verify_multidimz)
@@ -22,9 +22,8 @@ from .kernels import (FlatTopKernel, dirichlet, discrete_l1_bound, fejer,
 from .modulus import (GoodModulusResult, ResidueFilter, good_modulus,
                       residue_filter, thinning_bound_factor,
                       thinning_transform)
-from .quadrature import (BernsteinCheck, GridEvaluation, NormInterval,
-                         bernstein_check, certified_l1, derivative,
-                         eval_grid, riemann_l1)
+from .quadrature import (GridEvaluation, NormInterval, certified_l1,
+                         derivative, eval_grid, riemann_l1)
 from .structures import (DimCertificate, ValidationReport,
                          build_strong_integer, build_strong_lattice,
                          gap_rank2, project_and_fibre, validate_certificate)
@@ -35,10 +34,10 @@ __version__ = "0.1.0"
 BACKEND = "numpy"
 
 __all__ = [
-    "AliasingError", "BACKEND", "BernsteinCheck", "CollisionError",
+    "AliasingError", "BACKEND", "CollisionError",
     "DEFAULT_C_MPS", "DimCertificate", "FlatTopKernel", "GoodModulusResult",
     "GridEvaluation", "GridOverflowError", "HypothesisCheck", "HypothesisError",
-    "InequalityVerdict", "IntegerSet", "LatticeSet", "MainPropReport",
+    "InequalityVerdict", "IntegerSet", "LatticeSet",
     "MemoryBudgetError", "NormInterval", "ResidueFilter", "ScanReport",
     "SupportError", "TrigPoly", "ValidationReport", "bernstein_check",
     "build_strong_integer", "build_strong_lattice", "certified_l1", "char_e",

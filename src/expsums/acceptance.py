@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (assemble_blocks, constant_scan, family_gaps,
-                     family_intervals, family_random_sets, verify_multidim,
-                     verify_multidimz)
+from .bounds import (assemble_blocks, bernstein_check, constant_scan,
+                     family_gaps, family_intervals, family_random_sets,
+                     verify_multidim, verify_multidimz)
 from .core import IntegerSet, TrigPoly, indicator_poly
 from .kernels import (FlatTopKernel, discrete_l1_bound, flat_top_build,
                       flat_top_discrete_l1, flat_top_transform,
@@ -177,8 +177,6 @@ def _random_poly(rng: np.random.Generator, max_degree: int = 64) -> TrigPoly:
 
 def criterion_05(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
     """Derivative norms stay under 2*pi*d times the norm, 200 random polynomials."""
-    from .quadrature import bernstein_check
-
     rng = _rng(seed, 5)
     failures = []
     degrees = []
@@ -188,7 +186,7 @@ def criterion_05(seed: int, memory_budget: int | None = None) -> tuple[bool, dic
         degrees.append(f.degree[0])
         if not res.passed:
             failures.append({"index": i, "degree": f.degree[0],
-                             "lhs_lo": res.lhs.lo, "rhs": res.rhs_bound})
+                             "lhs_lo": res.lhs.lo, "rhs": res.rhs})
     return not failures, {"count": 200, "max_degree": max(degrees),
                           "failures": failures}
 

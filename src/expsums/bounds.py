@@ -19,9 +19,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_real, indicator_poly
-from .errors import HypothesisError
+from .errors import HypothesisCheck, HypothesisError
 from .modulus import ResidueFilter, residue_filter, thinning_bound_factor
-from .quadrature import NormInterval, certified_l1
+from .quadrature import ZERO_INTERVAL, NormInterval, certified_l1, derivative
 from .structures import (DimCertificate, build_strong_lattice, gap_rank2,
                          project_and_fibre, validate_certificate)
 
@@ -48,33 +48,41 @@ def _c_mps_power(base: float, k: int, c_mps: float) -> float:
 
 
 @dataclass(frozen=True)
-class HypothesisCheck:
-    condition: str
-    passed: bool
-    detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {"condition": self.condition, "passed": self.passed,
-                "detail": self.detail}
-
-
-@dataclass(frozen=True)
 class InequalityVerdict:
-    """One inequality lhs >= rhs with its certificate trail."""
+    """One inequality with its certificate trail; every ``verify`` theorem
+    returns one.
+
+    A lower bound (``sense`` ">=") passes when the lower end of ``lhs``
+    clears ``rhs``, an upper bound ("<=") when it is at most ``rhs``;
+    ``lhs`` is an enclosure or an exact number.  A verdict with no ``lhs``
+    (a batch of checks) passes when every row's ``ok`` is true.  ``rows``
+    holds one JSON object per instance or part.
+    """
 
     name: str
-    lhs: NormInterval
-    rhs: float
-    constant_used: float
+    lhs: NormInterval | float | None = None
+    rhs: float | None = None
+    constant_used: float | None = None
     hypotheses: tuple[HypothesisCheck, ...] = ()
     extras: dict = field(default_factory=dict)
+    rows: tuple[dict, ...] = ()
+    sense: str = ">="
+
+    def __post_init__(self):
+        if self.sense not in (">=", "<="):
+            raise ValueError(f"sense must be '>=' or '<=', got {self.sense!r}")
 
     @property
-    def margin(self) -> float:
-        return self.lhs.lo - self.rhs
+    def margin(self) -> float | None:
+        if self.lhs is None:
+            return None
+        lo = self.lhs.lo if isinstance(self.lhs, NormInterval) else self.lhs
+        return self.rhs - lo if self.sense == "<=" else lo - self.rhs
 
     @property
     def passed(self) -> bool:
+        if self.lhs is None:
+            return all(row["ok"] for row in self.rows)
         return self.margin >= 0
 
     @property
@@ -86,12 +94,20 @@ class InequalityVerdict:
         return self.passed and self.hypotheses_ok
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs.to_json_dict(),
-                "rhs": self.rhs, "constant_used": self.constant_used,
-                "margin": self.margin, "passed": self.passed,
-                "certified": self.certified,
-                "hypotheses": [h.to_json_dict() for h in self.hypotheses],
-                "extras": self.extras}
+        lhs = self.lhs.to_json_dict() if isinstance(self.lhs, NormInterval) else self.lhs
+        out = {"name": self.name, "lhs": lhs,
+               "rhs": self.rhs, "constant_used": self.constant_used,
+               "margin": self.margin, "passed": self.passed,
+               "certified": self.certified,
+               "hypotheses": [h.to_json_dict() for h in self.hypotheses],
+               "extras": self.extras}
+        # left out at their defaults: a lower bound with no rows has the
+        # nine keys above alone
+        if self.sense != ">=":
+            out["sense"] = self.sense
+        if self.rows:
+            out["rows"] = list(self.rows)
+        return out
 
 
 def as_poly(x) -> TrigPoly:
@@ -261,29 +277,35 @@ def verify_multidimz(A: IntegerSet, cert: DimCertificate,
                                          [h.to_json_dict() for h in inverse]})
 
 
-@dataclass(frozen=True, kw_only=True)
-class MainPropReport(InequalityVerdict):
-    """Block-decomposition lower bound with its T1/T2 split.
+# The derivative inequality is attained with equality by single monomials,
+# where both sides reduce to 2 pi d |c| computed along different float paths.
+# Allow a few hundred ulps so the comparison cannot flip on rounding; this is
+# eleven orders below the default rel_err.
+_FP_SLACK = 1e-12
 
-    rhs = (T1 - T2) / factor where T1 = C * sum_j lo_j / (2j) collects the
-    per-block coefficient-decay terms from the certified lower ends, and
-    T2 = (2 pi d1 / (q d2)) * sum_j hi_j is the derivative error term from
-    the upper ends.  Individual brackets C/(2j) - 2 pi d1/(q d2) are
-    reported raw and may be negative.  The report carries t1, t2, factor
-    and rows at its top level, in place of ``extras``.
+
+def bernstein_check(f: TrigPoly, rel_err: float = 0.1,
+                    memory_budget: int | None = None) -> InequalityVerdict:
+    """||f'||_1 <= 2 pi d ||f||_1 with certified enclosures (rank 1), an
+    upper-bound verdict.
+
+    Uses the conservative interval ends: lhs.lo against rhs = 2 pi d *
+    hi(||f||_1), raised by ``_FP_SLACK``.  d is the degree of f as given
+    (max |frequency|), which is what the derivative actually sees;
+    ``extras`` holds it and the enclosure of ||f||_1.
     """
-
-    t1: float
-    t2: float
-    factor: float
-    rows: tuple[dict, ...]
-
-    def to_json_dict(self) -> dict:
-        out = super().to_json_dict()
-        del out["extras"]
-        out.update(t1=self.t1, t2=self.t2, factor=self.factor,
-                   rows=list(self.rows))
-        return out
+    if f.rank != 1:
+        raise ValueError("rank-1 polynomials only")
+    d = f.degree[0]
+    if f.is_zero:
+        lhs = norm = ZERO_INTERVAL
+    else:
+        df = derivative(f)
+        lhs = ZERO_INTERVAL if df.is_zero else certified_l1(df, rel_err, memory_budget)
+        norm = certified_l1(f, rel_err, memory_budget)
+    return InequalityVerdict("bernstein", lhs, 2 * math.pi * d * norm.hi * (1 + _FP_SLACK),
+                             2 * math.pi * d, sense="<=",
+                             extras={"degree": d, "norm": norm.to_json_dict()})
 
 
 def assemble_blocks(blocks: Mapping[int, TrigPoly], d2: int) -> TrigPoly:
@@ -301,11 +323,16 @@ def assemble_blocks(blocks: Mapping[int, TrigPoly], d2: int) -> TrigPoly:
 def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,
                      delta: float, q: int, s: int,
                      c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
-                     memory_budget: int | None = None) -> MainPropReport:
+                     memory_budget: int | None = None) -> InequalityVerdict:
     """The residue-thinned block bound for F = sum_k f_k(t) e(d2 k t).
 
     Keys of ``blocks`` form the index set I; the surviving blocks are those
-    with k = s mod q, enumerated k_1 < ... < k_J.
+    with k = s mod q, enumerated k_1 < ... < k_J.  rhs = (T1 - T2) / factor
+    where T1 = C * sum_j lo_j / (2j) collects the per-block coefficient-decay
+    terms from the certified lower ends, and T2 = (2 pi d1 / (q d2)) * sum_j
+    hi_j is the derivative error term from the upper ends.  ``extras`` holds
+    t1, t2 and factor, and ``rows`` one row per surviving block, whose
+    bracket C/(2j) - 2 pi d1/(q d2) is reported raw and may be negative.
     """
     d1, d2 = _check_i64(d1, "d1"), _check_i64(d2, "d2")
     delta, c_mps = _check_real(delta, "delta"), _check_c_mps(c_mps)
@@ -345,8 +372,9 @@ def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,
     rhs = (t1 - t2) / factor
     F = assemble_blocks(blocks, d2)
     lhs = certified_l1(F, rel_err, memory_budget)
-    return MainPropReport("main-prop", lhs, rhs, c_mps, tuple(hyps), t1=t1,
-                          t2=t2, factor=factor, rows=tuple(rows))
+    return InequalityVerdict("main-prop", lhs, rhs, c_mps, tuple(hyps),
+                             extras={"t1": t1, "t2": t2, "factor": factor},
+                             rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -387,12 +415,6 @@ class ScanReport:
                 "min_ratio": self.min_ratio, "median_ratio": self.median_ratio,
                 "argmin": self.argmin,
                 "rows": [r.to_json_dict() for r in self.rows]}
-
-    CSV_HEADER = ("label", "ratio", "lhs_lo", "lhs_hi", "rhs_raw")
-
-    def csv_rows(self) -> list[tuple]:
-        return [(r.label, r.ratio, r.lhs_lo, r.lhs_hi, r.rhs_raw)
-                for r in self.rows]
 
 
 def constant_scan(family: Sequence[tuple[str, object]], mode: str = "mps", rel_err: float = 0.1,

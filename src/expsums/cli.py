@@ -8,8 +8,10 @@ Reports are UTF-8 JSON with sorted keys wrapped as {"config", "result",
 "meta"}; everything volatile (timestamp, wall time) lives under "meta", so
 two runs with the same config and seed are byte-identical after dropping
 that one key.  A JSON config file can supply defaults for the common flags;
-explicit flags win.  Exit codes: 0 all verdicts passed (or --no-fail),
-1 verdict failure, 2 bad usage or parameters, 3 resource limits.
+explicit flags win.  Every verify theorem returns one InequalityVerdict.
+Exit codes: 0 success (a verify verdict certified, or multidimz's passed;
+or --no-fail), 1 verdict failure, 2 bad usage or parameters, 3 resource
+limits.
 """
 
 from __future__ import annotations
@@ -30,18 +32,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import BACKEND, acceptance
-from .bounds import (DEFAULT_C_MPS, _check_c_mps, as_poly, constant_scan, family_intervals,
+from .bounds import (DEFAULT_C_MPS, InequalityVerdict, _check_c_mps, as_poly,
+                     bernstein_check, constant_scan, family_intervals,
                      family_random_sets, verify_basic_multidim,
                      verify_main_prop, verify_mps, verify_multidim,
                      verify_multidimz)
 from .core import (IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_real,
                    from_json_obj, indicator_poly)
-from .errors import (CollisionError, HypothesisError, MemoryBudgetError,
-                     SupportError)
+from .errors import MemoryBudgetError
 from .kernels import flat_top_build
 from .modulus import ResidueFilter, thinning_transform
-from .quadrature import (_memory_budget, _recentred_degree, bernstein_check,
-                         certified_l1, riemann_l1, riemann_rho)
+from .quadrature import (_memory_budget, _recentred_degree, certified_l1,
+                         riemann_l1, riemann_rho)
 from .structures import (build_strong_integer, build_strong_lattice,
                          gap_rank2, validate_certificate)
 
@@ -149,10 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one named inequality verification")
     common(p)
-    p.add_argument("--theorem", required=True,
-                   choices=["mps", "basic-multidim", "multidim", "main-prop",
-                            "multidimz", "bernstein", "numerical", "kernel",
-                            "thinning", "good-modulus"])
+    p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
     p.add_argument("--input", help="JSON file with the instance")
     p.add_argument("--set", dest="set_spec", help=SET_HELP)
     p.add_argument("--params", default=None, help="JSON parameters")
@@ -161,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None,
                    help="sample count for --theorem numerical")
     p.add_argument("--csv", dest="csv_path", default=None,
-                   help="also write scan rows as CSV")
+                   help="also write the verdict's rows as CSV")
 
     p = sub.add_parser("suite", help="run the full acceptance suite")
     common(p)
@@ -393,22 +392,21 @@ def _single_or_none(cfg: ExperimentConfig):
 
 def _verify_mps(cfg):
     inst = _single_or_none(cfg)
-    if inst is None:
-        # scan mode: intervals plus seeded random sets, threshold c_mps
-        threshold = _check_c_mps(cfg.c_mps)
-        count = 10 if cfg.count is None else cfg.count
-        family = family_intervals(range(4, 129))
-        family += family_random_sets(count, 64, 10 ** 5,
-                                     seed=int(cfg.seed) * 11 + 8)
-        report = constant_scan(family, mode="mps", rel_err=cfg.rel_err,
-                               memory_budget=cfg.memory_budget)
-        payload = report.to_json_dict()
-        payload["threshold"] = threshold
-        passed = report.min_ratio >= threshold
-        payload["passed"] = passed
-        return payload, passed, [report.CSV_HEADER, *report.csv_rows()]
-    verdict = verify_mps(inst[0], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
-    return verdict.to_json_dict(), verdict.passed, None
+    if inst is not None:
+        return verify_mps(inst[0], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
+    # scan mode: intervals plus seeded random sets; the least ratio of
+    # lhs.lo to the constant-free rhs must reach c_mps
+    threshold = _check_c_mps(cfg.c_mps)
+    count = 10 if cfg.count is None else cfg.count
+    family = family_intervals(range(4, 129))
+    family += family_random_sets(count, 64, 10 ** 5,
+                                 seed=int(cfg.seed) * 11 + 8)
+    scan = constant_scan(family, mode="mps", rel_err=cfg.rel_err,
+                         memory_budget=cfg.memory_budget)
+    return InequalityVerdict("mps-scan", scan.min_ratio, threshold, threshold,
+                             extras={"argmin": scan.argmin, "count": len(scan.rows),
+                                     "median_ratio": scan.median_ratio},
+                             rows=tuple(row.to_json_dict() for row in scan.rows))
 
 
 def _verify_basic_multidim(cfg):
@@ -416,8 +414,7 @@ def _verify_basic_multidim(cfg):
     if inst is None or not isinstance(inst[0], LatticeSet):
         raise ConfigError("basic-multidim needs a lattice set "
                           "(--set box:n1,n2 or --input)")
-    verdict = verify_basic_multidim(inst[0], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
-    return verdict.to_json_dict(), verdict.passed, None
+    return verify_basic_multidim(inst[0], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
 
 
 def _verify_multidim(cfg):
@@ -425,8 +422,7 @@ def _verify_multidim(cfg):
     if inst is None or inst[1] is None:
         raise ConfigError("multidim needs a set with a certificate "
                           "(--set box:n1,n2 or --input with certificate)")
-    verdict = verify_multidim(inst[0], inst[1], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
-    return verdict.to_json_dict(), verdict.certified, None
+    return verify_multidim(inst[0], inst[1], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
 
 
 def _verify_multidimz(cfg):
@@ -436,9 +432,8 @@ def _verify_multidimz(cfg):
                           "(--set zbox:n1,n2 or --input with certificate)")
     params = cfg.params or {}
     override = params.get("constant_override")
-    verdict = verify_multidimz(inst[0], inst[1], cfg.c_mps, cfg.rel_err,
-                               override, cfg.memory_budget)
-    return verdict.to_json_dict(), verdict.passed, None
+    return verify_multidimz(inst[0], inst[1], cfg.c_mps, cfg.rel_err,
+                            override, cfg.memory_budget)
 
 
 def _integer(value) -> int:
@@ -468,20 +463,15 @@ def _verify_main_prop(cfg):
         blocks = {k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
                   for k in range(26)}
         d1, d2, delta, q, s = 10, 44, 1.0, 13, 0
-    report = verify_main_prop(blocks, d1, d2, delta, q, s, cfg.c_mps,
-                              cfg.rel_err, cfg.memory_budget)
-    return report.to_json_dict(), report.passed, None
+    return verify_main_prop(blocks, d1, d2, delta, q, s, cfg.c_mps,
+                            cfg.rel_err, cfg.memory_budget)
 
 
 def _verify_bernstein(cfg):
     inst = _single_or_none(cfg)
     if inst is None:
         raise ConfigError("bernstein needs --input or --set")
-    f = as_poly(inst[0])
-    res = bernstein_check(f, cfg.rel_err, cfg.memory_budget)
-    payload = {"lhs": res.lhs.to_json_dict(), "rhs_bound": res.rhs_bound,
-               "passed": res.passed, "degree": f.degree[0]}
-    return payload, res.passed, None
+    return bernstein_check(as_poly(inst[0]), cfg.rel_err, cfg.memory_budget)
 
 
 def _verify_numerical(cfg):
@@ -492,7 +482,6 @@ def _verify_numerical(cfg):
     else:
         sets = [inst[0]]
     rows = []
-    ok = True
     for A in sets:
         f = as_poly(A)
         if f.rank != 1:
@@ -505,10 +494,9 @@ def _verify_numerical(cfg):
         mean = riemann_l1(f, grid, cfg.memory_budget)
         rho = riemann_rho(d, grid)
         good = enc.lo * (1 - rho) <= mean <= enc.hi * (1 + rho)
-        ok = ok and good
         rows.append({"degree": d, "grid": grid, "mean": mean,
                      "lo": enc.lo, "hi": enc.hi, "rho": rho, "ok": good})
-    return {"rows": rows, "passed": ok}, ok, None
+    return InequalityVerdict("numerical", rows=tuple(rows))
 
 
 def _verify_kernel(cfg):
@@ -523,43 +511,34 @@ def _verify_kernel(cfg):
         pairs = [(m, n) for n in range(3, 41) for m in range(2, n)]
     checks = [acceptance.kernel_check(m, n, _check_i64(params.get("r", 2 * n + 4 * m + 1), "r"),
                                       cfg.memory_budget) for m, n in pairs]
-    ok = all(row["ok"] for row in checks)
-    rows = [row for row in checks if len(pairs) == 1 or not row["ok"]]
-    return {"pairs": len(pairs), "rows": rows, "passed": ok}, ok, None
+    # a batch lists only its failing pairs, which decide the verdict alike
+    rows = tuple(row for row in checks if len(pairs) == 1 or not row["ok"])
+    return InequalityVerdict("kernel", extras={"pairs": len(pairs)}, rows=rows)
 
 
 def _verify_thinning(cfg):
     count = 10 if cfg.count is None else cfg.count
     configs = acceptance.thinning_configs(cfg.seed, count)
-    rows = [{"index": i, **acceptance.thinning_check(*config, cfg.rel_err, cfg.memory_budget)}
-            for i, config in enumerate(configs)]
-    ok = all(row["ok"] for row in rows)
-    return {"count": count, "rows": rows, "passed": ok}, ok, _csv(
-        rows, ("index", "d1", "d2", "delta", "q", "s", "identity",
-               "certified", "slack"))
+    rows = tuple({"index": i, **acceptance.thinning_check(*config, cfg.rel_err,
+                                                          cfg.memory_budget)}
+                 for i, config in enumerate(configs))
+    return InequalityVerdict("thinning", extras={"count": count}, rows=rows)
 
 
 def _verify_good_modulus(cfg):
     inst = _single_or_none(cfg)
-    if inst is not None:
-        if not isinstance(inst[0], IntegerSet):
-            raise ConfigError("good-modulus takes an integer set")
-        res, row = acceptance.good_modulus_check(inst[0])
-        payload = res.to_json_dict()
-        payload.update(brute=row["brute"], brute_agrees=row["brute_agrees"],
-                       bounds_ok=row["bounds_ok"], passed=row["ok"])
-        return payload, row["ok"], None
-    count = 100 if cfg.count is None else cfg.count
-    sets = acceptance.good_modulus_sets(cfg.seed, count)
-    rows = [{"index": i, **acceptance.good_modulus_check(I)[1]}
-            for i, I in enumerate(sets)]
-    ok = all(row["ok"] for row in rows)
-    return {"count": count, "rows": rows, "passed": ok}, ok, _csv(
-        rows, ("index", "size", "j0", "filtered", "ok"))
-
-
-def _csv(rows, header):
-    return [header, *[tuple(row[key] for key in header) for row in rows]]
+    if inst is None:
+        count = 100 if cfg.count is None else cfg.count
+        sets = acceptance.good_modulus_sets(cfg.seed, count)
+    elif isinstance(inst[0], IntegerSet):
+        sets = [inst[0]]
+    else:
+        raise ConfigError("good-modulus takes an integer set")
+    checks = [acceptance.good_modulus_check(I) for I in sets]
+    # one set also reports its modulus, filter and kept elements
+    extras = {"count": len(checks)} if inst is None else checks[0][0].to_json_dict()
+    rows = tuple({"index": i, **row} for i, (_, row) in enumerate(checks))
+    return InequalityVerdict("good-modulus", extras=extras, rows=rows)
 
 
 _THEOREMS = {
@@ -576,11 +555,32 @@ _THEOREMS = {
 }
 
 
+# the --csv columns of the theorems whose rows hold more than their CSV
+# shows; any other writes every key of its rows
+_CSV_COLUMNS = {
+    "thinning": ("index", "d1", "d2", "delta", "q", "s", "identity",
+                 "certified", "slack"),
+    "good-modulus": ("index", "size", "j0", "filtered", "ok"),
+}
+
+
 def cmd_verify(cfg: ExperimentConfig):
-    payload, passed, csv_rows = _THEOREMS[cfg.theorem](cfg)
-    if cfg.csv_path and csv_rows:
-        _write_csv(cfg.csv_path, csv_rows)
-    return payload, passed
+    verdict = _THEOREMS[cfg.theorem](cfg)
+    if cfg.csv_path:
+        if not verdict.rows:
+            raise ConfigError(f"--csv: verify --theorem {cfg.theorem} reports no rows")
+        header = _CSV_COLUMNS.get(cfg.theorem, tuple(verdict.rows[0]))
+        _write_csv(cfg.csv_path, [header, *([_csv_cell(row[key]) for key in header]
+                                            for row in verdict.rows)])
+    # multidimz's size hypothesis cannot hold for a set small enough to
+    # integrate, so its exit code follows the inequality alone
+    ok = verdict.passed if cfg.theorem == "multidimz" else verdict.certified
+    return verdict.to_json_dict(), ok
+
+
+def _csv_cell(value):
+    # a nested value (an enclosure, a list) as compact JSON
+    return json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value
 
 
 def cmd_suite(cfg: ExperimentConfig):
@@ -633,18 +633,15 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         payload, passed = _COMMANDS[cfg.command](cfg)
-    except (MemoryBudgetError, MemoryError) as exc:  # MemoryError: numpy refused an allocation
+        _emit(cfg, payload, started)
+    # MemoryError: numpy refused an allocation; OSError: an unwritable
+    # --output or --csv (an unreadable input is a ConfigError)
+    except (MemoryBudgetError, MemoryError, OSError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
-    except (ConfigError, HypothesisError, SupportError, CollisionError,
-            KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        _emit(cfg, payload, started)
-    except OSError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return RESOURCE_ERROR
     if passed or cfg.no_fail:
         return 0
     return 1

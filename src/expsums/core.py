@@ -482,10 +482,12 @@ class TrigPoly(_Frozen):
         # a numeric array converts at once; a list, or an array of strings
         # or objects, is converted as the constructor converts its values
         numeric = isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "biufc"
-        coeffs = np.asarray(coeffs, dtype=np.complex128 if numeric else object).reshape(-1)
-        if freqs.shape != (len(coeffs), rank):
-            raise ValueError(f"frequencies of shape {freqs.shape} for "
-                             f"{len(coeffs)} rank-{rank} coefficients")
+        coeffs = np.asarray(coeffs, dtype=np.complex128 if numeric else object)
+        # one value per frequency: a column of shape (n, 1) is no coefficient
+        if coeffs.ndim != 1 or freqs.shape != (len(coeffs), rank):
+            raise ValueError(f"frequencies of shape {freqs.shape} for coefficients "
+                             f"of shape {coeffs.shape}; rank {rank} takes shapes "
+                             f"(n, {rank}) and (n,)")
         if not numeric:
             coeffs = _coefficients(coeffs.tolist(), freqs)
         out = object.__new__(cls)

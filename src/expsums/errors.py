@@ -1,4 +1,19 @@
-"""Error types shared across the package."""
+"""Error types, and the hypothesis-check row, shared across the package."""
+
+from typing import NamedTuple
+
+
+class HypothesisCheck(NamedTuple):
+    """One stated condition, whether it held, and the numbers behind it: a
+    row of a verdict's hypotheses and of a certificate's validation."""
+
+    condition: str
+    passed: bool
+    detail: str = ""
+
+    def to_json_dict(self) -> dict:
+        return {"condition": self.condition, "passed": self.passed,
+                "detail": self.detail}
 
 
 class HypothesisError(ValueError):

@@ -928,35 +928,3 @@ def derivative(f: TrigPoly, axis: int = 0) -> TrigPoly:
     dc.real = -(k * f.coeffs.imag)
     dc.imag = k * f.coeffs.real
     return TrigPoly.from_arrays(f.rank, f.freqs, dc)
-
-
-class BernsteinCheck(NamedTuple):
-    lhs: NormInterval
-    rhs_bound: float
-    passed: bool
-
-
-# The derivative inequality is attained with equality by single monomials,
-# where both sides reduce to 2 pi d |c| computed along different float paths.
-# Allow a few hundred ulps so the comparison cannot flip on rounding; this is
-# eleven orders below the default rel_err.
-_FP_SLACK = 1e-12
-
-
-def bernstein_check(f: TrigPoly, rel_err: float = 0.1,
-                    memory_budget: int | None = None) -> BernsteinCheck:
-    """Check ||f'||_1 <= 2 pi d ||f||_1 with certified enclosures (rank 1).
-
-    Uses the conservative interval ends: lhs.lo against 2 pi d * hi(||f||).
-    d is the degree of f as given (max |frequency|), which is what the
-    derivative actually sees.
-    """
-    if f.rank != 1:
-        raise ValueError("rank-1 polynomials only")
-    if f.is_zero:
-        return BernsteinCheck(ZERO_INTERVAL, 0.0, True)
-    df = derivative(f)
-    lhs = ZERO_INTERVAL if df.is_zero else certified_l1(df, rel_err, memory_budget)
-    d = f.degree[0]
-    rhs = 2 * math.pi * d * certified_l1(f, rel_err, memory_budget).hi
-    return BernsteinCheck(lhs, rhs, lhs.lo <= rhs * (1 + _FP_SLACK))

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import IntegerSet, LatticeSet, _check_i64, _check_real
-from .errors import CollisionError, HypothesisError
+from .errors import CollisionError, HypothesisCheck, HypothesisError
 
 FLAVOR_BASE = "base"
 FLAVOR_INTEGER = "integer"
@@ -258,97 +258,87 @@ class ValidationReport:
     """Outcome of replaying a certificate against a set."""
 
     ok: bool
-    checks: tuple[tuple[str, bool, str], ...] = field(default=())
+    checks: tuple[HypothesisCheck, ...] = field(default=())
 
     @property
     def first_failure(self) -> str | None:
-        for name, passed, _ in self.checks:
-            if not passed:
-                return name
-        return None
+        return next((c.condition for c in self.checks if not c.passed), None)
 
     def to_json_dict(self) -> dict:
         return {"ok": self.ok,
                 "first_failure": self.first_failure,
-                "checks": [{"condition": c, "passed": p, "detail": d}
-                           for c, p, d in self.checks]}
+                "checks": [c.to_json_dict() for c in self.checks]}
 
 
-class _Checker:
-    def __init__(self):
-        self.rows: list[tuple[str, bool, str]] = []
-
-    def check(self, name: str, passed: bool, detail: str = "") -> bool:
-        self.rows.append((name, bool(passed), detail))
-        return bool(passed)
-
-    def report(self) -> ValidationReport:
-        return ValidationReport(all(p for _, p, _ in self.rows), tuple(self.rows))
+def _check(rows: list[HypothesisCheck], name: str, passed, detail: str = "") -> bool:
+    rows.append(HypothesisCheck(name, bool(passed), detail))
+    return bool(passed)
 
 
-def _validate_into(A, cert: DimCertificate, chk: _Checker, path: str) -> None:
+def _validate_into(A, cert: DimCertificate, rows: list[HypothesisCheck],
+                   path: str) -> None:
     pre = f"{path}." if path else ""
     if cert.rank == 1:
         if isinstance(A, LatticeSet):
-            chk.check(f"{pre}rank", A.rank == 1,
-                      f"lattice rank {A.rank} vs certificate rank 1")
-        chk.check(f"{pre}size >= n1", len(A) >= cert.n1,
-                  f"|A| = {len(A)}, n1 = {cert.n1}")
+            _check(rows, f"{pre}rank", A.rank == 1,
+                   f"lattice rank {A.rank} vs certificate rank 1")
+        _check(rows, f"{pre}size >= n1", len(A) >= cert.n1,
+               f"|A| = {len(A)}, n1 = {cert.n1}")
         return
 
     if cert.flavor == FLAVOR_LATTICE:
-        if not chk.check(f"{pre}set kind", isinstance(A, LatticeSet),
-                         f"lattice certificate against {type(A).__name__}"):
+        if not _check(rows, f"{pre}set kind", isinstance(A, LatticeSet),
+                      f"lattice certificate against {type(A).__name__}"):
             return
-        if not chk.check(f"{pre}rank", A.rank == cert.rank,
-                         f"lattice rank {A.rank} vs certificate rank {cert.rank}"):
+        if not _check(rows, f"{pre}rank", A.rank == cert.rank,
+                      f"lattice rank {A.rank} vs certificate rank {cert.rank}"):
             return
         first, fibres = project_and_fibre(A, 1)
-        chk.check(f"{pre}|A1| >= n1", len(first) >= cert.n1,
-                  f"|A1| = {len(first)}, n1 = {cert.n1}")
-        chk.check(f"{pre}children cover A1", cert.keys == first.elements,
-                  f"keys {cert.keys}, A1 {first.elements}")
+        _check(rows, f"{pre}|A1| >= n1", len(first) >= cert.n1,
+               f"|A1| = {len(first)}, n1 = {cert.n1}")
+        _check(rows, f"{pre}children cover A1", cert.keys == first.elements,
+               f"keys {cert.keys}, A1 {first.elements}")
         claims = {child.sizes() for _, _, child in cert.children}
-        chk.check(f"{pre}children claim equal sizes", len(claims) <= 1, str(claims))
+        _check(rows, f"{pre}children claim equal sizes", len(claims) <= 1, str(claims))
         for a1, _, child in cert.children:
             if a1 in fibres:
-                _validate_into(fibres[a1], child, chk, f"{pre}fibre[{a1}]")
+                _validate_into(fibres[a1], child, rows, f"{pre}fibre[{a1}]")
         return
 
-    if not chk.check(f"{pre}set kind", isinstance(A, IntegerSet),
-                     f"integer certificate against {type(A).__name__}"):
+    if not _check(rows, f"{pre}set kind", isinstance(A, IntegerSet),
+                  f"integer certificate against {type(A).__name__}"):
         return
     d1, d2, delta = cert.d1, cert.d2, cert.delta
-    if not chk.check(f"{pre}parameters present",
-                     d1 is not None and d2 is not None and delta is not None,
-                     f"d1={d1} d2={d2} delta={delta}"):
+    if not _check(rows, f"{pre}parameters present",
+                  d1 is not None and d2 is not None and delta is not None,
+                  f"d1={d1} d2={d2} delta={delta}"):
         return
-    chk.check(f"{pre}delta > 0", delta > 0, f"delta = {delta}")
-    chk.check(f"{pre}d2 > (2+delta)*d1", d2 > (2 + delta) * d1,
-              f"d2 = {d2}, (2+delta)*d1 = {(2 + delta) * d1}")
-    chk.check(f"{pre}|I| >= n1", len(cert.children) >= cert.n1,
-              f"|I| = {len(cert.children)}, n1 = {cert.n1}")
+    _check(rows, f"{pre}delta > 0", delta > 0, f"delta = {delta}")
+    _check(rows, f"{pre}d2 > (2+delta)*d1", d2 > (2 + delta) * d1,
+           f"d2 = {d2}, (2+delta)*d1 = {(2 + delta) * d1}")
+    _check(rows, f"{pre}|I| >= n1", len(cert.children) >= cert.n1,
+           f"|I| = {len(cert.children)}, n1 = {cert.n1}")
     claims = {child.sizes() for _, _, child in cert.children}
-    chk.check(f"{pre}children claim equal sizes", len(claims) <= 1, str(claims))
+    _check(rows, f"{pre}children claim equal sizes", len(claims) <= 1, str(claims))
     union: list[int] = []
     total = 0
     for k, sub, child in cert.children:
         kp = f"{pre}block[{k}]"
-        if not chk.check(f"{kp} present", sub is not None,
-                         "integer flavor requires the block subset"):
+        if not _check(rows, f"{kp} present", sub is not None,
+                      "integer flavor requires the block subset"):
             continue
-        if not chk.check(f"{kp} nonempty", len(sub) > 0, "empty block"):
+        if not _check(rows, f"{kp} nonempty", len(sub) > 0, "empty block"):
             continue
-        chk.check(f"{kp} inside [-d1, d1]",
-                  -d1 <= sub.min and sub.max <= d1,
-                  f"range [{sub.min}, {sub.max}], d1 = {d1}")
+        _check(rows, f"{kp} inside [-d1, d1]",
+               -d1 <= sub.min and sub.max <= d1,
+               f"range [{sub.min}, {sub.max}], d1 = {d1}")
         union.extend(a + k * d2 for a in sub)
         total += len(sub)
-        _validate_into(sub, child, chk, kp)
-    chk.check(f"{pre}blocks pairwise disjoint", len(set(union)) == total,
-              f"{total} block elements, {len(set(union))} distinct")
-    chk.check(f"{pre}decomposition reproduces A", set(union) == set(A.elements),
-              f"union size {len(set(union))}, |A| = {len(A)}")
+        _validate_into(sub, child, rows, kp)
+    _check(rows, f"{pre}blocks pairwise disjoint", len(set(union)) == total,
+           f"{total} block elements, {len(set(union))} distinct")
+    _check(rows, f"{pre}decomposition reproduces A", set(union) == set(A.elements),
+           f"union size {len(set(union))}, |A| = {len(A)}")
 
 
 def validate_certificate(A, cert: DimCertificate) -> ValidationReport:
@@ -357,9 +347,9 @@ def validate_certificate(A, cert: DimCertificate) -> ValidationReport:
     Failures are report rows, never exceptions; ``ok`` is the conjunction
     and ``first_failure`` names the first violated condition.
     """
-    chk = _Checker()
-    _validate_into(A, cert, chk, "")
-    return chk.report()
+    rows: list[HypothesisCheck] = []
+    _validate_into(A, cert, rows, "")
+    return ValidationReport(all(c.passed for c in rows), tuple(rows))
 
 
 def project_and_fibre(A: LatticeSet,

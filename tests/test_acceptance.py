@@ -7,10 +7,10 @@ line and holds the corresponding criterion to its time limit.
 import pytest
 
 from expsums import acceptance
+from expsums.bounds import bernstein_check
 from expsums.core import IntegerSet, indicator_poly
 from expsums.errors import MemoryBudgetError
 from expsums.kernels import flat_top_build, flat_top_discrete_l1
-from expsums.quadrature import bernstein_check
 
 
 @pytest.fixture(scope="session")

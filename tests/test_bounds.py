@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from expsums.bounds import (InequalityVerdict, assemble_blocks, constant_scan,
+from expsums.bounds import (HypothesisCheck, InequalityVerdict, assemble_blocks, constant_scan,
                             family_boxes, family_gaps, family_intervals,
                             family_random_sets, mps_rhs, mps_rhs_of, multidimz_constant,
                             multidimz_size_checks, verify_basic_multidim,
@@ -14,6 +14,7 @@ from expsums.bounds import (InequalityVerdict, assemble_blocks, constant_scan,
                             verify_multidimz)
 from expsums.core import IntegerSet, TrigPoly, indicator_poly
 from expsums.errors import HypothesisError, MemoryBudgetError
+from expsums.quadrature import NormInterval
 from expsums.structures import build_strong_integer, build_strong_lattice
 
 # frozen: harmonic number H_101 and the 2^22-point Riemann oracle
@@ -254,7 +255,7 @@ def test_verify_main_prop_interval_blocks():
               for k in range(26)}
     r = verify_main_prop(blocks, 10, 44, 1.0, 13, 0)
     assert r.passed and r.certified
-    assert r.factor == pytest.approx(311.5064832768893)
+    assert r.extras["factor"] == pytest.approx(311.5064832768893)
     assert len(r.rows) == 2  # keys 0 and 13 survive s=0 mod 13
     assert r.lhs.lo >= r.rhs
     # bracket of the first surviving block: C/(2j) - eps
@@ -281,18 +282,44 @@ def test_verify_main_prop_is_an_inequality_verdict():
     blocks = {k: indicator_poly(IntegerSet.from_iterable(range(-10, 11)))
               for k in range(26)}
     r = verify_main_prop(blocks, 10, 44, 1.0, 13, 0)
-    assert isinstance(r, InequalityVerdict)
-    # the report keeps its own JSON: t1, t2, factor and rows at the top
-    # level, no extras
+    assert type(r) is InequalityVerdict
+    # t1, t2 and factor are extras; the rows are the verdict's own
+    t1, t2, factor = (r.extras[key] for key in ("t1", "t2", "factor"))
     assert r.to_json_dict() == {
         "name": "main-prop", "lhs": r.lhs.to_json_dict(), "rhs": r.rhs,
-        "t1": r.t1, "t2": r.t2, "factor": r.factor, "constant_used": 0.25,
+        "constant_used": 0.25, "extras": {"t1": t1, "t2": t2, "factor": factor},
         "margin": r.lhs.lo - r.rhs, "passed": True, "certified": True,
         "rows": list(r.rows),
         "hypotheses": [h.to_json_dict() for h in r.hypotheses]}
-    assert r.rhs == (r.t1 - r.t2) / r.factor
+    assert r.rhs == (t1 - t2) / factor
     assert [h.condition for h in r.hypotheses] == [
         "(2+delta)*d1 < d2", "q > 4*pi", "I(q;s) nonempty"]
+
+
+def test_verdict_pass_rule_for_each_sense_and_for_rows():
+    enc = NormInterval(2.0, 3.0, 2.5, (16,), (4,))
+    # a lower bound clears rhs with its lower end, an upper bound stays
+    # under it; lhs may be an exact number
+    for lhs, rhs, sense, margin in ((enc, 1.5, ">=", 0.5), (enc, 2.5, ">=", -0.5),
+                                    (enc, 2.5, "<=", 0.5), (enc, 1.5, "<=", -0.5),
+                                    (0.75, 0.25, ">=", 0.5), (0.75, 0.25, "<=", -0.5)):
+        v = InequalityVerdict("v", lhs, rhs, 1.0, sense=sense)
+        assert (v.margin, v.passed) == (margin, margin >= 0)
+        out = v.to_json_dict()
+        assert out["lhs"] == (enc.to_json_dict() if lhs is enc else lhs)
+        assert out.get("sense", ">=") == sense and "rows" not in out
+    # ties pass either way
+    assert InequalityVerdict("v", enc, 2.0, 1.0, sense="<=").passed
+    assert InequalityVerdict("v", enc, 2.0, 1.0).passed
+    # no left side: the rows decide, and certified also needs the hypotheses
+    rows = ({"ok": True}, {"ok": False})
+    assert not InequalityVerdict("batch", rows=rows).passed
+    ok = InequalityVerdict("batch", rows=rows[:1])
+    assert ok.passed and ok.margin is None and ok.to_json_dict()["rows"] == [{"ok": True}]
+    failed = HypothesisCheck("h", False, "")
+    assert not InequalityVerdict("batch", rows=rows[:1], hypotheses=(failed,)).certified
+    with pytest.raises(ValueError, match="sense"):
+        InequalityVerdict("v", enc, 1.0, 1.0, sense="<")
 
 
 def test_verify_main_prop_positive_rhs():
@@ -326,9 +353,9 @@ def test_constant_scan_intervals():
     assert len(rep.rows) == 29
     assert 0.25 <= rep.min_ratio <= rep.median_ratio
     assert rep.argmin.startswith("interval:")
-    rows = rep.csv_rows()
+    rows = rep.to_json_dict()["rows"]
     assert len(rows) == 29
-    assert len(rows[0]) == len(rep.CSV_HEADER)
+    assert list(rows[0]) == ["label", "ratio", "lhs_lo", "lhs_hi", "rhs_raw"]
 
 
 def test_constant_scan_multidim_mode():

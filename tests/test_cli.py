@@ -592,7 +592,7 @@ def test_verify_kernel_fractional_params_are_usage_errors(tmp_path, capsys, para
     whole = tmp_path / "whole.json"
     assert main(["verify", "--theorem", "kernel", "--params", '{"m": 3.0, "n": 10.0}',
                  "--output", str(whole)]) == 0
-    assert load_report(whole)["result"]["pairs"] == 1
+    assert load_report(whole)["result"]["extras"]["pairs"] == 1
 
 
 def test_thin_chain(tmp_path):
@@ -649,10 +649,10 @@ def test_verify_mps_scan_writes_csv(tmp_path):
                 "--csv", str(csv_out), "--output", str(out))
     assert r.returncode == 0, r.stderr
     res = load_report(out)["result"]
-    assert res["min_ratio"] >= 0.25
+    assert res["lhs"] >= 0.25  # the least ratio
     lines = csv_out.read_text().splitlines()
     assert lines[0] == "label,ratio,lhs_lo,lhs_hi,rhs_raw"
-    assert len(lines) == res["count"] + 1
+    assert len(lines) == res["extras"]["count"] + 1
 
 
 def test_verify_multidim_with_generated_input(tmp_path):
@@ -840,3 +840,145 @@ def test_suite_help_lists_fault_flag():
     assert r.returncode == 0
     assert "--inject-kernel-fault" in r.stdout
     assert "--skip-determinism" in r.stdout
+
+
+# one quick passing input per theorem, and a failing variant where one can
+# be built (the others state theorems no input breaks)
+_THEOREM_RUNS = {
+    "mps": (["--set", "interval:11"], ["--c-mps", "10"]),
+    "basic-multidim": (["--set", "box:4,4"], ["--c-mps", "100"]),
+    "multidim": (["--set", "box:4,4"], ["--c-mps", "10"]),
+    "main-prop": ([], ["--c-mps", "1e6"]),
+    "multidimz": (["--set", "zbox:4,4"], ["--params", '{"constant_override": 1e6}']),
+    "bernstein": (["--set", "interval:11"], None),
+    "numerical": (["--set", "interval:11"], None),
+    "kernel": (["--params", '{"m": 3, "n": 10}'], None),
+    "thinning": (["--count", "1"], None),
+    "good-modulus": (["--count", "2"], None),
+}
+_MPS_SCAN = ["--count", "1"]  # the mps theorem with no set: a family scan
+_VERDICT_KEYS = {"name", "lhs", "rhs", "constant_used", "margin", "passed",
+                 "certified", "hypotheses", "extras"}
+
+
+def _verify(theorem, argv, tmp_path, *extra):
+    out = tmp_path / "v.json"
+    code = main(["verify", "--theorem", theorem, *argv, *extra, "--output", str(out)])
+    return code, load_report(out)["result"] if out.exists() else None
+
+
+def test_the_table_covers_every_theorem():
+    from expsums.cli import _THEOREMS
+
+    assert set(_THEOREM_RUNS) == set(_THEOREMS)
+
+
+@pytest.mark.parametrize("theorem, argv", [
+    *((t, argv) for t, (argv, _) in _THEOREM_RUNS.items()), ("mps", _MPS_SCAN)],
+    ids=[*_THEOREM_RUNS, "mps-scan"])
+def test_every_theorem_returns_one_verdict(tmp_path, theorem, argv):
+    from expsums.bounds import InequalityVerdict
+    from expsums.cli import _THEOREMS, build_parser, resolve_config
+
+    cfg = resolve_config(build_parser().parse_args(["verify", "--theorem", theorem, *argv]))
+    verdict = _THEOREMS[theorem](cfg)
+    assert type(verdict) is InequalityVerdict
+    # the report is that verdict's JSON, with the same verdict keys for all:
+    # rows and sense are left out at their defaults (no rows, ">=")
+    code, result = _verify(theorem, argv, tmp_path)
+    assert code == 0
+    assert result == json.loads(json.dumps(verdict.to_json_dict()))
+    assert _VERDICT_KEYS <= set(result) <= _VERDICT_KEYS | {"rows", "sense"}
+    assert result["passed"] is verdict.passed and result["certified"] is verdict.certified
+    assert ("rows" in result) == bool(verdict.rows)
+    assert result.get("sense", ">=") == verdict.sense
+    # a verdict with no left side is decided by its rows
+    if verdict.lhs is None:
+        assert result["margin"] is None and "rows" in result
+        assert verdict.passed == all(row["ok"] for row in result["rows"])
+
+
+@pytest.mark.parametrize("theorem, argv, failing", [
+    *((t, argv, bad) for t, (argv, bad) in _THEOREM_RUNS.items() if bad is not None),
+    ("mps", _MPS_SCAN, ["--c-mps", "10"])],
+    ids=[*(t for t, (_, bad) in _THEOREM_RUNS.items() if bad is not None), "mps-scan"])
+def test_exit_code_is_1_on_a_failing_verdict(tmp_path, theorem, argv, failing):
+    code, result = _verify(theorem, argv, tmp_path, *failing)
+    assert code == 1
+    assert result["passed"] is False and result["certified"] is False
+    code, result = _verify(theorem, argv, tmp_path, *failing, "--no-fail")
+    assert code == 0 and result["passed"] is False
+
+
+def test_multidimz_exits_on_passed_while_not_certified(tmp_path):
+    # the size hypothesis cannot hold for a set small enough to integrate
+    code, result = _verify("multidimz", ["--set", "zbox:4,4"], tmp_path)
+    assert code == 0
+    assert result["passed"] is True and result["certified"] is False
+    # every other theorem exits on certified: multidim with a failed
+    # certificate exits 1 though its inequality passes
+    gen_out = tmp_path / "box.json"
+    assert main(["gen", "--kind", "lattice-box", "--params", '{"sizes": [4, 4]}',
+                 "--output", str(gen_out)]) == 0
+    report = load_report(gen_out)
+    report["result"]["certificate"]["n1"] = 5  # claims more first coordinates
+    gen_out.write_text(json.dumps(report))
+    code, result = _verify("multidim", ["--input", str(gen_out)], tmp_path)
+    assert code == 1
+    assert result["passed"] is True and result["certified"] is False
+
+
+@pytest.mark.parametrize("theorem, argv, header", [
+    ("mps", _MPS_SCAN, ["label", "ratio", "lhs_lo", "lhs_hi", "rhs_raw"]),
+    ("main-prop", [], ["j", "k", "b", "norm", "bracket"]),
+    ("numerical", ["--set", "interval:11"], ["degree", "grid", "mean", "lo", "hi", "rho", "ok"]),
+    ("kernel", ["--params", '{"m": 3, "n": 10}'],
+     ["m", "n", "violations", "r", "discrete_mean", "bound", "ok"]),
+    ("thinning", ["--count", "2"],
+     ["index", "d1", "d2", "delta", "q", "s", "identity", "certified", "slack"]),
+    ("good-modulus", ["--count", "2"], ["index", "size", "j0", "filtered", "ok"])],
+    ids=["mps-scan", "main-prop", "numerical", "kernel", "thinning", "good-modulus"])
+def test_csv_holds_the_verdict_rows(tmp_path, theorem, argv, header):
+    import csv
+
+    csv_out = tmp_path / "rows.csv"
+    code, result = _verify(theorem, argv, tmp_path, "--csv", str(csv_out))
+    assert code == 0
+    with open(csv_out, newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == header
+    assert len(lines) == len(result["rows"]) + 1
+    for line, row in zip(lines[1:], result["rows"]):
+        # a nested value (an enclosure, a list) is written as JSON
+        assert [json.loads(cell) if isinstance(row[key], (dict, list)) else cell
+                for cell, key in zip(line, header)] == \
+            [row[key] if isinstance(row[key], (dict, list)) else str(row[key])
+             for key in header]
+
+
+@pytest.mark.parametrize("theorem, argv", [
+    ("mps", ["--set", "interval:11"]), ("basic-multidim", ["--set", "box:4,4"]),
+    ("multidim", ["--set", "box:4,4"]), ("multidimz", ["--set", "zbox:4,4"]),
+    ("bernstein", ["--set", "interval:11"]), ("kernel", [])],
+    ids=["mps", "basic-multidim", "multidim", "multidimz", "bernstein", "kernel-batch"])
+def test_csv_of_a_verdict_without_rows_is_usage_error(tmp_path, capsys, theorem, argv):
+    # kernel: a batch lists only its failing pairs, and none fails
+    csv_out = tmp_path / "rows.csv"
+    code, result = _verify(theorem, argv, tmp_path, "--csv", str(csv_out))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"verify --theorem {theorem} reports no rows" in err
+    assert result is None and not csv_out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--output"])
+def test_unwritable_csv_or_report_is_a_resource_error(tmp_path, capsys, flag):
+    # no traceback and no exit 1, which would read as a failed verdict
+    target = str(tmp_path / "absent" / "x")
+    argv = ["verify", "--theorem", "thinning", "--count", "1", flag, target]
+    if flag == "--csv":
+        argv += ["--output", str(tmp_path / "v.json")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("resource error:") and "absent" in err

@@ -326,6 +326,20 @@ def test_from_arrays_checks_shapes():
         TrigPoly.from_arrays(2, [[1, 2]], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("coeffs, shape", [
+    ([[1.0], [2.0]], "(2, 1)"), (np.ones((2, 1)), "(2, 1)"),
+    (np.ones((1, 2)), "(1, 2)"), (np.float64(3.0), "()"), ([[1.0, 2.0]], "(1, 2)")])
+def test_from_arrays_takes_one_coefficient_per_frequency(coeffs, shape):
+    # flattened, a column of two values would pass for two coefficients; the
+    # constructor refuses a sequence as a coefficient, and so does this
+    freqs = [1] if shape == "()" else [1, 2]
+    with pytest.raises(ValueError, match=rf"coefficients of shape {re.escape(shape)}"):
+        TrigPoly.from_arrays(1, freqs, coeffs)
+    with pytest.raises(ValueError, match="shape"):
+        TrigPoly.from_arrays(2, [[1, 2], [3, 4]], np.ones((2, 1)))
+    assert TrigPoly.from_arrays(1, [1, 2], [1.0, 2.0]) == TrigPoly(1, {1: 1.0, 2: 2.0})
+
+
 def test_non_integral_frequencies_and_elements_are_rejected():
     # int() would round each of these down in silence
     makers = [lambda: TrigPoly(1, {2.5: 1.0}),
@@ -726,12 +740,13 @@ def test_coefficient_that_is_no_number_is_refused(bad, first):
             TrigPoly(2, terms)
         with pytest.raises(ValueError, match=f"coefficient {shown} at frequency \\(1, 2\\) is not a number"):
             TrigPoly(2, list(terms.items()))
-    if np.ndim(bad):
-        return  # from_arrays reads nested sequences as one array of coefficients
     column = np.empty(len(terms), dtype=object)
     column[:] = list(terms.values())
     for coeffs in (list(terms.values()), column):
-        with pytest.raises(ValueError, match=f"coefficient {shown} at frequency \\(1, 2\\) is not a number"):
+        # a list of sequences may read as an array of more than one axis
+        nested = np.ndim(bad) and coeffs is not column
+        with pytest.raises(ValueError, match=r"coefficients of shape \(\d, 1\)" if nested and first is None
+                           else f"coefficient {shown} at frequency \\(1, 2\\) is not a number"):
             TrigPoly.from_arrays(2, list(terms), coeffs)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from expsums.core import IntegerSet, LatticeSet
-from expsums.errors import CollisionError, HypothesisError
+from expsums.errors import CollisionError, HypothesisCheck, HypothesisError
 from expsums.structures import (DimCertificate, build_strong_integer,
                                 build_strong_lattice, gap_rank2,
                                 project_and_fibre, validate_certificate)
@@ -182,6 +182,22 @@ def test_validation_report_shape():
     d = report.to_json_dict()
     assert d["ok"] is True
     assert len(d["checks"]) == len(report.checks)
+
+
+def test_validation_rows_are_hypothesis_checks():
+    # one row type for a certificate's checks and a verdict's hypotheses,
+    # exported from bounds and the package as the same class
+    import expsums
+    from expsums import bounds
+
+    A, cert = build_strong_lattice((3, 3))
+    broken = LatticeSet.from_iterable(2, A.points[:-1])
+    for report in (validate_certificate(A, cert), validate_certificate(broken, cert)):
+        assert report.checks and all(type(c) is HypothesisCheck for c in report.checks)
+        assert report.to_json_dict()["checks"] == [c.to_json_dict() for c in report.checks]
+        assert report.ok == all(c.passed for c in report.checks)
+    assert report.first_failure == next(c.condition for c in report.checks if not c.passed)
+    assert expsums.HypothesisCheck is bounds.HypothesisCheck is HypothesisCheck
 
 
 def test_certificate_json_round_trip():
