@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_real, indicator_poly
+from .core import (IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_real, _first_non_number,
+                   indicator_poly)
 from .errors import HypothesisCheck, HypothesisError
 from .modulus import ResidueFilter, residue_filter, thinning_bound_factor
 from .quadrature import ZERO_INTERVAL, NormInterval, certified_l1, derivative
@@ -123,10 +125,28 @@ def mps_rhs(coeffs: Sequence[complex]) -> float:
     """sum_j |u_j| / j for coefficients listed in increasing frequency order.
 
     This is the coefficient-decay lower bound WITHOUT its absolute constant.
+    ``coeffs`` is a flat sequence of finite numbers: a value that is not a
+    number (a string, None, a sequence) or is not finite raises a ValueError
+    naming its index, as :class:`~expsums.core.TrigPoly` names a frequency.
     """
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    if len(c) == 0:
+    try:
+        values = list(coeffs)
+    except TypeError:  # not a sequence
+        raise ValueError(f"coefficients must be a sequence of numbers, got {coeffs!r}") from None
+    if not values:
         raise ValueError("need at least one coefficient")
+    i = _first_non_number(values)
+    if i is not None:
+        raise ValueError(f"coefficient {values[i]!r} at index {i} is not a number")
+    try:
+        c = np.array(values, dtype=np.complex128)
+    except OverflowError:  # an int past float64, which is not finite as a float
+        c = np.array([math.inf if abs(v) > sys.float_info.max else v for v in values],
+                     dtype=np.complex128)
+    finite = np.isfinite(c)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"coefficient {values[i]!r} at index {i} is not finite")
     return _decay_sum(c)
 
 

@@ -357,6 +357,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (numbers.Number, np.bool_))
 
 
+def _first_non_number(values: list) -> int | None:
+    """The index of the first value that is not a number (:func:`_is_number`),
+    or None; a list of the plain number types alone is not looked into."""
+    if not set(map(type, values)) <= _PLAIN_NUMBERS:
+        for i, value in enumerate(values):
+            if not _is_number(value):
+                return i
+    return None
+
+
 def _all_real(values: list) -> bool:
     """Whether the values are real numbers, read from the type of their sum
     in one C loop (Python floats and ints add without a call).  The sum is a
@@ -387,11 +397,10 @@ def _coefficients(values: list, freqs: np.ndarray) -> np.ndarray:
             return np.frombuffer(struct.pack(f"{len(values)}d", *values), dtype=np.float64)
         except struct.error:
             pass
-    if not set(map(type, values)) <= _PLAIN_NUMBERS:
-        for i, value in enumerate(values):
-            if not _is_number(value):
-                raise ValueError(f"coefficient {value!r} at frequency "
-                                 f"{tuple(freqs[i].tolist())} is not a number")
+    i = _first_non_number(values)
+    if i is not None:
+        raise ValueError(f"coefficient {values[i]!r} at frequency "
+                         f"{tuple(freqs[i].tolist())} is not a number")
     return np.array(values, dtype=np.complex128).reshape(len(values))
 
 
@@ -582,12 +591,17 @@ class TrigPoly(_Frozen):
         Each phase f . t is reduced mod 1 exactly: floats are dyadic
         rationals, so the reduction runs in Python integers and only the
         reduced phase is rounded.  The terms are summed with ``math.fsum``.
+        A point with an infinite or nan coordinate raises a ValueError
+        naming it.
         """
+        point = t
         if isinstance(t, (int, float, np.floating)):
             t = (float(t),)
         t = tuple(float(x) for x in t)
         if len(t) != self.rank:
             raise ValueError("point rank mismatch")
+        if not all(map(math.isfinite, t)):
+            raise ValueError(f"point {point!r} is not finite")
         if self.is_zero:
             return 0j
         ratios = [x.as_integer_ratio() for x in t]

@@ -107,15 +107,18 @@ the twiddled blocks start at row 1.  A grid within one block (``_BLOCK_BYTES``
 at 24 bytes a sample) is the single row Q = N_0: one transform of the
 coefficients at their residues, exactly as :func:`eval_grid` does, with no
 twiddles and no block buffers.  The blocks of twiddled rows form one
-queue.  When the rows are batched (several a transform) and at least two
-are twiddled, and the process may run on two CPUs, the plan takes them on
-two threads (``GridPlan.threads``): the caller submits a job to the
-module's one worker thread, which takes blocks from the front of the
-queue, and the caller takes row 0 and then blocks from the back, so the
-two balance themselves and the worker keeps its head start while the
-caller forms row 0.  Two threads assume the second CPU is free: the plan
-counts the CPUs the process may use, not the idle ones, and two threads
-spend about a quarter more CPU time on the same rows.  With real
+queue.  When at least two rows are twiddled, a row fits in one block and
+the process may run on two CPUs, the plan takes them on two threads
+(``GridPlan.threads``), whether the rows are batched (several a
+transform) or taken one a call: the caller submits a job to the module's
+one worker thread, which takes blocks from the front of the queue, and the
+caller takes row 0 and then blocks from the back, so the two balance
+themselves and the worker keeps its head start while the caller forms row
+0.  A row past one block (in rank >= 2, where no row that meets the floor
+of "Rows" fits) stays on one thread, in fresh buffers.  Two threads assume
+the second CPU is free: the plan counts the CPUs the process may use, not
+the idle ones, and two threads spend about a quarter more CPU time on the
+same rows.  With real
 coefficients f(-t) = conj f(t), and -(r + P i) = (P - r) + P (Q - 1 - i)
 mod N_0, so row P - r has the sum of row r: only rows 0 .. P//2 are
 evaluated, and rows 0 < r < P/2 count twice.  The grid sum is the
@@ -172,24 +175,32 @@ reverse order: numpy transforms the last axis given first, so the complex
 axes are taken in ascending order, as scipy.fft takes them, and the
 samples are scipy.fft's bit for bit (the tests keep scipy.fft as their
 reference).  numpy keeps no plan cache.  Each thread that forms rows keeps
-between calls its own block buffers, at most one block, and its twiddle
-scratch: a block's terms are twiddled and placed in slices of at most 2^14
-(row, term) pairs, 768 KiB.  A two-thread plan gives each thread half of
-``_BLOCK_ROWS``, half of the rows of ``_BLOCK_BYTES`` and half of the
-pairs, so the caller and the worker each form their blocks in at most half
-a block of their own workspace, and no thread writes into another's.  The
-worker keeps its share between calls: a process whose calling thread also
-takes one-thread plans, which grow its workspace to a whole block, may
-hold up to half a block (2 MiB, and 384 KiB of scratch) more than on one
-thread.  Coset rows of 2^14 samples or more are transformed one row a
-call, since numpy's batched path allocates a buffer on every call; such
-plans stay on one thread, since a second pocketfft scratch in flight and
-the worker's malloc arena cost more peak memory than the benchmark allows
-(CHANGES.md).
-Without these, glibc faults the buffers in afresh on every call: a pass of
-the dense benchmark took about 67,000 minor page faults with none of them,
-16,000 with the block buffers kept but long rows batched, 3,200-6,000 with
-fresh twiddle arrays for each block, and under 10 with all three.
+between calls its own workspace: block buffers of one block and twiddle
+scratch of 2^14 (row, term) pairs, 768 KiB, in which a block's terms are
+twiddled and placed a slice at a time.  It is allocated once, on the
+thread's first streamed grid, and never reallocated; only the pages its
+blocks touch are resident.  A two-thread plan gives each thread half of
+``_BLOCK_ROWS``, half of the rows of ``_BLOCK_BYTES`` (but at least one
+row) and half of the pairs, so each thread's block is at most one block,
+formed in its own workspace, and no thread writes into another's.  The
+worker keeps its workspace between calls, so a process that takes
+two-thread plans holds up to a block and its scratch more than on one
+thread, as far as the worker's blocks have touched it.  Coset rows of 2^14
+samples or more are transformed one row a call, since numpy's batched path
+allocates a buffer on every call.  numpy's complex FFT still allocates
+scratch of about a row on every call, so the first such rows of a process
+free one block once (:func:`_raise_malloc_thresholds`): glibc's mmap and
+trim thresholds then follow it up, and the scratch stays in the heap
+between calls.  Without these, glibc faults the buffers in afresh on every
+call: a pass of the dense benchmark took about 67,000 minor page faults
+with none of them, 16,000 with the block buffers kept but long rows
+batched, 3,200-6,000 with fresh twiddle arrays for each block, about
+14,500 with long rows on two threads in workspaces allocated once but the
+thresholds left where they were (2,100 on one thread), and under 50 with
+all of them.  Two threads over long rows raise the dense benchmark's peak
+RSS by about 3.8 MB (+3.7%), the raised thresholds included; with
+workspaces that grew with each larger block, freed and allocated again in
+the worker's malloc arena, it rose by about 7 MB (CHANGES.md).
 
 Everything here is pure and deterministic: the blocks are the same
 whichever thread takes them, each row reduced by pairwise summation on its
@@ -227,7 +238,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import IntegerSet, TrigPoly, _check_int, _run_starts, indicator_poly, recentre
+from .core import (IntegerSet, TrigPoly, _check_int, _check_real, _run_starts, indicator_poly,
+                   recentre)
 from .errors import AliasingError, GridOverflowError, MemoryBudgetError
 
 # complex128; a real-coefficient grid holds a float64 input and a half-size
@@ -265,6 +277,7 @@ _DIVIDE_BELOW = 1024
 # block and its moduli, then phases, table indices, twiddles and lo entries
 _workspace = threading.local()
 _BUFFER_DTYPES = (np.complex128, np.float64, np.int64, np.int64, np.complex128, np.complex128)
+_WORKSPACE_SIZES = (_BLOCK_BYTES // _BLOCK_BYTES_PER_SAMPLE,) * 2 + (_TWIDDLE_PAIRS,) * 4
 
 
 def _memory_budget(override: int | None) -> int:
@@ -471,19 +484,36 @@ def _ifft(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 def _block_buffers(shape: tuple[int, ...], pairs: int) -> tuple[np.ndarray, ...]:
     """complex128 and float64 arrays of the block ``shape``, then the flat
-    twiddle scratch of :func:`_twiddled` for ``pairs`` (row, term) pairs:
-    views of this thread's workspace when the block fits in one block
-    (_BLOCK_BYTES), else fresh.  The workspace only grows, to at most one
-    block and _TWIDDLE_PAIRS pairs, so a pass does not fault these buffers
-    in afresh on every call."""
+    twiddle scratch of :func:`_twiddled` for ``pairs`` <= _TWIDDLE_PAIRS
+    (row, term) pairs: views of this thread's workspace when the block fits
+    in one block (_BLOCK_BYTES), else fresh.  The workspace is allocated
+    once, on the thread's first streamed grid, at one block of samples and
+    _TWIDDLE_PAIRS pairs, and never reallocated, so a pass neither faults
+    these buffers in afresh on every call nor leaves freed ones in the
+    thread's malloc arena; only the pages a block has touched are
+    resident.  A block of rows transformed one a call first raises glibc's
+    thresholds (:func:`_raise_malloc_thresholds`)."""
     shapes = (shape,) * 2 + ((pairs,),) * 4
-    sizes = [math.prod(s) for s in shapes]
-    if sizes[0] * _BLOCK_BYTES_PER_SAMPLE > _BLOCK_BYTES:
+    if math.prod(shape[1:]) >= _ROW_CALL_SAMPLES:  # rows transformed one a call
+        _raise_malloc_thresholds()
+    if math.prod(shape) * _BLOCK_BYTES_PER_SAMPLE > _BLOCK_BYTES:
         return tuple(np.empty(s, dtype=t) for s, t in zip(shapes, _BUFFER_DTYPES))
-    kept = getattr(_workspace, "buffers", None) or [np.empty(0, dtype=t) for t in _BUFFER_DTYPES]
-    kept = _workspace.buffers = [b if b.size >= n else np.empty(n, dtype=b.dtype)
-                                 for b, n in zip(kept, sizes)]
-    return tuple(b[:n].reshape(s) for b, n, s in zip(kept, sizes, shapes))
+    kept = getattr(_workspace, "buffers", None)
+    if kept is None:
+        kept = _workspace.buffers = [np.empty(n, dtype=t)
+                                     for n, t in zip(_WORKSPACE_SIZES, _BUFFER_DTYPES)]
+    return tuple(b[:math.prod(s)].reshape(s) for b, s in zip(kept, shapes))
+
+
+@functools.cache
+def _raise_malloc_thresholds() -> None:
+    """Allocate and free one block, once a process: glibc then raises its
+    mmap threshold to that size and its trim threshold to twice it.  numpy's
+    complex FFT allocates scratch of about a row on every call; under those
+    thresholds glibc serves it from the heap and keeps it for the next call,
+    where otherwise it maps it afresh, or trims it, and every call faults it
+    in again (module docstring, "The transforms")."""
+    np.empty(_BLOCK_BYTES, dtype=np.uint8)
 
 
 def _row_length(shape: tuple[int, ...], d0: int, terms: int, real: bool) -> int:
@@ -534,9 +564,9 @@ def _cpus() -> int:
 def _plan(f: TrigPoly, grid: tuple[int, ...]) -> GridPlan:
     """The plan of f's grid mean on the checked ``grid``: the one place that
     decides how a grid is taken.  Within one block it is the single row
-    Q = N_0; beyond, the rows of :func:`_row_length`, batched ones on two
-    threads when the process may run on two CPUs.  Allocates nothing of
-    grid size."""
+    Q = N_0; beyond, the rows of :func:`_row_length`, on two threads when at
+    least two are twiddled, a row fits in one block and the process may run
+    on two CPUs.  Allocates nothing of grid size."""
     real = not np.count_nonzero(f.coeffs.imag)
     if math.prod(grid) * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES:
         # the single row Q = N_0, with no twiddled rows to plan
@@ -548,10 +578,13 @@ def _plan(f: TrigPoly, grid: tuple[int, ...]) -> GridPlan:
     evaluated = p // 2 + 1 if real else p
     row = q * math.prod(grid[1:])
     per_row = row >= _ROW_CALL_SAMPLES
-    # batched rows, at least two of them twiddled, on the caller and the worker
-    threads = 2 if not per_row and evaluated > 2 and _cpus() > 1 else 1
+    # rows within one block, at least two of them twiddled, on the caller and
+    # the worker; a row past one block stays on one thread
+    threads = (2 if evaluated > 2 and row * _BLOCK_BYTES_PER_SAMPLE <= _BLOCK_BYTES
+               and _cpus() > 1 else 1)
     # each thread a share of the twiddled rows, of _BLOCK_ROWS and of the
-    # _BLOCK_BYTES rows: the threads' blocks together are at most one block
+    # _BLOCK_BYTES rows, but at least one row: each thread's block is at most
+    # one block, and both together too unless a row is over half a block
     rows = min(-(-(evaluated - 1) // threads), _BLOCK_ROWS // threads,
                max(1, _BLOCK_BYTES // threads // (row * _BLOCK_BYTES_PER_SAMPLE)))
     # the terms in near-equal slices of at most _TWIDDLE_PAIRS pairs a block,
@@ -771,11 +804,18 @@ def choose_grid(diameter: Sequence[int], rel_err: float) -> tuple[int, ...]:
 
 def _axis_target(rel_err: float, rank: int) -> float:
     """The axis target t = (1 + 2 rel_err)^(1/rank) (module docstring, "The
-    grid rule"); a ValueError naming rel_err when it is not in (0, 1), or so
-    small that t rounds to 1 and no grid meets it."""
-    if not 0 < rel_err < 1:
+    grid rule"); a ValueError naming rel_err when it is not a real number in
+    (0, 1) (:func:`~expsums.core._check_real`), or so small that t rounds to
+    1 and no grid meets it."""
+    try:
+        # a float as it is (nan and inf fail the range below); anything else
+        # must be a finite real number: not a string, None or a list
+        rel = rel_err if type(rel_err) is float else _check_real(rel_err, "rel_err")
+    except ValueError:
+        rel = math.nan
+    if not 0 < rel < 1:
         raise ValueError(f"rel_err must be in (0, 1), got {rel_err!r}")
-    t = (1.0 + 2.0 * rel_err) ** (1.0 / rank)
+    t = (1.0 + 2.0 * rel) ** (1.0 / rank)
     if t == 1.0:
         raise ValueError(f"rel_err {rel_err!r} is too small: (1 + 2 rel_err)^(1/{rank}) is 1.0")
     return t

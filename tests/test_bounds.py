@@ -1,6 +1,7 @@
 """Inequality right-hand sides, verdicts, and empirical-constant scans."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,24 @@ def test_mps_rhs_values():
     assert mps_rhs([2j]) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         mps_rhs([])
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ("12", "coefficient '1' at index 0 is not a number"),
+    ([1, "2"], "coefficient '2' at index 1 is not a number"),
+    ([1, None], "coefficient None at index 1 is not a number"),
+    ([[1], [2]], "coefficient [1] at index 0 is not a number"),
+    (np.ones((2, 1)), "coefficient array([1.]) at index 0 is not a number"),
+    ([1, 2, b"3"], "coefficient b'3' at index 2 is not a number"),
+    ([1, float("inf")], "coefficient inf at index 1 is not finite"),
+    ([complex(0, float("nan"))], "coefficient nanj at index 0 is not finite"),
+    ([1.0, 2 ** 1100], f"coefficient {2 ** 1100!r} at index 1 is not finite"),
+    (5, "coefficients must be a sequence of numbers, got 5"),
+])
+def test_mps_rhs_refuses_what_is_not_a_flat_sequence_of_finite_numbers(coeffs, message):
+    # numpy would parse the strings, read None as nan and flatten the nesting
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mps_rhs(coeffs)
 
 
 def test_mps_rhs_bitwise_matches_left_to_right_sum():

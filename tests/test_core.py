@@ -525,6 +525,20 @@ def test_eval_at_reduces_large_phases_exactly():
     assert abs(f.eval_at(s) - ref) <= 1e-15
 
 
+@pytest.mark.parametrize("point, rank", [(math.inf, 1), (-math.inf, 1), (math.nan, 1),
+                                         (np.float64("inf"), 1), ((0.5, math.nan), 2),
+                                         ((math.inf, 0.25), 2)])
+def test_eval_at_refuses_a_point_that_is_not_finite(point, rank):
+    # a ValueError naming the point, not "cannot convert Infinity to integer
+    # ratio" (an OverflowError) or "cannot convert NaN to integer ratio"
+    f = TrigPoly(rank, {(1,) * rank: 1.0, (3,) * rank: 2j})
+    with pytest.raises(ValueError, match=re.escape(f"point {point!r} is not finite")):
+        f.eval_at(point)
+    # the zero polynomial too
+    with pytest.raises(ValueError, match="is not finite"):
+        TrigPoly(rank, {}).eval_at(point)
+
+
 # --- sorted input skips the sort --------------------------------------------
 
 def _sorted_path(it):

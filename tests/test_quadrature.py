@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -205,6 +206,20 @@ def test_rel_err_too_small_for_float64_is_refused():
     for bad in (0.0, 1.0, -0.5, math.nan):
         with pytest.raises(ValueError, match=r"rel_err must be in \(0, 1\)"):
             choose_grid((9,), bad)
+
+
+@pytest.mark.parametrize("rel_err", ["0.1", None, [0.1], b"0.1", 1 + 0j, True, math.inf])
+def test_rel_err_that_is_no_real_number_is_refused(rel_err):
+    # a ValueError naming rel_err, as nan gets, not a bare TypeError from
+    # the range comparison; on the grid, product and constant paths alike
+    match = re.escape(f"rel_err must be in (0, 1), got {rel_err!r}")
+    with pytest.raises(ValueError, match=match):
+        choose_grid((9,), rel_err)
+    for f in (indicator_poly(IntegerSet.from_iterable(range(10))),
+              TrigPoly(2, {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}),
+              TrigPoly(1, {3: 2.0})):
+        with pytest.raises(ValueError, match=match):
+            certified_l1(f, rel_err)
 
 
 def test_certified_l1_contains_reference():
@@ -865,14 +880,18 @@ def _planned(monkeypatch, f, grid, cpus=2):
 def test_plans_are_made_before_any_transform(monkeypatch):
     # the Fejer kernel F_20000 on certified_l1's grid (choose_grid asks for
     # 240,001 points): rows of 48,600 points, assigned, P = 5 with rows
-    # 0 .. 2 evaluated, two a block, one a call, so on one thread, the
-    # 40,001 terms in five slices of at most 8001; on 240,000 points, rows
-    # of 48,000
+    # 0 .. 2 evaluated, one a call; the two twiddled rows fit in one block
+    # each, so on two threads, one row a block, the 40,001 terms in five
+    # slices of at most 8001 (half the pairs); on 240,000 points, rows of
+    # 48,000
     f = _fejer(20_000)
     (n,) = _fast(choose_grid((40_000,), 0.1))
     assert _planned(monkeypatch, f, (n,)) == \
-        GridPlan((243_000,), True, 48_600, False, 2, True, 3, 8001, 1)
+        GridPlan((243_000,), True, 48_600, False, 1, True, 3, 8001, 2)
     assert _planned(monkeypatch, f, (240_000,)) == \
+        GridPlan((240_000,), True, 48_000, False, 1, True, 3, 8001, 2)
+    # one CPU: one thread, both twiddled rows a block
+    assert _planned(monkeypatch, f, (240_000,), cpus=1) == \
         GridPlan((240_000,), True, 48_000, False, 2, True, 3, 8001, 1)
     # a complex rank-2 polynomial of recentred degrees (383, 1000): no row
     # fits in a block, so the least divisor of 6912 at or above 767
@@ -1442,7 +1461,7 @@ def test_product_factor_budget_names_the_factor_grid():
     assert err.value.needed_bytes == 16 * n
 
 
-# --- two threads over batched coset rows ------------------------------------
+# --- two threads over coset rows -------------------------------------------
 
 # (shape, d0, P) of hand-made plans: assigned and folded rows, rank 1 and
 # rank 2, odd and even P, 2 twiddled rows (P = 5 real, P = 3 complex) and
@@ -1487,6 +1506,101 @@ def test_split_row_sums_are_the_one_thread_sums(case, real):
         assert not busy.done()
     finally:
         held.set()
+
+
+def _long_row_polys():
+    # (f, grid) of plans of one transform a row, every row within one block
+    # and at least two of them twiddled: rank 1 real (the Fejer kernel
+    # F_20000, P = 5, rows 0 .. 2) and complex (2,000 terms, P = 6), and a
+    # complex rank-2 row of 400 x 400 points (3.84 MB, P = 3)
+    rng = np.random.default_rng(21)
+    yield _fejer(20_000), (243_000,)
+    yield _window_poly(rng, (243_000,), 20_000, False, terms=2000), (243_000,)
+    yield _window_poly(rng, (1200, 400), 150, False), (1200, 400)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["rank1-real", "rank1-complex", "rank2-complex"])
+def test_long_row_sums_are_the_one_thread_sums(monkeypatch, case):
+    # rows taken one a call, split between the caller and the worker: every
+    # row sum is the one-thread one, bit for bit, since a row's transform,
+    # modulus and sum do not depend on the thread that forms it
+    f, grid = list(_long_row_polys())[case]
+    _cpus(monkeypatch, 2)
+    two = _plan(f, grid)
+    assert two.per_row and two.threads == 2 and two.evaluated > 2
+    row = two.q * math.prod(grid[1:])
+    assert row >= quadrature._ROW_CALL_SAMPLES
+    assert row * quadrature._BLOCK_BYTES_PER_SAMPLE <= quadrature._BLOCK_BYTES
+    _cpus(monkeypatch, 1)
+    one = _plan(f, grid)
+    assert one == two._replace(rows=one.rows, width=one.width, threads=1)
+    want = _hex(_row_sums(f, one))
+    assert _hex(_row_sums(f, two._replace(threads=1))) == want
+    for _ in range(3):
+        assert _hex(_row_sums(f, two)) == want
+    assert riemann_l1(f, grid).hex() == quadrature._grid_mean(f, two).hex()
+
+
+def test_row_past_one_block_stays_on_one_thread(monkeypatch):
+    # a complex rank-2 polynomial on (1800, 400): no row of at least 384
+    # points on axis 0 fits in one block, so rows of 450 x 400 points
+    # (4.32 MB), P = 4 with three twiddled, stay on one thread, in fresh
+    # block buffers; one point less on axis 1 and the rows fit, on two
+    rng = np.random.default_rng(22)
+    f = _window_poly(rng, (1800, 400), 250, False)
+    _cpus(monkeypatch, 2)
+    plan = _plan(f, (1800, 400))
+    assert plan == GridPlan((1800, 400), False, 450, True, 1, True, 4, 12, 1)
+    assert 450 * 400 * quadrature._BLOCK_BYTES_PER_SAMPLE > quadrature._BLOCK_BYTES
+    g = _window_poly(rng, (1800, 388), 250, False)
+    assert _plan(g, (1800, 388)).threads == 2
+    assert 450 * 388 * quadrature._BLOCK_BYTES_PER_SAMPLE <= quadrature._BLOCK_BYTES
+    assert riemann_l1(f, (1800, 400)) == pytest.approx(eval_grid(f, (1800, 400)).abs_mean(),
+                                                        rel=1e-13)
+
+
+def test_workspace_is_allocated_once_at_one_block(monkeypatch):
+    # a thread's first streamed grid allocates its workspace, one block of
+    # complex128 and float64 samples and _TWIDDLE_PAIRS pairs of scratch;
+    # a smaller grid and then a larger one keep the same arrays
+    _cpus(monkeypatch, 1)
+    rng = np.random.default_rng(23)
+    small = _sparse_poly(rng, 40_000, 64, False)
+    large = _fejer(20_000)
+
+    def buffers_after(*polys):
+        kept = []
+        for f in polys:
+            certified_l1(f)
+            kept.append(list(quadrature._workspace.buffers))
+        return kept
+
+    with ThreadPoolExecutor(1) as pool:  # a thread with no workspace yet
+        assert pool.submit(getattr, quadrature._workspace, "buffers", None).result() is None
+        first, second = pool.submit(buffers_after, small, large).result(timeout=120)
+    samples = quadrature._BLOCK_BYTES // quadrature._BLOCK_BYTES_PER_SAMPLE
+    assert [(b.dtype, b.size) for b in first] == \
+        [(np.complex128, samples), (np.float64, samples)] + \
+        [(t, quadrature._TWIDDLE_PAIRS) for t in (np.int64, np.int64, np.complex128,
+                                                   np.complex128)]
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_long_rows_raise_the_malloc_thresholds(monkeypatch):
+    # rows transformed one a call, on one thread or two, first free one
+    # block so that numpy's per-call FFT scratch stays in glibc's heap;
+    # batched short rows and one-block grids do not
+    raised = []
+    monkeypatch.setattr(quadrature, "_raise_malloc_thresholds", lambda: raised.append(1))
+    rng = np.random.default_rng(24)
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        certified_l1(_sparse_poly(rng, 40_000, 64, False))
+        certified_l1(indicator_poly(IntegerSet.from_iterable(range(1, 102))))
+        assert not raised
+        certified_l1(_fejer(20_000))
+        assert raised
+        raised.clear()
 
 
 def _wait_for_worker():
@@ -1860,10 +1974,10 @@ assert not loaded, loaded
 
 def test_block_workspace_is_per_thread(monkeypatch):
     # four threads, more than the cores, stream dense sets (rows of one
-    # transform a call) and sparse ones (blocks of short rows, shared with
-    # the one worker, which a caller that finds it busy does without),
-    # interleaved, each through its own block buffers: every enclosure is
-    # the serial one-thread one, bit for bit
+    # transform a call) and sparse ones (blocks of short rows), each plan
+    # shared with the one worker, which a caller that finds it busy does
+    # without, interleaved, each through its own block buffers: every
+    # enclosure is the serial one-thread one, bit for bit
     rng = np.random.default_rng(77)
     polys = []
     for _ in range(2):
@@ -1877,7 +1991,7 @@ def test_block_workspace_is_per_thread(monkeypatch):
     for k, (f, enc) in enumerate(zip(polys, serial)):
         plan = _plan(recentre(f)[0], enc.grid)
         assert plan.evaluated > 1 and plan.per_row == (k % 2 == 0)
-        assert (plan.threads == 2) == (k % 2 == 1)
+        assert plan.threads == 2
     start = threading.Barrier(len(polys), timeout=60)
 
     def work(f):
