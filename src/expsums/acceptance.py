@@ -166,13 +166,18 @@ def criterion_04(seed: int, memory_budget: int | None = None) -> tuple[bool, dic
                 "interval_101_band": [2.846, 2.866], "interval_101_ok": band_ok}
 
 
-def _random_poly(rng: np.random.Generator, max_degree: int = 64) -> TrigPoly:
-    d = int(rng.integers(1, max_degree + 1))
-    count = int(rng.integers(1, min(2 * d + 1, 24) + 1))
+def _random_terms(rng: np.random.Generator, d: int, count: int) -> TrigPoly:
+    """``count`` terms at distinct frequencies in [-d, d], with standard
+    normal real and imaginary parts."""
     freqs = rng.choice(2 * d + 1, size=count, replace=False) - d
     re = rng.standard_normal(count)
     im = rng.standard_normal(count)
     return TrigPoly(1, {int(f): complex(a, b) for f, a, b in zip(freqs, re, im)})
+
+
+def _random_poly(rng: np.random.Generator, max_degree: int = 64) -> TrigPoly:
+    d = int(rng.integers(1, max_degree + 1))
+    return _random_terms(rng, d, int(rng.integers(1, min(2 * d + 1, 24) + 1)))
 
 
 def criterion_05(seed: int, memory_budget: int | None = None) -> tuple[bool, dict]:
@@ -239,14 +244,7 @@ def thinning_configs(seed: int, count: int):
         isize = int(rng.integers(6, 21))
         index = _random_increasing(rng, isize, 3).translate(
             int(rng.integers(-10, 10)))
-        blocks = {}
-        for k in index:
-            count_k = int(rng.integers(1, 2 * d1 + 2))
-            freqs = rng.choice(2 * d1 + 1, size=count_k, replace=False) - d1
-            re = rng.standard_normal(count_k)
-            im = rng.standard_normal(count_k)
-            blocks[k] = TrigPoly(1, {int(f): complex(a, b)
-                                     for f, a, b in zip(freqs, re, im)})
+        blocks = {k: _random_terms(rng, d1, int(rng.integers(1, 2 * d1 + 2))) for k in index}
         s = int(rng.choice(index.array)) % q
         yield blocks, d1, d2, delta, q, s
 

@@ -13,30 +13,21 @@ from __future__ import annotations
 
 import math
 import statistics
-import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_real, _first_non_number,
-                   indicator_poly)
+from .core import (IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_positive, _check_real,
+                   _coefficients, indicator_poly)
 from .errors import HypothesisCheck, HypothesisError
 from .modulus import ResidueFilter, residue_filter, thinning_bound_factor
 from .quadrature import ZERO_INTERVAL, NormInterval, certified_l1, derivative
-from .structures import (DimCertificate, build_strong_lattice, gap_rank2,
-                         project_and_fibre, validate_certificate)
+from .structures import (DimCertificate, _child_seeds, _random_distinct, _spawn,
+                         build_strong_lattice, gap_rank2, project_and_fibre,
+                         validate_certificate)
 
 DEFAULT_C_MPS = 0.25
-
-
-def _check_c_mps(c_mps) -> float:
-    """``c_mps`` as a float; a ValueError naming it unless it is a finite
-    number above 0."""
-    c = _check_real(c_mps, "c_mps")
-    if c <= 0:
-        raise ValueError(f"c_mps must be a finite number above 0, got {c_mps!r}")
-    return c
 
 
 def _c_mps_power(base: float, k: int, c_mps: float) -> float:
@@ -135,14 +126,7 @@ def mps_rhs(coeffs: Sequence[complex]) -> float:
         raise ValueError(f"coefficients must be a sequence of numbers, got {coeffs!r}") from None
     if not values:
         raise ValueError("need at least one coefficient")
-    i = _first_non_number(values)
-    if i is not None:
-        raise ValueError(f"coefficient {values[i]!r} at index {i} is not a number")
-    try:
-        c = np.array(values, dtype=np.complex128)
-    except OverflowError:  # an int past float64, which is not finite as a float
-        c = np.array([math.inf if abs(v) > sys.float_info.max else v for v in values],
-                     dtype=np.complex128)
+    c = _coefficients(values, "index {}".format)
     finite = np.isfinite(c)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -168,7 +152,7 @@ def mps_rhs_of(f: TrigPoly) -> float:
 def verify_mps(A, c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
                memory_budget: int | None = None) -> InequalityVerdict:
     """||f||_1 >= C * sum_j |u_j|/j for a rank-1 set or polynomial."""
-    c_mps = _check_c_mps(c_mps)
+    c_mps = _check_positive(c_mps, "c_mps")
     f = as_poly(A)
     if f.rank != 1:
         raise ValueError("rank-1 sets only")
@@ -186,7 +170,7 @@ def verify_basic_multidim(A: LatticeSet, c_mps: float = DEFAULT_C_MPS, rel_err: 
     The fibre norms enter through their certified LOWER ends, so the RHS is
     itself certified and the comparison stays one-sided.
     """
-    c_mps = _check_c_mps(c_mps)
+    c_mps = _check_positive(c_mps, "c_mps")
     if not isinstance(A, LatticeSet) or A.rank < 2:
         raise ValueError("lattice sets of rank >= 2 only")
     first, fibres = project_and_fibre(A, 1)
@@ -213,7 +197,7 @@ def verify_multidim(A: LatticeSet, cert: DimCertificate,
                     c_mps: float = DEFAULT_C_MPS, rel_err: float = 0.1,
                     memory_budget: int | None = None) -> InequalityVerdict:
     """Rank-r lattice norm against C^r * prod_i ln(n_i)."""
-    c_mps = _check_c_mps(c_mps)
+    c_mps = _check_positive(c_mps, "c_mps")
     hyps = _certificate_checks(A, cert)
     sizes = cert.sizes()
     raw = math.prod(math.log(n) for n in sizes)
@@ -229,10 +213,10 @@ def multidimz_constant(rank: int, deltas: Sequence[float],
     """C^r (2^9 pi)^(-r) prod_j (2 + log(1 + 2/delta_j))^(-1)."""
     if len(deltas) != rank - 1:
         raise ValueError("need exactly rank - 1 deltas")
-    c_mps = _check_c_mps(c_mps)
+    c_mps = _check_positive(c_mps, "c_mps")
     c = _c_mps_power(c_mps / (2 ** 9 * math.pi), rank, c_mps)
     for d in deltas:
-        c /= 2 + math.log(1 + 2 / d)
+        c /= 2 + math.log(1 + 2 / _check_positive(d, "delta"))
     return c
 
 
@@ -244,7 +228,7 @@ def multidimz_size_checks(sizes: Sequence[int], c_mps: float,
     C^3 weakens the requirement as C shrinks, which reads like a typo; both
     readings are reported, only the literal one gates certification).
     """
-    c_mps = _check_c_mps(c_mps)
+    c_mps = _check_positive(c_mps, "c_mps")
     cpow = _c_mps_power(c_mps, -3 if inverse_constant else 3, c_mps)
     tag = "C^-3" if inverse_constant else "C^3"
     out = []
@@ -272,7 +256,7 @@ def verify_multidimz(A: IntegerSet, cert: DimCertificate,
     """
     if constant_override is not None:
         constant_override = _check_real(constant_override, "constant_override")
-    c_mps = _check_c_mps(c_mps)
+    c_mps = _check_positive(c_mps, "c_mps")
     if cert.rank == 1:
         return verify_mps(A, c_mps, rel_err, memory_budget)
     hyps = _certificate_checks(A, cert)
@@ -355,7 +339,7 @@ def verify_main_prop(blocks: Mapping[int, TrigPoly], d1: int, d2: int,
     bracket C/(2j) - 2 pi d1/(q d2) is reported raw and may be negative.
     """
     d1, d2 = _check_i64(d1, "d1"), _check_i64(d2, "d2")
-    delta, c_mps = _check_real(delta, "delta"), _check_c_mps(c_mps)
+    delta, c_mps = _check_real(delta, "delta"), _check_positive(c_mps, "c_mps")
     flt = ResidueFilter(q, s)
     q = flt.q
     index = IntegerSet.from_iterable(blocks)
@@ -479,13 +463,8 @@ def family_gaps(specs: Sequence[tuple[int, int, int, int]]) -> list[tuple[str, I
 def family_random_sets(count: int, size: int, span: int,
                        seed: int = 0) -> list[tuple[str, IntegerSet]]:
     """Seeded random frequency sets: ``size`` distinct elements of [0, span)."""
-    streams = np.random.SeedSequence(seed).spawn(count)
-    out = []
-    for i, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        els = np.sort(rng.choice(span, size=size, replace=False))
-        out.append((f"random:{i}", IntegerSet.from_iterable(int(x) for x in els)))
-    return out
+    return [(f"random:{i}", IntegerSet.from_iterable(_random_distinct(_spawn(ss), size, span)))
+            for i, ss in enumerate(_child_seeds(seed, count))]
 
 
 def family_boxes(sides: Sequence[int], rank: int = 2) -> list[

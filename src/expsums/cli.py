@@ -29,23 +29,21 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
 from . import BACKEND, acceptance
-from .bounds import (DEFAULT_C_MPS, InequalityVerdict, _check_c_mps, as_poly,
+from .bounds import (DEFAULT_C_MPS, InequalityVerdict, as_poly,
                      bernstein_check, constant_scan, family_intervals,
                      family_random_sets, verify_basic_multidim,
                      verify_main_prop, verify_mps, verify_multidim,
                      verify_multidimz)
-from .core import (IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_real,
+from .core import (IntegerSet, LatticeSet, TrigPoly, _check_i64, _check_positive, _check_real,
                    from_json_obj, indicator_poly)
 from .errors import MemoryBudgetError
 from .kernels import flat_top_build
 from .modulus import ResidueFilter, thinning_transform
 from .quadrature import (_memory_budget, _recentred_degree, certified_l1,
                          riemann_l1, riemann_rho)
-from .structures import (build_strong_integer, build_strong_lattice,
-                         gap_rank2, validate_certificate)
+from .structures import (_random_distinct, _spawn, build_strong_integer,
+                         build_strong_lattice, gap_rank2, validate_certificate)
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
@@ -267,9 +265,7 @@ def parse_set_spec(spec: str, seed: int):
             return gap_rank2(a, b, m, n), None
         if kind == "random":
             size, span = (int(x) for x in rest.split(","))
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            els = np.sort(rng.choice(span, size=size, replace=False))
-            return IntegerSet.from_iterable(int(x) for x in els), None
+            return IntegerSet.from_iterable(_random_distinct(_spawn(seed), size, span)), None
         if kind == "box":
             sizes = tuple(int(x) for x in rest.split(","))
             return build_strong_lattice(sizes)
@@ -396,7 +392,7 @@ def _verify_mps(cfg):
         return verify_mps(inst[0], cfg.c_mps, cfg.rel_err, cfg.memory_budget)
     # scan mode: intervals plus seeded random sets; the least ratio of
     # lhs.lo to the constant-free rhs must reach c_mps
-    threshold = _check_c_mps(cfg.c_mps)
+    threshold = _check_positive(cfg.c_mps, "c_mps")
     count = 10 if cfg.count is None else cfg.count
     family = family_intervals(range(4, 129))
     family += family_random_sets(count, 64, 10 ** 5,

@@ -27,7 +27,8 @@ Any other column (a complex value, an array, an int past float64, a
 Decimal) takes numpy's complex128 conversion, after a check of its value
 types: a value that is not a number (a string or bytes, which numpy would
 parse, None, which it would read as nan, or a sequence) raises a
-ValueError naming its frequency (:func:`_coefficients`).
+ValueError naming its frequency (:func:`_coefficients`), and an int past
+float64 reads as inf, which the finiteness check then refuses.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import json
 import math
 import numbers
 import struct
+import sys
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -66,6 +68,14 @@ def _check_real(value, what: str) -> float:
     except OverflowError:  # an integer past float64
         pass
     raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def _check_positive(value, what: str) -> float:
+    """:func:`_check_real`, and a ValueError naming ``value`` unless it is above 0."""
+    x = _check_real(value, what)
+    if x <= 0:
+        raise ValueError(f"{what} must be a finite number above 0, got {value!r}")
+    return x
 
 
 class _RangeError(OverflowError, ValueError):
@@ -357,16 +367,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (numbers.Number, np.bool_))
 
 
-def _first_non_number(values: list) -> int | None:
-    """The index of the first value that is not a number (:func:`_is_number`),
-    or None; a list of the plain number types alone is not looked into."""
-    if not set(map(type, values)) <= _PLAIN_NUMBERS:
-        for i, value in enumerate(values):
-            if not _is_number(value):
-                return i
-    return None
-
-
 def _all_real(values: list) -> bool:
     """Whether the values are real numbers, read from the type of their sum
     in one C loop (Python floats and ints add without a call).  The sum is a
@@ -384,11 +384,12 @@ def _all_real(values: list) -> bool:
         return False
 
 
-def _coefficients(values: list, freqs: np.ndarray) -> np.ndarray:
-    """The coefficient column of ``values`` (the terms of the (n, rank)
-    ``freqs``): float64 when the first value is a float and all are real
-    numbers, else complex128.  A value that is not a number raises a
-    ValueError naming its frequency."""
+def _coefficients(values: list, place) -> np.ndarray:
+    """The coefficient column of ``values``: float64 when the first value is
+    a float and all are real numbers, else complex128, where an int past
+    float64 reads as inf.  A value that is not a number raises a ValueError
+    naming its place, ``place(i)`` for the i-th value ("frequency (1,)",
+    "index 0")."""
     if values and isinstance(values[0], float) and _all_real(values):
         # real numbers pack in one C loop, each by its __float__ to the
         # double numpy would convert it to (the check above keeps a numpy
@@ -397,11 +398,20 @@ def _coefficients(values: list, freqs: np.ndarray) -> np.ndarray:
             return np.frombuffer(struct.pack(f"{len(values)}d", *values), dtype=np.float64)
         except struct.error:
             pass
-    i = _first_non_number(values)
-    if i is not None:
-        raise ValueError(f"coefficient {values[i]!r} at frequency "
-                         f"{tuple(freqs[i].tolist())} is not a number")
-    return np.array(values, dtype=np.complex128).reshape(len(values))
+    if not set(map(type, values)) <= _PLAIN_NUMBERS:
+        for i, value in enumerate(values):
+            if not _is_number(value):
+                raise ValueError(f"coefficient {value!r} at {place(i)} is not a number")
+    try:
+        return np.array(values, dtype=np.complex128).reshape(len(values))
+    except OverflowError:  # an int past float64, which is not finite as a float
+        return np.array([math.inf if abs(v) > sys.float_info.max else v for v in values],
+                        dtype=np.complex128)
+
+
+def _at_frequency(freqs: np.ndarray):
+    """The place of the i-th term of the (n, rank) ``freqs``, for :func:`_coefficients`."""
+    return lambda i: f"frequency {tuple(freqs[i].tolist())}"
 
 
 def _normalize_terms(freqs: np.ndarray,
@@ -465,7 +475,7 @@ class TrigPoly(_Frozen):
             keys, values = [p[0] for p in pairs], [p[1] for p in pairs]
         # both columns are fresh arrays, which the polynomial may own
         freqs = _int64_rows(keys, rank, "frequency", scalars=True)
-        self._set(int(rank), *_normalize_terms(freqs, _coefficients(values, freqs)))
+        self._set(int(rank), *_normalize_terms(freqs, _coefficients(values, _at_frequency(freqs))))
 
     def _set(self, rank: int, freqs: np.ndarray, coeffs: np.ndarray) -> None:
         object.__setattr__(self, "rank", rank)
@@ -498,7 +508,7 @@ class TrigPoly(_Frozen):
                              f"of shape {coeffs.shape}; rank {rank} takes shapes "
                              f"(n, {rank}) and (n,)")
         if not numeric:
-            coeffs = _coefficients(coeffs.tolist(), freqs)
+            coeffs = _coefficients(coeffs.tolist(), _at_frequency(freqs))
         out = object.__new__(cls)
         out._set(int(rank), *_normalize_terms(freqs, coeffs))
         return out
@@ -591,13 +601,17 @@ class TrigPoly(_Frozen):
         Each phase f . t is reduced mod 1 exactly: floats are dyadic
         rationals, so the reduction runs in Python integers and only the
         reduced phase is rounded.  The terms are summed with ``math.fsum``.
-        A point with an infinite or nan coordinate raises a ValueError
-        naming it.
+        A point that is not a number or a sequence of numbers (a string,
+        bytes, None), or has an infinite or nan coordinate, raises a
+        ValueError naming it.
         """
         point = t
-        if isinstance(t, (int, float, np.floating)):
-            t = (float(t),)
-        t = tuple(float(x) for x in t)
+        if _is_number(t) or t is None or isinstance(t, (str, bytes)):
+            t = (t,)  # one coordinate, refused below unless a number
+        t = tuple(t)
+        if not all(map(_is_number, t)):
+            raise ValueError(f"point {point!r} is not a number or a sequence of numbers")
+        t = tuple(map(float, t))
         if len(t) != self.rank:
             raise ValueError("point rank mismatch")
         if not all(map(math.isfinite, t)):
@@ -621,8 +635,14 @@ class TrigPoly(_Frozen):
     def from_json_dict(cls, obj: Mapping) -> "TrigPoly":
         # pairs, not a dict: a frequency listed twice is summed, as the
         # constructor sums repeated terms
-        terms = [(tuple(_check_i64(x, "frequency") for x in f), complex(re, im))
-                 for f, (re, im) in obj["terms"]]
+        terms = []
+        for f, parts in obj["terms"]:
+            f = tuple(_check_i64(x, "frequency") for x in f)
+            # a float is a number (nan and inf the constructor refuses as not
+            # finite); a bool, string, null or int past float64 is refused here
+            re, im = (x if type(x) is float else
+                      _check_real(x, f"coefficient part at frequency {f}") for x in parts)
+            terms.append((f, complex(re, im)))
         return cls(_check_i64(obj["rank"], "rank"), terms)
 
 

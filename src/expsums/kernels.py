@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import quadrature
-from .core import TrigPoly, _check_i64
+from .core import TrigPoly, _check_i64, _check_int
 from .errors import HypothesisError
 
 # values of |sin(pi t)| below this are treated as the removable singularity
@@ -25,20 +25,16 @@ _SINGULARITY_TOL = 1e-12
 _CHUNK_ELEMS = 1 << 22  # cap on points*terms per block of the direct sum
 
 
-def _dirichlet_values(n: int, ts: np.ndarray) -> np.ndarray:
+def _sine_ratio(k: int, ts: np.ndarray, squared: bool = False) -> np.ndarray:
+    """sin(pi k t)/sin(pi t), or its square over k, and k at the removable
+    singularity |sin(pi t)| < ``_SINGULARITY_TOL`` (set there, not computed:
+    k^2/k need not round back to k once k^2 passes 2^53)."""
     s = np.sin(np.pi * ts)
     small = np.abs(s) < _SINGULARITY_TOL
-    safe = np.where(small, 1.0, s)
-    vals = np.sin(np.pi * (2 * n + 1) * ts) / safe
-    return np.where(small, float(2 * n + 1), vals)
-
-
-def _fejer_values(n: int, ts: np.ndarray) -> np.ndarray:
-    s = np.sin(np.pi * ts)
-    small = np.abs(s) < _SINGULARITY_TOL
-    safe = np.where(small, 1.0, s)
-    ratio = np.sin(np.pi * (n + 1) * ts) / safe
-    return np.where(small, float(n + 1), ratio * ratio / (n + 1))
+    ratio = np.sin(np.pi * k * ts) / np.where(small, 1.0, s)
+    if squared:
+        ratio = ratio * ratio / k
+    return np.where(small, float(k), ratio)
 
 
 def _scalar_or_array(fn, t):
@@ -53,9 +49,10 @@ def dirichlet(n: int, t):
     The removable singularity is handled by an explicit branch at
     |sin(pi t)| < 1e-12.  Accepts a scalar or an array of t.
     """
+    n = _check_int(n, "order")
     if n < 0:
         raise ValueError("order must be >= 0")
-    return _scalar_or_array(lambda ts: _dirichlet_values(int(n), ts), t)
+    return _scalar_or_array(lambda ts: _sine_ratio(2 * n + 1, ts), t)
 
 
 def fejer(n: int, t):
@@ -63,9 +60,10 @@ def fejer(n: int, t):
 
     Nonnegative, bounded by n+1, unit mean over [0,1]; F_n(integer) = n+1.
     """
+    n = _check_int(n, "order")
     if n < 0:
         raise ValueError("order must be >= 0")
-    return _scalar_or_array(lambda ts: _fejer_values(int(n), ts), t)
+    return _scalar_or_array(lambda ts: _sine_ratio(n + 1, ts, squared=True), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +163,7 @@ def flat_top_transform(kern: FlatTopKernel, t):
     m, n = kern.m, kern.n
 
     def batch(ts):
-        return _dirichlet_values(n + m, ts) * _fejer_values(m - 1, ts) / m
+        return _sine_ratio(2 * (n + m) + 1, ts) * _sine_ratio(m, ts, squared=True) / m
 
     return _scalar_or_array(batch, t)
 

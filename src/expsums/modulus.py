@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _I64_MAX, IntegerSet, TrigPoly, _check_i64, _check_int, _check_real
+from .core import (_I64_MAX, IntegerSet, TrigPoly, _check_i64, _check_int, _check_positive,
+                   _check_real)
 from .errors import HypothesisError, SupportError
 from .kernels import flat_top_build
 
@@ -147,9 +148,7 @@ def block_structure(F: TrigPoly, d1: int, d2: int) -> dict[int, TrigPoly]:
 
 def thinning_bound_factor(delta: float) -> float:
     """The guaranteed norm ratio 32*pi*(2 + log(1 + 2/delta))."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return 32 * math.pi * (2 + math.log(1 + 2 / delta))
+    return 32 * math.pi * (2 + math.log(1 + 2 / _check_positive(delta, "delta")))
 
 
 def thinning_transform(F: TrigPoly, d1: int, d2: int, delta: float,

@@ -192,15 +192,9 @@ scratch of about a row on every call, so the first such rows of a process
 free one block once (:func:`_raise_malloc_thresholds`): glibc's mmap and
 trim thresholds then follow it up, and the scratch stays in the heap
 between calls.  Without these, glibc faults the buffers in afresh on every
-call: a pass of the dense benchmark took about 67,000 minor page faults
-with none of them, 16,000 with the block buffers kept but long rows
-batched, 3,200-6,000 with fresh twiddle arrays for each block, about
-14,500 with long rows on two threads in workspaces allocated once but the
-thresholds left where they were (2,100 on one thread), and under 50 with
-all of them.  Two threads over long rows raise the dense benchmark's peak
-RSS by about 3.8 MB (+3.7%), the raised thresholds included; with
-workspaces that grew with each larger block, freed and allocated again in
-the worker's malloc arena, it rose by about 7 MB (CHANGES.md).
+call.  A workspace is allocated once, not grown with each larger block,
+since a grown one is freed and allocated again in the worker's malloc
+arena, which raises peak RSS (CHANGES.md has the measurements).
 
 Everything here is pure and deterministic: the blocks are the same
 whichever thread takes them, each row reduced by pairwise summation on its
@@ -651,7 +645,9 @@ def _twiddled(coeffs: np.ndarray, res0: np.ndarray, rows: range, n0: int,
 def _fold(a: np.ndarray, idx: tuple, values: np.ndarray) -> None:
     """a[idx] += values for the C-contiguous ``a``, summing the values
     whose indices coincide."""
-    # flat indices take ufunc.at's fast path, as cheap as plain assignment
+    # flat indices take ufunc.at's fast path, which still costs more than
+    # plain assignment (that keeps one of coinciding values): about 4x at 16
+    # terms and 1.1-1.4x at 40,000 (numpy 2.4, one Xeon vCPU)
     np.add.at(a.reshape(-1), np.ravel_multi_index(idx, a.shape).ravel(), values.ravel())
 
 

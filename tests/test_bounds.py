@@ -15,6 +15,7 @@ from expsums.bounds import (HypothesisCheck, InequalityVerdict, assemble_blocks,
                             verify_multidimz)
 from expsums.core import IntegerSet, TrigPoly, indicator_poly
 from expsums.errors import HypothesisError, MemoryBudgetError
+from expsums.modulus import thinning_bound_factor
 from expsums.quadrature import NormInterval
 from expsums.structures import build_strong_integer, build_strong_lattice
 
@@ -194,6 +195,21 @@ def test_verify_multidim_corrupt_certificate():
     assert not v.hypotheses_ok
     assert not v.certified
     assert any(not h.passed for h in v.hypotheses)
+
+
+@pytest.mark.parametrize("delta", [0, -1.0, math.nan, math.inf, "1.0", None, True],
+                         ids=["zero", "negative", "nan", "inf", "string", "None", "bool"])
+def test_delta_must_be_a_finite_number_above_0(delta):
+    # thinning_bound_factor(nan) and multidimz_constant(2, [nan]) returned nan,
+    # and multidimz_constant(2, [0]) raised ZeroDivisionError
+    message = re.escape(f"delta must be a finite number{' above 0' if delta in (0, -1.0) else ''}"
+                        f", got {delta!r}")
+    with pytest.raises(ValueError, match=message):
+        thinning_bound_factor(delta)
+    with pytest.raises(ValueError, match=message):
+        multidimz_constant(2, [delta])
+    with pytest.raises(ValueError, match=message):
+        multidimz_constant(3, [1.0, delta])
 
 
 def test_multidimz_constant_formula():

@@ -167,6 +167,18 @@ def test_trig_poly_rejects_non_finite_coefficient(bad):
         TrigPoly(1, {(0,): 1, (3,): bad})
 
 
+@pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400), Fraction(10 ** 400, 3)],
+                         ids=["int", "negative-int", "fraction"])
+def test_coefficient_past_float64_is_not_finite(big):
+    # numpy's conversion raised a bare OverflowError for these
+    message = r"coefficient \(inf\+0j\) at frequency \(1,\) is not finite"
+    for make in (lambda: TrigPoly(1, {1: big}), lambda: TrigPoly(1, {0: 1j, 1: big}),
+                 lambda: TrigPoly.from_arrays(1, [1], [big]),
+                 lambda: TrigPoly.from_arrays(1, [0, 1], [0.5, big])):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 def test_trig_poly_rejects_overflowing_duplicate_terms():
     with pytest.raises(ValueError, match="not finite"):
         TrigPoly(1, [((2,), 1e308), ((2,), 1e308)])
@@ -180,6 +192,24 @@ def test_trig_poly_json_rejects_non_finite(literal):
         TrigPoly.from_json_dict(json.loads(text))
     with pytest.raises(ValueError):
         loads(text)
+
+
+@pytest.mark.parametrize("part, shown", [("true", "True"), ("false", "False"),
+                                         ('"1"', "'1'"), ("null", "None"), ("[1]", "[1]"),
+                                         ("1" + "0" * 400, "1" + "0" * 400)],
+                         ids=["true", "false", "string", "null", "list", "int-past-float64"])
+@pytest.mark.parametrize("where", ["real", "imag"])
+def test_trig_poly_json_coefficient_part_must_be_a_finite_number(part, shown, where):
+    # complex() read true as 1 and false as 0, and raised a bare TypeError
+    # for a string or null and an OverflowError past float64
+    pair = f"[{part}, 0.0]" if where == "real" else f"[1.0, {part}]"
+    text = f'{{"rank": 2, "terms": [[[0, 0], [1.0, 0.0]], [[1, -2], {pair}]]}}'
+    with pytest.raises(ValueError, match=re.escape(
+            f"coefficient part at frequency (1, -2) must be a finite number, got {shown}")):
+        TrigPoly.from_json_dict(json.loads(text))
+    # integers within float64 are numbers, as they always were
+    text = '{"rank": 1, "terms": [[[3], [2, -1]]]}'
+    assert TrigPoly.from_json_dict(json.loads(text)) == TrigPoly(1, {3: 2 - 1j})
 
 
 def test_indicator_poly_integer_set():
@@ -537,6 +567,23 @@ def test_eval_at_refuses_a_point_that_is_not_finite(point, rank):
     # the zero polynomial too
     with pytest.raises(ValueError, match="is not finite"):
         TrigPoly(rank, {}).eval_at(point)
+
+
+@pytest.mark.parametrize("point, rank", [("05", 2), ("0.5", 1), (b"05", 2), (None, 1),
+                                         (("0", "5"), 2), ((0.5, None), 2)],
+                         ids=["str", "float-str", "bytes", "None", "str-coordinates",
+                              "None-coordinate"])
+def test_eval_at_refuses_a_point_that_is_no_number(point, rank):
+    # float() parsed each character of "05" as a coordinate, "0.5" raised
+    # numpy's "could not convert string to float: '.'" and None a bare TypeError
+    for f in (TrigPoly(rank, {(1,) * rank: 1.0}), TrigPoly(rank, {})):
+        with pytest.raises(ValueError, match=re.escape(
+                f"point {point!r} is not a number or a sequence of numbers")):
+            f.eval_at(point)
+    # numbers of any kind still evaluate
+    f = TrigPoly(1, {1: 1.0})
+    for t in (0.25, np.float32(0.25), Fraction(1, 4), Decimal("0.25"), [0.25], np.array([0.25])):
+        assert f.eval_at(t) == f.eval_at(0.25)
 
 
 # --- sorted input skips the sort --------------------------------------------

@@ -1,6 +1,7 @@
 """Closed-form kernels and the exact flat-top window."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,15 @@ def test_fejer_nonnegative():
     t = np.linspace(0, 1, 501)
     assert np.all(fejer(n, t) > -1e-12)
     assert fejer(n, 0.0) == pytest.approx(n + 1)
+
+
+@pytest.mark.parametrize("fn", [dirichlet, fejer])
+def test_order_must_be_an_integer(fn):
+    # int() took 2.5 as 2 in silence, and "3" raised a bare TypeError
+    for bad, shown in ((2.5, "2.5"), ("3", "'3'"), (np.float64(1.5), "1.5")):
+        with pytest.raises(ValueError, match=re.escape(f"order {shown} is not an integer")):
+            fn(bad, 0.1)
+    assert fn(2.0, 0.1) == fn(2, 0.1) == fn(np.int64(2), 0.1)
 
 
 def test_dirichlet_values_vector():
